@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: a-symbolic, pgn, qgn, euler, d-count, eval, verify.  Exit codes:
-0 success, 1 theorem-level assertion failure, 2 usage error, 3 numeric
-precision exhaustion.  All output is deterministic for fixed flags and seed.
+0 success, 1 theorem-level assertion failure, 2 usage error or bad input
+file.  All output is deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .laurent import (
     CurveInput,
     DivisibilityError,
     LaurentPoly,
-    PrecisionError,
     evaluate_at_curve,
     pic_polynomial,
 )
@@ -34,6 +33,14 @@ from .laurent import (
 
 class CheckFailure(RuntimeError):
     pass
+
+
+def _open_input(path):
+    """Open an input file; a missing or unreadable one is a usage error."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _print(args, obj, text):
@@ -54,7 +61,7 @@ def _build_pipeline(n, g, a_table_path):
     if n >= 2:
         if a_table_path is None:
             raise CheckFailure("ranks >= 2 need --a-table with the bundle counts")
-        with open(a_table_path, "r", encoding="utf-8") as fh:
+        with _open_input(a_table_path) as fh:
             atable = ATable.from_json(fh.read(), g)
         table = c_from_a(n, g, atable)
     else:
@@ -136,14 +143,14 @@ def cmd_d_count(args):
 
 
 def cmd_eval(args):
-    with open(args.curve, "r", encoding="utf-8") as fh:
+    with _open_input(args.curve) as fh:
         curve = CurveInput.from_obj(json.load(fh))
     if args.n == 1:
         poly = pic_polynomial(curve.g)
     else:
         if args.pgn is None:
             raise CheckFailure("ranks >= 2 need --pgn with the count polynomial")
-        with open(args.pgn, "r", encoding="utf-8") as fh:
+        with _open_input(args.pgn) as fh:
             poly = LaurentPoly.from_json(fh.read())
     value = evaluate_at_curve(poly, curve, args.k, curve.g - 1)
     _print(args, {"n": args.n, "k": args.k, "count": value},
@@ -153,10 +160,10 @@ def cmd_eval(args):
 
 def cmd_verify(args):
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
+        with _open_input(args.replay) as fh:
             payload = json.load(fh)
         result = verify_mod.replay(payload)
-        _print(args, result, f"replay {payload['suite']}: {'PASS' if result['passed'] else 'FAIL'}")
+        _print(args, result, f"replay {result['suite']}: {'PASS' if result['passed'] else 'FAIL'}")
         return 0 if result["passed"] else 1
     names = verify_mod.SUITES.keys() if args.suite == "all" else [args.suite]
     reports = []
@@ -236,9 +243,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PrecisionError as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return 3
     except (CheckFailure, DivisibilityError, EntryMissing) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

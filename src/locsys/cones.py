@@ -139,10 +139,8 @@ def langlands_identity_check(p, q, H) -> bool:
             i += s
         # grouping of the inner composition induced by the outer one
         outer_on_inner = []
-        idx = 0
         for sizes in choice:
             outer_on_inner.append(len(sizes))
-            idx += len(sizes)
         sign = (-1) ** (len(p) - len(r_composition))
         t = tau(p, inner, H)
         if t:

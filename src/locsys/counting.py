@@ -357,7 +357,11 @@ class ATable:
 
     @classmethod
     def from_obj(cls, obj, g):
-        return cls(g, {int(n): LaurentPoly.from_obj(p) for n, p in obj["entries"].items()})
+        try:
+            entries = obj["entries"].items()
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed bundle-count table JSON: {exc!r}") from None
+        return cls(g, {int(n): LaurentPoly.from_obj(p) for n, p in entries})
 
     @classmethod
     def from_json(cls, text, g):

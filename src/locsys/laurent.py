@@ -1,5 +1,5 @@
 """Exact sparse Laurent polynomials carrying the Weil symmetry, plus curves
-over finite fields and certified integer evaluation at their Frobenius
+over finite fields and exact integer evaluation at their Frobenius
 eigenvalues.
 
 A polynomial lives in Q[t^{+-1}, z_1^{+-1}, ..., z_g^{+-1}][y] where y is an
@@ -12,6 +12,7 @@ and JSON serialization byte-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -32,10 +33,6 @@ class DivisibilityError(ArithmeticError):
 
 class InvarianceError(ValueError):
     """A Weil-invariant polynomial was required."""
-
-
-class PrecisionError(RuntimeError):
-    """Certified evaluation could not isolate an integer below the ceiling."""
 
 
 def _coeff(c):
@@ -361,11 +358,14 @@ class LaurentPoly:
 
     @classmethod
     def from_obj(cls, obj):
-        g = int(obj["g"])
-        terms = {}
-        for term in obj["terms"]:
-            key = (int(term["t"]), tuple(int(e) for e in term["z"]), int(term.get("gamma", 0)))
-            terms[key] = Fraction(term["c"])
+        try:
+            g = int(obj["g"])
+            terms = {}
+            for term in obj["terms"]:
+                key = (int(term["t"]), tuple(int(e) for e in term["z"]), int(term.get("gamma", 0)))
+                terms[key] = Fraction(term["c"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
         return cls(g, terms)
 
     @classmethod
@@ -473,6 +473,9 @@ class CurveInput:
         self.g = g
         self.q = q
         self.numerator = numerator
+        if not self.functional_equation_holds():
+            raise ValueError("numerator violates the functional equation "
+                             "b_{2g-k} = q^(g-k) b_k")
         self._warn_if_not_weil()
 
     def functional_equation_holds(self) -> bool:
@@ -501,7 +504,11 @@ class CurveInput:
 
     @classmethod
     def from_obj(cls, obj):
-        return cls(int(obj["g"]), int(obj["q"]), obj["numerator"])
+        try:
+            g, q, numerator = int(obj["g"]), int(obj["q"]), list(obj["numerator"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed curve JSON: {exc!r}") from None
+        return cls(g, q, numerator)
 
     def __repr__(self):
         return f"CurveInput(g={self.g}, q={self.q}, numerator={self.numerator})"
@@ -549,152 +556,48 @@ def graeffe_power(curve: CurveInput, k: int):
     return out
 
 
-def _poly_derivative(coeffs):
-    # coeffs high to low degree
-    deg = len(coeffs) - 1
-    return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    deg_d = len(den) - 1
-    lead = den[0]
-    quot = []
-    while len(num) - 1 >= deg_d:
-        f = num[0] / lead
-        quot.append(f)
-        for i in range(deg_d + 1):
-            num[i] -= f * den[i]
-        num.pop(0)
-    while num and num[0] == 0:
-        num.pop(0)
-    return quot, num
-
-
-def _poly_gcd(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return [Fraction(1)]
-    return [c / a[0] for c in a]
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = [Fraction(0)] * (n - len(a)) + list(a)
-    b = [Fraction(0)] * (n - len(b)) + list(b)
-    out = [x - y for x, y in zip(a, b)]
-    while out and out[0] == 0:
-        out.pop(0)
+def _f_product(f, h, tq):
+    """Product of two combinations {m: c} of F_m = z^m + (T/z)^m, using
+    F_a F_b = F_{a+b} + T^b F_{a-b} for a >= b (so F_0 = 2)."""
+    out = {}
+    for a, c in f.items():
+        for b, d in h.items():
+            lo, hi = sorted((a, b))
+            out[hi + lo] = out.get(hi + lo, 0) + c * d
+            out[hi - lo] = out.get(hi - lo, 0) + c * d * tq ** lo
     return out
 
 
-def _squarefree_factors(coeffs):
-    """Yun decomposition of an exact polynomial: list of (multiplicity,
-    squarefree factor), coefficients high to low."""
-    a = [Fraction(c) for c in coeffs]
-    while a and a[0] == 0:
-        a.pop(0)
-    if len(a) <= 1:
-        return []
-    da = _poly_derivative(a)
-    g = _poly_gcd(a, da)
-    if len(g) == 1:
-        return [(1, a)]
-    c, _ = _poly_divmod(a, g)
-    dg, _ = _poly_divmod(da, g)
-    d = _poly_sub(dg, _poly_derivative(c))
-    out = []
-    i = 1
-    while len(c) > 1:
-        p = _poly_gcd(c, d)
-        if len(p) > 1:
-            out.append((i, p))
-        c, _ = _poly_divmod(c, p)
-        dp, _ = _poly_divmod(d, p)
-        d = _poly_sub(dp, _poly_derivative(c))
-        i += 1
-    return out
+def _injective_sum(fs, tq, traces):
+    """Sum over injective maps s of prod_i f_i(x_{s(i)}), where x_j is one
+    eigenvalue from each Frobenius pair {x_j, T/x_j}, each f_i is given in
+    the F basis and sum_j F_m(x_j) = traces[m].
+
+    Summing f_1 over every x_j and subtracting the terms where its x_j is
+    already taken by some f_i (which merges f_1 into f_i) leaves only such
+    traces, and they depend on no choice of the x_j.
+    """
+    if not fs:
+        return 1
+    first, rest = fs[0], fs[1:]
+    total = sum(c * traces[m] for m, c in first.items()) * _injective_sum(rest, tq, traces)
+    for i in range(len(rest)):
+        merged = rest[:i] + [_f_product(first, rest[i], tq)] + rest[i + 1:]
+        total -= _injective_sum(merged, tq, traces)
+    return total
 
 
-class _CInterval:
-    """Rectangle complex interval on top of mpmath.iv real intervals."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_point(cls, z, radius):
-        radius = mpmath.mpf(radius)
-        r = mpmath.iv.mpf([z.real - radius, z.real + radius])
-        i = mpmath.iv.mpf([z.imag - radius, z.imag + radius])
-        return cls(r, i)
-
-    @classmethod
-    def exact(cls, fr: Fraction):
-        v = mpmath.iv.mpf(fr.numerator) / mpmath.iv.mpf(fr.denominator)
-        return cls(v, mpmath.iv.mpf(0))
-
-    def __add__(self, other):
-        return _CInterval(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        return _CInterval(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def reciprocal(self):
-        d = self.re * self.re + self.im * self.im
-        return _CInterval(self.re / d, -self.im / d)
-
-    def power(self, e: int):
-        if e < 0:
-            return self.reciprocal().power(-e)
-        out = _CInterval(mpmath.iv.mpf(1), mpmath.iv.mpf(0))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-    def widths(self):
-        return float(self.re.delta), float(self.im.delta)
-
-
-def _pair_roots(roots, target_product, tol):
-    """Pair the root multiset so each pair multiplies to target_product."""
-    left = list(roots)
-    pairs = []
-    while left:
-        a = max(left, key=abs)
-        left.remove(a)
-        want = target_product / a
-        b = min(left, key=lambda r: abs(r - want))
-        if abs(b - want) > tol * (1 + abs(want)):
-            return None
-        left.remove(b)
-        pairs.append((a, b))
-    return pairs
-
-
-def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: int,
-                      max_prec: int = 1 << 13) -> int:
+def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: int) -> int:
     """Value of a Weil-invariant p at t = q^k, z_i = sigma_i^k.
 
     The sigma_i^k are one eigenvalue from each Frobenius pair of the base
     change; Weil invariance makes the value independent of which one.  The
-    result is certified by rectangle interval arithmetic: precision doubles
-    from 128 bits until the enclosure is narrower than 1/2, then the unique
-    enclosed integer is returned.
+    value is computed exactly: averaging a term c t^a z^e (g-1)^b over the
+    Weil group gives c T^(a + sum min(e_i, 0)) gamma^b S / (2^g g!) with
+    T = q^k, where S sums prod_i F_{|e_i|}(sigma_{s(i)}^k) over permutations s
+    (see _injective_sum).  S is a polynomial in the power sums p_{mk} of the
+    Frobenius eigenvalues, which Newton's identities read off the integer
+    zeta numerator.  A value that is not an integer raises ValueError.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("need k >= 1")
@@ -702,50 +605,21 @@ def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: in
         raise DimensionMismatch(f"curve genus {curve.g} != polynomial g {p.g}")
     if not p.is_weil_invariant():
         raise InvarianceError("polynomial is not Weil-invariant")
-    if p.is_zero():
-        return 0
 
-    coeffs = graeffe_power(curve, k)
-    factors = _squarefree_factors(coeffs)
-    tq = Fraction(curve.q) ** k
-    prec = 128
-    while prec <= max_prec:
-        with mpmath.workprec(prec):
-            mpmath.iv.prec = prec
-            try:
-                roots = []
-                err = mpmath.mpf(0)
-                for mult, factor in factors:
-                    fr, fe = mpmath.polyroots(
-                        [mpmath.mpf(c.numerator) / c.denominator for c in factor],
-                        maxsteps=200, extraprec=prec, error=True,
-                    )
-                    roots.extend(r for r in fr for _ in range(mult))
-                    err = max(err, fe)
-            except mpmath.libmp.NoConvergence:
-                prec *= 2
-                continue
-            radius = max(float(err), 2.0 ** (20 - prec)) * 16
-            pairs = _pair_roots([mpmath.mpc(r) for r in roots],
-                                mpmath.mpf(curve.q) ** k, 1e-6)
-            if pairs is None:
-                prec *= 2
-                continue
-            zs = [_CInterval.from_point(a, radius) for a, _ in pairs]
-
-            total = _CInterval(mpmath.iv.mpf(0), mpmath.iv.mpf(0))
-            for (et, ez, ey), c in p.terms.items():
-                scalar = Fraction(c) * tq ** et * Fraction(gamma_value) ** ey
-                term = _CInterval.exact(scalar)
-                for zi, e in zip(zs, ez):
-                    if e:
-                        term = term * zi.power(e)
-                total = total + term
-            wr, wi = total.widths()
-            if wr < 0.5 and wi < 0.5:
-                lo = mpmath.ceil(total.re.a)
-                hi = mpmath.floor(total.re.b)
-                if lo == hi and total.im.a <= 0 <= total.im.b:
-                    return int(lo)
-        prec *= 2
-    raise PrecisionError(f"no certified integer below {max_prec} bits")
+    g = p.g
+    tq = curve.q ** k
+    top = max((sum(abs(e) for e in ez) for _et, ez, _ey in p.terms), default=0)
+    sums = _power_sums_from_coeffs(curve.numerator, top * k)
+    traces = [2 * g] + [int(sums[m * k]) for m in range(1, top + 1)]
+    orbit_sums = {}
+    total = Fraction(0)
+    for (et, ez, ey), c in p.terms.items():
+        degrees = tuple(sorted(abs(e) for e in ez))
+        if degrees not in orbit_sums:
+            orbit_sums[degrees] = _injective_sum([{a: 1} for a in degrees], tq, traces)
+        shift = et + sum(min(e, 0) for e in ez)
+        total += c * Fraction(tq) ** shift * gamma_value ** ey * orbit_sums[degrees]
+    total /= 2 ** g * math.factorial(g)
+    if total.denominator != 1:
+        raise ValueError(f"value {total} at the curve is not an integer")
+    return int(total)

@@ -99,11 +99,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {v} outside 0..{self.cap}")
         return self.coeffs[v]
 
-    def truncate(self, cap: int) -> "TruncatedSeries":
-        if cap > self.cap:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(cap, self.coeffs[: cap + 1])
-
     def stretch(self, l: int) -> "TruncatedSeries":
         """Substitute z -> z^l, truncating at the same cap."""
         if not isinstance(l, int) or l < 1:

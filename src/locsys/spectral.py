@@ -259,9 +259,6 @@ class DiscretePairDatum:
             out[b.nu] = out.get(b.nu, 0) + b.m * b.d
         return out
 
-    def speh_sizes(self):
-        return sorted(self.a_table())
-
     def blocks_with_nu(self, nu):
         return [b for b in self.blocks if b.nu == nu]
 

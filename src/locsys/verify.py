@@ -220,13 +220,19 @@ CHECKERS = {
 
 
 def replay(payload):
-    checker = CHECKERS[payload["checker"]]
+    """Rerun one checker on a saved instance; a malformed payload is a ValueError."""
     try:
-        passed = bool(checker(payload["instance"]))
+        name, instance = payload["checker"], payload["instance"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed replay payload: {exc!r}") from None
+    if not isinstance(name, str) or name not in CHECKERS:
+        raise ValueError(f"unknown checker {name!r}; choose from {sorted(CHECKERS)}")
+    suite = payload.get("suite", name)
+    try:
+        passed = bool(CHECKERS[name](instance))
     except Exception as exc:
-        return {"suite": payload.get("suite", payload["checker"]),
-                "passed": False, "error": str(exc)}
-    return {"suite": payload.get("suite", payload["checker"]), "passed": passed}
+        return {"suite": suite, "passed": False, "error": str(exc)}
+    return {"suite": suite, "passed": passed}
 
 
 # --------------------------------------------------------------------------
@@ -241,9 +247,6 @@ def random_zero_sum_matrix(rng, n, symmetric):
                 rows[j][i] = rows[i][j]
     for i in range(n):
         rows[i][i] -= sum(rows[i], Fraction(0))
-    if symmetric:
-        return rows
-    # zero row sums only: re-balance rows, leave columns alone
     return rows
 
 
@@ -684,4 +687,6 @@ SUITES = {
 def run_suite(name, seed=0, iterations=None, jobs=1):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if iterations is not None and iterations < 1:
+        raise ValueError(f"need iterations >= 1, got {iterations}")
     return SUITES[name](seed, iterations, jobs=jobs)

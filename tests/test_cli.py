@@ -4,7 +4,7 @@ import pytest
 
 from locsys import cli
 from locsys.counting import ATable, CTable, a_from_c
-from locsys.laurent import LaurentPoly, PrecisionError, pic_polynomial
+from locsys.laurent import LaurentPoly, pic_polynomial
 from locsys.verify import _shrink, replay
 
 
@@ -95,12 +95,56 @@ class TestEval:
         # planted = pic * (t^3 - 4t) evaluates at (q, sigma) to 8 * (8 - 8) = 0
         assert "= 0" in out
 
-    def test_precision_exit_code(self, capsys, curve_file, monkeypatch):
-        def boom(*args, **kwargs):
-            raise PrecisionError("forced")
-        monkeypatch.setattr(cli, "evaluate_at_curve", boom)
-        code, _, err = run(capsys, "eval", "--curve", curve_file, "--n", "1", "--k", "1")
-        assert code == 3
+    def test_functional_equation_violation_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"g": 2, "q": 2, "numerator": [1, 0, 3, 0, 5]}))
+        code, _, err = run(capsys, "eval", "--curve", str(path), "--n", "1", "--k", "1")
+        assert code == 2 and "functional equation" in err
+
+    def test_non_integer_value_is_usage_error(self, capsys, curve_file, tmp_path):
+        poly_file = tmp_path / "tinv.json"
+        poly_file.write_text(LaurentPoly.monomial(2, 1, t=-1).to_json())
+        code, _, err = run(capsys, "eval", "--curve", curve_file, "--n", "2", "--k", "1",
+                           "--pgn", str(poly_file))
+        assert code == 2 and "not an integer" in err
+
+
+class TestMalformedInput:
+    """Bad input files end in exit 2 with a one-line message, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--curve", "{missing}", "--n", "1", "--k", "1"),
+        ("eval", "--curve", "{curve}", "--n", "2", "--k", "1", "--pgn", "{missing}"),
+        ("pgn", "--n", "2", "--g", "2", "--a-table", "{missing}"),
+        ("verify", "matr", "--replay", "{missing}"),
+    ], ids=["curve", "pgn", "a-table", "replay"])
+    def test_missing_file(self, capsys, curve_file, tmp_path, argv):
+        missing = str(tmp_path / "absent.json")
+        argv = [a.format(missing=missing, curve=curve_file) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "absent.json" in err
+
+    @pytest.mark.parametrize("flag,obj", [
+        ("--curve", {"g": 2, "q": 2}),
+        ("--pgn", {"g": 2}),
+        ("--a-table", {"tables": {}}),
+    ], ids=["curve", "pgn", "a-table"])
+    def test_missing_key(self, capsys, curve_file, tmp_path, flag, obj):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(obj))
+        argv = {"--curve": ("eval", "--curve", str(path), "--n", "1", "--k", "1"),
+                "--pgn": ("eval", "--curve", curve_file, "--n", "2", "--k", "1",
+                          "--pgn", str(path)),
+                "--a-table": ("pgn", "--n", "2", "--g", "2", "--a-table", str(path))}[flag]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "malformed" in err
+
+    @pytest.mark.parametrize("checker", ["nope", ["matr"]])
+    def test_unknown_checker(self, capsys, tmp_path, checker):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"suite": "matr", "checker": checker, "instance": {}}))
+        code, _, err = run(capsys, "verify", "matr", "--replay", str(path))
+        assert code == 2 and "unknown checker" in err
 
 
 class TestPipeline:
@@ -167,6 +211,11 @@ class TestVerifyCommand:
         _, seq, _ = run(capsys, *base)
         _, par, _ = run(capsys, *base, "--jobs", "2")
         assert seq == par
+
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_nonpositive_iterations_rejected(self, capsys, iterations):
+        code, out, err = run(capsys, "verify", "matr", "--iterations", iterations)
+        assert code == 2 and out == "" and "iterations" in err
 
     def test_different_seeds_differ(self, capsys):
         # the reports coincide structurally but instances differ, so at least

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,6 +17,7 @@ from locsys.laurent import (
     pic_polynomial,
     weil_symmetrize,
 )
+from locsys.verify import random_invariant
 
 
 def lp(g, **kw):
@@ -207,6 +210,8 @@ class TestCurve:
             CurveInput(2, 6, [1, 0, 3, 0, 4])  # 6 is not a prime power
         with pytest.raises(ValueError):
             CurveInput(2, 2, [2, 0, 3, 0, 4])  # constant term must be 1
+        with pytest.raises(ValueError):
+            CurveInput(2, 2, [1, 0, 3, 0, 5])  # b_4 must be q^2 b_0
 
 
 class TestEvaluate:
@@ -257,20 +262,70 @@ class TestEvaluate:
         for k in (1, 2):
             assert evaluate_at_curve(pic, c, k, 2) == sum(graeffe_power(c, k))
 
-    def test_value_independent_of_pairing_choice(self, monkeypatch):
-        # swapping which eigenvalue of each Frobenius pair plays z_i must not
-        # change the value of an invariant polynomial
-        import locsys.laurent as mod
-        original = mod._pair_roots
+    def test_non_integer_value_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_at_curve(lp(2, t=-1), CURVE, 1, 1)
 
-        def swapped(roots, target, tol):
-            pairs = original(roots, target, tol)
-            return None if pairs is None else [(b, a) for a, b in pairs]
 
-        p = pic_polynomial(2) + LaurentPoly.t_var(2) * 3
-        baseline = evaluate_at_curve(p, CURVE, 2, 1)
-        monkeypatch.setattr(mod, "_pair_roots", swapped)
-        assert evaluate_at_curve(p, CURVE, 2, 1) == baseline
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _gpow(a, e, norm):
+    """a^e in Q(i) for a Gaussian number a of norm `norm`; a^-1 = conj(a)/norm."""
+    if e < 0:
+        a, e = (Fraction(a[0], norm), Fraction(-a[1], norm)), -e
+    out = (1, 0)
+    for _ in range(e):
+        out = _gmul(out, a)
+    return out
+
+
+def _gaussian_value(p, z_values, tq, gamma):
+    """p at t = tq, z_i = z_values[i] by direct substitution in Q(i)."""
+    re = im = Fraction(0)
+    for (et, ez, ey), c in p.terms.items():
+        v = (c * Fraction(tq) ** et * gamma ** ey, 0)
+        for z, e in zip(z_values, ez):
+            v = _gmul(v, _gpow(z, e, tq))
+        re, im = re + v[0], im + v[1]
+    assert im == 0
+    return re
+
+
+# Frobenius eigenvalues in Z[i], one from each pair {a, conj(a)} = {a, q/a}.
+GAUSSIAN_CURVES = {
+    "q2-g1": (2, [(1, 1)]),
+    "q2-g2-repeated": (2, [(1, 1), (1, 1)]),
+    "q5-g2": (5, [(1, 2), (2, 1)]),
+    "q5-g3-repeated": (5, [(1, 2), (1, 2), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_CURVES))
+def test_gaussian_oracle_every_pairing(name):
+    """The exact evaluator against substitution of z_i = alpha_i^k for every
+    choice of alpha_i or conj(alpha_i) in each Frobenius pair."""
+    q, alphas = GAUSSIAN_CURVES[name]
+    g = len(alphas)
+    numerator = [1]
+    for re, _im in alphas:
+        factor = [1, -2 * re, q]  # (1 - a z)(1 - conj(a) z)
+        numerator = [sum(numerator[i] * factor[j - i] for i in range(len(numerator))
+                         if 0 <= j - i < 3) for j in range(len(numerator) + 2)]
+    curve = CurveInput(g, q, numerator)
+    rng = random.Random(f"gaussian:{name}")
+    pic = pic_polynomial(g)
+    for _ in range(3):
+        base = random_invariant(rng, g)
+        gamma = rng.randint(0, 3)
+        for p in (base * pic, base + pic):
+            for k in (1, 2, 3, 4):
+                want = evaluate_at_curve(p, curve, k, gamma)
+                for conj in itertools.product((False, True), repeat=g):
+                    zs = [_gpow((re, -im if c else im), k, q) for (re, im), c in zip(alphas, conj)]
+                    assert _gaussian_value(p, zs, q ** k, gamma) == want
 
 
 class TestSerialization:
