@@ -60,7 +60,7 @@ def cmd_a_symbolic(args):
 def _build_pipeline(n, g, a_table_path):
     if n >= 2:
         if a_table_path is None:
-            raise CheckFailure("ranks >= 2 need --a-table with the bundle counts")
+            raise ValueError("ranks >= 2 need --a-table with the bundle counts")
         with _open_input(a_table_path) as fh:
             atable = ATable.from_json(fh.read(), g)
         table = c_from_a(n, g, atable)
@@ -98,7 +98,7 @@ def _pgn_report(n, g, p):
 def _run_pgn(args, want_quotient):
     n, g = args.n, args.g
     if n < 1 or g < 2 and not (g == 1 and n == 1):
-        raise CheckFailure("need g >= 2 (or g = 1 with n = 1)")
+        raise ValueError("need n >= 1 and g >= 2 (or g = 1 with n = 1)")
     table = _build_pipeline(n, g, args.a_table)
     if args.emit_ctable:
         with open(args.emit_ctable, "w", encoding="utf-8") as fh:
@@ -149,7 +149,7 @@ def cmd_eval(args):
         poly = pic_polynomial(curve.g)
     else:
         if args.pgn is None:
-            raise CheckFailure("ranks >= 2 need --pgn with the count polynomial")
+            raise ValueError("ranks >= 2 need --pgn with the count polynomial")
         with _open_input(args.pgn) as fh:
             poly = LaurentPoly.from_json(fh.read())
     value = evaluate_at_curve(poly, curve, args.k, curve.g - 1)

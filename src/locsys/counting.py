@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import divisors, mobius, partitions
-from .laurent import LaurentPoly, pic_polynomial
+from .laurent import InvarianceError, LaurentPoly, WeilPoly, pic_polynomial
 from .series import TruncatedSeries
 
 GAMMA_ATOM = ("y",)
@@ -276,7 +276,8 @@ class CTable:
     """Counts C[s,k].  Symbolic mode hands out free symbols; concrete mode
     stores the rank-s polynomial for k=1 and derives every other k by the
     Frobenius substitution, so the compatibility C[s,k] = C[s,1](t^k, z^k)
-    holds by construction."""
+    holds by construction.  Concrete entries are all z-form (LaurentPoly) or
+    all e-form (WeilPoly); `ring` is their class."""
 
     def __init__(self, mode, g=None, base=None):
         if mode not in ("symbolic", "concrete"):
@@ -285,6 +286,10 @@ class CTable:
         self.g = g
         self.base = dict(base or {})
         self._cache = {}
+        rings = {type(p) for p in self.base.values()}
+        if len(rings) > 1:
+            raise ValueError("mixed z-form and e-form entries")
+        self.ring = rings.pop() if rings else LaurentPoly
 
     @classmethod
     def symbolic(cls):
@@ -300,13 +305,27 @@ class CTable:
     def with_entry(self, s, poly):
         base = dict(self.base)
         base[s] = poly
-        return CTable.concrete(self.g, base)
+        out = CTable.concrete(self.g, base)
+        out._cache = {key: v for key, v in self._cache.items() if key[0] != s}
+        return out
+
+    def to_weil(self):
+        """The same table with e-form entries."""
+        if self.ring is WeilPoly:
+            return self
+        return CTable.concrete(self.g, {s: WeilPoly.from_laurent(p) for s, p in self.base.items()})
+
+    def to_laurent(self):
+        """The same table with z-form entries."""
+        if self.ring is LaurentPoly:
+            return self
+        return CTable.concrete(self.g, {s: p.to_laurent() for s, p in self.base.items()})
 
     def zero(self):
-        return FreePoly.zero() if self.mode == "symbolic" else LaurentPoly.zero(self.g)
+        return FreePoly.zero() if self.mode == "symbolic" else self.ring.zero(self.g)
 
     def one(self):
-        return FreePoly.const(1) if self.mode == "symbolic" else LaurentPoly.const(self.g, 1)
+        return FreePoly.const(1) if self.mode == "symbolic" else self.ring.const(self.g, 1)
 
     def entry(self, s: int, k: int):
         if self.mode == "symbolic":
@@ -329,17 +348,21 @@ class CTable:
 class ATable:
     """Indecomposable-bundle counts for ranks >= 2 (rank 1 is the built-in
     Picard polynomial).  Entries are validated to be Weil-invariant and to
-    satisfy the positivity constraint on load."""
+    satisfy the positivity constraint on load; the Weil check is the
+    conversion to e-form, which the inversion then reads (`weil`)."""
 
     def __init__(self, g, entries):
         self.g = g
         self.entries = {}
+        self.weil = {}
         for n, poly in entries.items():
             n = int(n)
             if poly.g != g:
                 raise ValueError(f"entry {n} has wrong number of z-variables")
-            if not poly.is_weil_invariant():
-                raise ValueError(f"A-table entry {n} is not Weil-invariant")
+            try:
+                self.weil[n] = WeilPoly.from_laurent(poly)
+            except InvarianceError:
+                raise ValueError(f"A-table entry {n} is not Weil-invariant") from None
             if not poly.satisfies_positivity():
                 raise ValueError(f"A-table entry {n} violates positivity")
             self.entries[n] = poly
@@ -394,8 +417,8 @@ def _two_g_minus_2(genus):
     return Fraction(2 * genus - 2)
 
 
-def _exp_coeff_concrete(exponent, alpha: Fraction, a: int, g: int):
-    """[z^a] of exp(alpha * exponent) for LaurentPoly coefficients, returned
+def _exp_coeff_concrete(exponent, alpha: Fraction, a: int):
+    """[z^a] of exp(alpha * exponent) for polynomial coefficients, returned
     as (integer polynomial, rational scale).
 
     Denominators are cleared up front so the polynomial convolutions run in
@@ -405,8 +428,9 @@ def _exp_coeff_concrete(exponent, alpha: Fraction, a: int, g: int):
     """
     import math
 
+    zero = exponent.coeff(0)
     if a == 0:
-        return LaurentPoly.const(g, 1), Fraction(1)
+        return zero + 1, Fraction(1)
     scaled = []
     denom = 1
     for m in range(1, a + 1):
@@ -414,10 +438,10 @@ def _exp_coeff_concrete(exponent, alpha: Fraction, a: int, g: int):
         scaled.append(em)
         for c in em.terms.values():
             denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ms = [LaurentPoly.zero(g)] + [em * denom for em in scaled]
-    f = [LaurentPoly.const(g, 1)] + [LaurentPoly.zero(g)] * a
+    ms = [zero] + [em * denom for em in scaled]
+    f = [zero + 1] + [zero] * a
     for n in range(1, a + 1):
-        acc = LaurentPoly.zero(g)
+        acc = zero
         for k in range(1, n + 1):
             if ms[k].is_zero() or f[n - k].is_zero():
                 continue
@@ -433,7 +457,8 @@ def a_from_c(n: int, genus, ctable: CTable):
 
     genus is an integer >= 2 for the concrete evaluation, or None for the
     symbolic genus-offset variable.  For n = 1 the value is C[1,1] itself
-    and any genus >= 1 is accepted.
+    and any genus >= 1 is accepted.  A concrete table's polynomials are
+    multiplied in e-form; the result has the form of the table's entries.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -444,6 +469,9 @@ def a_from_c(n: int, genus, ctable: CTable):
 
     chi = _two_g_minus_2(genus)
     concrete = ctable.mode == "concrete"
+    z_form = concrete and ctable.ring is LaurentPoly
+    if z_form:
+        ctable = ctable.to_weil()
     exponents = {}
     numerator = ctable.zero()
     for l in divisors(n):
@@ -460,9 +488,7 @@ def a_from_c(n: int, genus, ctable: CTable):
                     exponents[(l, aj)] = count_exponent(ctable, l, aj)
                 alpha = chi * Fraction(lam.s_weight(j), l)
                 if concrete:
-                    part, part_scale = _exp_coeff_concrete(
-                        exponents[(l, aj)], alpha, aj, ctable.g
-                    )
+                    part, part_scale = _exp_coeff_concrete(exponents[(l, aj)], alpha, aj)
                     term = term * part
                     scale *= part_scale
                 else:
@@ -470,7 +496,8 @@ def a_from_c(n: int, genus, ctable: CTable):
             numerator = numerator + term * scale
     if genus is None:
         return numerator.divide_exact(2 * n, gamma_power=1)
-    return numerator * Fraction(1, n * (2 * genus - 2))
+    result = numerator * Fraction(1, n * (2 * genus - 2))
+    return result.to_laurent() if z_form else result
 
 
 def c_from_a(n: int, g: int, atable: ATable, base_ctable: CTable | None = None) -> CTable:
@@ -482,28 +509,33 @@ def c_from_a(n: int, g: int, atable: ATable, base_ctable: CTable | None = None) 
     Its coefficient is measured at runtime by evaluating the formula on a
     table that is zero except for C[s,1] = 1, and must come out as exactly 1.
     Then C_s = A_s - (formula with the unknown set to zero).
+
+    The inversion runs in e-form, where every entry is Weil-invariant by
+    construction; the change of basis to the z-form is unitriangular over Z,
+    so C_s is integral in one form exactly when it is in the other.  The
+    returned table is z-form.
     """
     if g < 2:
         raise ValueError("need genus >= 2")
     if base_ctable is None:
         base_ctable = CTable.concrete(g, {1: pic_polynomial(g)})
-    table = base_ctable
-    one = LaurentPoly.const(g, 1)
+    table = base_ctable.to_weil()
+    zero, one = WeilPoly.zero(g), WeilPoly.const(g, 1)
     for s in range(2, n + 1):
-        zeros = CTable.concrete(g, {r: LaurentPoly.zero(g) for r in range(1, s)})
+        zeros = CTable.concrete(g, {r: zero for r in range(1, s)})
         probe = a_from_c(s, g, zeros.with_entry(s, one))
         if probe != one:
             raise ConsistencyError(
-                f"rank-{s} unknown has coefficient {probe.render()}, expected 1"
+                f"rank-{s} unknown has coefficient {probe.to_laurent().render()}, expected 1"
             )
-        v0 = a_from_c(s, g, table.with_entry(s, LaurentPoly.zero(g)))
-        c_s = atable[s] - v0
+        v0 = a_from_c(s, g, table.with_entry(s, zero))
+        if s not in atable.weil:
+            raise EntryMissing(f"no A-table entry for rank {s}")
+        c_s = atable.weil[s] - v0
         if any(c.denominator != 1 for c in c_s.terms.values()):
             raise IntegralityError(f"rank-{s} count polynomial is not integral")
-        if not c_s.is_weil_invariant():
-            raise ConsistencyError(f"rank-{s} count polynomial lost Weil invariance")
         table = table.with_entry(s, c_s)
-    return table
+    return table.to_laurent()
 
 
 def pic_quotient(p: LaurentPoly, g: int) -> LaurentPoly:

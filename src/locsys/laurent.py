@@ -11,6 +11,9 @@ and JSON serialization byte-reproducible.
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import json
 import math
 import warnings
@@ -107,12 +110,14 @@ class LaurentPoly:
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other):
+        if type(self) is not type(other):
+            raise TypeError("cannot mix z-form and e-form polynomials")
         if self.g != other.g:
             raise DimensionMismatch(f"mixed g: {self.g} vs {other.g}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.g, other)
+            other = self.const(self.g, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
@@ -123,20 +128,20 @@ class LaurentPoly:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-        out = LaurentPoly(self.g)
+        out = type(self)(self.g)
         out.terms = terms
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly(self.g)
+        out = type(self)(self.g)
         out.terms = {k: -c for k, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.g, other)
+            other = self.const(self.g, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -146,8 +151,8 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
             if c == 0:
-                return LaurentPoly.zero(self.g)
-            out = LaurentPoly(self.g)
+                return self.zero(self.g)
+            out = type(self)(self.g)
             out.terms = {k: _coeff(v * c) for k, v in self.terms.items()}
             return out
         if not isinstance(other, LaurentPoly):
@@ -159,7 +164,7 @@ class LaurentPoly:
             for (t2, z2, y2), c2 in other.terms.items():
                 k = (t1 + t2, tuple(map(int.__add__, z1, z2)), y1 + y2)
                 terms[k] = get(k, 0) + c1 * c2
-        out = LaurentPoly(self.g)
+        out = type(self)(self.g)
         out.terms = {k: c for k, c in terms.items() if c != 0}
         return out
 
@@ -171,7 +176,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = LaurentPoly.const(self.g, 1)
+        result = self.const(self.g, 1)
         base = self
         while n:
             if n & 1:
@@ -182,9 +187,11 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.g, other)
+            other = self.const(self.g, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if type(self) is not type(other):
+            raise TypeError("cannot compare z-form and e-form polynomials")
         return self.g == other.g and self.terms == other.terms
 
     def __hash__(self):
@@ -420,8 +427,6 @@ def pic_polynomial(g: int) -> LaurentPoly:
 def weil_symmetrize(mono: LaurentPoly) -> LaurentPoly:
     """Group-average of a polynomial over all z-swaps and z_i -> t z_i^{-1}
     flips (without the 1/|group| normalization, to stay integral)."""
-    import itertools
-
     g = mono.g
     total = LaurentPoly.zero(g)
     for perm in itertools.permutations(range(g)):
@@ -437,6 +442,211 @@ def weil_symmetrize(mono: LaurentPoly) -> LaurentPoly:
                     q = q._flip(i)
             total = total + q
     return total
+
+
+# --------------------------------------------------------------------------
+# Weil-invariant coordinates
+
+
+class WeilPoly(LaurentPoly):
+    """A Weil-invariant polynomial written in Weil-invariant coordinates.
+
+    The invariant ring is Q[t^{+-1}, y][e_1..e_g], where e_j is the j-th
+    elementary symmetric function of w_i = z_i + t/z_i: a plain polynomial
+    ring, so products here have far fewer terms than in the z-form.  Keys are
+    ``(t_exp, e_exps, y_exp)`` and the arithmetic is LaurentPoly's kernel;
+    mixing the two forms raises TypeError.  The z-specific methods (Weil
+    checks, substitute, weight, render, JSON) apply to the z-form only: convert
+    with to_laurent first.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_laurent(cls, p: LaurentPoly) -> "WeilPoly":
+        """The e-form of a Weil-invariant z-form polynomial.
+
+        Each Weil orbit has one member with all z-exponents >= 0 sorted in
+        descending order (mu); the orbit sum of t^a z^mu y^b is t^a y^b M_mu.
+        Raises InvarianceError when some orbit has a member that is missing or
+        carries a different coefficient.
+        """
+        if type(p) is not LaurentPoly:
+            raise TypeError("need a z-form LaurentPoly")
+        g, terms = p.g, p.terms
+        members = {}
+        for (et, ez, ey), c in terms.items():
+            mu = tuple(sorted(map(abs, ez), reverse=True))
+            rep = (et + (sum(ez) - sum(mu)) // 2, mu, ey)  # t-shift: sum of min(e_i, 0)
+            if terms.get(rep) != c:
+                raise InvarianceError("polynomial is not Weil-invariant")
+            members[rep] = members.get(rep, 0) + 1
+        by_mu = {}
+        for rep, count in members.items():
+            et, mu, ey = rep
+            if count != len(_orbit(mu)):
+                raise InvarianceError("polynomial is not Weil-invariant")
+            by_mu.setdefault(mu, {})[(et, (0,) * g, ey)] = terms[rep]
+        out = cls.zero(g)
+        for mu, coeffs in by_mu.items():
+            out = out + cls(g, coeffs) * _orbit_sum(g, mu)
+        return out
+
+    def to_laurent(self) -> LaurentPoly:
+        """The canonical z-form.
+
+        With lambda_j = a_j + ... + a_g, M_lambda is e^a plus e-monomials
+        that come later in the order of (|lambda|, lambda) descending; so
+        taking the e-monomials in that order (by a heap) and subtracting
+        c t^i y^b M_lambda from the rest is a unitriangular solve for the
+        orbit coefficients.
+        """
+        g = self.g
+        rest = dict(self.terms)
+        heap = [(_solve_order(a), (et, a, ey)) for et, a, ey in rest]
+        heapq.heapify(heap)
+        terms = {}
+        while heap:
+            key = heapq.heappop(heap)[1]
+            c = rest.pop(key, 0)
+            if not c:
+                continue
+            et, a, ey = key
+            lam = _partition(a)
+            for dt, z in _orbit(lam):
+                terms[(et + dt, z, ey)] = c
+            for (mt, ma, my), mc in _orbit_sum(g, lam).terms.items():
+                k = (et + mt, ma, ey + my)
+                if k == key:
+                    continue  # the leading term e^a, coefficient 1
+                v = rest.get(k, 0) - c * mc
+                if k not in rest:
+                    heapq.heappush(heap, (_solve_order(ma), k))
+                if v:
+                    rest[k] = v
+                else:
+                    del rest[k]
+        out = LaurentPoly(g)
+        out.terms = terms
+        return out
+
+    def frobenius_substitute(self, k: int) -> "WeilPoly":
+        """t -> t^k, z_i -> z_i^k: here e_j -> e_j(D_k(w_1, t), ..., D_k(w_g, t)),
+        the orbit sum M_(k,..,k,0,..,0) with j parts k."""
+        if not isinstance(k, int) or k < 1:
+            raise ValueError("need k >= 1")
+        g = self.g
+        if k == 1:
+            return self
+        images = [_orbit_sum(g, (k,) * j + (0,) * (g - j)) for j in range(1, g + 1)]
+        powers = {(0,) * g: self.const(g, 1)}
+        by_a = {}
+        for (et, a, ey), c in self.terms.items():
+            by_a.setdefault(a, {})[(et * k, (0,) * g, ey)] = c
+        out = self.zero(g)
+        for a, coeffs in by_a.items():
+            out = out + WeilPoly(g, coeffs) * _composed(images, powers, a)
+        return out
+
+    def __repr__(self):
+        return f"WeilPoly(g={self.g}, {self.terms})"
+
+
+def _partition(a):
+    """lambda_j = a_j + ... + a_g: the e-monomial e^a leads M_lambda."""
+    return tuple(itertools.accumulate(reversed(a)))[::-1]
+
+
+def _solve_order(a):
+    """Heap key of the e-monomial e^a: (|lambda|, lambda) descending."""
+    lam = _partition(a)
+    return (-sum(lam), tuple(-x for x in lam))
+
+
+def _composed(images, powers, a):
+    """prod_j images[j]^a_j, memoized in `powers` through a with its last
+    nonzero entry lowered."""
+    if a not in powers:
+        j = max(i for i, e in enumerate(a) if e)
+        powers[a] = _composed(images, powers, a[:j] + (a[j] - 1,) + a[j + 1:]) * images[j]
+    return powers[a]
+
+
+# The caches below fill lazily, per genus and exponent shape; their values
+# are shared and never mutated.
+
+
+@functools.cache
+def _orbit(mu):
+    """(t shift, z exponents) of each member of the Weil orbit of z^mu, for
+    mu >= 0 sorted descending: t^a z^mu runs over t^(a + shift) z^e."""
+    members = []
+    for perm in sorted(set(itertools.permutations(mu))):
+        choices = [((0, e),) if e == 0 else ((0, e), (e, -e)) for e in perm]
+        for combo in itertools.product(*choices):
+            members.append((sum(dt for dt, _ in combo), tuple(e for _, e in combo)))
+    return members
+
+
+@functools.cache
+def _dickson_trace(g, m):
+    """T_m = sum_i z_i^m + (t/z_i)^m in e-form (T_0 = 2g).
+
+    The z_i and t/z_i are the reciprocal roots of
+    prod_i (1 - w_i x + t x^2) = sum_k b_k x^k with
+    b_k = sum_{i + 2l = k} (-1)^i C(g-i, l) t^l e_i, and Newton's identities
+    give T_m = -(m b_m + sum_{0<i<m} b_i T_{m-i}).
+    """
+    if m == 0:
+        return WeilPoly.const(g, 2 * g)
+
+    def b(k):
+        terms = {}
+        for i in range(k % 2, min(k, g) + 1, 2):
+            e = tuple(1 if j == i - 1 else 0 for j in range(g))
+            terms[((k - i) // 2, e, 0)] = (-1) ** i * math.comb(g - i, (k - i) // 2)
+        return WeilPoly(g, terms)
+
+    acc = b(m) * m
+    for i in range(1, min(m - 1, 2 * g) + 1):
+        acc = acc + b(i) * _dickson_trace(g, m - i)
+    return -acc
+
+
+@functools.cache
+def _augmented_sum(g, parts):
+    """sum over injective s of prod_i D_{parts_i}(w_s(i), t) in e-form, for
+    positive parts sorted descending, where D_m(w, t) = z^m + (t/z)^m.
+
+    Taking b = parts[-1] out: the product of the sum over the other parts
+    with T_b counts every injective placement of all parts once, plus the
+    placements where b lands on the variable of some other part a, and there
+    D_a D_b = D_{a+b} + t^b D_{a-b} (D_0 = 2, on a variable left free).
+    """
+    if len(parts) > g:
+        return WeilPoly.zero(g)
+    if len(parts) <= 1:
+        return _dickson_trace(g, parts[0]) if parts else WeilPoly.const(g, 1)
+    rest, b = parts[:-1], parts[-1]
+    out = _augmented_sum(g, rest) * _dickson_trace(g, b)
+    tb = WeilPoly.monomial(g, 1, t=b)
+    for i, a in enumerate(rest):
+        others = rest[:i] + rest[i + 1:]
+        out = out - _augmented_sum(g, tuple(sorted(others + (a + b,), reverse=True)))
+        if a == b:
+            out = out - tb * _augmented_sum(g, others) * (2 * (g - len(others)))
+        else:
+            out = out - tb * _augmented_sum(g, tuple(sorted(others + (a - b,), reverse=True)))
+    return out
+
+
+@functools.cache
+def _orbit_sum(g, mu):
+    """M_mu: the e-form of the orbit sum of z^mu, for mu >= 0 sorted
+    descending; the augmented sum counts each member prod_v mult_v! times."""
+    parts = tuple(e for e in mu if e)
+    repeats = math.prod(math.factorial(parts.count(v)) for v in set(parts))
+    return _augmented_sum(g, parts) * Fraction(1, repeats)
 
 
 # --------------------------------------------------------------------------
@@ -611,15 +821,20 @@ def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: in
     top = max((sum(abs(e) for e in ez) for _et, ez, _ey in p.terms), default=0)
     sums = _power_sums_from_coeffs(curve.numerator, top * k)
     traces = [2 * g] + [int(sums[m * k]) for m in range(1, top + 1)]
+    # accumulate in integers: scaled by T^-lo, lo the least power of T, and by
+    # the lcm of the coefficient denominators; divide once at the end
+    shifts = {key: key[0] + sum(min(e, 0) for e in key[1]) for key in p.terms}
+    lo = min(0, min(shifts.values(), default=0))
+    denom = math.lcm(*(c.denominator for c in p.terms.values()))
     orbit_sums = {}
-    total = Fraction(0)
-    for (et, ez, ey), c in p.terms.items():
-        degrees = tuple(sorted(abs(e) for e in ez))
+    total = 0
+    for key, c in p.terms.items():
+        degrees = tuple(sorted(abs(e) for e in key[1]))
         if degrees not in orbit_sums:
             orbit_sums[degrees] = _injective_sum([{a: 1} for a in degrees], tq, traces)
-        shift = et + sum(min(e, 0) for e in ez)
-        total += c * Fraction(tq) ** shift * gamma_value ** ey * orbit_sums[degrees]
-    total /= 2 ** g * math.factorial(g)
-    if total.denominator != 1:
-        raise ValueError(f"value {total} at the curve is not an integer")
-    return int(total)
+        total += (c.numerator * (denom // c.denominator) * tq ** (shifts[key] - lo)
+                  * gamma_value ** key[2] * orbit_sums[degrees])
+    scale = denom * tq ** -lo * 2 ** g * math.factorial(g)
+    if total % scale:
+        raise ValueError(f"value {Fraction(total, scale)} at the curve is not an integer")
+    return total // scale

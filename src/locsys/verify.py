@@ -689,4 +689,6 @@ def run_suite(name, seed=0, iterations=None, jobs=1):
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if iterations is not None and iterations < 1:
         raise ValueError(f"need iterations >= 1, got {iterations}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     return SUITES[name](seed, iterations, jobs=jobs)

@@ -1,0 +1,35 @@
+"""The benchmark in perfbench/ keeps working against the package: every
+callable its tracer wraps still exists, and the master and evaluate
+workloads pass their own oracles at their smallest size."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+from tracer import Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def test_tracer_installs_on_every_traced_attribute():
+    import locsys.laurent
+
+    mul = locsys.laurent.LaurentPoly.__dict__["__mul__"]
+    tracer = Tracer()
+    try:
+        tracer.install()  # reads owner.__dict__[attr] for each traced callable
+        assert locsys.laurent.LaurentPoly.__dict__["__mul__"] is not mul
+    finally:
+        tracer.uninstall()
+    assert locsys.laurent.LaurentPoly.__dict__["__mul__"] is mul
+
+
+@pytest.mark.parametrize("name", ["master", "evaluate"])
+def test_workload_smoke(tmp_path, name):
+    workload = WORKLOADS[name](0, str(tmp_path), size="smoke")
+    for op in workload.operations():
+        assert workload.record(op, op.run()), op.name
+    assert workload.check() == []

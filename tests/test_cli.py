@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -82,7 +83,7 @@ class TestEval:
 
     def test_rank_two_needs_polynomial(self, capsys, curve_file):
         code, _, err = run(capsys, "eval", "--curve", curve_file, "--n", "2", "--k", "1")
-        assert code == 1 and "pgn" in err
+        assert code == 2 and "pgn" in err
 
     def test_rank_two_with_polynomial(self, capsys, curve_file, tmp_path):
         _, planted = consistent_fixture(tmp_path)
@@ -162,7 +163,11 @@ class TestPipeline:
 
     def test_requires_fixture(self, capsys):
         code, _, err = run(capsys, "pgn", "--n", "2", "--g", "2")
-        assert code == 1 and "a-table" in err
+        assert code == 2 and "a-table" in err
+
+    def test_rank_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "pgn", "--n", "0", "--g", "2")
+        assert code == 2 and out == "" and "n >= 1" in err
 
     def test_consistent_fixture_passes(self, capsys, tmp_path):
         path, planted = consistent_fixture(tmp_path)
@@ -216,6 +221,15 @@ class TestVerifyCommand:
     def test_nonpositive_iterations_rejected(self, capsys, iterations):
         code, out, err = run(capsys, "verify", "matr", "--iterations", iterations)
         assert code == 2 and out == "" and "iterations" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_rejected(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        code, out, err = run(capsys, "verify", "matr", "--iterations", "2", "--jobs", jobs)
+        assert code == 2 and out == "" and "jobs" in err
 
     def test_different_seeds_differ(self, capsys):
         # the reports coincide structurally but instances differ, so at least

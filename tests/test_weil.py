@@ -1,0 +1,127 @@
+"""The e-form (Weil-invariant coordinates) against the z-form it replaces in
+the counting engine."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from locsys.counting import CTable, a_from_c
+from locsys.laurent import (
+    InvarianceError,
+    LaurentPoly,
+    WeilPoly,
+    pic_polynomial,
+    weil_symmetrize,
+)
+from locsys.verify import random_invariant
+
+
+def _invariants(g, seed):
+    """Seeded invariants of three kinds: random_invariant, a symmetrized
+    monomial with larger exponents, and a Picard product."""
+    rng = random.Random(f"weil:{g}:{seed}")
+    z = [rng.randint(-2, 2) for _ in range(g)]
+    mono = LaurentPoly.monomial(g, rng.randint(-3, 3) or 1, t=rng.randint(-1, 2), z=z,
+                                y=rng.randint(0, 1))
+    return [random_invariant(rng, g), weil_symmetrize(mono),
+            pic_polynomial(g) * random_invariant(rng, g)]
+
+
+def _elementary_w(g):
+    """e_0..e_g of w_i = z_i + t/z_i, expanded directly in the z-form."""
+    table = [LaurentPoly.const(g, 1)] + [LaurentPoly.zero(g)] * g
+    for i in range(g):
+        inverse = [-1 if k == i else 0 for k in range(g)]
+        w = LaurentPoly.z_var(g, i) + LaurentPoly.monomial(g, 1, t=1, z=inverse)
+        for j in range(g, 0, -1):
+            table[j] = table[j] + w * table[j - 1]
+    return table
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_roundtrip_and_products(g):
+    polys = [p for seed in range(2) for p in _invariants(g, seed)]
+    weil = [WeilPoly.from_laurent(p) for p in polys]
+    for p, w in zip(polys, weil):
+        assert w.to_laurent() == p
+    # the conversion is a ring map: products agree in both forms
+    assert WeilPoly.from_laurent(polys[0] * polys[1]) == weil[0] * weil[1]
+    assert (weil[2] * weil[3] + weil[4]).to_laurent() == polys[2] * polys[3] + polys[4]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_e_monomials_expand_to_products_of_w(g):
+    """to_laurent of e^a is the product of the directly expanded e_j(w)."""
+    rng = random.Random(g)
+    elementary = _elementary_w(g)
+    for _ in range(3):
+        a = tuple(rng.randint(0, 2 if g < 4 else 1) for _ in range(g))
+        want = LaurentPoly.const(g, 1)
+        for j, e in enumerate(a):
+            want = want * elementary[j + 1] ** e
+        assert WeilPoly.monomial(g, 1, t=1, z=a).to_laurent() == want * LaurentPoly.t_var(g)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_picard_closed_form(g):
+    """prod (1 - z_i)(1 - t/z_i) = prod (1 + t - w_i) = sum_j (-1)^j e_j (1+t)^(g-j)."""
+    want = WeilPoly.zero(g)
+    one_plus_t = WeilPoly.const(g, 1) + WeilPoly.monomial(g, 1, t=1)
+    for j in range(g + 1):
+        e = tuple(1 if i == j - 1 else 0 for i in range(g))
+        want = want + WeilPoly.monomial(g, (-1) ** j, z=e) * one_plus_t ** (g - j)
+    assert WeilPoly.from_laurent(pic_polynomial(g)) == want
+
+
+def test_non_invariant_input_rejected():
+    g = 2
+    pic = pic_polynomial(g)
+    missing = LaurentPoly(g, {k: c for k, c in pic.terms.items() if k != (1, (-1, 0), 0)})
+    changed = pic + LaurentPoly.monomial(g, 1, t=1, z=[-1, 0])
+    for bad in (LaurentPoly.z_var(g, 0), missing, changed):
+        assert not bad.is_weil_invariant()
+        with pytest.raises(InvarianceError):
+            WeilPoly.from_laurent(bad)
+
+
+def test_forms_do_not_mix():
+    g = 2
+    with pytest.raises(TypeError):
+        LaurentPoly.const(g, 1) + WeilPoly.const(g, 1)
+    with pytest.raises(TypeError):
+        WeilPoly.const(g, 1) * LaurentPoly.const(g, 1)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_frobenius_matches_z_form(g):
+    for p in _invariants(g, 0)[:2]:
+        w = WeilPoly.from_laurent(p)
+        for k in (1, 2, 3, 4):
+            assert w.frobenius_substitute(k).to_laurent() == p.frobenius_substitute(k)
+
+
+def _point_value(symbolic, planted, g, t, z):
+    """The symbolic master formula at C[s,k] = C_s(t^k, z^k), (g-1) = g-1."""
+    values = {("y",): Fraction(g - 1)}
+    for s, poly in planted.items():
+        for k in range(1, 5):
+            values[("C", s, k)] = poly.substitute(t ** k, [v ** k for v in z], 0)
+    return symbolic.substitute(values, Fraction)
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_concrete_master_formula_matches_symbolic(g, n):
+    """The e-form engine against the symbolic formula, at seeded rational
+    points (t, z)."""
+    rng = random.Random(f"master:{g}:{n}")
+    planted = {1: pic_polynomial(g)}
+    for s in range(2, n + 1):
+        planted[s] = random_invariant(rng, g)
+    direct = a_from_c(n, g, CTable.concrete(g, planted))
+    symbolic = a_from_c(n, None, CTable.symbolic())
+    for _ in range(2):
+        t = Fraction(rng.randint(2, 9), rng.randint(1, 4))
+        z = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+             for _ in range(g)]
+        assert direct.substitute(t, z, 0) == _point_value(symbolic, planted, g, t, z)
