@@ -16,6 +16,7 @@ from .counting import (
     ATable,
     CTable,
     EntryMissing,
+    IntegralityError,
     a_from_c,
     c_from_a,
     euler_characteristic,
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CheckFailure, DivisibilityError, EntryMissing) as exc:
+    except (CheckFailure, DivisibilityError, EntryMissing, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

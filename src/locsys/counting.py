@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import divisors, mobius, partitions
-from .laurent import InvarianceError, LaurentPoly, WeilPoly, pic_polynomial
+from .laurent import InvarianceError, LaurentPoly, WeilPoly, pic_polynomial, render_terms
 from .series import TruncatedSeries
 
 GAMMA_ATOM = ("y",)
@@ -50,23 +50,36 @@ class CSymbol:
         return ("C", self.s, self.k)
 
 
-class FreePoly:
-    """Polynomial over Q in the genus-offset variable and the C-symbols."""
+class FreePoly(LaurentPoly):
+    """Polynomial over Q in the genus-offset variable and the C-symbols.
 
-    __slots__ = ("terms",)
+    It runs on LaurentPoly's kernel; a monomial key is a sorted tuple of
+    (atom, exponent) pairs with positive exponents, the atoms being
+    GAMMA_ATOM and CSymbol.atom.  It has no z-variables (g = 0) and the
+    z-form methods do not apply to it.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                mono = tuple(sorted((a, e) for a, e in mono if e))
-                clean[mono] = clean.get(mono, Fraction(0)) + c
-                if clean[mono] == 0:
-                    del clean[mono]
-        self.terms = clean
+        super().__init__(0, terms)
+
+    @staticmethod
+    def _key(mono):
+        return tuple(sorted((a, e) for a, e in mono if e))
+
+    def _unit(self):
+        return ()
+
+    @staticmethod
+    def _mono_row(a, keys):
+        out = []
+        for b in keys:
+            d = dict(a)
+            for x, e in b:
+                d[x] = d.get(x, 0) + e
+            out.append(tuple(sorted(d.items())))
+        return out
 
     @classmethod
     def zero(cls):
@@ -74,11 +87,11 @@ class FreePoly:
 
     @classmethod
     def const(cls, c):
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def atom(cls, a, exp=1, coeff=1):
-        return cls({((a, exp),): Fraction(coeff)})
+        return cls({((a, exp),): coeff})
 
     @classmethod
     def gamma(cls, coeff=1):
@@ -88,103 +101,13 @@ class FreePoly:
     def symbol(cls, s, k):
         return cls.atom(CSymbol(s, k).atom)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FreePoly.const(other)
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FreePoly.const(other)
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        out = FreePoly()
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = FreePoly()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FreePoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return FreePoly.zero()
-            out = FreePoly()
-            out.terms = {m: v * c for m, v in self.terms.items()}
-            return out
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for a, e in m2:
-                    d[a] = d.get(a, 0) + e
-                key = tuple(sorted(d.items()))
-                s = terms.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        out = FreePoly()
-        out.terms = terms
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = FreePoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def c_degree_part(self, degree: int) -> "FreePoly":
         """Sum of the monomials of total degree `degree` in the C-symbols."""
-        out = FreePoly()
-        out.terms = {
+        return self._new({
             m: c
             for m, c in self.terms.items()
             if sum(e for a, e in m if a[0] == "C") == degree
-        }
-        return out
+        })
 
     def divide_exact(self, scalar, gamma_power: int = 0) -> "FreePoly":
         """Divide by scalar * gamma^power; every monomial must carry the power."""
@@ -199,10 +122,8 @@ class FreePoly:
                 d.pop(GAMMA_ATOM, None)
             else:
                 d[GAMMA_ATOM] = have - gamma_power
-            terms[tuple(sorted(d.items()))] = c / scalar
-        out = FreePoly()
-        out.terms = terms
-        return out
+            terms[tuple(d.items())] = c / scalar
+        return FreePoly(terms)
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
@@ -235,34 +156,20 @@ class FreePoly:
         return f"C[{a[1]},{a[2]}]"
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-
         def sortkey(item):
             mono, _ = item
             cdeg = sum(e for a, e in mono if a[0] == "C")
             top = max((a[1] * a[2], a[1]) for a, e in mono if a[0] == "C") if cdeg else (0, 0)
             return (-top[0], -top[1], cdeg, mono)
 
-        chunks = []
+        pairs = []
         for mono, c in sorted(self.terms.items(), key=sortkey):
             factors = []
             for a, e in sorted(mono, key=lambda ae: (ae[0] != GAMMA_ATOM, ae[0])):
                 label = self._atom_label(a)
                 factors.append(label if e == 1 else f"{label}^{e}")
-            body = "*".join(factors)
-            if not body:
-                chunks.append(str(c))
-            elif c == 1:
-                chunks.append(body)
-            elif c == -1:
-                chunks.append(f"-{body}")
-            else:
-                chunks.append(f"{c}*{body}")
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
-        return out
+            pairs.append(("*".join(factors), c))
+        return render_terms(pairs)
 
     def __repr__(self):
         return f"FreePoly({self.render()})"
@@ -405,21 +312,17 @@ def count_exponent(ctable: CTable, l: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries.from_terms(cap, terms, zero)
 
 
-def count_series(ctable: CTable, l: int, cap: int) -> TruncatedSeries:
-    """The exponential generating series of the counts over the degree-l
-    base change, already in the stretched variable z^l."""
-    return count_exponent(ctable, l, cap).exp()
-
-
 def _two_g_minus_2(genus):
     if genus is None:
         return FreePoly.gamma(coeff=2)
     return Fraction(2 * genus - 2)
 
 
-def _exp_coeff_concrete(exponent, alpha: Fraction, a: int):
+def _exp_coeff_concrete(exponent, alpha, a: int):
     """[z^a] of exp(alpha * exponent) for polynomial coefficients, returned
-    as (integer polynomial, rational scale).
+    as (integer polynomial, rational scale).  It serves both modes of the
+    master formula: alpha is rational for a concrete table and a FreePoly
+    (2 (g-1) times a rational) for the symbolic one.
 
     Denominators are cleared up front so the polynomial convolutions run in
     pure integer arithmetic: with M_m = D alpha E_m integral, the scaled
@@ -468,8 +371,7 @@ def a_from_c(n: int, genus, ctable: CTable):
         raise ValueError("need genus >= 2 for ranks >= 2")
 
     chi = _two_g_minus_2(genus)
-    concrete = ctable.mode == "concrete"
-    z_form = concrete and ctable.ring is LaurentPoly
+    z_form = ctable.mode == "concrete" and ctable.ring is LaurentPoly
     if z_form:
         ctable = ctable.to_weil()
     exponents = {}
@@ -487,12 +389,9 @@ def a_from_c(n: int, genus, ctable: CTable):
                 if (l, aj) not in exponents:
                     exponents[(l, aj)] = count_exponent(ctable, l, aj)
                 alpha = chi * Fraction(lam.s_weight(j), l)
-                if concrete:
-                    part, part_scale = _exp_coeff_concrete(exponents[(l, aj)], alpha, aj)
-                    term = term * part
-                    scale *= part_scale
-                else:
-                    term = term * exponents[(l, aj)].scalar_mul(alpha).exp().coeff(aj)
+                part, part_scale = _exp_coeff_concrete(exponents[(l, aj)], alpha, aj)
+                term = term * part
+                scale *= part_scale
             numerator = numerator + term * scale
     if genus is None:
         return numerator.divide_exact(2 * n, gamma_power=1)
@@ -571,6 +470,8 @@ def inertial_class_count(n: int, d: int, entry):
 
     `entry` is either a CTable or a callable (s, k) -> ring element.
     """
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
     if n % d:
         raise ValueError("d must divide n")
     lookup = entry.entry if isinstance(entry, CTable) else entry

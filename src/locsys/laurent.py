@@ -7,6 +7,10 @@ auxiliary nonnegative-power variable reserved for the genus offset g-1 (the
 CLI renders it as ``(g-1)``).  Term keys are ``(t_exp, z_exps, y_exp)`` and
 the canonical term order is lexicographic on the key, which makes rendering
 and JSON serialization byte-reproducible.
+
+LaurentPoly's ring structure is the package's one sparse-polynomial kernel;
+the e-form (WeilPoly, below) and the free symbols of the master formula
+(counting.FreePoly) are subclasses that differ only in their monomial keys.
 """
 
 from __future__ import annotations
@@ -50,9 +54,39 @@ def _coeff(c):
     raise TypeError(f"unsupported coefficient {c!r}")
 
 
+def render_terms(pairs):
+    """The signed sum of (monomial text, coefficient) pairs, in the given
+    order; empty text is the constant monomial and no pairs render as 0."""
+    chunks = []
+    for body, c in pairs:
+        if not body:
+            chunks.append(str(c))
+        elif c == 1:
+            chunks.append(body)
+        elif c == -1:
+            chunks.append(f"-{body}")
+        else:
+            chunks.append(f"{c}*{body}")
+    if not chunks:
+        return "0"
+    out = chunks[0]
+    for chunk in chunks[1:]:
+        out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
+    return out
+
+
 class LaurentPoly:
     """Sparse exact Laurent polynomial in t, z_1..z_g and the genus-offset
-    variable.  Immutable by convention: no method mutates ``terms``."""
+    variable.  Immutable by convention: no method mutates ``terms``.
+
+    The ring structure below is the one polynomial kernel of the package: a
+    dict from monomial keys to int/Fraction coefficients, normalised through
+    _coeff, with +, -, *, powers, equality and hashing.  Three monomial kinds
+    run on it: the z-form here, the e-form (WeilPoly) and the free symbols of
+    the master formula (counting.FreePoly).  Each class supplies only its key
+    validation (_key), monomial product (_mono_row), unit key (_unit) and how
+    one monomial renders; operands of different classes never mix.
+    """
 
     __slots__ = ("g", "terms")
 
@@ -66,13 +100,7 @@ class LaurentPoly:
                 c = _coeff(c)
                 if c == 0:
                     continue
-                et, ez, ey = key
-                ez = tuple(ez)
-                if len(ez) != g:
-                    raise DimensionMismatch(f"exponent vector {ez} has length != g={g}")
-                if ey < 0:
-                    raise ValueError("genus-offset exponent must be nonnegative")
-                k = (et, ez, ey)
+                k = self._key(key)
                 clean[k] = clean.get(k, 0) + c
                 if clean[k] == 0:
                     del clean[k]
@@ -107,17 +135,49 @@ class LaurentPoly:
     def genus_offset(cls, g):
         return cls.monomial(g, 1, y=1)
 
+    # -- monomial kind: keys (t_exp, z_exps, y_exp) --------------------------
+
+    def _key(self, key):
+        et, ez, ey = key
+        ez = tuple(ez)
+        if len(ez) != self.g:
+            raise DimensionMismatch(f"exponent vector {ez} has length != g={self.g}")
+        if ey < 0:
+            raise ValueError("genus-offset exponent must be nonnegative")
+        return (et, ez, ey)
+
+    def _unit(self):
+        return (0, (0,) * self.g, 0)
+
+    @staticmethod
+    def _mono_row(a, keys):
+        """The product of the monomial a with each of keys, in order (a whole
+        row per call keeps the product loop free of per-pair calls)."""
+        t, z, y = a
+        return [(t + t2, tuple(map(int.__add__, z, z2)), y + y2) for t2, z2, y2 in keys]
+
     # -- ring structure ----------------------------------------------------
+
+    def _new(self, terms):
+        """A polynomial of this class and g whose terms are already clean."""
+        out = object.__new__(type(self))
+        out.g = self.g
+        out.terms = terms
+        return out
+
+    def _scalar(self, c):
+        c = _coeff(c)
+        return self._new({self._unit(): c} if c else {})
 
     def _check(self, other):
         if type(self) is not type(other):
-            raise TypeError("cannot mix z-form and e-form polynomials")
+            raise TypeError(f"cannot mix {type(self).__name__} and {type(other).__name__}")
         if self.g != other.g:
             raise DimensionMismatch(f"mixed g: {self.g} vs {other.g}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.const(self.g, other)
+            other = self._scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
@@ -128,20 +188,16 @@ class LaurentPoly:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-        out = type(self)(self.g)
-        out.terms = terms
-        return out
+        return self._new(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = type(self)(self.g)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.const(self.g, other)
+            other = self._scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -151,22 +207,19 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
             if c == 0:
-                return self.zero(self.g)
-            out = type(self)(self.g)
-            out.terms = {k: _coeff(v * c) for k, v in self.terms.items()}
-            return out
+                return self._new({})
+            return self._new({k: _coeff(v * c) for k, v in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
         terms = {}
         get = terms.get
-        for (t1, z1, y1), c1 in self.terms.items():
-            for (t2, z2, y2), c2 in other.terms.items():
-                k = (t1 + t2, tuple(map(int.__add__, z1, z2)), y1 + y2)
+        row = self._mono_row
+        keys, coeffs = list(other.terms), list(other.terms.values())
+        for k1, c1 in self.terms.items():
+            for k, c2 in zip(row(k1, keys), coeffs):
                 terms[k] = get(k, 0) + c1 * c2
-        out = type(self)(self.g)
-        out.terms = {k: c for k, c in terms.items() if c != 0}
-        return out
+        return self._new({k: c for k, c in terms.items() if c != 0})
 
     __rmul__ = __mul__
 
@@ -176,7 +229,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = self.const(self.g, 1)
+        result = self._scalar(1)
         base = self
         while n:
             if n & 1:
@@ -187,11 +240,11 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.const(self.g, other)
+            other = self._scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if type(self) is not type(other):
-            raise TypeError("cannot compare z-form and e-form polynomials")
+            raise TypeError(f"cannot compare {type(self).__name__} and {type(other).__name__}")
         return self.g == other.g and self.terms == other.terms
 
     def __hash__(self):
@@ -380,9 +433,7 @@ class LaurentPoly:
         return cls.from_obj(json.loads(text))
 
     def render(self, gamma_label="(g-1)") -> str:
-        if self.is_zero():
-            return "0"
-        chunks = []
+        pairs = []
         for (et, ez, ey), c in sorted(self.terms.items(), reverse=True):
             factors = []
             if et:
@@ -393,20 +444,8 @@ class LaurentPoly:
                     factors.append(name if e == 1 else f"{name}^{e}")
             if ey:
                 factors.append(gamma_label if ey == 1 else f"{gamma_label}^{ey}")
-            if not factors:
-                chunks.append(str(c))
-                continue
-            body = "*".join(factors)
-            if c == 1:
-                chunks.append(body)
-            elif c == -1:
-                chunks.append(f"-{body}")
-            else:
-                chunks.append(f"{c}*{body}")
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
-        return out
+            pairs.append(("*".join(factors), c))
+        return render_terms(pairs)
 
     def __repr__(self):
         return f"LaurentPoly(g={self.g}, {self.render()})"

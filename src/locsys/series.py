@@ -4,6 +4,10 @@ The ring is duck-typed: coefficients must support +, -, * among themselves
 and * by int/Fraction.  Rationals, LaurentPoly and FreePoly all qualify.
 exp and log use the standard derivative recurrences, which only ever divide
 by integers, so everything stays exact.
+
+The master formula does not call exp: counting._exp_coeff_concrete takes the
+one coefficient it needs in integer arithmetic, for concrete and symbolic
+tables alike.  exp is the reference implementation the tests compare it with.
 """
 
 from __future__ import annotations

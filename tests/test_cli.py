@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 
@@ -64,8 +65,76 @@ class TestSymbolicCommands:
         assert out.strip() == "D[4](2) = 1/2*C[2,2] - 1/2*C[2,1]"
 
     def test_d_count_usage_error(self, capsys):
-        code, _, err = run(capsys, "d-count", "--n", "4", "--d", "3")
-        assert code == 2
+        for d in ("3", "0", "-2"):
+            code, out, err = run(capsys, "d-count", "--n", "4", "--d", d)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# sha256 of stdout, recorded before FreePoly moved onto LaurentPoly's kernel
+# and the symbolic master formula onto _exp_coeff_concrete
+PINNED_STDOUT = {
+    "a-symbolic --n 1":
+        "d2e4284bd50d82a733fab8da140315e19297e93970982729b92210fc722f9eee",
+    "--json a-symbolic --n 1":
+        "57103e78ccb0a5287ef45e501a3c37e47cf02aba6f9b6a9835fa379ddf08d872",
+    "a-symbolic --n 2":
+        "6bba6aa452fdb7bb23b9ead9bd06e84c71407e731f29431952f80feb70fc7275",
+    "--json a-symbolic --n 2":
+        "549792f7f136b7017a67d0c08ebbe2a36609a7489413e8303b1451db6050499c",
+    "a-symbolic --n 3":
+        "f0743ddfbcc880e2ff5d00afe5a47701a7f38c3eb771b75546249cdf21ba1647",
+    "--json a-symbolic --n 3":
+        "7033bfac20b25f864742e776d746cfde79d162bb72b350ad1b061e0344c78911",
+    "a-symbolic --n 4":
+        "3df9e4b57b3b8640863869755e95b65547d004531590956b860122898d51a2c5",
+    "--json a-symbolic --n 4":
+        "faebd423f609435cfb64c33343e50b0300646c8e3c6fe48f8ed4a30476a8ee70",
+    "a-symbolic --n 5":
+        "193349d0fdcda187b775e417a94f0fb31d25c0deb8d1a73f3cd27842ac7827ce",
+    "--json a-symbolic --n 5":
+        "109cec28056c7431bce81fb74ae0ee5839b5b69a4e5d4aad276c31f0bff48c1d",
+    "a-symbolic --n 6":
+        "70cc170e8c6ca3ff1cc129b62bc6b10b53e6040b71fb4c92b6b6b5e81c65f830",
+    "--json a-symbolic --n 6":
+        "004f363c217bbc2694d428853e68513046a6427f82999ab18ec09e727c9a8147",
+    "a-symbolic --n 7":
+        "859ed0926fa1ce182be0b3a8a74a93860ca7ddb1e2aab1914b4f956ccf51f806",
+    "--json a-symbolic --n 7":
+        "397bf1f3362a357c27c040412f349d354a59176469fd6cafe04acd164302ee56",
+    "a-symbolic --n 8":
+        "a0837c9511275800869d7fe9b92d15afb830460c27b76ba0a3721e930401e108",
+    "--json a-symbolic --n 8":
+        "1337a12fe2ff2d5432501928adb6be817eacb2b35861909a5049e1e6cb4495cb",
+    "a-symbolic --n 9":
+        "fcc929afd22802a288282e74bc3312570773940c6cc0262941b1e4dcb6a5cae3",
+    "--json a-symbolic --n 9":
+        "7ca32724236510139650af108957b05e48030333c468bfe5eff6b14e458ef51a",
+    "a-symbolic --n 10":
+        "863d1ded613874ef308715ccb290f53364977c8e050edec4abd3ddb97205727a",
+    "--json a-symbolic --n 10":
+        "a9a22b7ba0f3d255ac45f4b2e646e128952efa16cb753d59c70d67d432034b8a",
+    "d-count --n 4 --d 2":
+        "42d364bb87fd3d5c1a39354eb701aae8affdab842f54ef1800a47a310fc74076",
+    "--json d-count --n 4 --d 2":
+        "c84fdeb6505b67bf4a4be4013e2cf5bcdad86159eb35be2dae9b1babfef07bf1",
+    "d-count --n 6 --d 3":
+        "1637a78e7649fe1cd3c56c419e232c6c91f2194588ae6bb16139a8e594cda042",
+    "--json d-count --n 6 --d 3":
+        "ac9df4f3d6dfac1be02b64cd84ee8f075a47ad26957d9d27bccf6306fb7523bf",
+    "d-count --n 8 --d 4":
+        "447258a385c6d53bc4f488c35356217a3dc9e7708c2b4319bc01a9602502f4a9",
+    "--json d-count --n 8 --d 4":
+        "66d0058c38eabbed23d4197bbe46d55bf4e4be8e08b42a31eac59a05044ff984",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_STDOUT))
+def test_symbolic_output_bytes_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 class TestEval:
@@ -168,6 +237,16 @@ class TestPipeline:
     def test_rank_zero_is_usage_error(self, capsys):
         code, out, err = run(capsys, "pgn", "--n", "0", "--g", "2")
         assert code == 2 and out == "" and "n >= 1" in err
+
+    def test_non_integral_table_is_theorem_failure(self, capsys, tmp_path):
+        # Weil-invariant and positive, but C_2 = A_2 - (formula) is not integral
+        path = tmp_path / "atable.json"
+        path.write_text(json.dumps({"entries": {"2": {"g": 2, "terms": [
+            {"c": "1/2", "t": 0, "z": [0, 0], "gamma": 0}]}}}))
+        code, out, err = run(capsys, "qgn", "--n", "2", "--g", "2", "--a-table", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: rank-2 count polynomial is not integral\n"
 
     def test_consistent_fixture_passes(self, capsys, tmp_path):
         path, planted = consistent_fixture(tmp_path)

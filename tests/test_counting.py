@@ -6,23 +6,31 @@ import pytest
 
 from locsys.counting import (
     ATable,
+    GAMMA_ATOM,
     CSymbol,
     CTable,
     EntryMissing,
     FreePoly,
     IntegralityError,
+    _exp_coeff_concrete,
     a_from_c,
     c_from_a,
     count_exponent,
-    count_series,
     euler_characteristic,
     inertial_class_count,
     linear_part_check,
     orbit_inversion_check,
     pic_quotient,
 )
-from locsys.laurent import LaurentPoly, pic_polynomial
+from locsys.laurent import LaurentPoly, WeilPoly, pic_polynomial
+from locsys.series import TruncatedSeries
 from locsys.verify import random_invariant
+
+
+def count_series(ctable, l, cap):
+    """The exponential generating series of the counts over the degree-l
+    base change, in the stretched variable z^l, by the reference exp."""
+    return count_exponent(ctable, l, cap).exp()
 
 
 def sym(s, k):
@@ -213,8 +221,9 @@ class TestClassCounts:
         assert inertial_class_count(2, 2, CTable.symbolic()) == expected
 
     def test_divisor_required(self):
-        with pytest.raises(ValueError):
-            inertial_class_count(4, 3, CTable.symbolic())
+        for n, d in ((4, 3), (4, 0), (4, -2), (0, 1)):
+            with pytest.raises(ValueError):
+                inertial_class_count(n, d, CTable.symbolic())
 
     def test_orbit_inversion_zero(self):
         assert orbit_inversion_check(1, 8, {})
@@ -298,6 +307,67 @@ class TestSeriesChain:
             rhs = TruncatedSeries(cap, exponent).exp()
             for v in range(cap + 1):
                 assert lhs[v] == rhs.coeff(v), (cap, l, g, s_weight, v)
+
+
+def _random_ring_element(rng, kind):
+    """A sparse element of one of the coefficient rings with up to three
+    terms and rational coefficients."""
+    def c():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    n = rng.randint(0, 3)
+    if kind == "constant":
+        return FreePoly.const(c())
+    if kind == "laurent":
+        return LaurentPoly(2, {(rng.randint(-1, 2), (rng.randint(-2, 2), rng.randint(-2, 2)),
+                                rng.randint(0, 1)): c() for _ in range(n)})
+    if kind == "weil":
+        return WeilPoly(2, {(rng.randint(-1, 2), (rng.randint(0, 2), rng.randint(0, 1)),
+                             rng.randint(0, 1)): c() for _ in range(n)})
+    atoms = [GAMMA_ATOM] + [("C", s, k) for s in (1, 2) for k in (1, 2)]
+    return FreePoly({tuple((a, rng.randint(1, 2)) for a in rng.sample(atoms, rng.randint(0, 2))):
+                     c() for _ in range(n)})
+
+
+class TestExpCoefficient:
+    """_exp_coeff_concrete, the one exp path of the master formula in both
+    modes, against the reference TruncatedSeries.exp (itself checked against
+    the binomial-product oracle in TestSeriesChain)."""
+
+    @pytest.mark.parametrize("kind", ["constant", "laurent", "weil", "free"])
+    def test_matches_reference_exp(self, kind):
+        rng = random.Random(f"exp:{kind}")
+        free_alpha = kind in ("constant", "free")
+        for _ in range(12):
+            cap = rng.randint(1, 5)
+            coeffs = [_random_ring_element(rng, kind) for _ in range(cap + 1)]
+            exponent = TruncatedSeries(cap, [coeffs[0] * 0] + coeffs[1:])
+            alpha = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            alphas = [alpha] + ([FreePoly.gamma(2) * alpha] if free_alpha else [])
+            for alpha in alphas:
+                reference = exponent.scalar_mul(alpha).exp()
+                for a in range(cap + 1):
+                    poly, scale = _exp_coeff_concrete(exponent, alpha, a)
+                    assert all(c.denominator == 1 for c in poly.terms.values())
+                    assert poly * scale == reference.coeff(a), (kind, cap, alpha, a)
+
+
+class TestFreePolyKernel:
+    """FreePoly arithmetic runs on LaurentPoly's kernel; substitution at
+    rational points is a ring map, which checks +, * and powers."""
+
+    def test_substitution_is_a_ring_map(self):
+        rng = random.Random(31)
+        atoms = [GAMMA_ATOM] + [("C", s, k) for s in (1, 2, 3) for k in (1, 2)]
+        for _ in range(60):
+            p, q = (_random_ring_element(rng, "free") + _random_ring_element(rng, "free")
+                    for _ in range(2))
+            values = {a: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for a in atoms}
+            pv, qv = p.substitute(values, Fraction), q.substitute(values, Fraction)
+            assert (p * q).substitute(values, Fraction) == pv * qv
+            assert (p + q).substitute(values, Fraction) == pv + qv
+            assert (p - q).substitute(values, Fraction) == pv - qv
+            k = rng.randint(0, 4)
+            assert (p ** k).substitute(values, Fraction) == pv ** k
 
 
 class TestTables:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from locsys.counting import CTable, a_from_c
+from locsys.counting import CTable, FreePoly, a_from_c
 from locsys.laurent import (
     InvarianceError,
     LaurentPoly,
@@ -91,6 +91,14 @@ def test_forms_do_not_mix():
         LaurentPoly.const(g, 1) + WeilPoly.const(g, 1)
     with pytest.raises(TypeError):
         WeilPoly.const(g, 1) * LaurentPoly.const(g, 1)
+    free = FreePoly.const(1)
+    for poly in (LaurentPoly.const(g, 1), WeilPoly.const(g, 1)):
+        with pytest.raises(TypeError):
+            free + poly
+        with pytest.raises(TypeError):
+            poly * free
+        with pytest.raises(TypeError):
+            free == poly
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
