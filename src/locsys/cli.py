@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: a-symbolic, pgn, qgn, euler, d-count, eval, verify.  Exit codes:
-0 success, 1 theorem-level assertion failure, 2 usage error or bad input
-file.  All output is deterministic for fixed flags and seed.
+0 success, 1 theorem-level assertion failure (or, for now, a verify checker
+that raised, reported with an error line), 2 usage error or bad input file.
+All output is deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -179,6 +180,8 @@ def cmd_verify(args):
     for report in reports:
         status = "PASS" if report["passed"] else "FAIL"
         lines.append(f"{report['suite']}: {status} ({report['checks']} checks)")
+        if "error" in report:
+            lines.append(f"  error: {report['error']}")
         if not report["passed"] and report.get("counterexample") is not None:
             lines.append(f"  counterexample: {json.dumps(report['counterexample'], sort_keys=True)}")
     _print(args, obj, "\n".join(lines))

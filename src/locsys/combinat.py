@@ -90,24 +90,50 @@ class Partition:
         return f"Partition({inner})"
 
 
+def _trusted_partition(mult, n):
+    """A Partition from a multiplicity map already in canonical form (ascending
+    keys, positive parts and multiplicities) and its size, unvalidated."""
+    lam = object.__new__(Partition)
+    lam.mult = mult
+    lam.n = n
+    return lam
+
+
 def partitions(n: int):
-    """All unordered partitions of n, largest part decreasing first."""
+    """All unordered partitions of n, largest part decreasing first.
+
+    Reverse-lexicographic order, generated in multiplicity form with O(1)
+    amortised steps per partition (Zoghbi & Stojmenovic's ZS1, 1998): the
+    distinct parts are kept in ascending order beside their multiplicities,
+    and each step takes one copy of the smallest part p > 1, together with
+    all the 1s, and re-splits that amount greedily into parts p - 1 and one
+    smaller remainder.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield []
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield [part] + rest
-
-    for parts in rec(n, n):
-        mult = {}
-        for p in parts:
-            mult[p] = mult.get(p, 0) + 1
-        yield Partition(mult)
+    parts, mults = [n], [1]
+    while True:
+        yield _trusted_partition(dict(zip(parts, mults)), n)
+        freed = 0
+        if parts[0] == 1:
+            if len(parts) == 1:
+                return
+            freed = mults[0]
+            del parts[0], mults[0]
+        p = parts[0]
+        freed += p
+        if mults[0] == 1:
+            del parts[0], mults[0]
+        else:
+            mults[0] -= 1
+        p -= 1
+        q, r = divmod(freed, p)
+        if r:
+            parts[0:0] = (r, p)
+            mults[0:0] = (1, q)
+        else:
+            parts.insert(0, p)
+            mults.insert(0, q)
 
 
 def partitions_restricted(m: int, xi: int):
@@ -117,7 +143,7 @@ def partitions_restricted(m: int, xi: int):
     if m % xi:
         return
     for lam in partitions(m // xi):
-        yield Partition({j * xi: a for j, a in lam.mult.items()})
+        yield _trusted_partition({j * xi: a for j, a in lam.mult.items()}, m)
 
 
 @lru_cache(maxsize=None)

@@ -33,25 +33,38 @@ class NumericInstability(RuntimeError):
 
 
 def mat_det(rows) -> Fraction:
-    """Fraction determinant by Gaussian elimination."""
+    """Fraction determinant by Bareiss's fraction-free elimination.
+
+    Each row is scaled to integers by the lcm of its denominators and the
+    integer matrix is eliminated with exact divisions by the previous pivot,
+    so every intermediate entry is a minor of the scaled matrix; the result
+    is its determinant over the product of the scales.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+    a = []
+    scale = 1
+    for row in rows:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        m = math.lcm(*[x.denominator for x in row])
+        a.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        top = a[k]
+        akk = top[k]
+        for row in a[k + 1:]:
+            aik = row[k]
+            for j in range(k + 1, n):
+                row[j] = (akk * row[j] - aik * top[j]) // prev
+        prev = akk
+    return Fraction(sign * a[n - 1][n - 1] if n else 1, scale)
 
 
 def char_poly_coeffs(rows):

@@ -364,18 +364,21 @@ _MOVES = {
 
 
 def _run_one(payload):
+    """(passed, error): error is "<ExcType>: <message>" when the checker raised."""
     checker_name, instance = payload
     try:
-        return bool(CHECKERS[checker_name](instance))
-    except Exception:
-        return False
+        return bool(CHECKERS[checker_name](instance)), None
+    except Exception as exc:
+        return False, f"{type(exc).__name__}: {exc}"
 
 
 def _finish(name, checker_name, instances, jobs=1):
     """Run a checker over the instances and build the report.
 
     With jobs > 1 the independent work items run in a process pool; results
-    are reduced in instance order either way, so reports are identical."""
+    are reduced in instance order either way, so reports are identical.  A
+    theorem failure is shrunk; a checker that raised is reported unshrunk
+    with its exception under "error"."""
     checker = CHECKERS[checker_name]
     instances = list(instances)
     if jobs and jobs > 1 and len(instances) > 1:
@@ -386,17 +389,18 @@ def _finish(name, checker_name, instances, jobs=1):
     else:
         results = (_run_one((checker_name, inst)) for inst in instances)
     checks = 0
-    for instance, ok in zip(instances, results):
+    for instance, (ok, error) in zip(instances, results):
         checks += 1
         if not ok:
-            moves = _MOVES.get(checker_name, _moves_none)
-            shrunk = _shrink(instance, lambda cand: not checker(cand), moves)
-            return {
-                "suite": name,
-                "passed": False,
-                "checks": checks,
-                "counterexample": {"suite": name, "checker": checker_name, "instance": shrunk},
-            }
+            report = {"suite": name, "passed": False, "checks": checks}
+            if error is None:
+                moves = _MOVES.get(checker_name, _moves_none)
+                instance = _shrink(instance, lambda cand: not checker(cand), moves)
+            else:
+                report["error"] = error
+            report["counterexample"] = {"suite": name, "checker": checker_name,
+                                        "instance": instance}
+            return report
     return {"suite": name, "passed": True, "checks": len(instances), "counterexample": None}
 
 
@@ -432,6 +436,8 @@ def suite_kappa(seed, iterations, jobs=1):
     report["checks"] += sub["checks"]
     report["passed"] = sub["passed"]
     report["counterexample"] = sub["counterexample"]
+    if "error" in sub:
+        report["error"] = sub["error"]
     return report
 
 

@@ -4,7 +4,7 @@ import multiprocessing
 
 import pytest
 
-from locsys import cli
+from locsys import cli, verify
 from locsys.counting import ATable, CTable, a_from_c
 from locsys.laurent import LaurentPoly, pic_polynomial
 from locsys.verify import _shrink, replay
@@ -309,6 +309,58 @@ class TestVerifyCommand:
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         code, out, err = run(capsys, "verify", "matr", "--iterations", "2", "--jobs", jobs)
         assert code == 2 and out == "" and "jobs" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_crashing_checker_is_an_error(self, capsys, monkeypatch, jobs):
+        def crashing(obj):
+            if len(obj["lengths"]) == 2:
+                raise ZeroDivisionError("boom")
+            return True
+
+        monkeypatch.setitem(verify.CHECKERS, "delta", crashing)
+        base = ("verify", "delta", "--iterations", "2", "--jobs", jobs)
+        code, out, _ = run(capsys, *base)
+        first = {"lengths": [1, 1], "fixes": [1, 1]}
+        counterexample = {"suite": "delta", "checker": "delta", "instance": first}
+        assert code == 1
+        assert out.splitlines() == [
+            "delta: FAIL (5 checks)",
+            "  error: ZeroDivisionError: boom",
+            f"  counterexample: {json.dumps(counterexample, sort_keys=True)}",
+        ]
+        code, out, _ = run(capsys, "--json", *base)
+        report = json.loads(out)["suites"][0]
+        assert code == 1
+        assert report["error"] == "ZeroDivisionError: boom"
+        assert report["counterexample"] == counterexample
+
+    def test_crashing_checker_is_not_shrunk(self, monkeypatch):
+        instance = {"lengths": [3, 2], "fixes": [1, 1]}
+
+        def crashing(obj):
+            if obj == instance:
+                raise KeyError("lengths")
+            return False  # every shrinking candidate would count as a failure
+
+        monkeypatch.setitem(verify.CHECKERS, "delta", crashing)
+        report = verify._finish("delta", "delta", [dict(instance)])
+        assert report["error"] == "KeyError: 'lengths'"
+        assert report["counterexample"]["instance"] == instance
+        monkeypatch.setitem(verify.CHECKERS, "delta", lambda obj: False)
+        report = verify._finish("delta", "delta", [dict(instance)])
+        assert "error" not in report
+        assert report["counterexample"]["instance"] == {"lengths": [1], "fixes": [1]}
+
+    def test_crashing_subcheck_error_reaches_suite_report(self, monkeypatch):
+        def crashing(obj):
+            raise ValueError("bad block")
+
+        monkeypatch.setitem(verify.CHECKERS, "block-det", crashing)
+        report = verify.run_suite("kappa", seed=0, iterations=2)
+        assert not report["passed"]
+        assert report["error"] == "ValueError: bad block"
+        assert report["checks"] == 3
+        assert report["counterexample"]["checker"] == "block-det"
 
     def test_different_seeds_differ(self, capsys):
         # the reports coincide structurally but instances differ, so at least

@@ -34,6 +34,52 @@ def test_squarefree_divisors():
     assert squarefree_divisors(1) == [1]
 
 
+def recursive_partitions(n):
+    """Reference generator: the recursive enumeration `partitions` used before
+    it became iterative, building each Partition through the validating
+    constructor."""
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield []
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield [part] + rest
+
+    for parts in rec(n, n):
+        mult = {}
+        for p in parts:
+            mult[p] = mult.get(p, 0) + 1
+        yield Partition(mult)
+
+
+def recursive_partitions_restricted(m, xi):
+    if m % xi:
+        return
+    for lam in recursive_partitions(m // xi):
+        yield Partition({j * xi: a for j, a in lam.mult.items()})
+
+
+def _shape(lam):
+    return list(lam.mult.items()), lam.n, lam.parts(), hash(lam)
+
+
+def test_partitions_match_recursive_reference():
+    for n in range(1, 26):
+        new = list(partitions(n))
+        old = list(recursive_partitions(n))
+        assert [_shape(lam) for lam in new] == [_shape(lam) for lam in old]
+        assert new == old
+        assert all(type(lam) is Partition for lam in new)
+
+
+def test_partitions_restricted_match_recursive_reference():
+    for m in range(1, 25):
+        for xi in range(1, 5):
+            new = [_shape(lam) for lam in partitions_restricted(m, xi)]
+            assert new == [_shape(lam) for lam in recursive_partitions_restricted(m, xi)]
+
+
 def test_partitions_of_two():
     assert {tuple(p.parts()) for p in partitions(2)} == {(1, 1), (2,)}
 
@@ -46,9 +92,16 @@ def test_partition_counts_match_recurrence():
 
 
 def test_partitions_deterministic_order():
-    first = [tuple(p.parts()) for p in partitions(6)]
-    second = [tuple(p.parts()) for p in partitions(6)]
-    assert first == second
+    assert [tuple(sorted(p.parts(), reverse=True)) for p in partitions(6)] == [
+        (6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1),
+        (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
+    ]
+
+
+@pytest.mark.parametrize("mult", [{0: 1}, {2: -1}, {-1: 2}])
+def test_partition_rejects_nonpositive(mult):
+    with pytest.raises(ValueError):
+        Partition(mult)
 
 
 def test_s_weight():

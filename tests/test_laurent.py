@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,24 @@ class TestCurve:
             CurveInput(2, 2, [2, 0, 3, 0, 4])  # constant term must be 1
         with pytest.raises(ValueError):
             CurveInput(2, 2, [1, 0, 3, 0, 5])  # b_4 must be q^2 b_0
+
+    @pytest.mark.parametrize("g,q,numerator", [
+        (1, 2, [1, -3, 2]),   # (1 - z)(1 - 2z): eigenvalues 1 and 2
+        (1, 9, [1, 7, 9]),    # real eigenvalues, product 9, moduli != 3
+    ])
+    def test_weil_modulus_warning(self, g, q, numerator):
+        with pytest.warns(UserWarning, match="differs from sqrt"):
+            CurveInput(g, q, numerator)
+
+    @pytest.mark.parametrize("g,q,numerator", [
+        (2, 2, [1, 0, 3, 0, 4]),
+        (2, 2, [1, -4, 8, -8, 4]),  # (1 - 2z + 2z^2)^2: repeated factor
+        (1, 4, [1, -4, 4]),         # (1 - 2z)^2: eigenvalue 2 = sqrt(4), doubled
+    ])
+    def test_weil_curves_do_not_warn(self, g, q, numerator):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            CurveInput(g, q, numerator)
 
 
 class TestEvaluate:

@@ -21,6 +21,7 @@ from locsys.spectral import (
     degree_floor_vector,
     det_slope,
     det_slope_identities_check,
+    mat_det,
     orbit_character_sum,
     orbit_character_sum_mobius,
     orbit_character_sum_root,
@@ -31,6 +32,7 @@ from locsys.spectral import (
     triple_oracle,
     zero_pole_count,
 )
+from locsys.verify import random_zero_sum_matrix
 
 
 def random_symmetric_zero_sum(rng, n):
@@ -66,6 +68,92 @@ def random_datum(rng, max_orbits=5):
             total += len(parts)
         if blocks and total <= max_orbits:
             return DiscretePairDatum(rng.choice([2, 3]), tuple(blocks))
+
+
+def gauss_det(rows):
+    """Reference determinant: Gaussian elimination over Fraction (the
+    elimination `mat_det` used before it became fraction-free)."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return det
+
+
+def det_grid(seed):
+    """Seeded matrices of sizes 0..6: rational, integral Fraction, plain int,
+    zero-sum (`verify.random_zero_sum_matrix`) and singular ones."""
+    rng = random.Random(seed)
+    for n in range(7):
+        yield [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+               for _ in range(n)]
+        yield [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+        yield [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if n == 0:
+            continue
+        yield random_zero_sum_matrix(rng, n, symmetric=rng.random() < 0.5)
+        mixed = [[rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-7, 7), 3)])
+                  for _ in range(n)] for _ in range(n)]
+        yield mixed
+        if n >= 2:
+            repeated = [list(row) for row in mixed]
+            i, j = rng.sample(range(n), 2)
+            repeated[j] = list(repeated[i])
+            yield repeated
+            zero_col = [list(row) for row in mixed]
+            c = rng.randrange(n)
+            for row in zero_col:
+                row[c] = 0
+            yield zero_col
+            zero_pivot = [list(row) for row in mixed]
+            zero_pivot[0][0] = 0
+            yield zero_pivot
+
+
+class TestMatDet:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_gaussian_elimination(self, seed):
+        for rows in det_grid(seed):
+            det = mat_det(rows)
+            assert type(det) is Fraction
+            assert det == gauss_det(rows), rows
+
+    def test_empty_matrix(self):
+        det = mat_det([])
+        assert type(det) is Fraction and det == 1
+
+    def test_singular_cases(self):
+        row = [Fraction(1, 2), 3, Fraction(-2, 7)]
+        assert mat_det([row, [5, 1, 1], list(row)]) == 0
+        assert mat_det([[0, 1, 2], [0, 3, 4], [0, Fraction(1, 3), 5]]) == 0
+        assert mat_det([[0, 0], [0, 0]]) == 0
+
+    def test_zero_first_pivot(self):
+        rows = [[0, 2, 1], [Fraction(1, 2), 1, 0], [3, 0, Fraction(-1, 3)]]
+        assert mat_det(rows) == gauss_det(rows) == Fraction(-8, 3)
+
+    def test_row_swap_flips_sign(self):
+        rng = random.Random(5)
+        for n in range(2, 7):
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            swapped = list(rows)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            assert mat_det(swapped) == -mat_det(rows)
 
 
 class TestDetSlope:
