@@ -53,9 +53,8 @@ def _print(args, obj, text):
 
 
 def cmd_a_symbolic(args):
-    poly = a_from_c(args.n, None, CTable.symbolic())
-    _print(args, {"n": args.n, "polynomial": poly.render()},
-           f"A[{args.n}] = {poly.render()}")
+    text = a_from_c(args.n, None, CTable.symbolic()).render()
+    _print(args, {"n": args.n, "polynomial": text}, f"A[{args.n}] = {text}")
     return 0
 
 
@@ -90,8 +89,9 @@ def _pgn_report(n, g, p):
         report["pic_divisible"] = False
     if q is not None:
         chi = euler_characteristic(n, g) if g >= 2 else 1
-        report["euler_value"] = str(q.substitute(1, [1] * g, g - 1))
-        report["euler_matches"] = q.substitute(1, [1] * g, g - 1) == chi
+        value = q.substitute(1, [1] * g, g - 1)
+        report["euler_value"] = str(value)
+        report["euler_matches"] = value == chi
     else:
         report["euler_matches"] = False
     return report, q
@@ -165,7 +165,10 @@ def cmd_verify(args):
         with _open_input(args.replay) as fh:
             payload = json.load(fh)
         result = verify_mod.replay(payload)
-        _print(args, result, f"replay {result['suite']}: {'PASS' if result['passed'] else 'FAIL'}")
+        lines = [f"replay {result['suite']}: {'PASS' if result['passed'] else 'FAIL'}"]
+        if "error" in result:
+            lines.append(f"  error: {result['error']}")
+        _print(args, result, "\n".join(lines))
         return 0 if result["passed"] else 1
     names = verify_mod.SUITES.keys() if args.suite == "all" else [args.suite]
     reports = []

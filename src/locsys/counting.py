@@ -12,11 +12,12 @@ polynomials whose curve values are the counts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import divisors, mobius, partitions
-from .laurent import InvarianceError, LaurentPoly, WeilPoly, pic_polynomial, render_terms
+from .laurent import InvarianceError, LaurentPoly, WeilPoly, _coeff, pic_polynomial, render_terms
 from .series import TruncatedSeries
 
 GAMMA_ATOM = ("y",)
@@ -73,9 +74,10 @@ class FreePoly(LaurentPoly):
 
     @staticmethod
     def _mono_row(a, keys):
+        base = dict(a)
         out = []
         for b in keys:
-            d = dict(a)
+            d = base.copy()
             for x, e in b:
                 d[x] = d.get(x, 0) + e
             out.append(tuple(sorted(d.items())))
@@ -111,7 +113,6 @@ class FreePoly(LaurentPoly):
 
     def divide_exact(self, scalar, gamma_power: int = 0) -> "FreePoly":
         """Divide by scalar * gamma^power; every monomial must carry the power."""
-        scalar = Fraction(scalar)
         terms = {}
         for m, c in self.terms.items():
             d = dict(m)
@@ -122,8 +123,8 @@ class FreePoly(LaurentPoly):
                 d.pop(GAMMA_ATOM, None)
             else:
                 d[GAMMA_ATOM] = have - gamma_power
-            terms[tuple(d.items())] = c / scalar
-        return FreePoly(terms)
+            terms[tuple(d.items())] = _coeff(Fraction(c) / scalar)
+        return self._new(terms)
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
@@ -256,7 +257,20 @@ class ATable:
     """Indecomposable-bundle counts for ranks >= 2 (rank 1 is the built-in
     Picard polynomial).  Entries are validated to be Weil-invariant and to
     satisfy the positivity constraint on load; the Weil check is the
-    conversion to e-form, which the inversion then reads (`weil`)."""
+    conversion to e-form, which the inversion then reads (`weil`).
+
+    Positivity (every z-form term t^m z^n has v = m + sum_i min(n_i, 0) >= 0)
+    is read off the e-form: it holds exactly when every e-form t-exponent is
+    >= 0.  The span P of the terms with v >= 0 is a subring (v of a product
+    is at least the sum of the v's), and it holds t and every e_j (each term
+    of w_i = z_i + t/z_i has v = 0); so an e-form with t-exponents >= 0 is
+    positive.  Conversely, v is constant on a Weil orbit and is the
+    t-exponent of the orbit's representative, so a positive p is a sum of
+    c t^a y^b M_mu with a >= 0.  Each M_lambda lies in Q[t, y][e], by
+    induction in to_laurent's solve order: e^a (lambda_j = a_j + ... + a_g)
+    lies in P and is M_lambda plus orbit sums t^m M_nu with m >= 0 that
+    come earlier in that order.
+    """
 
     def __init__(self, g, entries):
         self.g = g
@@ -270,7 +284,7 @@ class ATable:
                 self.weil[n] = WeilPoly.from_laurent(poly)
             except InvarianceError:
                 raise ValueError(f"A-table entry {n} is not Weil-invariant") from None
-            if not poly.satisfies_positivity():
+            if any(et < 0 for et, _a, _ey in self.weil[n].terms):
                 raise ValueError(f"A-table entry {n} violates positivity")
             self.entries[n] = poly
 
@@ -329,8 +343,6 @@ def _exp_coeff_concrete(exponent, alpha, a: int):
     coefficients f_n = n! D^n e_n satisfy
     f_n = sum_k k M_k f_{n-k} (n-1)!/(n-k)! D^{k-1}.
     """
-    import math
-
     zero = exponent.coeff(0)
     if a == 0:
         return zero + 1, Fraction(1)
@@ -349,7 +361,7 @@ def _exp_coeff_concrete(exponent, alpha, a: int):
             if ms[k].is_zero() or f[n - k].is_zero():
                 continue
             factor = k * (math.factorial(n - 1) // math.factorial(n - k)) * denom ** (k - 1)
-            acc = acc + (ms[k] * f[n - k]) * factor
+            acc = acc + (ms[k] * factor) * f[n - k]
         f[n] = acc
     return f[a], Fraction(1, math.factorial(a) * denom ** a)
 
@@ -362,6 +374,10 @@ def a_from_c(n: int, genus, ctable: CTable):
     symbolic genus-offset variable.  For n = 1 the value is C[1,1] itself
     and any genus >= 1 is accepted.  A concrete table's polynomials are
     multiplied in e-form; the result has the form of the table's entries.
+
+    Each exp factor depends only on (l, a_j, lam.s_weight(j)) and is computed
+    once.  The partition terms are added up in integers, each weighted
+    against the common denominator of their scales, and divided once.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -375,7 +391,8 @@ def a_from_c(n: int, genus, ctable: CTable):
     if z_form:
         ctable = ctable.to_weil()
     exponents = {}
-    numerator = ctable.zero()
+    factors = {}
+    scaled_terms = []
     for l in divisors(n):
         mu = mobius(l)
         if mu == 0:
@@ -383,19 +400,28 @@ def a_from_c(n: int, genus, ctable: CTable):
         for lam in partitions(n):
             if any(a % l for a in lam.mult.values()):
                 continue  # the z^{a_j} coefficient vanishes when l does not divide a_j
-            term = ctable.one()
+            keys = []
             scale = Fraction(mu, lam.num_parts())
-            for j, aj in sorted(lam.mult.items()):
-                if (l, aj) not in exponents:
-                    exponents[(l, aj)] = count_exponent(ctable, l, aj)
-                alpha = chi * Fraction(lam.s_weight(j), l)
-                part, part_scale = _exp_coeff_concrete(exponents[(l, aj)], alpha, aj)
-                term = term * part
-                scale *= part_scale
-            numerator = numerator + term * scale
+            for j, aj in lam.mult.items():
+                key = (l, aj, lam.s_weight(j))
+                if key not in factors:
+                    if (l, aj) not in exponents:
+                        exponents[(l, aj)] = count_exponent(ctable, l, aj)
+                    alpha = chi * Fraction(key[2], l)
+                    factors[key] = _exp_coeff_concrete(exponents[(l, aj)], alpha, aj)
+                keys.append(key)
+                scale *= factors[key][1]
+            scaled_terms.append((keys, scale))
+    common = math.lcm(*(scale.denominator for _, scale in scaled_terms))
+    numerator = ctable.zero()
+    for keys, scale in scaled_terms:
+        term = factors[keys[0]][0] * (scale.numerator * (common // scale.denominator))
+        for key in keys[1:]:
+            term = term * factors[key][0]
+        numerator = numerator + term
     if genus is None:
-        return numerator.divide_exact(2 * n, gamma_power=1)
-    result = numerator * Fraction(1, n * (2 * genus - 2))
+        return numerator.divide_exact(2 * n * common, gamma_power=1)
+    result = numerator * Fraction(1, common * n * (2 * genus - 2))
     return result.to_laurent() if z_form else result
 
 

@@ -227,12 +227,11 @@ def replay(payload):
         raise ValueError(f"malformed replay payload: {exc!r}") from None
     if not isinstance(name, str) or name not in CHECKERS:
         raise ValueError(f"unknown checker {name!r}; choose from {sorted(CHECKERS)}")
-    suite = payload.get("suite", name)
-    try:
-        passed = bool(CHECKERS[name](instance))
-    except Exception as exc:
-        return {"suite": suite, "passed": False, "error": str(exc)}
-    return {"suite": suite, "passed": passed}
+    passed, error = _run_one((name, instance))
+    result = {"suite": payload.get("suite", name), "passed": passed}
+    if error is not None:
+        result["error"] = error
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -363,13 +362,28 @@ _MOVES = {
 }
 
 
-def _run_one(payload):
-    """(passed, error): error is "<ExcType>: <message>" when the checker raised."""
-    checker_name, instance = payload
+def _outcome(check, *args):
+    """(passed, error): error is "<ExcType>: <message>" when the check raised."""
     try:
-        return bool(CHECKERS[checker_name](instance)), None
+        return bool(check(*args)), None
     except Exception as exc:
         return False, f"{type(exc).__name__}: {exc}"
+
+
+def _run_one(payload):
+    checker_name, instance = payload
+    return _outcome(CHECKERS[checker_name], instance)
+
+
+def _fail_extra(report, instance, error):
+    """Mark a suite failed by one of its extra checks (those run after
+    _finish); an error is reported like a crashing checker's."""
+    report["passed"] = False
+    if error is not None:
+        report["error"] = error
+    report["counterexample"] = {"suite": report["suite"], "checker": report["suite"],
+                                "instance": instance}
+    return report
 
 
 def _finish(name, checker_name, instances, jobs=1):
@@ -506,17 +520,19 @@ def suite_gm_family(seed, iterations, jobs=1):
         (spectral.RationalFunc([2, -5, 2], [1]), spectral.RationalFunc([1], [3, -10, 3])),
     ]
     for idx, (c12, c21) in enumerate(candidates):
-        try:
-            spectral.circle_count_check(c12, c21)
-            report["checks"] += 1
-        except TheoremViolation:
-            report["passed"] = False
-            report["counterexample"] = {
-                "suite": "gm-family", "checker": "gm-family",
-                "instance": {"circle-candidate": idx},
-            }
-            return report
+        ok, error = _outcome(_circle_count_holds, c12, c21)
+        if not ok:
+            return _fail_extra(report, {"circle-candidate": idx}, error)
+        report["checks"] += 1
     return report
+
+
+def _circle_count_holds(c12, c21):
+    try:
+        spectral.circle_count_check(c12, c21)
+    except TheoremViolation:
+        return False
+    return True
 
 
 def suite_cones(seed, iterations, jobs=1):
@@ -547,14 +563,16 @@ def suite_cones(seed, iterations, jobs=1):
     report = _finish("cones", "cones", instances, jobs=jobs)
     if not report["passed"]:
         return report
-    ok = cones.gamma_support_bound_check((1, 1), [(2, -2), (5, 1)], e=0) and \
-        cones.gamma_support_bound_check((1, 1, 1), [(3, 1, -1)], e=0)
+    ok, error = _outcome(_support_bounds_hold)
     report["checks"] += 2
     if not ok:
-        report["passed"] = False
-        report["counterexample"] = {"suite": "cones", "checker": "cones",
-                                    "instance": {"kind": "support"}}
+        _fail_extra(report, {"kind": "support"}, error)
     return report
+
+
+def _support_bounds_hold():
+    return (cones.gamma_support_bound_check((1, 1), [(2, -2), (5, 1)], e=0)
+            and cones.gamma_support_bound_check((1, 1, 1), [(3, 1, -1)], e=0))
 
 
 def suite_lattice(seed, iterations, jobs=1):
@@ -596,22 +614,16 @@ def suite_integrality(seed, iterations, jobs=1):
     for p in (2, 3, 5, 7):
         for alpha in (1, 2, 3):
             for n in range(1, 51):
-                if not coprime_factorial_congruence_check(p, alpha, n):
-                    report["passed"] = False
-                    report["counterexample"] = {
-                        "suite": "integrality", "checker": "integrality",
-                        "instance": {"congruence": [p, alpha, n]},
-                    }
-                    return report
+                ok, error = _outcome(coprime_factorial_congruence_check, p, alpha, n)
+                if not ok:
+                    return _fail_extra(report, {"congruence": [p, alpha, n]}, error)
                 extra += 1
     for _ in range(200):
         n = rng.choice([-1, 1]) * rng.randint(1, 10000)
         m = rng.randint(1, 400)
-        if not binomial_gcd_divisibility_check(n, m):
-            report["passed"] = False
-            report["counterexample"] = {"suite": "integrality", "checker": "integrality",
-                                        "instance": {"binom": [n, m]}}
-            return report
+        ok, error = _outcome(binomial_gcd_divisibility_check, n, m)
+        if not ok:
+            return _fail_extra(report, {"binom": [n, m]}, error)
         extra += 1
     report["checks"] += extra
     return report

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import multiprocessing
+import random
 
 import pytest
 
-from locsys import cli, verify
-from locsys.counting import ATable, CTable, a_from_c
+from locsys import cli, cones, spectral, verify
+from locsys.counting import ATable, CTable, a_from_c, euler_characteristic
 from locsys.laurent import LaurentPoly, pic_polynomial
 from locsys.verify import _shrink, replay
 
@@ -73,7 +74,8 @@ class TestSymbolicCommands:
 
 
 # sha256 of stdout, recorded before FreePoly moved onto LaurentPoly's kernel
-# and the symbolic master formula onto _exp_coeff_concrete
+# and the symbolic master formula onto _exp_coeff_concrete (ranks 11-14:
+# before the master formula memoized its exp factors and summed in integers)
 PINNED_STDOUT = {
     "a-symbolic --n 1":
         "d2e4284bd50d82a733fab8da140315e19297e93970982729b92210fc722f9eee",
@@ -115,6 +117,22 @@ PINNED_STDOUT = {
         "863d1ded613874ef308715ccb290f53364977c8e050edec4abd3ddb97205727a",
     "--json a-symbolic --n 10":
         "a9a22b7ba0f3d255ac45f4b2e646e128952efa16cb753d59c70d67d432034b8a",
+    "a-symbolic --n 11":
+        "6ebee280964793a67e1e751fa42d030f651016459247795eec6dcaae4900923c",
+    "--json a-symbolic --n 11":
+        "7ae4cf9fc23d84766848d0663ded16a8d6eb06e1c7c07ee08dd7711ea79efe48",
+    "a-symbolic --n 12":
+        "2eddfcb3b680fe6ebdb490d94d30b4c44a62122dd089cd7d5a15d8e4935b0504",
+    "--json a-symbolic --n 12":
+        "859b8ec660894a0e44df3efd553d58d83719ffeb5154c5c3b48474cf56318c4e",
+    "a-symbolic --n 13":
+        "4baf357257ec221e2effac3ad7b405a3a9497d33f4333b587acac0302208351d",
+    "--json a-symbolic --n 13":
+        "ca79081151c48b21afc2be48418b5709865a554df044e16ab150d505b67cd8aa",
+    "a-symbolic --n 14":
+        "0aad85dcd3017df975a0548478b0e43996f3fa08ea1e66f708266d42f61f7a95",
+    "--json a-symbolic --n 14":
+        "85fc71a79c3cfe30b5e6a076992356cfe91f634d01845d55c85870f8c758355f",
     "d-count --n 4 --d 2":
         "42d364bb87fd3d5c1a39354eb701aae8affdab842f54ef1800a47a310fc74076",
     "--json d-count --n 4 --d 2":
@@ -135,6 +153,49 @@ def test_symbolic_output_bytes_pinned(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+def planted_atable(g, n):
+    """An A-table whose qgn report passes: ranks 2..n-1 of the C-table are
+    seeded `verify.random_invariant`s, and the top rank is the Picard
+    polynomial times t^((g-1)n^2+1-g) + R + c, with R random and c chosen
+    for the Euler value."""
+    rng = random.Random(f"pinned:{g}:{n}")
+    planted = {1: pic_polynomial(g)}
+    for s in range(2, n):
+        planted[s] = verify.random_invariant(rng, g)
+    rest = verify.random_invariant(rng, g)
+    top = (g - 1) * n * n + 1
+    chi = euler_characteristic(n, g)
+    cofactor = (LaurentPoly.monomial(g, 1, t=top - g) + rest
+                + (chi - 1 - rest.substitute(1, [1] * g, g - 1)))
+    planted[n] = pic_polynomial(g) * cofactor
+    table = CTable.concrete(g, planted)
+    return ATable(g, {r: a_from_c(r, g, table) for r in range(2, n + 1)})
+
+
+# sha256 of `qgn --json` stdout and of its --emit-ctable file, recorded before
+# the master formula memoized its exp factors and summed in integers
+PINNED_QGN = {
+    (2, 5): ("612a0268e38a746e0713ac9d5dee6d4cb0e1460fad7f9cf0d39661bd8400ede5",
+             "351fcef429e6cba3ea526f039f02401fe2092c86b8db393905f51e57008e5cfb"),
+    (3, 4): ("99d7555913f1c444699ab68df7c6103e4f8e2710ca9f8e5952ed612b1f3a51ec",
+             "f96d29afc5906314bcab1a85ba10bda8bcfc80a1d323a453973b2db0170c366a"),
+}
+
+
+@pytest.mark.parametrize("cell", list(PINNED_QGN), ids=lambda c: f"g{c[0]}n{c[1]}")
+def test_qgn_output_bytes_pinned(capsys, tmp_path, cell):
+    g, n = cell
+    atable = tmp_path / "atable.json"
+    atable.write_text(planted_atable(g, n).to_json())
+    ctable = tmp_path / "ctable.json"
+    code, out, _ = run(capsys, "--json", "qgn", "--n", str(n), "--g", str(g),
+                       "--a-table", str(atable), "--emit-ctable", str(ctable))
+    assert code == 0
+    digests = (hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(ctable.read_bytes()).hexdigest())
+    assert digests == PINNED_QGN[cell]
 
 
 class TestEval:
@@ -361,6 +422,56 @@ class TestVerifyCommand:
         assert report["error"] == "ValueError: bad block"
         assert report["checks"] == 3
         assert report["counterexample"]["checker"] == "block-det"
+
+    @pytest.mark.parametrize("suite,module,name,instance", [
+        ("gm-family", spectral, "circle_count_check", {"circle-candidate": 0}),
+        ("cones", cones, "gamma_support_bound_check", {"kind": "support"}),
+        ("integrality", verify, "coprime_factorial_congruence_check",
+         {"congruence": [2, 1, 1]}),
+        ("integrality", verify, "binomial_gcd_divisibility_check", {"binom": [1936, 23]}),
+    ], ids=["gm-family", "cones", "integrality-congruence", "integrality-binom"])
+    def test_crashing_extra_check_is_an_error(self, capsys, monkeypatch, suite, module,
+                                              name, instance):
+        """The checks a suite runs after its instances end in an error
+        report, not a traceback."""
+        def crashing(*args, **kwargs):
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr(module, name, crashing)
+        base = ("verify", suite, "--iterations", "1")
+        code, out, _ = run(capsys, *base)
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0].startswith(f"{suite}: FAIL (")
+        assert lines[1] == "  error: ArithmeticError: boom"
+        code, out, _ = run(capsys, "--json", *base)
+        report = json.loads(out)["suites"][0]
+        assert code == 1 and report["passed"] is False
+        assert report["error"] == "ArithmeticError: boom"
+        assert report["counterexample"] == {"suite": suite, "checker": suite,
+                                            "instance": instance}
+
+    def test_extra_check_violation_is_a_theorem_failure(self, capsys, monkeypatch):
+        def violated(*args, **kwargs):
+            raise spectral.TheoremViolation("circle integral 1 vs count 0")
+
+        monkeypatch.setattr(spectral, "circle_count_check", violated)
+        code, out, _ = run(capsys, "--json", "verify", "gm-family", "--iterations", "1")
+        report = json.loads(out)["suites"][0]
+        assert code == 1 and report["passed"] is False and "error" not in report
+        assert report["counterexample"]["instance"] == {"circle-candidate": 0}
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["text", "json"])
+    def test_replay_crashing_checker_is_an_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": "delta", "instance": {"lengths": [2]}}))
+        argv = (("--json",) if flag else ()) + ("verify", "delta", "--replay", str(path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        if flag:
+            assert out == '{"error":"KeyError: \'fixes\'","passed":false,"suite":"delta"}\n'
+        else:
+            assert out == "replay delta: FAIL\n  error: KeyError: 'fixes'\n"
 
     def test_different_seeds_differ(self, capsys):
         # the reports coincide structurally but instances differ, so at least

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from locsys import counting
 from locsys.counting import (
     ATable,
     GAMMA_ATOM,
@@ -350,6 +351,21 @@ class TestExpCoefficient:
                     assert all(c.denominator == 1 for c in poly.terms.values())
                     assert poly * scale == reference.coeff(a), (kind, cap, alpha, a)
 
+    @pytest.mark.parametrize("n,calls", [(5, 9), (14, 91)])
+    def test_each_factor_computed_once(self, monkeypatch, n, calls):
+        """a_from_c computes each exp factor, which depends only on
+        (l, a_j, s_weight(j)), once per call; one per part of every partition
+        would be 13 and 406 calls."""
+        seen = []
+
+        def counted(exponent, alpha, a):
+            seen.append(a)
+            return _exp_coeff_concrete(exponent, alpha, a)
+
+        monkeypatch.setattr(counting, "_exp_coeff_concrete", counted)
+        a_from_c(n, None, CTable.symbolic())
+        assert len(seen) == calls
+
 
 class TestFreePolyKernel:
     """FreePoly arithmetic runs on LaurentPoly's kernel; substitution at
@@ -375,12 +391,12 @@ class TestTables:
         with pytest.raises(ValueError, match="Weil"):
             ATable(2, {2: LaurentPoly.z_var(2, 0)})
         bad = LaurentPoly.monomial(2, 1, z=[-1, 0]) + LaurentPoly.monomial(
-            2, 1, t=1, z=[1, 0]) + LaurentPoly.monomial(2, 1, z=[0, -1]) \
-            + LaurentPoly.monomial(2, 1, t=1, z=[0, 1])
+            2, 1, t=-1, z=[1, 0]) + LaurentPoly.monomial(2, 1, z=[0, -1]) \
+            + LaurentPoly.monomial(2, 1, t=-1, z=[0, 1])
         # symmetric under flips/swaps but breaks the exponent constraint
-        if bad.is_weil_invariant() and not bad.satisfies_positivity():
-            with pytest.raises(ValueError, match="positivity"):
-                ATable(2, {2: bad})
+        assert bad.is_weil_invariant() and not bad.satisfies_positivity()
+        with pytest.raises(ValueError, match="positivity"):
+            ATable(2, {2: bad})
 
     def test_json_roundtrip(self):
         table = ATable(2, {2: pic_polynomial(2)})

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from locsys.counting import CTable, FreePoly, a_from_c
+from locsys.counting import ATable, CTable, FreePoly, a_from_c
 from locsys.laurent import (
     InvarianceError,
     LaurentPoly,
@@ -133,3 +133,40 @@ def test_concrete_master_formula_matches_symbolic(g, n):
         z = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
              for _ in range(g)]
         assert direct.substitute(t, z, 0) == _point_value(symbolic, planted, g, t, z)
+
+
+def _signed_invariant(rng, g, zmax):
+    """One to three Weil orbits whose representatives carry t-exponents from
+    -2 to 2, so that most sums violate positivity."""
+    total = LaurentPoly.zero(g)
+    for _ in range(rng.randint(1, 3)):
+        z = [rng.randint(-zmax, zmax) for _ in range(g)]
+        t = rng.randint(-2, 2) - sum(min(e, 0) for e in z)
+        mono = LaurentPoly.monomial(g, rng.choice((-2, -1, 1, 3)), t=t, z=z,
+                                    y=rng.randint(0, 1))
+        total = total + weil_symmetrize(mono)
+    return total
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_positivity_read_from_e_form(g):
+    """ATable reads positivity off the e-form (every t-exponent >= 0); it
+    must agree with the z-form scan satisfies_positivity on seeded
+    invariants, alone and times the Picard polynomial."""
+    rng = random.Random(f"positivity:{g}")
+    pic = pic_polynomial(g)
+    verdicts = []
+    for case in range(150):
+        # at g = 4, z-exponents up to 1 keep the orbits (and the test) small
+        p = _signed_invariant(rng, g, zmax=2 if g < 4 else 1)
+        if case % 2:
+            p = p * pic
+        try:
+            ATable(g, {2: p})
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "A-table entry 2 violates positivity"
+            accepted = False
+        assert accepted == p.satisfies_positivity()
+        verdicts.append(accepted)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 75
