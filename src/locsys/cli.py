@@ -246,8 +246,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # keep no reference to the parser, so that the collector can free its
+    # reference cycles while the command runs
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CheckFailure, DivisibilityError, EntryMissing, IntegralityError) as exc:

@@ -11,6 +11,13 @@ and JSON serialization byte-reproducible.
 LaurentPoly's ring structure is the package's one sparse-polynomial kernel;
 the e-form (WeilPoly, below) and the free symbols of the master formula
 (counting.FreePoly) are subclasses that differ only in their monomial keys.
+
+A curve is its integer zeta numerator.  Its Frobenius power sums give, in
+integers, the power sums of w_i = a_i^k + q^k/a_i^k over the g Frobenius
+pairs, and one object serves two uses: the exact Weil check (a Sturm chain
+decides whether every |a_i| = sqrt(q)) and evaluation, where the e-form's
+e_j become the elementary symmetric functions of the w_i.  No root is found
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -22,8 +29,6 @@ import json
 import math
 import warnings
 from fractions import Fraction
-
-import mpmath
 
 
 class DimensionMismatch(ValueError):
@@ -423,6 +428,8 @@ class LaurentPoly:
             terms = {}
             for term in obj["terms"]:
                 key = (int(term["t"]), tuple(int(e) for e in term["z"]), int(term.get("gamma", 0)))
+                if key in terms:
+                    raise ValueError(f"malformed polynomial JSON: duplicate term {key}")
                 terms[key] = Fraction(term["c"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
@@ -725,28 +732,30 @@ class CurveInput:
         if not self.functional_equation_holds():
             raise ValueError("numerator violates the functional equation "
                              "b_{2g-k} = q^(g-k) b_k")
-        self._warn_if_not_weil()
+        if not self.is_weil():
+            warnings.warn(
+                f"some Frobenius eigenvalue modulus differs from sqrt(q) = sqrt({q})",
+                stacklevel=2,
+            )
 
     def functional_equation_holds(self) -> bool:
         b, g, q = self.numerator, self.g, self.q
         return all(b[2 * g - k] == q ** (g - k) * b[k] for k in range(0, g + 1))
 
-    def _warn_if_not_weil(self):
-        with mpmath.workdps(40):
-            try:
-                roots = mpmath.polyroots(list(reversed(self.numerator)),
-                                         maxsteps=200, extraprec=80)
-            except mpmath.libmp.NoConvergence:
-                return
-            target = mpmath.sqrt(self.q)
-            for r in roots:
-                # reciprocal roots a_i = 1/r must sit on |a| = sqrt(q)
-                if abs(abs(1 / r) - target) > 1e-6 * float(target):
-                    warnings.warn(
-                        f"numerator root modulus {abs(1 / r)} differs from sqrt(q)",
-                        stacklevel=3,
-                    )
-                    return
+    def is_weil(self) -> bool:
+        """Whether every Frobenius eigenvalue a_i has modulus sqrt(q), decided
+        exactly (the standard test for Weil polynomials; Kedlaya, "Search
+        techniques for root-unitary polynomials", 2008).
+
+        By the functional equation P(z) = prod_i (1 - w_i z + q z^2), and both
+        roots of x^2 - w x + q have modulus sqrt(q) exactly when w is real with
+        |w| <= 2 sqrt(q), i.e. when w^2 is real and in [0, 4q].  So the test is
+        whether every root of prod_i (y - w_i^2) is real and in [0, 4q]: a
+        Sturm chain on its squarefree part counts the distinct roots there.
+        """
+        e = _elementary(_real_weil_sums(self, 1, 2 * self.g)[::2])
+        f = _squarefree([(-1) ** j * c for j, c in enumerate(e)][::-1])
+        return _sturm_count(f, 0, 4 * self.q) + (f[0] == 0) == len(f) - 1
 
     def to_obj(self):
         return {"g": self.g, "q": self.q, "numerator": list(self.numerator)}
@@ -754,9 +763,12 @@ class CurveInput:
     @classmethod
     def from_obj(cls, obj):
         try:
-            g, q, numerator = int(obj["g"]), int(obj["q"]), list(obj["numerator"])
+            g, q, numerator = obj["g"], obj["q"], list(obj["numerator"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curve JSON: {exc!r}") from None
+        for name, value in [("g", g), ("q", q)] + [("numerator", b) for b in numerator]:
+            if type(value) is not int:
+                raise ValueError(f"malformed curve JSON: {name} has non-integer {value!r}")
         return cls(g, q, numerator)
 
     def __repr__(self):
@@ -764,20 +776,93 @@ class CurveInput:
 
 
 def _power_sums_from_coeffs(b, count):
-    """Newton power sums p_1..p_count of the reciprocal roots of
-    P(z) = sum b_j z^j = prod (1 - a_i z); all values are integers."""
+    """Newton power sums p_0..p_count (p_0 is left 0) of the reciprocal roots
+    of P(z) = sum b_j z^j = prod (1 - a_i z), in integers."""
     deg = len(b) - 1
-    e = [Fraction((-1) ** j * b[j]) for j in range(deg + 1)]  # elementary symmetric
-    p = [Fraction(0)] * (count + 1)
+    p = [0] * (count + 1)
     for m in range(1, count + 1):
-        acc = Fraction(0)
-        for i in range(1, m):
-            if i <= deg:
-                acc += (-1) ** (i - 1) * e[i] * p[m - i]
-        if m <= deg:
-            acc += (-1) ** (m - 1) * m * e[m]
-        p[m] = acc
+        acc = m * b[m] if m <= deg else 0
+        p[m] = -acc - sum(b[i] * p[m - i] for i in range(1, min(m - 1, deg) + 1))
     return p
+
+
+def _elementary(sums):
+    """e_0..e_n of n numbers from their power sums sums[1..n] (sums[0] is not
+    read), by Newton's identities; every caller's e_j are integers."""
+    e = [1]
+    for m in range(1, len(sums)):
+        acc = sum((-1) ** (i - 1) * e[m - i] * sums[i] for i in range(1, m + 1))
+        if acc % m:
+            raise ArithmeticError("power transform produced a non-integer")
+        e.append(acc // m)
+    return e
+
+
+def _real_weil_sums(curve: CurveInput, k: int, count: int):
+    """S_0..S_count: power sums of w_i = a_i^k + T/a_i^k, T = q^k, one a_i from
+    each of the g Frobenius pairs {a, q/a}.  Expanding w^m and pairing the
+    terms r and m - r gives
+    S_m = sum_{2r < m} C(m, r) T^r p_{(m-2r)k} + [m even] C(m, m/2) T^(m/2) g.
+    """
+    p = _power_sums_from_coeffs(curve.numerator, count * k)
+    tq, g = curve.q ** k, curve.g
+    sums = [g]
+    for m in range(1, count + 1):
+        s = sum(math.comb(m, r) * tq ** r * p[(m - 2 * r) * k] for r in range((m + 1) // 2))
+        if m % 2 == 0:
+            s += math.comb(m, m // 2) * tq ** (m // 2) * g
+        sums.append(s)
+    return sums
+
+
+# Polynomials over Q as coefficient lists, constant term first, for the Weil
+# check; a zero polynomial is the empty list.
+
+
+def _divmod(a, b):
+    """Quotient and remainder of a by b (b nonzero)."""
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for s in reversed(range(len(quo))):
+        c = quo[s] = rem[s + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            rem[s + i] -= c * bc
+    rem = rem[:len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _squarefree(f):
+    """f / gcd(f, f'): the same roots, each once."""
+    a, b = f, _derivative(f)
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return _divmod(f, a)[0]
+
+
+def _sturm_count(f, lo, hi):
+    """Distinct real roots of a squarefree f in (lo, hi] (Sturm's theorem;
+    zeros are dropped when sign changes are counted)."""
+    chain = [f, _derivative(f)]
+    while rem := _divmod(chain[-2], chain[-1])[1]:
+        chain.append([-c for c in rem])
+
+    def changes(x):
+        signs = []
+        for p in chain:
+            v = 0
+            for c in reversed(p):
+                v = v * x + c
+            if v:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
 
 
 def graeffe_power(curve: CurveInput, k: int):
@@ -785,55 +870,10 @@ def graeffe_power(curve: CurveInput, k: int):
     Newton's identities on power sums."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("need k >= 1")
-    if k == 1:
-        return list(curve.numerator)
     deg = 2 * curve.g
     p = _power_sums_from_coeffs(curve.numerator, deg * k)
-    pk = [Fraction(0)] + [p[m * k] for m in range(1, deg + 1)]
-    e = [Fraction(1)]
-    for m in range(1, deg + 1):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            acc += (-1) ** (i - 1) * e[m - i] * pk[i]
-        e.append(acc / m)
-    out = []
-    for j in range(deg + 1):
-        c = (-1) ** j * e[j]
-        if c.denominator != 1:
-            raise ArithmeticError("power transform produced a non-integer")
-        out.append(int(c))
-    return out
-
-
-def _f_product(f, h, tq):
-    """Product of two combinations {m: c} of F_m = z^m + (T/z)^m, using
-    F_a F_b = F_{a+b} + T^b F_{a-b} for a >= b (so F_0 = 2)."""
-    out = {}
-    for a, c in f.items():
-        for b, d in h.items():
-            lo, hi = sorted((a, b))
-            out[hi + lo] = out.get(hi + lo, 0) + c * d
-            out[hi - lo] = out.get(hi - lo, 0) + c * d * tq ** lo
-    return out
-
-
-def _injective_sum(fs, tq, traces):
-    """Sum over injective maps s of prod_i f_i(x_{s(i)}), where x_j is one
-    eigenvalue from each Frobenius pair {x_j, T/x_j}, each f_i is given in
-    the F basis and sum_j F_m(x_j) = traces[m].
-
-    Summing f_1 over every x_j and subtracting the terms where its x_j is
-    already taken by some f_i (which merges f_1 into f_i) leaves only such
-    traces, and they depend on no choice of the x_j.
-    """
-    if not fs:
-        return 1
-    first, rest = fs[0], fs[1:]
-    total = sum(c * traces[m] for m, c in first.items()) * _injective_sum(rest, tq, traces)
-    for i in range(len(rest)):
-        merged = rest[:i] + [_f_product(first, rest[i], tq)] + rest[i + 1:]
-        total -= _injective_sum(merged, tq, traces)
-    return total
+    e = _elementary(p[::k])
+    return [(-1) ** j * c for j, c in enumerate(e)]
 
 
 def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: int) -> int:
@@ -841,39 +881,29 @@ def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: in
 
     The sigma_i^k are one eigenvalue from each Frobenius pair of the base
     change; Weil invariance makes the value independent of which one.  The
-    value is computed exactly: averaging a term c t^a z^e (g-1)^b over the
-    Weil group gives c T^(a + sum min(e_i, 0)) gamma^b S / (2^g g!) with
-    T = q^k, where S sums prod_i F_{|e_i|}(sigma_{s(i)}^k) over permutations s
-    (see _injective_sum).  S is a polynomial in the power sums p_{mk} of the
-    Frobenius eigenvalues, which Newton's identities read off the integer
-    zeta numerator.  A value that is not an integer raises ValueError.
+    value is computed exactly in Weil-invariant coordinates: the e-form of p
+    is a sum of c t^a (g-1)^b prod_j e_j^(n_j), and at the curve e_j is the
+    integer elementary symmetric function of the w_i = sigma_i^k +
+    T/sigma_i^k, T = q^k, read off the power sums of the zeta numerator
+    (_real_weil_sums).  A value that is not an integer raises ValueError.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("need k >= 1")
     if curve.g != p.g:
         raise DimensionMismatch(f"curve genus {curve.g} != polynomial g {p.g}")
-    if not p.is_weil_invariant():
-        raise InvarianceError("polynomial is not Weil-invariant")
+    form = WeilPoly.from_laurent(p)
 
-    g = p.g
     tq = curve.q ** k
-    top = max((sum(abs(e) for e in ez) for _et, ez, _ey in p.terms), default=0)
-    sums = _power_sums_from_coeffs(curve.numerator, top * k)
-    traces = [2 * g] + [int(sums[m * k]) for m in range(1, top + 1)]
+    e = _elementary(_real_weil_sums(curve, k, p.g))[1:]
     # accumulate in integers: scaled by T^-lo, lo the least power of T, and by
     # the lcm of the coefficient denominators; divide once at the end
-    shifts = {key: key[0] + sum(min(e, 0) for e in key[1]) for key in p.terms}
-    lo = min(0, min(shifts.values(), default=0))
-    denom = math.lcm(*(c.denominator for c in p.terms.values()))
-    orbit_sums = {}
+    lo = min(0, min((et for et, _a, _ey in form.terms), default=0))
+    denom = math.lcm(*(c.denominator for c in form.terms.values()))
     total = 0
-    for key, c in p.terms.items():
-        degrees = tuple(sorted(abs(e) for e in key[1]))
-        if degrees not in orbit_sums:
-            orbit_sums[degrees] = _injective_sum([{a: 1} for a in degrees], tq, traces)
-        total += (c.numerator * (denom // c.denominator) * tq ** (shifts[key] - lo)
-                  * gamma_value ** key[2] * orbit_sums[degrees])
-    scale = denom * tq ** -lo * 2 ** g * math.factorial(g)
+    for (et, a, ey), c in form.terms.items():
+        total += (c.numerator * (denom // c.denominator) * tq ** (et - lo)
+                  * gamma_value ** ey * math.prod(map(pow, e, a)))
+    scale = denom * tq ** -lo
     if total % scale:
         raise ValueError(f"value {Fraction(total, scale)} at the curve is not an integer")
     return total // scale

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import multiprocessing
 import random
+import weakref
 
 import pytest
 
@@ -270,12 +272,51 @@ class TestMalformedInput:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("flag,obj", [
+        ("--curve", {"g": 1, "q": 2, "numerator": [1, -4.9, 2]}),
+        ("--curve", {"g": 2.5, "q": 2, "numerator": [1, 0, 3, 0, 4]}),
+        ("--curve", {"g": 2, "q": 2, "numerator": [True, 0, 3, 0, 4]}),
+        ("--pgn", {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0},
+                                     {"c": "5", "t": 0, "z": [0, 0], "gamma": 0}]}),
+    ], ids=["float-coefficient", "float-genus", "bool-coefficient", "duplicate-term"])
+    def test_rejected_where_it_enters(self, capsys, curve_file, tmp_path, flag, obj):
+        # each of these used to be read as some other input and exit 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        argv = {"--curve": ("eval", "--curve", str(path), "--n", "1", "--k", "1"),
+                "--pgn": ("eval", "--curve", curve_file, "--n", "2", "--k", "1",
+                          "--pgn", str(path))}[flag]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: malformed") and err.count("\n") == 1
+
     @pytest.mark.parametrize("checker", ["nope", ["matr"]])
     def test_unknown_checker(self, capsys, tmp_path, checker):
         path = tmp_path / "replay.json"
         path.write_text(json.dumps({"suite": "matr", "checker": checker, "instance": {}}))
         code, _, err = run(capsys, "verify", "matr", "--replay", str(path))
         assert code == 2 and "unknown checker" in err
+
+
+def test_parser_is_not_held_while_the_command_runs(monkeypatch):
+    """main keeps no reference to its argparse parser, so the collector can
+    free the parser's reference cycles while the command runs."""
+    refs = []
+    build = cli.build_parser
+
+    def spy():
+        parser = build()
+        refs.append(weakref.ref(parser))
+        return parser
+
+    def probe(args):
+        gc.collect()
+        assert refs and refs[0]() is None
+        return 0
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "cmd_euler", probe)
+    assert cli.main(["euler", "--n", "2", "--g", "2"]) == 0
 
 
 class TestPipeline:

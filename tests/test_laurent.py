@@ -1,10 +1,12 @@
 import functools
 import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from locsys.laurent import (
@@ -13,6 +15,7 @@ from locsys.laurent import (
     DivisibilityError,
     InvarianceError,
     LaurentPoly,
+    _power_sums_from_coeffs,
     evaluate_at_curve,
     graeffe_power,
     pic_polynomial,
@@ -183,7 +186,6 @@ class TestCurve:
 
     def test_power_transform_fixes_unit_root(self):
         # the underlying Newton transform sends 1 - z to itself for any power
-        from locsys.laurent import _power_sums_from_coeffs
         p = _power_sums_from_coeffs([1, -1], 5)
         assert p[1:] == [1, 1, 1, 1, 1]
 
@@ -231,6 +233,91 @@ class TestCurve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             CurveInput(g, q, numerator)
+
+    def test_repeated_non_weil_factor_warns(self):
+        # (1 - 5z + 2z^2)^2: w = 5 > 2 sqrt(2) twice; root-finding does not
+        # converge on it, and the root-finding check used to pass it silently
+        with pytest.warns(UserWarning, match="differs from sqrt"):
+            CurveInput(2, 2, [1, -10, 29, -20, 4])
+
+    @pytest.mark.parametrize("g,q,h,weil", [
+        (1, 4, [-4, 1], True),            # w = 2 sqrt(q): the closed end
+        (1, 4, [4, 1], True),             # w = -2 sqrt(q)
+        (1, 4, [-5, 1], False),
+        (2, 2, [0, 0, 1], True),          # w = 0 twice: w^2 = 0 is the other end
+        (2, 2, [1, 0, 1], False),         # w = +-i: w^2 = -1 < 0
+        (2, 3, [-1, -1, 1], True),        # w = (1 +- sqrt 5) / 2, irrational
+        (2, 2, [-9, 0, 1], False),        # w = +-3, 3 > 2 sqrt 2
+        (3, 9, [0, -36, 0, 1], True),     # w = 0, +-6: both ends
+    ])
+    def test_exact_weil_check(self, g, q, h, weil):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert CurveInput(g, q, _numerator_from_real(h, q)).is_weil() is weil
+
+
+def _numerator_from_real(h, q):
+    """prod_i (1 - w_i z + q z^2) = z^g h(1/z + q z) for the real Weil
+    polynomial h(s) = prod_i (s - w_i), coefficients constant first."""
+    g = len(h) - 1
+    out = [0] * (2 * g + 1)
+    for j, hj in enumerate(h):
+        for i in range(j + 1):
+            out[g - j + 2 * i] += hj * math.comb(j, i) * q ** i
+    return out
+
+
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_numerator(rng, g, q):
+    """A zeta numerator whose real Weil polynomial is a product of integer
+    linear factors (s - w), |w| at most 2 sqrt(q) + 2, and random monic
+    quadratics (complex or real roots); about half of them are not Weil."""
+    bound = math.isqrt(4 * q)
+    h, degree = [1], 0
+    while degree < g:
+        if degree + 2 <= g and rng.random() < 0.3:
+            factor = [rng.randint(-bound * bound // 2, 2 * q), rng.randint(-bound - 1, bound + 1), 1]
+        else:
+            factor = [rng.randint(-bound - 2, bound + 2), 1]
+        h = _poly_product(h, factor)
+        degree += len(factor) - 1
+    return _numerator_from_real(h, q)
+
+
+def _root_finding_is_weil(numerator, q):
+    """Reference: the 40-digit root-finding check the exact one replaced.
+    None (abstain) when the root finder does not converge."""
+    with mpmath.workdps(40):
+        try:
+            roots = mpmath.polyroots(list(reversed(numerator)), maxsteps=200, extraprec=80)
+        except mpmath.libmp.NoConvergence:
+            return None
+        target = mpmath.sqrt(q)
+        return all(abs(abs(1 / r) - target) <= 1e-6 * float(target) for r in roots)
+
+
+def test_exact_weil_check_against_root_finding():
+    rng = random.Random("weil-check")
+    outcomes = {True: 0, False: 0, None: 0}
+    for _ in range(150):
+        g, q = rng.randint(1, 3), rng.choice([2, 3, 4, 5, 7, 8, 9, 16, 25])
+        numerator = _random_numerator(rng, g, q)
+        want = _root_finding_is_weil(numerator, q)
+        outcomes[want] += 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            curve = CurveInput(g, q, numerator)
+        assert bool(caught) is not curve.is_weil()
+        if want is not None:
+            assert curve.is_weil() is want, numerator
+    assert outcomes[True] >= 50 and outcomes[False] >= 50 and outcomes[None] <= 15, outcomes
 
 
 class TestEvaluate:
@@ -285,6 +372,112 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_at_curve(lp(2, t=-1), CURVE, 1, 1)
 
+    def test_error_order(self):
+        # k, then genus, then invariance, then the value's integrality
+        bad = LaurentPoly.z_var(3, 0)
+        with pytest.raises(ValueError, match="need k >= 1"):
+            evaluate_at_curve(bad, CURVE, 0, 1)
+        with pytest.raises(DimensionMismatch):
+            evaluate_at_curve(bad, CURVE, 1, 1)
+        with pytest.raises(InvarianceError):
+            evaluate_at_curve(LaurentPoly.z_var(2, 0) * Fraction(1, 3), CURVE, 1, 1)
+        with pytest.raises(ValueError, match="value 1/2 at the curve is not an integer"):
+            evaluate_at_curve(LaurentPoly.const(2, Fraction(1, 2)), CURVE, 1, 1)
+
+
+
+def _f_product(f, h, tq):
+    """Product of two combinations {m: c} of F_m = z^m + (T/z)^m, using
+    F_a F_b = F_{a+b} + T^b F_{a-b} for a >= b (so F_0 = 2)."""
+    out = {}
+    for a, c in f.items():
+        for b, d in h.items():
+            lo, hi = sorted((a, b))
+            out[hi + lo] = out.get(hi + lo, 0) + c * d
+            out[hi - lo] = out.get(hi - lo, 0) + c * d * tq ** lo
+    return out
+
+
+def _injective_sum(fs, tq, traces):
+    """Sum over injective maps s of prod_i f_i(x_{s(i)}), where x_j is one
+    eigenvalue from each Frobenius pair {x_j, T/x_j}, each f_i is given in
+    the F basis and sum_j F_m(x_j) = traces[m]."""
+    if not fs:
+        return 1
+    first, rest = fs[0], fs[1:]
+    total = sum(c * traces[m] for m, c in first.items()) * _injective_sum(rest, tq, traces)
+    for i in range(len(rest)):
+        merged = rest[:i] + [_f_product(first, rest[i], tq)] + rest[i + 1:]
+        total -= _injective_sum(merged, tq, traces)
+    return total
+
+
+def _weyl_average_evaluate(p, curve, k, gamma_value):
+    """Reference: the z-form evaluator the e-form one replaced.  Averaging
+    c t^a z^e (g-1)^b over the Weil group gives
+    c T^(a + sum min(e_i, 0)) gamma^b S / (2^g g!), S a sum over permutations
+    of products of F_{|e_i|}, which _injective_sum reduces to power sums."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("need k >= 1")
+    if curve.g != p.g:
+        raise DimensionMismatch(f"curve genus {curve.g} != polynomial g {p.g}")
+    if not p.is_weil_invariant():
+        raise InvarianceError("polynomial is not Weil-invariant")
+    g = p.g
+    tq = curve.q ** k
+    top = max((sum(abs(e) for e in ez) for _et, ez, _ey in p.terms), default=0)
+    sums = _power_sums_from_coeffs(curve.numerator, top * k)
+    traces = [2 * g] + [int(sums[m * k]) for m in range(1, top + 1)]
+    shifts = {key: key[0] + sum(min(e, 0) for e in key[1]) for key in p.terms}
+    lo = min(0, min(shifts.values(), default=0))
+    denom = math.lcm(*(c.denominator for c in p.terms.values()))
+    orbit_sums = {}
+    total = 0
+    for key, c in p.terms.items():
+        degrees = tuple(sorted(abs(e) for e in key[1]))
+        if degrees not in orbit_sums:
+            orbit_sums[degrees] = _injective_sum([{a: 1} for a in degrees], tq, traces)
+        total += (c.numerator * (denom // c.denominator) * tq ** (shifts[key] - lo)
+                  * gamma_value ** key[2] * orbit_sums[degrees])
+    scale = denom * tq ** -lo * 2 ** g * math.factorial(g)
+    if total % scale:
+        raise ValueError(f"value {Fraction(total, scale)} at the curve is not an integer")
+    return total // scale
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def test_evaluator_against_weyl_average():
+    """The e-form evaluator against the z-form one on seeded Weil curves and
+    invariants (with and without a Picard factor, some scaled by t^-1 or 1/2,
+    so that some values are not integers) and some non-invariant inputs."""
+    rng = random.Random("evaluator")
+    errors = 0
+    for _ in range(100):
+        g, q = rng.randint(1, 3), rng.choice([2, 3, 4, 5, 9])
+        bound = math.isqrt(4 * q)
+        h = [1]
+        for _ in range(g):
+            h = _poly_product(h, [rng.randint(-bound, bound), 1])
+        curve = CurveInput(g, q, _numerator_from_real(h, q))
+        p = random_invariant(rng, g)
+        if rng.random() < 0.5:
+            p = p * pic_polynomial(g)
+        if rng.random() < 0.2:
+            p = p * rng.choice([lp(g, t=-1), lp(g, c=Fraction(1, 2))])
+        if rng.random() < 0.1:
+            p = p + lp(g, z=[1] + [0] * (g - 1))
+        gamma = rng.randint(0, 3)
+        for k in (1, 2, 3, 4):
+            want = _outcome(_weyl_average_evaluate, p, curve, k, gamma)
+            assert _outcome(evaluate_at_curve, p, curve, k, gamma) == want
+            errors += isinstance(want, tuple)
+    assert 20 <= errors <= 120, errors
 
 def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
@@ -357,6 +550,22 @@ class TestSerialization:
         obj = json.loads(p.to_json())
         keys = [(term["t"], tuple(term["z"]), term["gamma"]) for term in obj["terms"]]
         assert keys == sorted(keys)
+
+    def test_duplicate_term_rejected(self):
+        term = {"c": "1", "t": 0, "z": [0], "gamma": 0}
+        with pytest.raises(ValueError, match="malformed polynomial JSON: duplicate term"):
+            LaurentPoly.from_obj({"g": 1, "terms": [term, dict(term, c="5")]})
+
+    @pytest.mark.parametrize("obj", [
+        {"g": 1, "q": 2, "numerator": [1, -4.9, 2]},
+        {"g": 1, "q": 2.0, "numerator": [1, -1, 2]},
+        {"g": True, "q": 2, "numerator": [1, -1, 2]},
+        {"g": 1, "q": 2, "numerator": [True, -1, 2]},
+        {"g": "1", "q": 2, "numerator": [1, -1, 2]},
+    ])
+    def test_curve_non_integer_rejected(self, obj):
+        with pytest.raises(ValueError, match="malformed curve JSON"):
+            CurveInput.from_obj(obj)
 
     def test_curve_roundtrip(self):
         obj = CURVE.to_obj()
