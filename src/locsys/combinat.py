@@ -172,11 +172,17 @@ def partition_count(n: int) -> int:
 
 def binom_ring(x, k: int):
     """Falling-factorial binomial x(x-1)...(x-k+1)/k! in any commutative
-    ring containing the rationals; binom(x, 0) = 1."""
+    ring containing the rationals; binom(x, 0) = 1.
+
+    For x = p/q an int or Fraction this is prod_{i<k} (p - i q) / (q^k k!),
+    taken in integers with one division."""
     if k < 0:
         raise ValueError("need k >= 0")
+    if isinstance(x, (int, Fraction)):
+        p, q = x.numerator, x.denominator
+        return Fraction(math.prod(range(p, p - k * q, -q)), q ** k * math.factorial(k))
     if k == 0:
-        return Fraction(1) if isinstance(x, (int, Fraction)) else x * 0 + 1
+        return x * 0 + 1
     num = x
     shifted = x
     for i in range(1, k):

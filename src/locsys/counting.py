@@ -305,7 +305,19 @@ class ATable:
             entries = obj["entries"].items()
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed bundle-count table JSON: {exc!r}") from None
-        return cls(g, {int(n): LaurentPoly.from_obj(p) for n, p in entries})
+        table = {}
+        for key, p in entries:
+            # a canonical key is the only spelling of its rank, so no two
+            # keys can name the same rank
+            try:
+                n = int(key)
+            except (TypeError, ValueError):
+                n = None
+            if n is None or str(n) != key:
+                raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
+                                 "is not a canonical integer")
+            table[n] = LaurentPoly.from_obj(p)
+        return cls(g, table)
 
     @classmethod
     def from_json(cls, text, g):

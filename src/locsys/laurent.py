@@ -423,11 +423,18 @@ class LaurentPoly:
 
     @classmethod
     def from_obj(cls, obj):
+        """Read to_obj's form; g and every exponent must be a JSON integer
+        (a float, bool or string is rejected, not truncated)."""
         try:
-            g = int(obj["g"])
+            g = obj["g"]
+            if type(g) is not int:
+                raise ValueError(f"malformed polynomial JSON: g has non-integer {g!r}")
             terms = {}
             for term in obj["terms"]:
-                key = (int(term["t"]), tuple(int(e) for e in term["z"]), int(term.get("gamma", 0)))
+                key = (term["t"], tuple(term["z"]), term.get("gamma", 0))
+                if (type(key[0]) is not int or type(key[2]) is not int
+                        or not all(type(e) is int for e in key[1])):
+                    raise ValueError(f"malformed polynomial JSON: non-integer exponent in {key}")
                 if key in terms:
                     raise ValueError(f"malformed polynomial JSON: duplicate term {key}")
                 terms[key] = Fraction(term["c"])

@@ -32,29 +32,31 @@ class NumericInstability(RuntimeError):
 # Exact matrix helpers
 
 
-def mat_det(rows) -> Fraction:
-    """Fraction determinant by Bareiss's fraction-free elimination.
-
-    Each row is scaled to integers by the lcm of its denominators and the
-    integer matrix is eliminated with exact divisions by the previous pivot,
-    so every intermediate entry is a minor of the scaled matrix; the result
-    is its determinant over the product of the scales.
-    """
-    n = len(rows)
+def _integer_rows(rows):
+    """The rows scaled to integers, each by the lcm of its denominators, and
+    those scales."""
     a = []
-    scale = 1
+    scales = []
     for row in rows:
         row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
         m = math.lcm(*[x.denominator for x in row])
         a.append([x.numerator * (m // x.denominator) for x in row])
-        scale *= m
+        scales.append(m)
+    return a, scales
+
+
+def _bareiss(a) -> int:
+    """Determinant of the square integer matrix a (overwritten), by Bareiss's
+    fraction-free elimination: each step divides exactly by the previous
+    pivot, so every intermediate entry is a minor of a."""
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         top = a[k]
@@ -64,33 +66,49 @@ def mat_det(rows) -> Fraction:
             for j in range(k + 1, n):
                 row[j] = (akk * row[j] - aik * top[j]) // prev
         prev = akk
-    return Fraction(sign * a[n - 1][n - 1] if n else 1, scale)
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def mat_det(rows) -> Fraction:
+    """Fraction determinant: the rows are scaled to integers and the integer
+    determinant is divided by the product of the scales."""
+    a, scales = _integer_rows(rows)
+    return Fraction(_bareiss(a), math.prod(scales))
 
 
 def char_poly_coeffs(rows):
-    """Coefficients c_0..c_n of det(A + x Id), by exact interpolation."""
+    """Coefficients c_0..c_n of det(A + x Id), by exact interpolation.
+
+    With the rows scaled to integers (A = S^-1 a, S = diag(scales)),
+    f(x) = det(a + x S) = det(S) det(A + x Id) has integer coefficients, so
+    its values at x = 0..n, their divided differences (exact `//` by the
+    node gap j) and the Newton-form expansion all stay in integers; each
+    coefficient is divided by det(S) once at the end.
+    """
     n = len(rows)
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        shifted = [[rows[i][j] + (x if i == j else 0) for j in range(n)] for i in range(n)]
-        ys.append(mat_det(shifted))
-    # Newton's divided differences, then expand.
-    coef = list(ys)
+    a, scales = _integer_rows(rows)
+    coef = []
+    for x in range(n + 1):
+        shifted = [list(row) for row in a]
+        for i in range(n):
+            shifted[i][i] += x * scales[i]
+        coef.append(_bareiss(shifted))
+    # Newton's divided differences at the nodes 0..n, then expand.
     for j in range(1, n + 1):
         for i in range(n, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * (n + 1)
-    acc = [Fraction(1)]
+            coef[i] = (coef[i] - coef[i - 1]) // j
+    poly = [0] * (n + 1)
+    acc = [1]
     for i, c in enumerate(coef):
         for k, v in enumerate(acc):
             poly[k] += c * v
-        nxt = [Fraction(0)] * (len(acc) + 1)
+        nxt = [0] * (len(acc) + 1)
         for k, v in enumerate(acc):
-            nxt[k] -= xs[i] * v
+            nxt[k] -= i * v
             nxt[k + 1] += v
         acc = nxt
-    return poly
+    scale = math.prod(scales)
+    return [Fraction(c, scale) for c in poly]
 
 
 def det_slope(rows) -> Fraction:
@@ -153,44 +171,53 @@ def det_slope_identities_check(rows, u, v) -> bool:
 
 def spanning_trees(r: int):
     """Edge sets of all spanning trees of the complete graph on 0..r-1,
-    enumerated through Pruefer sequences."""
+    enumerated through Pruefer sequences.
+
+    Each sequence is decoded in one pass: `ptr` walks up to the smallest
+    untouched leaf, and a vertex whose last occurrence is just consumed is
+    the next leaf at once when it lies below `ptr` (it is then the smallest
+    leaf).  The last edge joins the final leaf to r - 1.
+    """
     if r < 1:
         raise ValueError("need r >= 1")
     if r == 1:
         yield []
         return
-    if r == 2:
-        yield [(0, 1)]
-        return
+    last = r - 1
     for seq in itertools.product(range(r), repeat=r - 2):
         degree = [1] * r
         for x in seq:
             degree[x] += 1
+        ptr = degree.index(1)
+        leaf = ptr
         edges = []
         for x in seq:
-            leaf = min(i for i in range(r) if degree[i] == 1)
-            edges.append((min(leaf, x), max(leaf, x)))
-            degree[leaf] -= 1
+            edges.append((leaf, x) if leaf < x else (x, leaf))
             degree[x] -= 1
-        last = [i for i in range(r) if degree[i] == 1]
-        edges.append((min(last), max(last)))
+            if degree[x] == 1 and x < ptr:
+                leaf = x
+            else:
+                ptr = degree.index(1, ptr + 1)
+                leaf = ptr
+        edges.append((leaf, last))
         yield edges
 
 
-def spanning_tree_sum(r: int, weights):
+def spanning_tree_sum(r: int, weights) -> Fraction:
     """Sum over spanning trees of the product of edge weights.
 
-    weights maps sorted vertex pairs (i, j), i < j, to ring elements.
+    weights maps sorted vertex pairs (i, j), i < j, to ints or Fractions.
+    They are scaled to integers by the lcm d of their denominators; each
+    tree has r - 1 edges, so the sum is the integer one over d^(r-1).
     """
     if r > 7:
         raise ValueError("tree enumeration capped at 7 vertices")
-    total = None
+    d = math.lcm(*[w.denominator for w in weights.values()])
+    scaled = {e: w.numerator * (d // w.denominator) for e, w in weights.items()}
+    total = 0
     for edges in spanning_trees(r):
-        term = 1
-        for e in edges:
-            term = term * weights[e]
-        total = term if total is None else total + term
-    return total
+        total += math.prod(map(scaled.__getitem__, edges))
+    return Fraction(total, d ** (r - 1))
 
 
 def block_det_identity_check(a, us) -> bool:
@@ -395,7 +422,7 @@ def triple_oracle(datum: DiscretePairDatum):
     tree = spanning_tree_sum(r, weights)
     slope = det_slope(pair_matrix(datum))
     closed = pair_closed_form(datum)
-    return Fraction(tree), slope, closed
+    return tree, slope, closed
 
 
 # --------------------------------------------------------------------------

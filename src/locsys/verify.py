@@ -89,7 +89,7 @@ def _check_tree(obj):
         rows[i][j] = rows[j][i] = -w
     for i in range(r):
         rows[i][i] = -sum(rows[i], Fraction(0))
-    return Fraction(tree) == spectral.det_slope(rows)
+    return tree == spectral.det_slope(rows)
 
 
 def _check_matr(obj):

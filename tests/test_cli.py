@@ -278,7 +278,14 @@ class TestMalformedInput:
         ("--curve", {"g": 2, "q": 2, "numerator": [True, 0, 3, 0, 4]}),
         ("--pgn", {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0},
                                      {"c": "5", "t": 0, "z": [0, 0], "gamma": 0}]}),
-    ], ids=["float-coefficient", "float-genus", "bool-coefficient", "duplicate-term"])
+        ("--pgn", {"g": 1, "terms": [{"c": "1", "t": 1.9, "z": [0], "gamma": 0}]}),
+        ("--pgn", {"g": 1, "terms": [{"c": "1", "t": 0, "z": [True], "gamma": 0}]}),
+        ("--pgn", {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": "1"}]}),
+        ("--pgn", {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": False}]}),
+        ("--pgn", {"g": 1, "terms": [{"c": "1", "t": 0, "z": "0", "gamma": 0}]}),
+        ("--pgn", {"g": 2.0, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]}),
+    ], ids=["float-coefficient", "float-genus", "bool-coefficient", "duplicate-term",
+            "float-t", "bool-z", "string-gamma", "bool-gamma", "string-z", "float-pgn-genus"])
     def test_rejected_where_it_enters(self, capsys, curve_file, tmp_path, flag, obj):
         # each of these used to be read as some other input and exit 0
         path = tmp_path / "bad.json"
@@ -289,6 +296,17 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error: malformed") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("keys", [("2", "02"), ("02",), ("+2",), (" 2",), ("2.0",), ("two",)])
+    def test_rank_key_must_be_canonical(self, capsys, tmp_path, keys):
+        # "02" used to be read as rank 2, and the last of "2" and "02" won
+        entry = LaurentPoly.monomial(2, 1, t=3).to_obj()
+        path = tmp_path / "atable.json"
+        path.write_text(json.dumps({"entries": {key: entry for key in keys}}))
+        code, out, err = run(capsys, "qgn", "--n", "2", "--g", "2", "--a-table", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: malformed bundle-count table JSON: rank key")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("checker", ["nope", ["matr"]])
     def test_unknown_checker(self, capsys, tmp_path, checker):
@@ -391,6 +409,14 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_all_suites_bytes_pinned(self, capsys):
+        # sha256 of `--json verify all --seed 0 --jobs 1` stdout, recorded
+        # before the verify kernels moved to integers
+        code, out, _ = run(capsys, "--json", "verify", "all", "--seed", "0", "--jobs", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1c956a789b6e9839a0b143edb3c586f7093449f8170cf313484c2d34de7b92ed")
 
     def test_parallel_matches_sequential(self, capsys):
         base = ("--json", "verify", "kappa", "--seed", "5", "--iterations", "30")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -115,6 +116,30 @@ def test_partitions_restricted():
     assert {tuple(p.parts()) for p in partitions_restricted(4, 2)} == {(2, 2), (4,)}
     assert list(partitions_restricted(3, 2)) == []
     assert sum(1 for _ in partitions_restricted(6, 1)) == 11
+
+
+def ring_binom(x, k):
+    """Reference binomial: the ring-generic falling factorial `binom_ring`
+    used for every x before ints and Fractions took the integer path."""
+    if k == 0:
+        return Fraction(1) if isinstance(x, (int, Fraction)) else x * 0 + 1
+    num = x
+    shifted = x
+    for _ in range(1, k):
+        shifted = shifted - 1
+        num = num * shifted
+    return num * Fraction(1, math.factorial(k))
+
+
+def test_binom_ring_matches_ring_reference():
+    rng = random.Random(5)
+    xs = [rng.randint(-30, 30) for _ in range(20)]
+    xs += [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(60)]
+    for x in xs:
+        for k in range(13):
+            got = binom_ring(x, k)
+            assert type(got) is Fraction
+            assert got == ring_binom(x, k), (x, k)
 
 
 def test_binomials():

@@ -13,6 +13,7 @@ from locsys.spectral import (
     aggregation_check,
     block_det_identity_check,
     chamber_limit,
+    char_poly_coeffs,
     circle_count_check,
     cone_degree_one_identity,
     cone_fourier_average_check,
@@ -29,6 +30,7 @@ from locsys.spectral import (
     pair_matrix,
     pair_weight,
     spanning_tree_sum,
+    spanning_trees,
     triple_oracle,
     zero_pole_count,
 )
@@ -210,7 +212,110 @@ class TestSpanningTrees:
                 rows[i][j] = rows[j][i] = -w
             for i in range(r):
                 rows[i][i] = -sum(rows[i], Fraction(0))
-            assert Fraction(spanning_tree_sum(r, weights)) == det_slope(rows)
+            assert spanning_tree_sum(r, weights) == det_slope(rows)
+
+
+def min_scan_spanning_trees(r):
+    """Reference enumeration: the Pruefer decoding `spanning_trees` used
+    before it became one pass, taking the smallest leaf by a scan over all r
+    vertices at every step."""
+    if r == 1:
+        yield []
+        return
+    if r == 2:
+        yield [(0, 1)]
+        return
+    for seq in itertools.product(range(r), repeat=r - 2):
+        degree = [1] * r
+        for x in seq:
+            degree[x] += 1
+        edges = []
+        for x in seq:
+            leaf = min(i for i in range(r) if degree[i] == 1)
+            edges.append((min(leaf, x), max(leaf, x)))
+            degree[leaf] -= 1
+            degree[x] -= 1
+        last = [i for i in range(r) if degree[i] == 1]
+        edges.append((min(last), max(last)))
+        yield edges
+
+
+def ring_spanning_tree_sum(r, weights):
+    """Reference tree sum: the ring-generic product and sum
+    `spanning_tree_sum` used before it scaled the weights to integers."""
+    total = None
+    for edges in min_scan_spanning_trees(r):
+        term = 1
+        for e in edges:
+            term = term * weights[e]
+        total = term if total is None else total + term
+    return total
+
+
+def interpolated_char_poly(rows):
+    """Reference characteristic polynomial: the Fraction interpolation
+    `char_poly_coeffs` used before it ran in integers, here on the Gaussian
+    elimination determinant."""
+    n = len(rows)
+    xs = list(range(n + 1))
+    ys = []
+    for x in xs:
+        shifted = [[rows[i][j] + (x if i == j else 0) for j in range(n)] for i in range(n)]
+        ys.append(gauss_det(shifted))
+    coef = list(ys)
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = [Fraction(0)] * (n + 1)
+    acc = [Fraction(1)]
+    for i, c in enumerate(coef):
+        for k, v in enumerate(acc):
+            poly[k] += c * v
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for k, v in enumerate(acc):
+            nxt[k] -= xs[i] * v
+            nxt[k + 1] += v
+        acc = nxt
+    return poly
+
+
+class TestIntegerKernelsMatchReferences:
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_spanning_trees_same_trees_same_order(self, r):
+        assert list(spanning_trees(r)) == list(min_scan_spanning_trees(r))
+
+    def test_spanning_tree_sum_matches_ring_sum(self):
+        rng = random.Random(8)
+        for trial in range(320):
+            r = 6 if trial % 16 == 0 else rng.randint(1, 5)
+            den = rng.choice([1, 2, 3, 4, 6, 12, 35])
+            weights = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, den))
+                       for i in range(r) for j in range(i + 1, r)}
+            if trial % 8 == 0:
+                weights = {e: int(w * 6) for e, w in weights.items()}
+            tree = spanning_tree_sum(r, weights)
+            assert type(tree) is Fraction
+            assert tree == ring_spanning_tree_sum(r, weights), (r, weights)
+
+    def test_spanning_tree_sum_scale_exponent(self):
+        # only the path 0-1-...-(r-1) has nonzero weight: r - 1 edges of 1/2
+        for r in range(2, 7):
+            weights = {(i, j): Fraction(1 if j == i + 1 else 0, 2)
+                       for i in range(r) for j in range(i + 1, r)}
+            assert spanning_tree_sum(r, weights) == Fraction(1, 2 ** (r - 1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_char_poly_matches_fraction_interpolation(self, seed):
+        rng = random.Random(seed)
+        for n in range(1, 7):
+            for _ in range(6):
+                rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+                        for _ in range(n)]
+                if rng.random() < 0.3:
+                    rows = random_zero_sum_matrix(rng, n, symmetric=rng.random() < 0.5)
+                got = char_poly_coeffs(rows)
+                assert all(type(c) is Fraction for c in got)
+                assert got == interpolated_char_poly(rows)
 
 
 class TestBlockDet:
