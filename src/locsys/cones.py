@@ -1,24 +1,36 @@
 """Combinatorial cone functions on the root data of block upper-triangular
 subgroups: the simple-root and fundamental-weight indicators, the truncation
 kernel built from them, and lattice sums of the kernel over degree-congruence
-classes.  Everything is exact rational arithmetic.
+classes.
 
 A standard block subgroup is encoded by the composition of n it cuts out; a
 coarsening is a composition of the number of parts.  Points live in the dual
 basis of the block-determinant characters, i.e. H_i is the value on the i-th
 block, and a root pairs with H as H_i/n_i - H_j/n_j.
+
+The arithmetic is exact and runs in integers.  Every indicator is the sign of
+a rational expression that is homogeneous of degree one in the point H (and
+the truncation point T): a slope difference H_a/n_a - H_b/n_b, or a weight
+value pre_h - (pre_n/n) total_h.  Multiplying all of H and T by one positive
+number d multiplies each such expression by d and leaves its sign alone, and
+multiplying a comparison through by the positive block sizes does too.  So
+each public entry point scales H and T once by the lcm of all their
+denominators and the private cores (`_tau`, `_tau_hat`, `_gamma_cone`,
+`_gamma_prime`) compare cross-multiplied integers, with no Fraction per
+comparison.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
 def check_composition(parts, n=None):
-    parts = tuple(int(p) for p in parts)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("composition parts must be positive")
+    parts = tuple(parts)
+    if not parts or any(type(p) is not int or p < 1 for p in parts):
+        raise ValueError(f"composition parts must be positive integers, not {parts!r}")
     if n is not None and sum(parts) != n:
         raise ValueError(f"composition must sum to {n}")
     return parts
@@ -66,35 +78,51 @@ def project(H, p, q):
     p = check_composition(p)
     if len(H) != len(p):
         raise ValueError("point does not match the composition")
-    sizes = grouping_of(p, q)
-    out = []
-    i = 0
-    for s in sizes:
-        out.append(sum(H[i:i + s], Fraction(0)))
-        i += s
-    return tuple(out)
+    return tuple(_block_sums(H, grouping_of(p, q), Fraction(0)))
 
 
-def _blocks_from_grouping(grouping):
+def _block_sums(v, grouping, start=0):
     out = []
     i = 0
     for s in grouping:
-        out.append(list(range(i, i + s)))
+        out.append(sum(v[i:i + s], start))
         i += s
     return out
+
+
+def _scaled_point(p, *points):
+    """The points (one coordinate per part of p) times the lcm of all their
+    denominators, as lists of ints: one positive scale shared by all."""
+    points = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+              for v in points]
+    if any(len(v) != len(p) for v in points):
+        raise ValueError("point does not match the composition")
+    d = math.lcm(*(x.denominator for v in points for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in points]
+
+
+def _check_grouping(p, grouping):
+    if sum(grouping) != len(p):
+        raise ValueError("grouping does not match the composition")
 
 
 def tau(p, grouping, H) -> int:
     """Indicator of the open root cone relative to a coarsening: adjacent
     parts inside a common group must have strictly decreasing slopes."""
     p = check_composition(p)
-    if sum(grouping) != len(p):
-        raise ValueError("grouping does not match the composition")
-    H = [Fraction(x) for x in H]
-    for block in _blocks_from_grouping(grouping):
-        for a, b in zip(block, block[1:]):
-            if not Fraction(H[a], p[a]) - Fraction(H[b], p[b]) > 0:
+    _check_grouping(p, grouping)
+    H, = _scaled_point(p, H)
+    return _tau(p, grouping, H)
+
+
+def _tau(p, grouping, H) -> int:
+    # H_a/n_a > H_b/n_b  <=>  H_a n_b > H_b n_a
+    start = 0
+    for s in grouping:
+        for a in range(start, start + s - 1):
+            if H[a] * p[a + 1] <= H[a + 1] * p[a]:
                 return 0
+        start += s
     return 1
 
 
@@ -102,19 +130,25 @@ def tau_hat(p, grouping, H) -> int:
     """Indicator of the open weight cone: inside each group every proper
     prefix must sit strictly above the group's average slope."""
     p = check_composition(p)
-    if sum(grouping) != len(p):
-        raise ValueError("grouping does not match the composition")
-    H = [Fraction(x) for x in H]
-    for block in _blocks_from_grouping(grouping):
-        total_h = sum(H[i] for i in block)
-        total_n = sum(p[i] for i in block)
-        pre_h = Fraction(0)
-        pre_n = 0
-        for i in block[:-1]:
+    _check_grouping(p, grouping)
+    H, = _scaled_point(p, H)
+    return _tau_hat(p, grouping, H)
+
+
+def _tau_hat(p, grouping, H) -> int:
+    # pre_h - (pre_n / total_n) total_h > 0  <=>  pre_h total_n > pre_n total_h
+    start = 0
+    for s in grouping:
+        end = start + s
+        total_h = sum(H[start:end])
+        total_n = sum(p[start:end])
+        pre_h = pre_n = 0
+        for i in range(start, end - 1):
             pre_h += H[i]
             pre_n += p[i]
-            if not pre_h - Fraction(pre_n, total_n) * total_h > 0:
+            if pre_h * total_n <= pre_n * total_h:
                 return 0
+        start = end
     return 1
 
 
@@ -123,58 +157,48 @@ def langlands_identity_check(p, q, H) -> bool:
     exactly when the two ends coincide."""
     p = check_composition(p)
     outer = grouping_of(p, q)
+    H, = _scaled_point(p, H)
     total = 0
-    blocks = _blocks_from_grouping(outer)
     # intermediate coarsenings: independently regroup inside each outer block
     per_block = []
-    for block in blocks:
-        per_block.append(list(coarsenings([p[i] for i in block])))
+    start = 0
+    for s in outer:
+        per_block.append(list(coarsenings(p[start:start + s])))
+        start += s
     for choice in itertools.product(*per_block):
         inner = tuple(s for sizes in choice for s in sizes)
-        # composition of n determined by the inner grouping
-        r_composition = []
-        i = 0
-        for s in inner:
-            r_composition.append(sum(p[i:i + s]))
-            i += s
-        # grouping of the inner composition induced by the outer one
-        outer_on_inner = []
-        for sizes in choice:
-            outer_on_inner.append(len(sizes))
+        if not _tau(p, inner, H):
+            continue
+        # the composition of n cut out by the inner grouping, and the
+        # grouping of it induced by the outer one
+        r_composition = _block_sums(p, inner)
+        outer_on_inner = tuple(len(sizes) for sizes in choice)
         sign = (-1) ** (len(p) - len(r_composition))
-        t = tau(p, inner, H)
-        if t:
-            h_r = project(H, p, r_composition)
-            t_hat = tau_hat(r_composition, tuple(outer_on_inner), h_r)
-            total += sign * t * t_hat
+        total += sign * _tau_hat(r_composition, outer_on_inner, _block_sums(H, inner))
     expected = 1 if len(outer) == len(p) else 0
     return total == expected
-
-
-def full_grouping(p):
-    """The trivial coarsening collapsing everything to one group."""
-    return (len(check_composition(p)),)
 
 
 def gamma_cone(p, H, T) -> int:
     """Indicator of the truncation cone: all simple-root values positive and
     every fundamental-weight value bounded by its value on T (non-strict)."""
     p = check_composition(p)
-    if tau(p, full_grouping(p), H) == 0:
+    H, T = _scaled_point(p, H, T)
+    return _gamma_cone(p, H, T)
+
+
+def _gamma_cone(p, H, T) -> int:
+    if not _tau(p, (len(p),), H):
         return 0
-    H = [Fraction(x) for x in H]
-    T = [Fraction(x) for x in T]
     n = sum(p)
     total_h, total_t = sum(H), sum(T)
-    pre_h = pre_t = Fraction(0)
-    pre_n = 0
+    pre_h = pre_t = pre_n = 0
     for i in range(len(p) - 1):
         pre_h += H[i]
         pre_t += T[i]
         pre_n += p[i]
-        w_h = pre_h - Fraction(pre_n, n) * total_h
-        w_t = pre_t - Fraction(pre_n, n) * total_t
-        if not w_h <= w_t:
+        # the two weight values, each times n
+        if pre_h * n - pre_n * total_h > pre_t * n - pre_n * total_t:
             return 0
     return 1
 
@@ -183,23 +207,19 @@ def gamma_prime(p, H, T) -> int:
     """Alternating combination sum over coarsenings q of
     tau (relative to q) times the weight indicator of H - T at level q."""
     p = check_composition(p)
-    H = [Fraction(x) for x in H]
-    T = [Fraction(x) for x in T]
+    H, T = _scaled_point(p, H, T)
+    return _gamma_prime(p, H, T)
+
+
+def _gamma_prime(p, H, T) -> int:
+    diff = [h - t for h, t in zip(H, T)]
     total = 0
     for grouping in coarsenings(p):
-        sign = (-1) ** (len(grouping) - 1)
-        t = tau(p, grouping, H)
-        if not t:
+        if not _tau(p, grouping, H):
             continue
-        q_comp = []
-        i = 0
-        for s in grouping:
-            q_comp.append(sum(p[i:i + s]))
-            i += s
-        diff = [h - t_ for h, t_ in zip(H, T)]
-        d_q = project(diff, p, q_comp)
-        t_hat = tau_hat(tuple(q_comp), full_grouping(q_comp), d_q)
-        total += sign * t * t_hat
+        q_comp = _block_sums(p, grouping)
+        if _tau_hat(q_comp, (len(q_comp),), _block_sums(diff, grouping)):
+            total += (-1) ** (len(grouping) - 1)
     return total
 
 
@@ -207,23 +227,15 @@ def gamma_inversion_check(p, H, T) -> bool:
     """tau_hat(H - T) recovered from the truncation kernels of the
     coarsenings:  sum over q >= p of (-1)^(len(q)-1) Gamma'_q tau_hat^q."""
     p = check_composition(p)
-    H = [Fraction(x) for x in H]
-    T = [Fraction(x) for x in T]
-    diff = [h - t_ for h, t_ in zip(H, T)]
-    lhs = tau_hat(p, full_grouping(p), diff)
+    H, T = _scaled_point(p, H, T)
+    diff = [h - t for h, t in zip(H, T)]
+    lhs = _tau_hat(p, (len(p),), diff)
     total = 0
     for grouping in coarsenings(p):
-        sign = (-1) ** (len(grouping) - 1)
-        q_comp = []
-        i = 0
-        for s in grouping:
-            q_comp.append(sum(p[i:i + s]))
-            i += s
-        h_q = project(H, p, q_comp)
-        t_q = project(T, p, q_comp)
-        gp = gamma_prime(tuple(q_comp), h_q, t_q)
+        gp = _gamma_prime(_block_sums(p, grouping), _block_sums(H, grouping),
+                          _block_sums(T, grouping))
         if gp:
-            total += sign * gp * tau_hat(p, grouping, H)
+            total += (-1) ** (len(grouping) - 1) * gp * _tau_hat(p, grouping, H)
     return total == lhs
 
 

@@ -424,7 +424,8 @@ class LaurentPoly:
     @classmethod
     def from_obj(cls, obj):
         """Read to_obj's form; g and every exponent must be a JSON integer
-        (a float, bool or string is rejected, not truncated)."""
+        (a float, bool or string is rejected, not truncated), and a
+        coefficient a rational string such as "3/2" or a JSON integer."""
         try:
             g = obj["g"]
             if type(g) is not int:
@@ -437,7 +438,17 @@ class LaurentPoly:
                     raise ValueError(f"malformed polynomial JSON: non-integer exponent in {key}")
                 if key in terms:
                     raise ValueError(f"malformed polynomial JSON: duplicate term {key}")
-                terms[key] = Fraction(term["c"])
+                c = term["c"]
+                if type(c) is str:
+                    try:
+                        c = Fraction(c)
+                    except (ValueError, ZeroDivisionError):
+                        raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
+                                         "is not a rational number") from None
+                elif type(c) is not int:
+                    raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
+                                     "is neither a string nor an integer")
+                terms[key] = c
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
         return cls(g, terms)

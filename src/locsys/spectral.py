@@ -664,23 +664,29 @@ def cone_closed_form(sizes, order, e: int, lam):
 def cone_indicator(sizes, order, H) -> bool:
     """Membership of an integer vector in the chamber cone: the dual-basis
     weight values must be <=0 at ascent positions and >0 at descents."""
-    r = len(sizes)
-    n = sum(sizes)
-    hp = [H[b] for b in order]
-    sp = [sizes[b] for b in order]
-    total = sum(hp)
-    pre_h = 0
+    return _in_cone(_cone_walls(sizes, order), sum(sizes), order, H)
+
+
+def _cone_walls(sizes, order):
+    """(prefix size, ascent?) at each of the chamber's r - 1 walls."""
+    walls = []
     pre_s = 0
-    for a in range(r - 1):
-        pre_h += hp[a]
-        pre_s += sp[a]
-        w = Fraction(pre_h) - Fraction(pre_s, n) * total
-        if order[a] < order[a + 1]:
-            if not w <= 0:
-                return False
-        else:
-            if not w > 0:
-                return False
+    for a in range(len(order) - 1):
+        pre_s += sizes[order[a]]
+        walls.append((pre_s, order[a] < order[a + 1]))
+    return walls
+
+
+def _in_cone(walls, n, order, H) -> bool:
+    # compares n times each weight value pre_h - (pre_s / n) total, which has
+    # the same sign and is exact for integer or rational H
+    total = sum(H[b] for b in order)
+    pre_h = 0
+    for (pre_s, ascent), b in zip(walls, order):
+        pre_h += H[b]
+        nw = pre_h * n - pre_s * total
+        if (nw > 0) if ascent else (nw <= 0):
+            return False
     return True
 
 
@@ -689,17 +695,22 @@ def cone_direct_sum(sizes, order, e: int, lam, trunc: int):
     lambda^{-H} over the cone."""
     r = len(sizes)
     sign = (-1) ** cone_descents(order)
+    walls = _cone_walls(sizes, order)
+    n = sum(sizes)
+    # lambda_i^{-h} for every coordinate value h the box can hold
+    powers = [{h: mpmath.mpc(lam[i]) ** (-h) for h in range(-trunc, trunc + 1)}
+              for i in range(r)]
     total = mpmath.mpc(0)
     for head in itertools.product(range(-trunc, trunc + 1), repeat=r - 1):
         last = e - sum(head)
         if abs(last) > trunc:
             continue
-        H = list(head) + [last]
-        if not cone_indicator(sizes, order, H):
+        H = head + (last,)
+        if not _in_cone(walls, n, order, H):
             continue
         term = mpmath.mpf(1)
         for i in range(r):
-            term = term * mpmath.mpc(lam[i]) ** (-H[i])
+            term = term * powers[i][H[i]]
         total += term
     return sign * total
 

@@ -284,8 +284,13 @@ class TestMalformedInput:
         ("--pgn", {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": False}]}),
         ("--pgn", {"g": 1, "terms": [{"c": "1", "t": 0, "z": "0", "gamma": 0}]}),
         ("--pgn", {"g": 2.0, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]}),
+        ("--pgn", {"g": 1, "terms": [{"c": True, "t": 1, "z": [0], "gamma": 0}]}),
+        ("--pgn", {"g": 1, "terms": [{"c": 0.1, "t": 1, "z": [0], "gamma": 0}]}),
+        ("--pgn", {"g": 1, "terms": [{"c": "1/0", "t": 1, "z": [0], "gamma": 0}]}),
+        ("--pgn", {"g": 1, "terms": [{"c": "one", "t": 1, "z": [0], "gamma": 0}]}),
     ], ids=["float-coefficient", "float-genus", "bool-coefficient", "duplicate-term",
-            "float-t", "bool-z", "string-gamma", "bool-gamma", "string-z", "float-pgn-genus"])
+            "float-t", "bool-z", "string-gamma", "bool-gamma", "string-z", "float-pgn-genus",
+            "bool-c", "float-c", "zero-denominator-c", "word-c"])
     def test_rejected_where_it_enters(self, capsys, curve_file, tmp_path, flag, obj):
         # each of these used to be read as some other input and exit 0
         path = tmp_path / "bad.json"
@@ -296,6 +301,18 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error: malformed") and err.count("\n") == 1
+
+    def test_integer_coefficient_reads_like_its_string(self, capsys, curve_file, tmp_path):
+        outs = []
+        for c in (-3, "-3"):
+            path = tmp_path / "pgn.json"
+            path.write_text(json.dumps({"g": 2, "terms": [{"c": c, "t": 1, "z": [0, 0],
+                                                           "gamma": 0}]}))
+            code, out, _ = run(capsys, "eval", "--curve", curve_file, "--n", "2", "--k", "1",
+                               "--pgn", str(path))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("keys", [("2", "02"), ("02",), ("+2",), (" 2",), ("2.0",), ("two",)])
     def test_rank_key_must_be_canonical(self, capsys, tmp_path, keys):
@@ -539,6 +556,20 @@ class TestVerifyCommand:
             assert out == '{"error":"KeyError: \'fixes\'","passed":false,"suite":"delta"}\n'
         else:
             assert out == "replay delta: FAIL\n  error: KeyError: 'fixes'\n"
+
+    @pytest.mark.parametrize("part", [1.7, True], ids=["float", "bool"])
+    def test_replay_cones_rejects_non_integer_part(self, capsys, tmp_path, part):
+        # [1.7, 1] and [true, 1] used to be truncated to (1, 1) and pass
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": "cones", "instance": {
+            "kind": "zero", "p": [part, 1], "H": ["0", "0"]}}))
+        code, out, _ = run(capsys, "verify", "cones", "--replay", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "replay cones: FAIL"
+        assert lines[1].startswith("  error: ValueError: composition parts must be "
+                                   "positive integers")
+        assert len(lines) == 2
 
     def test_different_seeds_differ(self, capsys):
         # the reports coincide structurally but instances differ, so at least

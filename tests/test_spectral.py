@@ -16,7 +16,9 @@ from locsys.spectral import (
     char_poly_coeffs,
     circle_count_check,
     cone_degree_one_identity,
+    cone_direct_sum,
     cone_fourier_average_check,
+    cone_indicator,
     cone_periodicity_check,
     cone_series_check,
     degree_floor_vector,
@@ -547,6 +549,84 @@ class TestConeSeries:
         assert cone_fourier_average_check((1, 1), -1, LAM2)
         assert cone_fourier_average_check((2, 1), 2, LAM2)
         assert cone_fourier_average_check((1, 1, 1), 1, (0.4, 1.0, 2.5))
+
+
+def ref_cone_indicator(sizes, order, H):
+    """Reference chamber-cone membership: the Fraction weight values
+    `cone_indicator` compared before it compared n times them."""
+    n = sum(sizes)
+    hp = [H[b] for b in order]
+    sp = [sizes[b] for b in order]
+    total = sum(hp)
+    pre_h = pre_s = 0
+    for a in range(len(sizes) - 1):
+        pre_h += hp[a]
+        pre_s += sp[a]
+        w = Fraction(pre_h) - Fraction(pre_s, n) * total
+        if order[a] < order[a + 1]:
+            if not w <= 0:
+                return False
+        elif not w > 0:
+            return False
+    return True
+
+
+def ref_cone_direct_sum(sizes, order, e, lam, trunc):
+    """Reference truncated sum: one power of each lambda_i per term."""
+    r = len(sizes)
+    sign = (-1) ** sum(1 for a in range(r - 1) if order[a] > order[a + 1])
+    total = mpmath.mpc(0)
+    for head in itertools.product(range(-trunc, trunc + 1), repeat=r - 1):
+        last = e - sum(head)
+        if abs(last) > trunc:
+            continue
+        H = list(head) + [last]
+        if not ref_cone_indicator(sizes, order, H):
+            continue
+        term = mpmath.mpf(1)
+        for i in range(r):
+            term = term * mpmath.mpc(lam[i]) ** (-H[i])
+        total += term
+    return sign * total
+
+
+CONE_SHAPES = [(1,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2),
+               (3, 1, 2), (1, 1, 1, 1)]
+
+
+class TestConeIndicatorMatchesReference:
+    @pytest.mark.parametrize("sizes", CONE_SHAPES, ids=str)
+    def test_grid(self, sizes):
+        rng = random.Random(f"cone {sizes}")
+        r = len(sizes)
+        for order in itertools.permutations(range(r)):
+            for _ in range(40):
+                H = [rng.randint(-5, 5) for _ in range(r)]
+                if rng.random() < 0.3:
+                    H = [Fraction(h, rng.choice((1, 2, 3, 7))) for h in H]
+                assert cone_indicator(sizes, order, H) == ref_cone_indicator(sizes, order, H)
+            # multiples of the block sizes put every weight value at 0
+            for c in (-2, 0, 1):
+                H = [c * s for s in sizes]
+                got = cone_indicator(sizes, order, H)
+                assert got == ref_cone_indicator(sizes, order, H)
+                assert got == all(order[a] < order[a + 1] for a in range(r - 1))
+
+    def test_zero_weight_at_ascent_is_in_at_descent_out(self):
+        assert cone_indicator((1, 1), (0, 1), (0, 0)) is True
+        assert cone_indicator((1, 1), (1, 0), (0, 0)) is False
+        assert cone_indicator((2, 1), (0, 1), (2, 1)) is True
+        assert cone_indicator((2, 1), (1, 0), (2, 1)) is False
+        assert cone_indicator((2, 1), (1, 0), (0, 3)) is True
+
+    @pytest.mark.parametrize("sizes,order,e", [((1, 1), (0, 1), -1), ((2, 1), (1, 0), 2),
+                                               ((1, 1, 1), (2, 0, 1), 1)])
+    def test_direct_sum_bit_identical(self, sizes, order, e):
+        lam = [complex(0.4 + 0.3 * i, 0.1 * (i + 1)) for i in range(len(sizes))]
+        for trunc in (3, 6):
+            got = cone_direct_sum(sizes, order, e, lam, trunc)
+            want = ref_cone_direct_sum(sizes, order, e, lam, trunc)
+            assert (got.real, got.imag) == (want.real, want.imag)
 
 
 class TestPairWeight:
