@@ -127,10 +127,18 @@ class DivisibilityInstance:
 
     @classmethod
     def from_obj(cls, obj):
+        """Read to_obj's form; every field must be a JSON integer (a float,
+        bool or string is rejected, not truncated)."""
+        fields = [*obj["a"], *obj["nu"], obj["chi"]]
+        for key, v in [*obj["k"], *obj["eps"]]:
+            fields += [*key, v]
+        bad = [x for x in fields if type(x) is not int]
+        if bad:
+            raise ValueError(f"divisibility fields must be JSON integers, not {bad[0]!r}")
         return cls(
             a=list(obj["a"]),
             nu=list(obj["nu"]),
-            chi=int(obj["chi"]),
+            chi=obj["chi"],
             k={tuple(key): v for key, v in obj["k"]},
             eps={tuple(key): v for key, v in obj["eps"]},
         )

@@ -317,14 +317,15 @@ class DiscretePairDatum:
 
     @classmethod
     def from_obj(cls, obj):
-        return cls(
-            int(obj["g"]),
-            tuple(
-                Block(int(b["d"]), int(b["nu"]), int(b["fix"]), int(b["m"]),
-                      tuple(int(x) for x in b["orbits"]))
-                for b in obj["blocks"]
-            ),
-        )
+        """Read to_obj's form; every field must be a JSON integer (a float,
+        bool or string is rejected, not truncated)."""
+        fields = [obj["g"]] + [x for b in obj["blocks"]
+                               for x in (b["d"], b["nu"], b["fix"], b["m"], *b["orbits"])]
+        bad = [x for x in fields if type(x) is not int]
+        if bad:
+            raise ValueError(f"discrete pair fields must be JSON integers, not {bad[0]!r}")
+        return cls(obj["g"], tuple(Block(b["d"], b["nu"], b["fix"], b["m"], b["orbits"])
+                                   for b in obj["blocks"]))
 
 
 def zero_pole_count(b1: Block, b2: Block, g: int, same_inertial: bool) -> int:
@@ -690,20 +691,24 @@ def _in_cone(walls, n, order, H) -> bool:
     return True
 
 
-def cone_direct_sum(sizes, order, e: int, lam, trunc: int):
-    """Truncated lattice sum (-1)^descents sum over H with sum H = e of
-    lambda^{-H} over the cone."""
+def cone_direct_sum(sizes, order, e: int, lam, truncations):
+    """Truncated lattice sums (-1)^descents sum over H with sum H = e of
+    lambda^{-H} over the cone, one per truncation t: the points with
+    max |H_i| <= t.  One pass over the largest box meets the points of each
+    smaller box in the same lexicographic order, so each sum adds the same
+    terms in the same order as a pass over its own box."""
     r = len(sizes)
     sign = (-1) ** cone_descents(order)
     walls = _cone_walls(sizes, order)
     n = sum(sizes)
+    big = max(truncations)
     # lambda_i^{-h} for every coordinate value h the box can hold
-    powers = [{h: mpmath.mpc(lam[i]) ** (-h) for h in range(-trunc, trunc + 1)}
+    powers = [{h: mpmath.mpc(lam[i]) ** (-h) for h in range(-big, big + 1)}
               for i in range(r)]
-    total = mpmath.mpc(0)
-    for head in itertools.product(range(-trunc, trunc + 1), repeat=r - 1):
+    totals = [mpmath.mpc(0)] * len(truncations)
+    for head in itertools.product(range(-big, big + 1), repeat=r - 1):
         last = e - sum(head)
-        if abs(last) > trunc:
+        if abs(last) > big:
             continue
         H = head + (last,)
         if not _in_cone(walls, n, order, H):
@@ -711,8 +716,11 @@ def cone_direct_sum(sizes, order, e: int, lam, trunc: int):
         term = mpmath.mpf(1)
         for i in range(r):
             term = term * powers[i][H[i]]
-        total += term
-    return sign * total
+        reach = max(abs(h) for h in H)
+        for k, trunc in enumerate(truncations):
+            if reach <= trunc:
+                totals[k] += term
+    return [sign * total for total in totals]
 
 
 def cone_series_check(sizes, order, e: int, lam, truncations=(6, 10, 14)):
@@ -732,10 +740,8 @@ def cone_series_check(sizes, order, e: int, lam, truncations=(6, 10, 14)):
     rho = max(ratios) if ratios else mpmath.mpf(0)
     if rho >= 1:
         raise ValueError("sample point outside the convergence region")
-    errors = []
-    for trunc in truncations:
-        approx = cone_direct_sum(sizes, order, e, lam, trunc)
-        errors.append(abs(approx - closed))
+    errors = [abs(approx - closed)
+              for approx in cone_direct_sum(sizes, order, e, lam, truncations)]
     scale = max(abs(closed), mpmath.mpf(1))
     depth = truncations[-1]
     tail = scale * rho ** depth * depth ** r * 16 / (1 - rho) ** r

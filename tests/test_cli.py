@@ -427,10 +427,12 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_all_suites_bytes_pinned(self, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_all_suites_bytes_pinned(self, capsys, jobs):
         # sha256 of `--json verify all --seed 0 --jobs 1` stdout, recorded
-        # before the verify kernels moved to integers
-        code, out, _ = run(capsys, "--json", "verify", "all", "--seed", "0", "--jobs", "1")
+        # before the verify kernels moved to integers; the worker pool
+        # must give the same bytes
+        code, out, _ = run(capsys, "--json", "verify", "all", "--seed", "0", "--jobs", jobs)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "1c956a789b6e9839a0b143edb3c586f7093449f8170cf313484c2d34de7b92ed")
@@ -488,11 +490,11 @@ class TestVerifyCommand:
             return False  # every shrinking candidate would count as a failure
 
         monkeypatch.setitem(verify.CHECKERS, "delta", crashing)
-        report = verify._finish("delta", "delta", [dict(instance)])
+        report = verify._finish("delta", [("delta", dict(instance))])
         assert report["error"] == "KeyError: 'lengths'"
         assert report["counterexample"]["instance"] == instance
         monkeypatch.setitem(verify.CHECKERS, "delta", lambda obj: False)
-        report = verify._finish("delta", "delta", [dict(instance)])
+        report = verify._finish("delta", [("delta", dict(instance))])
         assert "error" not in report
         assert report["counterexample"]["instance"] == {"lengths": [1], "fixes": [1]}
 
@@ -507,17 +509,16 @@ class TestVerifyCommand:
         assert report["checks"] == 3
         assert report["counterexample"]["checker"] == "block-det"
 
-    @pytest.mark.parametrize("suite,module,name,instance", [
-        ("gm-family", spectral, "circle_count_check", {"circle-candidate": 0}),
-        ("cones", cones, "gamma_support_bound_check", {"kind": "support"}),
-        ("integrality", verify, "coprime_factorial_congruence_check",
-         {"congruence": [2, 1, 1]}),
-        ("integrality", verify, "binomial_gcd_divisibility_check", {"binom": [1936, 23]}),
+    @pytest.mark.parametrize("suite,module,name,kind", [
+        ("gm-family", spectral, "circle_count_check", "circle"),
+        ("cones", cones, "gamma_support_bound_check", "support"),
+        ("integrality", verify, "coprime_factorial_congruence_check", "congruence"),
+        ("integrality", verify, "binomial_gcd_divisibility_check", "binom"),
     ], ids=["gm-family", "cones", "integrality-congruence", "integrality-binom"])
-    def test_crashing_extra_check_is_an_error(self, capsys, monkeypatch, suite, module,
-                                              name, instance):
-        """The checks a suite runs after its instances end in an error
-        report, not a traceback."""
+    def test_crashing_extra_check_is_an_error(self, capsys, monkeypatch, tmp_path, suite,
+                                              module, name, kind):
+        """The checks a suite draws after its random instances end in an
+        error report, not a traceback, and their counterexample replays."""
         def crashing(*args, **kwargs):
             raise ArithmeticError("boom")
 
@@ -532,10 +533,19 @@ class TestVerifyCommand:
         report = json.loads(out)["suites"][0]
         assert code == 1 and report["passed"] is False
         assert report["error"] == "ArithmeticError: boom"
-        assert report["counterexample"] == {"suite": suite, "checker": suite,
-                                            "instance": instance}
+        counterexample = report["counterexample"]
+        assert counterexample["suite"] == counterexample["checker"] == suite
+        assert counterexample["instance"]["kind"] == kind
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(counterexample))
+        code, out, _ = run(capsys, "verify", suite, "--replay", str(path))
+        assert code == 1
+        assert out == f"replay {suite}: FAIL\n  error: ArithmeticError: boom\n"
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "verify", suite, "--replay", str(path))
+        assert code == 0 and out == f"replay {suite}: PASS\n"
 
-    def test_extra_check_violation_is_a_theorem_failure(self, capsys, monkeypatch):
+    def test_extra_check_violation_is_a_theorem_failure(self, capsys, monkeypatch, tmp_path):
         def violated(*args, **kwargs):
             raise spectral.TheoremViolation("circle integral 1 vs count 0")
 
@@ -543,7 +553,55 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "--json", "verify", "gm-family", "--iterations", "1")
         report = json.loads(out)["suites"][0]
         assert code == 1 and report["passed"] is False and "error" not in report
-        assert report["counterexample"]["instance"] == {"circle-candidate": 0}
+        assert report["checks"] == 2
+        assert report["counterexample"]["instance"] == {
+            "kind": "circle", "c12": {"num": [1, -2], "den": [1]},
+            "c21": {"num": [1], "den": [1]}}
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(report["counterexample"]))
+        code, out, _ = run(capsys, "verify", "gm-family", "--replay", str(path))
+        assert code == 1 and out == "replay gm-family: FAIL\n"
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "verify", "gm-family", "--replay", str(path))
+        assert code == 0 and out == "replay gm-family: PASS\n"
+
+    @pytest.mark.parametrize("name,kind,checks", [
+        ("coprime_factorial_congruence_check", "congruence", 2),
+        ("binomial_gcd_divisibility_check", "binom", 602),
+    ])
+    def test_integrality_extra_violation_is_not_shrunk(self, capsys, monkeypatch, name,
+                                                       kind, checks):
+        # the divisibility shrinking moves do not apply to these items
+        monkeypatch.setattr(verify, name, lambda *args: False)
+        code, out, _ = run(capsys, "--json", "verify", "integrality", "--iterations", "1")
+        report = json.loads(out)["suites"][0]
+        assert code == 1 and "error" not in report
+        assert report["checks"] == checks
+        assert report["counterexample"]["instance"]["kind"] == kind
+
+    @pytest.mark.parametrize("suite,module,name,exc", [
+        ("gm-family", spectral, "circle_count_check", spectral.TheoremViolation),
+        ("cones", cones, "gamma_support_bound_check", ArithmeticError),
+    ], ids=["circle-violation", "support-error"])
+    def test_failing_extra_item_same_with_pool(self, capsys, monkeypatch, suite, module,
+                                               name, exc):
+        def failing(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr(module, name, failing)
+        for flag in ((), ("--json",)):
+            base = (*flag, "verify", suite, "--iterations", "2")
+            seq = run(capsys, *base, "--jobs", "1")
+            par = run(capsys, *base, "--jobs", "2")
+            assert seq[0] == 1 and seq == par
+
+    def test_every_suite_item_replays(self):
+        """Each item a suite draws survives a JSON round trip and passes
+        through replay, so any counterexample it reports can be rerun."""
+        for name, suite in verify.SUITES.items():
+            for checker, instance in suite(0, 1):
+                payload = json.loads(json.dumps({"checker": checker, "instance": instance}))
+                assert replay(payload) == {"suite": checker, "passed": True}, (name, instance)
 
     @pytest.mark.parametrize("flag", [False, True], ids=["text", "json"])
     def test_replay_crashing_checker_is_an_error(self, capsys, tmp_path, flag):
@@ -569,6 +627,37 @@ class TestVerifyCommand:
         assert lines[0] == "replay cones: FAIL"
         assert lines[1].startswith("  error: ValueError: composition parts must be "
                                    "positive integers")
+        assert len(lines) == 2
+
+    @pytest.mark.parametrize("instance", [
+        {"g": 2.9, "blocks": [{"d": 2, "nu": 1, "fix": 2.5, "m": 2, "orbits": [1, 1]}]},
+        {"g": 2, "blocks": [{"d": 2, "nu": 1, "fix": True, "m": 2, "orbits": [1, 1]}]},
+        {"g": 2, "blocks": [{"d": 2, "nu": 1, "fix": 2, "m": 2, "orbits": ["1", 1]}]},
+    ], ids=["float", "bool", "string"])
+    def test_replay_matr_rejects_non_integer_field(self, capsys, tmp_path, instance):
+        # "g": 2.9, "fix": 2.5 used to be truncated to (2, 2) and pass
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": "matr", "instance": instance}))
+        code, out, _ = run(capsys, "verify", "matr", "--replay", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "replay matr: FAIL"
+        assert lines[1].startswith("  error: ValueError: discrete pair fields must be "
+                                   "JSON integers")
+        assert len(lines) == 2
+
+    @pytest.mark.parametrize("chi", [2.9, "4", True], ids=["float", "string", "bool"])
+    def test_replay_integrality_rejects_non_integer_chi(self, capsys, tmp_path, chi):
+        # "chi": 2.9 and "chi": "4" used to be read as 2 and 4 and pass
+        instance = {**verify.random_instance(random.Random(0)).to_obj(), "chi": chi}
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": "integrality", "instance": instance}))
+        code, out, _ = run(capsys, "verify", "integrality", "--replay", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "replay integrality: FAIL"
+        assert lines[1].startswith("  error: ValueError: divisibility fields must be "
+                                   "JSON integers")
         assert len(lines) == 2
 
     def test_different_seeds_differ(self, capsys):

@@ -139,3 +139,18 @@ class TestDivisibilityInstances:
         again = DivisibilityInstance.from_obj(inst.to_obj())
         assert (again.a, again.nu, again.chi, again.k, again.eps) == (
             inst.a, inst.nu, inst.chi, inst.k, inst.eps)
+
+    @pytest.mark.parametrize("where", ["a", "nu", "k-key", "k-value", "eps-value"])
+    def test_from_obj_rejects_non_integer_field(self, where):
+        obj = DivisibilityInstance(a=[2, 3], nu=[1, -2], chi=4,
+                                   k={(0, 1, 2): 1, (1, 1, 3): 1},
+                                   eps={(0, 1, 2): 1, (1, 1, 3): -1}).to_obj()
+        field, _, part = where.partition("-")
+        if part == "key":
+            obj[field][0][0][2] = 2.0
+        elif part == "value":
+            obj[field][0][1] = 1.0
+        else:
+            obj[field][0] = str(obj[field][0])
+        with pytest.raises(ValueError, match="JSON integers"):
+            DivisibilityInstance.from_obj(obj)

@@ -623,8 +623,8 @@ class TestConeIndicatorMatchesReference:
                                                ((1, 1, 1), (2, 0, 1), 1)])
     def test_direct_sum_bit_identical(self, sizes, order, e):
         lam = [complex(0.4 + 0.3 * i, 0.1 * (i + 1)) for i in range(len(sizes))]
-        for trunc in (3, 6):
-            got = cone_direct_sum(sizes, order, e, lam, trunc)
+        sums = cone_direct_sum(sizes, order, e, lam, (3, 6))
+        for trunc, got in zip((3, 6), sums, strict=True):
             want = ref_cone_direct_sum(sizes, order, e, lam, trunc)
             assert (got.real, got.imag) == (want.real, want.imag)
 
