@@ -30,6 +30,8 @@ import math
 import warnings
 from fractions import Fraction
 
+from . import polyq
+
 
 class DimensionMismatch(ValueError):
     """Operands built over a different number of z-variables."""
@@ -772,8 +774,8 @@ class CurveInput:
         Sturm chain on its squarefree part counts the distinct roots there.
         """
         e = _elementary(_real_weil_sums(self, 1, 2 * self.g)[::2])
-        f = _squarefree([(-1) ** j * c for j, c in enumerate(e)][::-1])
-        return _sturm_count(f, 0, 4 * self.q) + (f[0] == 0) == len(f) - 1
+        f = polyq.squarefree([(-1) ** j * c for j, c in enumerate(e)][::-1])
+        return polyq.sturm_count(f, 0, 4 * self.q) + (f[0] == 0) == len(f) - 1
 
     def to_obj(self):
         return {"g": self.g, "q": self.q, "numerator": list(self.numerator)}
@@ -831,56 +833,6 @@ def _real_weil_sums(curve: CurveInput, k: int, count: int):
             s += math.comb(m, m // 2) * tq ** (m // 2) * g
         sums.append(s)
     return sums
-
-
-# Polynomials over Q as coefficient lists, constant term first, for the Weil
-# check; a zero polynomial is the empty list.
-
-
-def _divmod(a, b):
-    """Quotient and remainder of a by b (b nonzero)."""
-    rem = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for s in reversed(range(len(quo))):
-        c = quo[s] = rem[s + len(b) - 1] / b[-1]
-        for i, bc in enumerate(b):
-            rem[s + i] -= c * bc
-    rem = rem[:len(b) - 1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
-
-
-def _derivative(f):
-    return [i * c for i, c in enumerate(f)][1:]
-
-
-def _squarefree(f):
-    """f / gcd(f, f'): the same roots, each once."""
-    a, b = f, _derivative(f)
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return _divmod(f, a)[0]
-
-
-def _sturm_count(f, lo, hi):
-    """Distinct real roots of a squarefree f in (lo, hi] (Sturm's theorem;
-    zeros are dropped when sign changes are counted)."""
-    chain = [f, _derivative(f)]
-    while rem := _divmod(chain[-2], chain[-1])[1]:
-        chain.append([-c for c in rem])
-
-    def changes(x):
-        signs = []
-        for p in chain:
-            v = 0
-            for c in reversed(p):
-                v = v * x + c
-            if v:
-                signs.append(v > 0)
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    return changes(lo) - changes(hi)
 
 
 def graeffe_power(curve: CurveInput, k: int):

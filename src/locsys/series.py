@@ -8,6 +8,8 @@ by integers, so everything stays exact.
 The master formula does not call exp: counting._exp_coeff_concrete takes the
 one coefficient it needs in integer arithmetic, for concrete and symbolic
 tables alike.  exp is the reference implementation the tests compare it with.
+Inverses, integer powers and division by scalars (field coefficients) let
+`spectral.chamber_limit_exact` evaluate c-functions on truncated series.
 """
 
 from __future__ import annotations
@@ -94,6 +96,49 @@ class TruncatedSeries:
         return TruncatedSeries(self.cap, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        """Division by a series (through `inverse`) or by a scalar (an int
+        divides as the Fraction 1/other)."""
+        if isinstance(other, TruncatedSeries):
+            return self * other.inverse()
+        return self.scalar_mul(Fraction(1, other) if isinstance(other, int) else 1 / other)
+
+    def __pow__(self, k: int):
+        """Integer powers, negative ones through `inverse`."""
+        if not isinstance(k, int):
+            raise TypeError("series powers take an integer exponent")
+        base = self if k >= 0 else self.inverse()
+        out = TruncatedSeries.constant(self.cap, self._zero() + 1, self._zero())
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def inverse(self) -> "TruncatedSeries":
+        """1/s for a constant term invertible in the coefficient field.
+
+        Recurrence from s * b = 1:  b_n = -(1/s_0) sum_{k=1..n} s_k b_{n-k}.
+        """
+        if _is_zero(self.coeffs[0]):
+            raise ZeroDivisionError("series inverse needs a nonzero constant term")
+        inv0 = Fraction(1) / self.coeffs[0]
+        out = [inv0]
+        for n in range(1, self.cap + 1):
+            acc = self._zero()
+            for k in range(1, n + 1):
+                sk = self.coeffs[k]
+                if not _is_zero(sk):
+                    acc = acc + sk * out[n - k]
+            out.append(-acc * inv0)
+        return TruncatedSeries(self.cap, out)
 
     def scalar_mul(self, a):
         return TruncatedSeries(self.cap, [c * a for c in self.coeffs])

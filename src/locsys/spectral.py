@@ -3,29 +3,30 @@ the Kirchhoff-type matrix attached to a discrete pair with its closed form,
 zero/pole counts of normalized L-quotients, character sums over orbit data,
 chamber-family limits, and the degree-restricted cone series.
 
-All identity checks are exact in rationals except where a limit or an
-integral is intrinsically numeric; those use mpmath with tolerances far
-below anything the integer answers could confuse.
+Every check is exact.  The quantities that look analytic are algebraic: a
+chamber limit is a Laurent coefficient of the chamber sum along an
+exponential curve, taken on truncated power series over Q; a circle
+integral is a winding number, computed by Cauchy indices and compared with
+Schur-Cohn counts of the roots inside the circle; and the cone series
+identities are identities of rational functions, checked in Gaussian
+rationals and cyclotomic fields.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
+from . import polyq
 from .combinat import binom_ring, divisors, mobius, partitions
+from .series import TruncatedSeries
 
 
 class TheoremViolation(RuntimeError):
     """Two provably-equal computations disagreed."""
-
-
-class NumericInstability(RuntimeError):
-    """A limit or quadrature did not converge to the requested tolerance."""
 
 
 # --------------------------------------------------------------------------
@@ -485,21 +486,12 @@ def _orderings(r):
     return itertools.permutations(range(r))
 
 
-def chamber_sum_at(mu_values, cfuncs, r):
-    """sum over chamber orderings of theta^{-1} times the product of the
-    c-functions over the chamber's positive pairs."""
-    total = mpmath.mpf(0)
-    for order in _orderings(r):
-        theta = mpmath.mpf(1)
-        for a in range(r - 1):
-            theta *= mu_values[order[a]] - mu_values[order[a + 1]]
-        prod = mpmath.mpf(1)
-        for a in range(r):
-            for b in range(a + 1, r):
-                i, j = order[a], order[b]
-                prod *= cfuncs[(i, j)](mu_values[i] / mu_values[j])
-        total += prod / theta
-    return total
+def _exp_series(x, cap):
+    """exp(x t) truncated after t^cap."""
+    coeffs = [Fraction(1)]
+    for k in range(1, cap + 1):
+        coeffs.append(coeffs[-1] * x / k)
+    return TruncatedSeries(cap, coeffs)
 
 
 def oriented_basis_sum(r, derivs):
@@ -516,106 +508,421 @@ def oriented_basis_sum(r, derivs):
     return total
 
 
-def chamber_limit(r: int, cfuncs, derivs=None, dps: int = 50):
-    """Numeric limit of the chamber sum at 1 vs the oriented-basis sum.
+def chamber_limit_exact(r: int, cfuncs, derivs=None):
+    """Exact limit at 1 of the chamber sum, and the oriented-basis sum.
 
-    cfuncs maps ordered pairs (i, j), i != j, to callables with c(1) = 1.
-    derivs optionally supplies exact derivatives at 1; otherwise they are
-    finite-differenced.  Returns (extrapolated limit, basis sum).
+    cfuncs maps ordered pairs (i, j), i != j, to callables with c(1) = 1 that
+    use only +, -, *, integer powers and division by scalars.  Along
+    mu_i = exp(xi_i t) (xi rational, trace zero) each callable is evaluated on
+    the truncated series of mu_i / mu_j = exp((xi_i - xi_j) t), and the
+    chamber sum over the orderings of
+        prod_{a<b} c_{order[a], order[b]} / prod_a (mu_{order[a]} - mu_{order[a+1]})
+    is a Laurent series in t whose terms t^-(r-1) .. t^-1 must cancel (a
+    TheoremViolation otherwise); its t^0 coefficient is the limit.
+    derivs optionally supplies the derivatives at 1; otherwise each is the
+    t-coefficient of c(exp t).  Returns (limit, basis sum), both exact.
     """
     if r > 5:
         raise ValueError("chamber enumeration capped at r = 5")
-    with mpmath.workdps(dps):
-        if derivs is None:
-            h = mpmath.mpf(10) ** (-dps // 3)
-            derivs = {
-                key: (f(1 + h) - f(1 - h)) / (2 * h) for key, f in cfuncs.items()
-            }
-        xi = [mpmath.mpf(2 * k + 1) / (3 * k + 2) for k in range(r)]
-        shift = sum(xi) / r
-        xi = [x - shift for x in xi]  # trace zero keeps prod(mu_i) ~ 1
-        ts = [mpmath.mpf(1) / 2 ** (5 + j) for j in range(6)]
-        vals = []
-        for t in ts:
-            mu = [mpmath.exp(x * t) for x in xi]
-            vals.append(chamber_sum_at(mu, cfuncs, r))
-        # Neville extrapolation to t = 0; the last-column step estimates the
-        # remaining error.
-        tbl = list(vals)
-        previous = None
-        for j in range(1, len(ts)):
-            for i in range(len(ts) - 1, j - 1, -1):
-                tbl[i] = (tbl[i - 1] * ts[i] - tbl[i] * ts[i - j]) / (ts[i] - ts[i - j])
-            previous = tbl[-2]
-        limit = tbl[-1]
-        scale = max(abs(limit), mpmath.mpf(1))
-        if abs(limit - previous) > scale * mpmath.mpf(10) ** -8:
-            raise NumericInstability("chamber-limit extrapolation did not settle")
-        basis = oriented_basis_sum(r, derivs)
-        return limit, basis
+    cap = r - 1
+    if derivs is None:
+        exp_t = _exp_series(1, 1)
+        derivs = {key: f(exp_t).coeff(1) for key, f in cfuncs.items()}
+    xi = [Fraction(2 * k + 1, 3 * k + 2) for k in range(r)]
+    shift = sum(xi) / r
+    xi = [x - shift for x in xi]  # trace zero keeps prod(mu_i) = 1
+    # the c-functions on the chamber's positive pairs, each pair evaluated once
+    c_values = {(i, j): f(_exp_series(xi[i] - xi[j], cap)) for (i, j), f in cfuncs.items()}
+    # 1 / ((mu_u - mu_v) / t) per ordered pair: each theta factor is t times a unit
+    mu = [_exp_series(x, r) for x in xi]
+    inv_steps = {}
+    for u in range(r):
+        for v in range(r):
+            if u != v:
+                step = (mu[u] - mu[v]).coeffs[1:]
+                inv_steps[(u, v)] = TruncatedSeries(cap, step).inverse()
+    # t^(r-1) times the chamber sum
+    total = TruncatedSeries.constant(cap, Fraction(0), Fraction(0))
+    for order in _orderings(r):
+        term = math.prod((inv_steps[pair] for pair in zip(order, order[1:])), start=1)
+        for pair in itertools.combinations(order, 2):
+            term = term * c_values[pair]
+        total = total + term
+    singular = total.coeffs[:cap]
+    if any(singular):
+        raise TheoremViolation(
+            f"chamber sum has a pole at t = 0: coefficients {[str(c) for c in singular]} "
+            f"of t^-{cap}..t^-1")
+    return total.coeffs[cap], oriented_basis_sum(r, derivs)
+
+
+def chamber_limit(r: int, cfuncs, derivs=None):
+    """`chamber_limit_exact` with the limit as a float, so that it mixes with
+    other numeric types; the basis sum stays exact."""
+    limit, basis = chamber_limit_exact(r, cfuncs, derivs)
+    return float(limit), basis
+
+
+# --------------------------------------------------------------------------
+# Zero/pole counts inside the unit circle
+
+
+def _integer_poly(coeffs):
+    """The polynomial scaled to integer coefficients (same roots), trimmed."""
+    coeffs = polyq.trim(coeffs)
+    d = math.lcm(*[Fraction(c).denominator for c in coeffs])
+    return [int(c * d) for c in coeffs]
+
+
+def _padd(a, b):
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def _pmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mobius_image(p, num, den):
+    """sum_k p_k num^k den^(n-k): the polynomial p(num/den) den^n, n = deg p,
+    for num, den linear polynomials."""
+    n = len(p) - 1
+    out = [0] * (n + 1)
+    for k, c in enumerate(p):
+        term = [c]
+        for _ in range(k):
+            term = _pmul(term, num)
+        for _ in range(n - k):
+            term = _pmul(term, den)
+        for i, x in enumerate(term):
+            out[i] += x
+    return out
+
+
+def _self_inversive_circle_root(g) -> bool:
+    """Whether the real self-inversive g (reversed g = +-g) has a root on the
+    unit circle.  Anti-palindromic g vanishes at 1 and palindromic g of odd
+    degree at -1; a palindromic g of degree 2m is z^m R(z + 1/z), whose circle
+    roots are the roots of R in [-2, 2] (Sturm)."""
+    n = len(g) - 1
+    if g[::-1] == [-c for c in g] or n % 2:
+        return True
+    if g[::-1] != g:
+        raise ArithmeticError("gcd(p, p*) is not self-inversive")
+    m = n // 2
+    # z^k + z^-k = V_k(x), x = z + 1/z:  V_0 = 2, V_1 = x, V_k+1 = x V_k - V_k-1
+    r_poly = [g[m]]
+    prev, cur = [2], [0, 1]
+    for k in range(1, m + 1):
+        r_poly = _padd(r_poly, [g[m + k] * c for c in cur])
+        prev, cur = cur, _padd([0] + cur, [-c for c in prev])
+    free = polyq.squarefree(r_poly)
+    return polyq.sturm_count(free, -2, 2) > 0 or polyq.value(r_poly, -2) == 0
+
+
+def _schur_cohn(p):
+    """Roots inside the unit circle of an integer polynomial p with none on
+    it, by the Schur-Cohn recursion, or None where the recursion is singular.
+
+    T p = p_0 p - p_n p* has degree < n and, by Rouche on |z| = 1 where
+    |p*| = |p|, as many roots inside as p when |p_0| > |p_n| and as many as
+    p* (n minus those of p) when |p_0| < |p_n|.  If T p vanishes, p is
+    self-inversive: its roots pair as r, 1/conj(r), half of them inside.
+    """
+    n = len(p) - 1
+    if n == 0:
+        return 0
+    a0, an = p[0], p[-1]
+    t = polyq.trim([a0 * p[k] - an * p[n - k] for k in range(n)])
+    if not t:
+        return n // 2
+    if not t[0]:
+        return None
+    content = math.gcd(*t)
+    inside = _schur_cohn([c // content for c in t])
+    if inside is None:
+        return None
+    return inside if a0 * a0 > an * an else n - inside
+
+
+# disc automorphisms z -> (z + a)/(1 + a z), a = u/v, tried until the
+# Schur-Cohn recursion is regular; a = 0 is the identity
+_DISC_SHIFTS = ((0, 1), (1, 2), (-1, 2), (1, 3), (-1, 3), (2, 3), (-2, 3), (1, 4), (-1, 4),
+                (3, 4), (-3, 4), (1, 5), (-1, 5), (2, 5), (-2, 5))
+
+
+def roots_in_disc(coeffs) -> int:
+    """Roots (with multiplicity) of a nonzero rational polynomial strictly
+    inside the unit circle; a root on the circle is a ValueError.
+
+    The roots shared with the reciprocal polynomial p* = z^n p(1/z) are the
+    circle roots and the pairs r, 1/conj(r): their product gcd(p, p*) is
+    self-inversive, is checked for circle roots, and has half its roots
+    inside.  The rest goes through the Schur-Cohn recursion, after a disc
+    automorphism (which keeps the count) where the recursion is singular.
+    """
+    p = _integer_poly(coeffs)
+    if not p:
+        raise ValueError("the zero polynomial has no root count")
+    inside = 0
+    common = polyq.gcd(p, polyq.trim(p[::-1]))
+    if len(common) > 1:
+        if _self_inversive_circle_root(common):
+            raise ValueError("root on the unit circle")
+        inside = (len(common) - 1) // 2
+        p = _integer_poly(polyq.divmod_(p, common)[0])
+    for u, v in _DISC_SHIFTS:
+        count = _schur_cohn(_integer_poly(_mobius_image(p, [u, v], [v, u])) if u else p)
+        if count is not None:
+            return inside + count
+    raise ArithmeticError(f"Schur-Cohn recursion singular for {p} under every disc shift")
+
+
+def _sign_changes(chain, at_plus_infinity: bool) -> int:
+    signs = [(f[-1] > 0) != (not at_plus_infinity and len(f) % 2 == 0) for f in chain]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _cauchy_index(f0, f1) -> int:
+    """Cauchy index of f1/f0 over the whole real line (jumps from -inf to
+    +inf minus jumps from +inf to -inf), from the signed remainder chain."""
+    if not f1:
+        return 0
+    chain = [f0, f1]
+    while rem := polyq.divmod_(chain[-2], chain[-1])[1]:
+        chain.append([-c for c in rem])
+    return _sign_changes(chain, False) - _sign_changes(chain, True)
+
+
+def winding_number(coeffs) -> int:
+    """Winding number about 0 of theta -> p(e^{i theta}), i.e.
+    (1/2 pi i) times the integral of p'/p over the unit circle, for a nonzero
+    rational polynomial; a root on the circle is a ValueError.
+
+    Along z = (1 + iy)/(1 - iy), y real, the circle minus -1 is traversed
+    once, and Q(iy) = (1 - iy)^n p(z) = A(y) + i B(y) has real A, B.  The
+    argument of p changes by that of Q plus n pi, and the argument of Q by
+    -pi Ind(B/A) (or pi Ind(A/B) when deg B > deg A), a Cauchy index.
+    """
+    p = polyq.trim([Fraction(c) for c in coeffs])
+    n = len(p) - 1
+    if n < 0:
+        raise ValueError("the zero polynomial has no winding number")
+    if n == 0:
+        return 0
+    if polyq.value(p, -1) == 0:
+        raise ValueError("root on the unit circle")
+    q = _mobius_image(p, [1, 1], [1, -1])  # (1 - s)^n p((1 + s)/(1 - s))
+    a = polyq.trim([c * (-1) ** (k // 2) if k % 2 == 0 else 0 for k, c in enumerate(q)])
+    b = polyq.trim([c * (-1) ** (k // 2) if k % 2 else 0 for k, c in enumerate(q)])
+    common = polyq.gcd(a, b)
+    if len(common) > 1:
+        free = polyq.squarefree(common)
+        bound = 1 + max(abs(c / free[-1]) for c in free)
+        if polyq.sturm_count(free, -bound, bound):
+            raise ValueError("root on the unit circle")
+    half_turns = -_cauchy_index(a, b) if len(a) > len(b) else _cauchy_index(b, a)
+    return (half_turns + n) // 2
 
 
 class RationalFunc:
     """Rational function with exact integer/rational coefficients, low to
-    high degree; used for zero/pole counting and circle integration."""
+    high degree; used for zero/pole counting and the circle integral."""
 
     def __init__(self, num, den=(1,)):
         self.num = [Fraction(c) for c in num]
         self.den = [Fraction(c) for c in den]
-
-    def __call__(self, z):
-        n = sum(c * z ** i for i, c in enumerate(self.num) if c)
-        d = sum(c * z ** i for i, c in enumerate(self.den) if c)
-        return n / d
-
-    def log_deriv(self, z):
-        """f'/f at z."""
-        n = sum(c * z ** i for i, c in enumerate(self.num) if c)
-        dn = sum(i * c * z ** (i - 1) for i, c in enumerate(self.num) if i and c)
-        d = sum(c * z ** i for i, c in enumerate(self.den) if c)
-        dd = sum(i * c * z ** (i - 1) for i, c in enumerate(self.den) if i and c)
-        return dn / n - dd / d
-
-    def _roots_inside(self, coeffs):
-        coeffs = [c for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        deg = len(coeffs) - 1
-        if deg < 1:
-            return 0
-        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
-                                  for c in reversed(coeffs)], maxsteps=200, extraprec=60)
-        inside = 0
-        for root in roots:
-            m = abs(root)
-            if abs(m - 1) < 1e-9:
-                raise ValueError("root too close to the unit circle")
-            if m < 1:
-                inside += 1
-        return inside
+        if not any(self.num) or not any(self.den):
+            raise ValueError("numerator and denominator must be nonzero polynomials")
 
     def zero_pole_difference(self) -> int:
-        return self._roots_inside(self.num) - self._roots_inside(self.den)
+        """Zeros minus poles inside the unit circle, by Schur-Cohn counts."""
+        return roots_in_disc(self.num) - roots_in_disc(self.den)
 
 
-def circle_count_check(c12: RationalFunc, c21: RationalFunc, tol=1e-6):
+def circle_count_check(c12: RationalFunc, c21: RationalFunc):
     """For a two-block chamber family, the circle integral of the limit
-    integrand equals the integer zero/pole count sum.  Returns
-    (integral value, exact integer)."""
+    integrand, (1/2 pi) int Re(w c12'/c12(w) + c21'(1/w)/(w c21(1/w))) dtheta
+    at w = e^{i theta}, equals the integer zero/pole count sum.  The integral
+    is the winding number of c12 plus that of c21 (the substitution
+    theta -> -theta turns the second term into c21's own), computed by
+    Cauchy indices; the count is Schur-Cohn's.  Returns (integral, count)."""
     expected = c12.zero_pole_difference() + c21.zero_pole_difference()
+    integral = sum(winding_number(f.num) - winding_number(f.den) for f in (c12, c21))
+    if integral != expected:
+        raise TheoremViolation(f"circle integral {integral} vs count {expected}")
+    return integral, expected
 
-    def integrand(theta):
-        w = mpmath.exp(1j * theta)
-        return (c12.log_deriv(w) * w + c21.log_deriv(1 / w) / w).real
 
-    with mpmath.workdps(30):
-        val, err = mpmath.quad(integrand, [0, 2 * mpmath.pi], error=True)
-        val = val / (2 * mpmath.pi)
-        if err > mpmath.mpf(tol) / 10:
-            raise NumericInstability(f"quadrature error estimate {err} too large")
-    if abs(val - expected) > tol:
-        raise TheoremViolation(f"circle integral {val} vs count {expected}")
-    return float(val), expected
+# --------------------------------------------------------------------------
+# Cyclotomic numbers
+
+
+@functools.cache
+def _cyclotomic_poly(m):
+    """Integer coefficients of the m-th cyclotomic polynomial, low to high."""
+    f = [-1] + [0] * (m - 1) + [1]
+    for d in divisors(m):
+        if d < m:
+            f = polyq.divmod_(f, _cyclotomic_poly(d))[0]
+    return tuple(int(c) for c in f)
+
+
+class Cyclotomic:
+    """An element (c_0 + c_1 z + ...) / den of Q(z), z = exp(2 pi i / m),
+    with integer c_k held modulo the m-th cyclotomic polynomial and in lowest
+    terms.  With m divisible by 4, i is z^(m/4); m = 4 gives the Gaussian
+    rationals (c_0 + c_1 i) / den."""
+
+    __slots__ = ("m", "num", "den", "_inverse")
+
+    def __init__(self, m, num, den=1):
+        phi = _cyclotomic_poly(m)
+        deg = len(phi) - 1
+        num = list(num) + [0] * (deg - len(num))
+        # subtract multiples of the monic Phi_m from the top down
+        for top in range(len(num) - 1, deg - 1, -1):
+            lead = num[top]
+            if lead:
+                for k, pk in enumerate(phi, start=top - deg):
+                    num[k] -= lead * pk
+        g = math.gcd(den, *num[:deg])
+        if den < 0:
+            g = -g
+        self.m = m
+        self.num = tuple(c // g for c in num[:deg])
+        self.den = den // g
+        self._inverse = None
+
+    @classmethod
+    def gaussian(cls, m, re, im):
+        if m % 4:
+            raise ValueError("i lies in Q(exp(2 pi i / m)) only for m divisible by 4")
+        re, im = Fraction(re), Fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        return cls(m, [int(re * den)] + [0] * (m // 4 - 1) + [int(im * den)], den)
+
+    @classmethod
+    def root(cls, m, k):
+        """z^k."""
+        return cls(m, [0] * (k % m) + [1])
+
+    def _lift(self, other):
+        if isinstance(other, Cyclotomic):
+            if other.m != self.m:
+                raise ValueError("mixed cyclotomic fields")
+            return other
+        other = Fraction(other)
+        return Cyclotomic(self.m, [other.numerator], other.denominator)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return Cyclotomic(self.m, [a * other.den + b * self.den
+                                   for a, b in zip(self.num, other.num)],
+                          self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyclotomic(self.m, [-a for a in self.num], self.den)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        out = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    out[i + j] += a * b
+        return Cyclotomic(self.m, out, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def _conjugate(self, j):
+        """The Galois conjugate z -> z^j, j prime to m."""
+        out = [0] * self.m
+        for k, c in enumerate(self.num):
+            out[k * j % self.m] += c
+        return Cyclotomic(self.m, out, self.den)
+
+    def inverse(self):
+        """The product of the other Galois conjugates over the norm, which is
+        the rational self times all of them (computed once per element)."""
+        if self._inverse is None:
+            if not any(self.num):
+                raise ZeroDivisionError("inverse of zero")
+            rest = Cyclotomic(self.m, [1])
+            for j in range(2, self.m):
+                if math.gcd(j, self.m) == 1:
+                    rest = rest * self._conjugate(j)
+            norm = self * rest
+            self._inverse = Cyclotomic(self.m, [c * norm.den for c in rest.num],
+                                       rest.den * norm.num[0])
+        return self._inverse
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __pow__(self, k: int):
+        base = self if k >= 0 else self.inverse()
+        out = Cyclotomic(self.m, [1])
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._lift(other)
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
+        return (self.m, self.num, self.den) == (other.m, other.num, other.den)
+
+    def abs2(self) -> Fraction:
+        """Squared modulus of a Gaussian rational (m = 4)."""
+        if self.m != 4:
+            raise ValueError("abs2 is defined for Gaussian rationals only")
+        re, im = self.num
+        return Fraction(re * re + im * im, self.den * self.den)
+
+    def __repr__(self):
+        return f"Cyclotomic({self.m}, {list(self.num)}, {self.den})"
+
+
+def _gaussian_parts(x):
+    """(re, im) of a complex or real number, a Gaussian `Cyclotomic`, or a
+    pair of rationals, as exact Fractions (a float is read exactly)."""
+    if isinstance(x, Cyclotomic):
+        if x.m != 4:
+            raise ValueError("expected a Gaussian rational")
+        return Fraction(x.num[0], x.den), Fraction(x.num[1], x.den)
+    if isinstance(x, (tuple, list)):
+        re, im = x
+        return Fraction(re), Fraction(im)
+    if isinstance(x, complex):
+        return Fraction(x.real), Fraction(x.imag)
+    return Fraction(x), Fraction(0)
+
+
+def _gaussians(lam, m=4):
+    out = [Cyclotomic.gaussian(m, *_gaussian_parts(x)) for x in lam]
+    if any(not any(x.num) for x in out):
+        raise ValueError("lambda entries must be nonzero")
+    return out
+
+
+def _sqrt_up(q) -> Fraction:
+    """A rational upper bound, within 2^-32, of the square root of q >= 0."""
+    q = Fraction(q)
+    s = 1 << 32
+    return Fraction(math.isqrt(q.numerator * q.denominator * s * s) + 1, q.denominator * s)
 
 
 # --------------------------------------------------------------------------
@@ -650,16 +957,21 @@ def cone_descents(order):
     return sum(1 for a in range(len(order) - 1) if order[a] > order[a + 1])
 
 
-def cone_closed_form(sizes, order, e: int, lam):
-    """lambda^{h_tilde} / prod over chamber-adjacent pairs (1 - lam_u/lam_v)."""
+def _chamber_denominator(order, lam):
+    """prod over chamber-adjacent pairs (1 - lam_u/lam_v)."""
+    return math.prod((1 - lam[u] / lam[v] for u, v in zip(order, order[1:])), start=1)
+
+
+def _floor_monomial(sizes, order, e: int, lam):
+    """lambda^{h_tilde}."""
     h_tilde, _ = degree_floor_vector(sizes, order, e)
-    value = mpmath.mpf(1)
-    for i, h in enumerate(h_tilde):
-        value = value * mpmath.mpc(lam[i]) ** h
-    for a in range(len(order) - 1):
-        u, v = order[a], order[a + 1]
-        value = value / (1 - mpmath.mpc(lam[u]) / mpmath.mpc(lam[v]))
-    return value
+    return math.prod((x ** h for x, h in zip(lam, h_tilde)), start=1)
+
+
+def cone_closed_form(sizes, order, e: int, lam):
+    """lambda^{h_tilde} / prod over chamber-adjacent pairs (1 - lam_u/lam_v),
+    exact; lam holds `Cyclotomic` numbers of one field."""
+    return _floor_monomial(sizes, order, e, lam) / _chamber_denominator(order, lam)
 
 
 def cone_indicator(sizes, order, H) -> bool:
@@ -691,21 +1003,44 @@ def _in_cone(walls, n, order, H) -> bool:
     return True
 
 
+def _scaled_inverse_powers(x, big):
+    """Gaussian integers X_h, |h| <= big, with lambda^-h = X_h / (D N)^big,
+    where lambda = p / D, p a Gaussian integer and N = |p|^2."""
+    (pr, pi), d = x.num, x.den
+    norm = pr * pr + pi * pi
+    out = {}
+    up = (1, 0)  # p^k
+    down = (1, 0)  # conj(p)^k
+    for k in range(big + 1):
+        # lambda^k = p^k / D^k and lambda^-k = D^k conj(p)^k / N^k
+        s = d ** (big - k) * norm ** big
+        out[-k] = (up[0] * s, up[1] * s)
+        s = d ** (big + k) * norm ** (big - k)
+        out[k] = (down[0] * s, down[1] * s)
+        up = (up[0] * pr - up[1] * pi, up[0] * pi + up[1] * pr)
+        down = (down[0] * pr + down[1] * pi, down[1] * pr - down[0] * pi)
+    return out, d * norm
+
+
 def cone_direct_sum(sizes, order, e: int, lam, truncations):
     """Truncated lattice sums (-1)^descents sum over H with sum H = e of
     lambda^{-H} over the cone, one per truncation t: the points with
-    max |H_i| <= t.  One pass over the largest box meets the points of each
-    smaller box in the same lexicographic order, so each sum adds the same
-    terms in the same order as a pass over its own box."""
+    max |H_i| <= t, as exact Gaussian `Cyclotomic` numbers.  Each lambda_i^-h
+    is a Gaussian integer over the common scale (D_i N_i)^big, so one pass
+    over the largest box sums in integers."""
     r = len(sizes)
+    lam = _gaussians(lam)
     sign = (-1) ** cone_descents(order)
     walls = _cone_walls(sizes, order)
     n = sum(sizes)
     big = max(truncations)
-    # lambda_i^{-h} for every coordinate value h the box can hold
-    powers = [{h: mpmath.mpc(lam[i]) ** (-h) for h in range(-big, big + 1)}
-              for i in range(r)]
-    totals = [mpmath.mpc(0)] * len(truncations)
+    powers = []
+    scale = 1
+    for x in lam:
+        table, base = _scaled_inverse_powers(x, big)
+        powers.append(table)
+        scale *= base ** big
+    totals = [[0, 0] for _ in truncations]
     for head in itertools.product(range(-big, big + 1), repeat=r - 1):
         last = e - sum(head)
         if abs(last) > big:
@@ -713,59 +1048,62 @@ def cone_direct_sum(sizes, order, e: int, lam, truncations):
         H = head + (last,)
         if not _in_cone(walls, n, order, H):
             continue
-        term = mpmath.mpf(1)
+        tr, ti = 1, 0
         for i in range(r):
-            term = term * powers[i][H[i]]
+            xr, xi = powers[i][H[i]]
+            tr, ti = tr * xr - ti * xi, tr * xi + ti * xr
         reach = max(abs(h) for h in H)
         for k, trunc in enumerate(truncations):
             if reach <= trunc:
-                totals[k] += term
-    return [sign * total for total in totals]
+                totals[k][0] += tr
+                totals[k][1] += ti
+    return [Cyclotomic(4, [sign * tr, sign * ti], scale) for tr, ti in totals]
 
 
 def cone_series_check(sizes, order, e: int, lam, truncations=(6, 10, 14)):
-    """Direct sums at growing truncation against the closed form; errors must
-    shrink and the last must be inside a geometric tail bound."""
+    """Direct sums at growing truncation against the closed form, exactly:
+    the errors' moduli must not grow and the last must be inside a geometric
+    tail bound.  Moduli are compared squared, and the bound uses rational
+    upper bounds of the contraction ratio rho and of |closed form|.  Returns
+    (ok, error moduli as floats, tail bound as a float)."""
+    lam = _gaussians(lam)
     closed = cone_closed_form(sizes, order, e, lam)
-    # Moduli of the geometric steps along the cone generators: each adjacent
-    # pair contributes the root direction or its negative depending on the
-    # chamber's descent pattern; all must contract inside the region where
-    # the earlier-indexed coordinates are smaller in modulus.
+    # Squared moduli of the geometric steps along the cone generators: each
+    # adjacent pair contributes the root direction or its negative depending
+    # on the chamber's descent pattern; all must contract inside the region
+    # where the earlier-indexed coordinates are smaller in modulus.
     r = len(order)
     ratios = []
     for a in range(r - 1):
         u, v = order[a], order[a + 1]
-        q = abs(mpmath.mpc(lam[u]) / mpmath.mpc(lam[v]))
+        q = lam[u].abs2() / lam[v].abs2()
         ratios.append(q if u < v else 1 / q)
-    rho = max(ratios) if ratios else mpmath.mpf(0)
-    if rho >= 1:
+    rho2 = max(ratios, default=Fraction(0))
+    rho = _sqrt_up(rho2)
+    if rho2 >= 1 or rho >= 1:
         raise ValueError("sample point outside the convergence region")
-    errors = [abs(approx - closed)
+    errors = [(approx - closed).abs2()
               for approx in cone_direct_sum(sizes, order, e, lam, truncations)]
-    scale = max(abs(closed), mpmath.mpf(1))
+    scale = max(_sqrt_up(closed.abs2()), Fraction(1))
     depth = truncations[-1]
     tail = scale * rho ** depth * depth ** r * 16 / (1 - rho) ** r
-    ok = errors[-1] <= tail and all(
-        errors[i + 1] <= errors[i] + mpmath.mpf(10) ** -25 for i in range(len(errors) - 1)
+    ok = errors[-1] <= tail * tail and all(
+        errors[i + 1] <= errors[i] for i in range(len(errors) - 1)
     )
-    return ok, [float(err) for err in errors], float(tail)
+    return ok, [math.sqrt(err) for err in errors], float(tail)
 
 
 def cone_degree_one_identity(sizes, order, lam) -> bool:
     """For e = -1 the closed form collapses to
-    (-1)^(r-1) prod(lam_i) / prod adjacent (lam_u - lam_v)."""
+    (-1)^(r-1) prod(lam_i) / prod adjacent (lam_u - lam_v); exact."""
     r = len(order)
-    with mpmath.workdps(40):
-        closed = cone_closed_form(sizes, order, -1, lam)
-        direct = mpmath.mpf(1)
-        for x in lam:
-            direct = direct * mpmath.mpc(x)
-        for a in range(r - 1):
-            u, v = order[a], order[a + 1]
-            direct = direct / (mpmath.mpc(lam[u]) - mpmath.mpc(lam[v]))
-        direct = direct * (-1) ** (r - 1)
-        scale = max(abs(closed), abs(direct), mpmath.mpf(1))
-        return abs(closed - direct) < scale * mpmath.mpf(10) ** -30
+    lam = _gaussians(lam)
+    closed = cone_closed_form(sizes, order, -1, lam)
+    direct = math.prod(lam)
+    for a in range(r - 1):
+        u, v = order[a], order[a + 1]
+        direct = direct / (lam[u] - lam[v])
+    return closed == direct * (-1) ** (r - 1)
 
 
 def cone_periodicity_check(sizes, order, e: int) -> bool:
@@ -777,25 +1115,26 @@ def cone_periodicity_check(sizes, order, e: int) -> bool:
     return all(h1[i] - h2[i] == sizes[i] for i in range(len(sizes)))
 
 
-def cone_fourier_average_check(sizes, e: int, lam, dps: int = 60) -> bool:
+def cone_fourier_average_check(sizes, e: int, lam) -> bool:
     """Averaging the full cone series against degree characters isolates the
-    degree-e part:  (1/n) sum_k zeta^{ek} S(lam * zeta^k) = S_e(lam)."""
+    degree-e part:  (1/n) sum_k zeta^{ek} S(lam * zeta^k) = S_e(lam), exactly
+    in Q(i, zeta_n) = Q(zeta_m), m = lcm(4, n)."""
     n = sum(sizes)
     r = len(sizes)
-    with mpmath.workdps(dps):
-        zeta = mpmath.exp(2j * mpmath.pi / n)
-        for order in _orderings(r):
-            want = cone_closed_form(sizes, order, e % n, lam)
-            acc = mpmath.mpc(0)
-            for k in range(1, n + 1):
-                lam_k = [mpmath.mpc(x) * zeta ** k for x in lam]
-                full = sum(
-                    cone_closed_form(sizes, order, ep, lam_k) for ep in range(n)
-                )
-                acc += zeta ** (e * k) * full
-            acc /= n
-            if abs(acc - want) > mpmath.mpf(10) ** (-dps + 20):
-                return False
+    m = math.lcm(4, n)
+    lam = _gaussians(lam, m)
+    zeta = Cyclotomic.root(m, m // n)
+    # per k: lam * zeta^k and the character value zeta^(e k)
+    twists = [([x * zeta ** k for x in lam], zeta ** (e * k)) for k in range(1, n + 1)]
+    for order in _orderings(r):
+        want = cone_closed_form(sizes, order, e % n, lam)
+        acc = 0
+        for lam_k, character in twists:
+            # the closed forms of all degrees share their denominator
+            full = sum(_floor_monomial(sizes, order, ep, lam_k) for ep in range(n))
+            acc = character * full / _chamber_denominator(order, lam_k) + acc
+        if acc / n != want:
+            return False
     return True
 
 

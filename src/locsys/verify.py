@@ -2,9 +2,9 @@
 
 Each suite draws its work items, (checker name, instance) pairs, from a
 deterministic generator.  `run_suite` runs every item through the registered
-checker of that name, an exact (or tolerance-certified) check, and on failure
-emits a shrunk JSON counterexample that `replay` runs again.  Suites never
-mutate global state, so equal seeds give byte-identical reports.
+checker of that name, an exact check, and on failure emits a shrunk JSON
+counterexample that `replay` runs again.  Suites never mutate global state,
+so equal seeds give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -44,8 +44,27 @@ def _frac_str(x):
     return str(Fraction(x))
 
 
+def _frac(v):
+    """A rational field of an instance: a rational string such as "-3/2", or
+    a JSON integer (not a bool or a float)."""
+    if type(v) is not int and type(v) is not str:
+        raise ValueError(f"rational fields must be strings or JSON integers, not {v!r}")
+    return Fraction(v)
+
+
 def _fracs(values):
-    return [Fraction(v) for v in values]
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of rationals, not {values!r}")
+    return [_frac(v) for v in values]
+
+
+def _ints(values, name, low=None):
+    """JSON integers (not bools, floats or strings), each >= low if given."""
+    for v in values:
+        if type(v) is not int or (low is not None and v < low):
+            bound = "" if low is None else f" >= {low}"
+            raise ValueError(f"{name} must be JSON integers{bound}, not {v!r}")
+    return values
 
 
 def _shrink(instance, fails, moves):
@@ -82,7 +101,7 @@ def _check_blockdet(obj):
 
 def _check_tree(obj):
     r = obj["r"]
-    weights = {tuple(int(x) for x in key.split(",")): Fraction(val)
+    weights = {tuple(int(x) for x in key.split(",")): _frac(val)
                for key, val in obj["weights"].items()}
     tree = spectral.spanning_tree_sum(r, weights)
     rows = [[Fraction(0)] * r for _ in range(r)]
@@ -122,10 +141,18 @@ def _check_gm(obj):
     if kind is not None:
         raise ValueError(f"unknown gm-family check {kind}")
     r = obj["r"]
+    if type(r) is not int or not 2 <= r <= 5:
+        raise ValueError(f"chamber r must be a JSON integer in 2..5, not {r!r}")
+    pairs = {f"{i},{j}": (i, j) for i in range(r) for j in range(r) if i != j}
+    if not isinstance(obj["coeffs"], dict):
+        raise ValueError(f"chamber coeffs must be an object, not {obj['coeffs']!r}")
+    if set(obj["coeffs"]) != set(pairs):
+        raise ValueError(f"chamber coeffs must have exactly the keys 'i,j', 0 <= i != j < {r}, "
+                         f"got {sorted(obj['coeffs'])!r}")
     cfuncs = {}
     derivs = {}
     for key, coeffs in obj["coeffs"].items():
-        i, j = (int(x) for x in key.split(","))
+        i, j = pairs[key]
         cs = _fracs(coeffs)
 
         def func(x, cs=cs):
@@ -137,8 +164,11 @@ def _check_gm(obj):
 
         cfuncs[(i, j)] = func
         derivs[(i, j)] = sum(k * c for k, c in enumerate(cs, start=1))
-    limit, basis = spectral.chamber_limit(r, cfuncs, derivs=derivs)
-    return abs(limit - (basis.numerator / basis.denominator if isinstance(basis, Fraction) else basis)) < 1e-6
+    try:
+        limit, basis = spectral.chamber_limit_exact(r, cfuncs, derivs=derivs)
+    except TheoremViolation:
+        return False
+    return limit == basis
 
 
 def _check_cones(obj):
@@ -159,25 +189,42 @@ def _check_cones(obj):
     raise ValueError(f"unknown cones check {kind}")
 
 
+def _lattice_lam(obj, r):
+    """lambda as one [re, im] pair of rationals per block; the float pairs
+    that older suites drew are rejected like any other float field."""
+    lam = obj["lam"]
+    if not isinstance(lam, list) or len(lam) != r:
+        raise ValueError(f"lam must be a list of {r} [re, im] pairs, not {lam!r}")
+    out = [tuple(_fracs(x)) for x in lam]
+    if any(len(x) != 2 for x in out):
+        raise ValueError(f"lam entries must be [re, im] pairs, not {lam!r}")
+    return out
+
+
 def _check_lattice(obj):
     kind = obj["kind"]
-    sizes = tuple(obj["sizes"])
+    sizes = tuple(_ints(obj["sizes"], "lattice sizes", low=1))
+    if "e" in obj:
+        _ints([obj["e"]], "lattice e")
+    if "order" in obj:
+        _ints(obj["order"], "lattice order")
     if kind == "series":
-        lam = [complex(x[0], x[1]) for x in obj["lam"]]
+        lam = _lattice_lam(obj, len(sizes))
         ok, _, _ = spectral.cone_series_check(sizes, tuple(obj["order"]), obj["e"], lam)
         return ok
     if kind == "degree-one":
-        lam = [complex(x[0], x[1]) for x in obj["lam"]]
+        lam = _lattice_lam(obj, len(sizes))
         return spectral.cone_degree_one_identity(sizes, tuple(obj["order"]), lam)
     if kind == "fourier":
-        lam = [complex(x[0], x[1]) for x in obj["lam"]]
+        lam = _lattice_lam(obj, len(sizes))
         return spectral.cone_fourier_average_check(sizes, obj["e"], lam)
     if kind == "periodicity":
         return spectral.cone_periodicity_check(sizes, tuple(obj["order"]), obj["e"])
     if kind == "growth":
+        tmax = _ints([obj["tmax"]], "lattice tmax", low=1)[0]
         counts = [cones.truncation_lattice_sum((1, 1), 0, (0, 0), (t, -t))
-                  for t in range(obj["tmax"] + 1)]
-        return counts == list(range(obj["tmax"] + 1))
+                  for t in range(tmax + 1)]
+        return counts == list(range(tmax + 1))
     raise ValueError(f"unknown lattice check {kind}")
 
 
@@ -198,9 +245,9 @@ def _check_integrality(obj):
 def _check_combinat(obj):
     kind = obj["kind"]
     if kind == "cycle":
-        return cycle_sum_identity_check(obj["m"], obj["xi"], Fraction(obj["S"]))
+        return cycle_sum_identity_check(obj["m"], obj["xi"], _frac(obj["S"]))
     if kind == "convolution":
-        return binomial_convolution_check(obj["k"], obj["xi"], Fraction(obj["D"]), Fraction(obj["S"]))
+        return binomial_convolution_check(obj["k"], obj["xi"], _frac(obj["D"]), _frac(obj["S"]))
     if kind == "mobius-divisor":
         return mobius_divisor_lemma_check(obj["t"], obj["l"], obj["L"])
     if kind == "partition-count":
@@ -211,9 +258,9 @@ def _check_combinat(obj):
 
 
 def _check_aggregation(obj):
-    dtable = {tuple(int(x) for x in key.split(",")): Fraction(val)
+    dtable = {tuple(int(x) for x in key.split(",")): _frac(val)
               for key, val in obj["dtable"].items()}
-    return spectral.aggregation_check(obj["a"], obj["l"], Fraction(obj["S"]), obj["g"], dtable)
+    return spectral.aggregation_check(obj["a"], obj["l"], _frac(obj["S"]), obj["g"], dtable)
 
 
 def _check_roundtrip(obj):
@@ -561,7 +608,9 @@ def suite_lattice(seed, iterations):
         lam = []
         for i in range(r):
             mod = 0.4 + 0.2 * i + rng.random() * 0.05
-            lam.append((mod * math.cos(0.3 + i), mod * math.sin(0.3 + i)))
+            # rounded to sixty-fourths: exact rationals with small denominators
+            lam.append([_frac_str(Fraction(round(64 * mod * f(0.3 + i)), 64))
+                        for f in (math.cos, math.sin)])
         # enforce increasing moduli along the identity order for convergence
         e = rng.randint(-3, 3)
         instances.append({"kind": "series", "sizes": list(sizes), "order": list(order),
@@ -571,7 +620,8 @@ def suite_lattice(seed, iterations):
         instances.append({"kind": "periodicity", "sizes": list(sizes), "order": list(order),
                           "e": e})
     for sizes, e in (((1, 1), -1), ((2, 1), 2), ((1, 1, 1), 1), ((2, 2), 3)):
-        lam = [[0.5 + 0.3 * i, 0.1 * (i + 1)] for i in range(len(sizes))]
+        lam = [[_frac_str(Fraction(5 + 3 * i, 10)), _frac_str(Fraction(i + 1, 10))]
+               for i in range(len(sizes))]
         instances.append({"kind": "fourier", "sizes": list(sizes), "e": e, "lam": lam})
     instances.append({"kind": "growth", "sizes": [1, 1], "tmax": 20})
     return [("lattice", inst) for inst in instances]

@@ -2,7 +2,10 @@ import gc
 import hashlib
 import json
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -659,6 +662,116 @@ class TestVerifyCommand:
         assert lines[1].startswith("  error: ValueError: divisibility fields must be "
                                    "JSON integers")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("checker,instance,bad", [
+        ("kappa", {"matrix": [[True, -1], [-1, 1]], "u": [1.5, "1"], "v": ["1", "1"]}, "True"),
+        ("kappa", {"matrix": [["1", -1], [-1, 1]], "u": [1.5, "1"], "v": ["1", "1"]}, "1.5"),
+        ("gm-family", {"kind": "circle", "c12": {"num": [True, -2], "den": [1]},
+                       "c21": {"num": [1], "den": [1]}}, "True"),
+        ("gm-family", {"kind": "circle", "c12": {"num": [1, -2], "den": [1]},
+                       "c21": {"num": [1], "den": [1.0]}}, "1.0"),
+        ("matrix-tree", {"r": 2, "weights": {"0,1": 0.5}}, "0.5"),
+        ("aggregation", {"a": 1, "l": 1, "g": 2, "S": False, "dtable": {"1,1": "1"}}, "False"),
+    ], ids=["kappa-bool", "kappa-float", "circle-bool", "circle-float", "tree-float",
+            "aggregation-bool"])
+    def test_replay_rejects_bool_and_float_rationals(self, capsys, tmp_path, checker,
+                                                     instance, bad):
+        # these replays used to read true as 1 and 1.5 as 3/2 and pass
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": checker, "instance": instance}))
+        code, out, _ = run(capsys, "verify", checker, "--replay", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            f"replay {checker}: FAIL",
+            f"  error: ValueError: rational fields must be strings or JSON integers, not {bad}"]
+
+    @pytest.mark.parametrize("r,keys,message", [
+        (2, ["0,1", "1,0", "01,0"], "chamber coeffs must have exactly the keys"),
+        (2, ["0,1", " 1,0"], "chamber coeffs must have exactly the keys"),
+        (2, ["0,1", "1,0", "0,5"], "chamber coeffs must have exactly the keys"),
+        (2, ["0,1"], "chamber coeffs must have exactly the keys"),
+        (3, ["0,1", "1,0", "0,2", "2,0", "1,2", "2,1", "1,1"],
+         "chamber coeffs must have exactly the keys"),
+        (True, [], "chamber r must be a JSON integer in 2..5, not True"),
+        (2.0, ["0,1", "1,0"], "chamber r must be a JSON integer in 2..5, not 2.0"),
+        (6, [], "chamber r must be a JSON integer in 2..5, not 6"),
+        (1, [], "chamber r must be a JSON integer in 2..5, not 1"),
+    ], ids=["leading-zero", "space", "out-of-range", "missing", "diagonal", "bool-r",
+            "float-r", "large-r", "small-r"])
+    def test_replay_chamber_rejects_malformed_family(self, capsys, tmp_path, r, keys, message):
+        # "01,0" and " 1,0" used to overwrite the pair (1, 0), "0,5" was
+        # ignored and "r": true passed with no chamber at all
+        instance = {"r": r, "coeffs": {key: ["1"] for key in keys}}
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": "gm-family", "instance": instance}))
+        code, out, _ = run(capsys, "verify", "gm-family", "--replay", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "replay gm-family: FAIL"
+        assert lines[1].startswith(f"  error: ValueError: {message}")
+        assert len(lines) == 2
+
+    def test_replay_chamber_exact_limit(self, capsys, tmp_path):
+        instance = {"r": 2, "coeffs": {"0,1": ["1", "1/2"], "1,0": ["-2"]}}
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": "gm-family", "instance": instance}))
+        code, out, _ = run(capsys, "verify", "gm-family", "--replay", str(path))
+        assert code == 0 and out == "replay gm-family: PASS\n"
+
+    @pytest.mark.parametrize("instance,message", [
+        ({"kind": "fourier", "sizes": [1, 1], "e": 0.5, "lam": [["1/2", "0"], ["2", "0"]]},
+         "lattice e must be JSON integers, not 0.5"),
+        ({"kind": "periodicity", "sizes": [1, 1], "order": [0, 1], "e": 0.5},
+         "lattice e must be JSON integers, not 0.5"),
+        ({"kind": "periodicity", "sizes": [1, 1], "order": [0.0, 1], "e": 1},
+         "lattice order must be JSON integers, not 0.0"),
+        ({"kind": "growth", "sizes": [1, 1], "tmax": -1},
+         "lattice tmax must be JSON integers >= 1, not -1"),
+        ({"kind": "growth", "sizes": [1, 1], "tmax": 0},
+         "lattice tmax must be JSON integers >= 1, not 0"),
+        ({"kind": "growth", "sizes": [1, 1], "tmax": "20"},
+         "lattice tmax must be JSON integers >= 1, not '20'"),
+        ({"kind": "periodicity", "sizes": [1.0, 1], "order": [0, 1], "e": 1},
+         "lattice sizes must be JSON integers >= 1, not 1.0"),
+        ({"kind": "degree-one", "sizes": [1, 1], "order": [0, 1], "lam": [["1/2", "0"]]},
+         "lam must be a list of 2 [re, im] pairs"),
+        ({"kind": "degree-one", "sizes": [1, 1], "order": [0, 1],
+          "lam": [["1/2", "0", "1"], ["2", "0"]]}, "lam entries must be [re, im] pairs"),
+        # a counterexample file from before lambda was drawn as rationals
+        ({"kind": "series", "sizes": [1, 1], "order": [0, 1], "e": 1,
+          "lam": [[0.3821, 0.1182], [0.3241, 0.5047]]},
+         "rational fields must be strings or JSON integers, not 0.3821"),
+    ], ids=["fourier-e", "periodicity-e", "order", "tmax-negative", "tmax-zero",
+            "tmax-string", "sizes", "lam-length", "lam-pair", "float-lam"])
+    def test_replay_lattice_rejects_malformed_fields(self, capsys, tmp_path, instance,
+                                                     message):
+        # "e": 0.5 used to report a theorem failure (fourier) or pass
+        # (periodicity), and "tmax": -1 passed with no comparison at all
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": "lattice", "instance": instance}))
+        code, out, _ = run(capsys, "verify", "lattice", "--replay", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "replay lattice: FAIL"
+        assert lines[1].startswith(f"  error: ValueError: {message}")
+        assert len(lines) == 2
+
+    def test_verify_runs_without_mpmath(self):
+        # mpmath is a test dependency only: the CLI imports and `verify all`
+        # reports the pinned bytes with the module blocked
+        code = ("import hashlib, io, sys, contextlib\n"
+                "sys.modules['mpmath'] = None\n"
+                "import locsys.cli\n"
+                "out = io.StringIO()\n"
+                "with contextlib.redirect_stdout(out):\n"
+                "    rc = locsys.cli.main(['--json', 'verify', 'all', '--seed', '0'])\n"
+                "print(rc, hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [
+            "0", "1c956a789b6e9839a0b143edb3c586f7093449f8170cf313484c2d34de7b92ed"]
 
     def test_different_seeds_differ(self, capsys):
         # the reports coincide structurally but instances differ, so at least

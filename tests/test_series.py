@@ -142,3 +142,32 @@ def test_free_poly_coefficients():
     e = s.exp()
     assert e.coeff(2) == x * x * Fraction(1, 2)
     assert s.scalar_mul(FreePoly.gamma()).coeff(1) == FreePoly.gamma() * x
+
+
+def test_inverse_and_integer_powers():
+    rng = random.Random(11)
+    for _ in range(25):
+        cap = rng.randint(0, 6)
+        s = rand_series(rng, cap, Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)))
+        one = series(cap, 1)
+        assert s * s.inverse() == one and s / s == one
+        assert s ** 0 == one and s ** 1 == s and s ** 3 == s * s * s
+        assert s ** -2 * s ** 2 == one and s ** -1 == s.inverse()
+
+
+def test_inverse_needs_a_unit_constant():
+    with pytest.raises(ZeroDivisionError):
+        series(3, 0, 1).inverse()
+    with pytest.raises(TypeError):
+        series(3, 1, 1) ** Fraction(1, 2)
+
+
+def test_scalar_division_and_reflected_subtraction():
+    s = series(2, 3, 1, 4)
+    assert s / 2 == series(2, Fraction(3, 2), Fraction(1, 2), 2)
+    assert s / Fraction(2, 3) == series(2, Fraction(9, 2), Fraction(3, 2), 6)
+    assert 1 - s == series(2, -2, -1, -4) == -(s - 1)
+    # the c-function shape of the chamber limits: integer powers, division by ints
+    x = series(3, 1, 1, Fraction(1, 2), Fraction(1, 6))  # exp(t)
+    value = x * 0 + 1 + (x ** 2 - 1) * 3 / 2 - x ** -1
+    assert value.coeff(0) == 0 and value.coeff(1) == 3 + 1

@@ -8,6 +8,7 @@ import pytest
 
 from locsys.spectral import (
     Block,
+    Cyclotomic,
     DiscretePairDatum,
     RationalFunc,
     aggregation_check,
@@ -571,11 +572,16 @@ def ref_cone_indicator(sizes, order, H):
     return True
 
 
-def ref_cone_direct_sum(sizes, order, e, lam, trunc):
-    """Reference truncated sum: one power of each lambda_i per term."""
+def ref_cone_direct_sum(sizes, order, e, lam, trunc, exact=False):
+    """Reference truncated sum: one power of each lambda_i per term, in mpmath
+    or, with exact=True, in Gaussian rationals."""
     r = len(sizes)
     sign = (-1) ** sum(1 for a in range(r - 1) if order[a] > order[a + 1])
-    total = mpmath.mpc(0)
+    if exact:
+        lam = [Cyclotomic.gaussian(4, Fraction(x.real), Fraction(x.imag)) for x in lam]
+    else:
+        lam = [mpmath.mpc(x) for x in lam]
+    total = 0
     for head in itertools.product(range(-trunc, trunc + 1), repeat=r - 1):
         last = e - sum(head)
         if abs(last) > trunc:
@@ -583,11 +589,11 @@ def ref_cone_direct_sum(sizes, order, e, lam, trunc):
         H = list(head) + [last]
         if not ref_cone_indicator(sizes, order, H):
             continue
-        term = mpmath.mpf(1)
+        term = 1
         for i in range(r):
-            term = term * mpmath.mpc(lam[i]) ** (-H[i])
-        total += term
-    return sign * total
+            term = lam[i] ** (-H[i]) * term
+        total = term + total
+    return total * sign
 
 
 CONE_SHAPES = [(1,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2),
@@ -622,11 +628,16 @@ class TestConeIndicatorMatchesReference:
     @pytest.mark.parametrize("sizes,order,e", [((1, 1), (0, 1), -1), ((2, 1), (1, 0), 2),
                                                ((1, 1, 1), (2, 0, 1), 1)])
     def test_direct_sum_bit_identical(self, sizes, order, e):
+        # the float lambdas are read exactly; the integer sums over the
+        # largest box equal the per-term Gaussian-rational sums exactly, and
+        # the mpmath sums to rounding
         lam = [complex(0.4 + 0.3 * i, 0.1 * (i + 1)) for i in range(len(sizes))]
         sums = cone_direct_sum(sizes, order, e, lam, (3, 6))
         for trunc, got in zip((3, 6), sums, strict=True):
+            assert got == ref_cone_direct_sum(sizes, order, e, lam, trunc, exact=True)
             want = ref_cone_direct_sum(sizes, order, e, lam, trunc)
-            assert (got.real, got.imag) == (want.real, want.imag)
+            value = complex(*(float(Fraction(c, got.den)) for c in got.num))
+            assert abs(value - complex(want)) <= 1e-12 * abs(complex(want))
 
 
 class TestPairWeight:
