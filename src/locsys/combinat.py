@@ -109,8 +109,8 @@ def partitions(n: int):
     all the 1s, and re-splits that amount greedily into parts p - 1 and one
     smaller remainder.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"need an integer n >= 1, not {n!r}")
     parts, mults = [n], [1]
     while True:
         yield _trusted_partition(dict(zip(parts, mults)), n)

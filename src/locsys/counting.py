@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import fields
 from .combinat import divisors, mobius, partitions
 from .laurent import InvarianceError, LaurentPoly, WeilPoly, _coeff, pic_polynomial, render_terms
 from .series import TruncatedSeries
@@ -249,7 +250,8 @@ class CTable:
 
     @classmethod
     def from_obj(cls, obj, g):
-        base = {int(s): LaurentPoly.from_obj(p) for s, p in obj["entries"].items()}
+        base = fields.keyed(fields.canonical_int, LaurentPoly.from_obj,
+                            "count table entries")(obj["entries"])
         return cls.concrete(g, base)
 
 
@@ -309,11 +311,8 @@ class ATable:
         for key, p in entries:
             # a canonical key is the only spelling of its rank, so no two
             # keys can name the same rank
-            try:
-                n = int(key)
-            except (TypeError, ValueError):
-                n = None
-            if n is None or str(n) != key:
+            n = fields.canonical_int(key)
+            if n is None:
                 raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
                                  "is not a canonical integer")
             table[n] = LaurentPoly.from_obj(p)

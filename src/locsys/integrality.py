@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import fields
 from .combinat import binom_ring, divisors, mobius
 
 
@@ -128,20 +129,20 @@ class DivisibilityInstance:
     @classmethod
     def from_obj(cls, obj):
         """Read to_obj's form; every field must be a JSON integer (a float,
-        bool or string is rejected, not truncated)."""
-        fields = [*obj["a"], *obj["nu"], obj["chi"]]
-        for key, v in [*obj["k"], *obj["eps"]]:
-            fields += [*key, v]
-        bad = [x for x in fields if type(x) is not int]
-        if bad:
-            raise ValueError(f"divisibility fields must be JSON integers, not {bad[0]!r}")
-        return cls(
-            a=list(obj["a"]),
-            nu=list(obj["nu"]),
-            chi=obj["chi"],
-            k={tuple(key): v for key, v in obj["k"]},
-            eps={tuple(key): v for key, v in obj["eps"]},
-        )
+        bool or string is rejected, not truncated), and no key may repeat."""
+        obj = _INSTANCE_FIELDS(obj)
+        k, eps = dict(obj["k"]), dict(obj["eps"])
+        if len(k) != len(obj["k"]) or len(eps) != len(obj["eps"]):
+            raise ValueError("divisibility k and eps must not repeat a key")
+        return cls(a=obj["a"], nu=obj["nu"], chi=obj["chi"], k=k, eps=eps)
+
+
+_INT = fields.integer("divisibility fields")
+_ENTRIES = fields.list_of(fields.tuple_of(
+    "divisibility k and eps entries", "[[i, j, s], value] pairs",
+    fields.tuple_of("divisibility keys", "[i, j, s] triples", _INT, _INT, _INT), _INT))
+_INSTANCE_FIELDS = fields.record({"a": fields.list_of(_INT), "nu": fields.list_of(_INT),
+                                  "chi": _INT, "k": _ENTRIES, "eps": _ENTRIES})
 
 
 def alternating_binomial_sum(inst: DivisibilityInstance) -> int:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import polyq
+from . import fields, polyq
 from .combinat import binom_ring, divisors, mobius, partitions
 from .series import TruncatedSeries
 
@@ -320,13 +320,14 @@ class DiscretePairDatum:
     def from_obj(cls, obj):
         """Read to_obj's form; every field must be a JSON integer (a float,
         bool or string is rejected, not truncated)."""
-        fields = [obj["g"]] + [x for b in obj["blocks"]
-                               for x in (b["d"], b["nu"], b["fix"], b["m"], *b["orbits"])]
-        bad = [x for x in fields if type(x) is not int]
-        if bad:
-            raise ValueError(f"discrete pair fields must be JSON integers, not {bad[0]!r}")
-        return cls(obj["g"], tuple(Block(b["d"], b["nu"], b["fix"], b["m"], b["orbits"])
-                                   for b in obj["blocks"]))
+        obj = _DATUM_FIELDS(obj)
+        return cls(obj["g"], tuple(Block(**b) for b in obj["blocks"]))
+
+
+_PAIR_INT = fields.integer("discrete pair fields")
+_DATUM_FIELDS = fields.record({"g": _PAIR_INT, "blocks": fields.list_of(fields.record(
+    {"d": _PAIR_INT, "nu": _PAIR_INT, "fix": _PAIR_INT, "m": _PAIR_INT,
+     "orbits": fields.list_of(_PAIR_INT)}))})
 
 
 def zero_pole_count(b1: Block, b2: Block, g: int, same_inertial: bool) -> int:

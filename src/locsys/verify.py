@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from . import cones, spectral
+from . import cones, fields, spectral
 from .combinat import (
     binomial_convolution_check,
     cycle_sum_identity_check,
@@ -44,29 +44,6 @@ def _frac_str(x):
     return str(Fraction(x))
 
 
-def _frac(v):
-    """A rational field of an instance: a rational string such as "-3/2", or
-    a JSON integer (not a bool or a float)."""
-    if type(v) is not int and type(v) is not str:
-        raise ValueError(f"rational fields must be strings or JSON integers, not {v!r}")
-    return Fraction(v)
-
-
-def _fracs(values):
-    if not isinstance(values, list):
-        raise ValueError(f"expected a list of rationals, not {values!r}")
-    return [_frac(v) for v in values]
-
-
-def _ints(values, name, low=None):
-    """JSON integers (not bools, floats or strings), each >= low if given."""
-    for v in values:
-        if type(v) is not int or (low is not None and v < low):
-            bound = "" if low is None else f" >= {low}"
-            raise ValueError(f"{name} must be JSON integers{bound}, not {v!r}")
-    return values
-
-
 def _shrink(instance, fails, moves):
     """Greedy minimization: accept any simpler candidate that still fails."""
     progress = True
@@ -86,23 +63,43 @@ def _shrink(instance, fails, moves):
 
 # --------------------------------------------------------------------------
 # instance checkers (also used by --replay)
+#
+# KINDS maps (checker, kind), with kind the instance's "kind" field or None
+# where it has none, to the spec that reads the instance (locsys.fields) and
+# the body that checks the values read.  A body looks up the functions it
+# calls when it runs, so a patched function takes effect.
+
+_RATIONALS = fields.list_of(fields.rational)
+_MATRIX = fields.list_of(_RATIONALS)
+_DELTA = fields.list_of(fields.integer("delta entries", low=1))
+_RATIONAL_FUNC = fields.record({"num": _RATIONALS, "den": _RATIONALS})
+_COMPOSITION = cones.check_composition
+_SIZES = fields.list_of(fields.integer("lattice sizes", low=1))
+_ORDER = fields.list_of(fields.integer("lattice order"))
+_E = fields.integer("lattice e")
+_LAM = fields.list_of(fields.tuple_of("lam entries", "[re, im] pairs",
+                                      fields.rational, fields.rational))
 
 
-def _check_kappa(obj):
-    rows = [_fracs(row) for row in obj["matrix"]]
-    return spectral.det_slope_identities_check(rows, _fracs(obj["u"]), _fracs(obj["v"]))
+def _kind(specs):
+    """The spec of an instance with a "kind" field (already dispatched on)."""
+    return fields.record({"kind": str, **specs})
 
 
-def _check_blockdet(obj):
-    return spectral.block_det_identity_check(
-        [_fracs(row) for row in obj["a"]], [_fracs(u) for u in obj["us"]]
-    )
+def _holds(check, *args):
+    """Whether a check that raises TheoremViolation on failure passes."""
+    try:
+        check(*args)
+    except TheoremViolation:
+        return False
+    return True
 
 
-def _check_tree(obj):
-    r = obj["r"]
-    weights = {tuple(int(x) for x in key.split(",")): _frac(val)
-               for key, val in obj["weights"].items()}
+def _tree(f):
+    r, weights = f["r"], f["weights"]
+    fields.require_keys("matrix-tree weights", weights,
+                        {(i, j) for i in range(r) for j in range(i + 1, r)},
+                        f"'i,j', 0 <= i < j < {r}")
     tree = spectral.spanning_tree_sum(r, weights)
     rows = [[Fraction(0)] * r for _ in range(r)]
     for (i, j), w in weights.items():
@@ -112,48 +109,19 @@ def _check_tree(obj):
     return tree == spectral.det_slope(rows)
 
 
-def _check_matr(obj):
-    datum = DiscretePairDatum.from_obj(obj)
+def _matr(datum):
     a, b, c = spectral.triple_oracle(datum)
     return a == b == c
 
 
-def _check_delta(obj):
-    try:
-        spectral.orbit_character_sum(tuple(obj["lengths"]), tuple(obj["fixes"]))
-    except TheoremViolation:
-        return False
-    return True
-
-
-def _rational_func(obj):
-    return spectral.RationalFunc(_fracs(obj["num"]), _fracs(obj["den"]))
-
-
-def _check_gm(obj):
-    kind = obj.get("kind")
-    if kind == "circle":
-        try:
-            spectral.circle_count_check(_rational_func(obj["c12"]), _rational_func(obj["c21"]))
-        except TheoremViolation:
-            return False
-        return True
-    if kind is not None:
-        raise ValueError(f"unknown gm-family check {kind}")
-    r = obj["r"]
-    if type(r) is not int or not 2 <= r <= 5:
-        raise ValueError(f"chamber r must be a JSON integer in 2..5, not {r!r}")
-    pairs = {f"{i},{j}": (i, j) for i in range(r) for j in range(r) if i != j}
-    if not isinstance(obj["coeffs"], dict):
-        raise ValueError(f"chamber coeffs must be an object, not {obj['coeffs']!r}")
-    if set(obj["coeffs"]) != set(pairs):
-        raise ValueError(f"chamber coeffs must have exactly the keys 'i,j', 0 <= i != j < {r}, "
-                         f"got {sorted(obj['coeffs'])!r}")
+def _chamber(f):
+    r, coeffs = f["r"], f["coeffs"]
+    fields.require_keys("chamber coeffs", coeffs,
+                        {(i, j) for i in range(r) for j in range(r) if i != j},
+                        f"'i,j', 0 <= i != j < {r}")
     cfuncs = {}
     derivs = {}
-    for key, coeffs in obj["coeffs"].items():
-        i, j = pairs[key]
-        cs = _fracs(coeffs)
+    for pair, cs in coeffs.items():
 
         def func(x, cs=cs):
             out = x * 0 + 1
@@ -162,8 +130,8 @@ def _check_gm(obj):
                     out = out + (x ** k - 1) * c.numerator / c.denominator
             return out
 
-        cfuncs[(i, j)] = func
-        derivs[(i, j)] = sum(k * c for k, c in enumerate(cs, start=1))
+        cfuncs[pair] = func
+        derivs[pair] = sum(k * c for k, c in enumerate(cs, start=1))
     try:
         limit, basis = spectral.chamber_limit_exact(r, cfuncs, derivs=derivs)
     except TheoremViolation:
@@ -171,122 +139,154 @@ def _check_gm(obj):
     return limit == basis
 
 
-def _check_cones(obj):
-    kind = obj["kind"]
-    p = tuple(obj["p"])
-    if kind == "langlands":
-        return cones.langlands_identity_check(p, tuple(obj["q"]), _fracs(obj["H"]))
-    if kind == "egal":
-        T = _fracs(obj["T"])
-        H = _fracs(obj["H"])
-        return cones.gamma_cone(p, H, T) == cones.gamma_prime(p, H, T)
-    if kind == "zero":
-        return cones.gamma_cone(p, _fracs(obj["H"]), [0] * len(p)) == 0
-    if kind == "inversion":
-        return cones.gamma_inversion_check(p, _fracs(obj["H"]), _fracs(obj["T"]))
-    if kind == "support":
-        return cones.gamma_support_bound_check(p, [tuple(T) for T in obj["T"]], e=obj["e"])
-    raise ValueError(f"unknown cones check {kind}")
+def _lam(f):
+    """lambda, one [re, im] pair per block."""
+    lam, r = f["lam"], len(f["sizes"])
+    if len(lam) != r:
+        raise ValueError(f"lam must be a list of {r} [re, im] pairs, one per block, "
+                         f"not {len(lam)}")
+    return lam
 
 
-def _lattice_lam(obj, r):
-    """lambda as one [re, im] pair of rationals per block; the float pairs
-    that older suites drew are rejected like any other float field."""
-    lam = obj["lam"]
-    if not isinstance(lam, list) or len(lam) != r:
-        raise ValueError(f"lam must be a list of {r} [re, im] pairs, not {lam!r}")
-    out = [tuple(_fracs(x)) for x in lam]
-    if any(len(x) != 2 for x in out):
-        raise ValueError(f"lam entries must be [re, im] pairs, not {lam!r}")
-    return out
+def _growth(f):
+    counts = [cones.truncation_lattice_sum((1, 1), 0, (0, 0), (t, -t))
+              for t in range(f["tmax"] + 1)]
+    return counts == list(range(f["tmax"] + 1))
 
 
-def _check_lattice(obj):
-    kind = obj["kind"]
-    sizes = tuple(_ints(obj["sizes"], "lattice sizes", low=1))
-    if "e" in obj:
-        _ints([obj["e"]], "lattice e")
-    if "order" in obj:
-        _ints(obj["order"], "lattice order")
-    if kind == "series":
-        lam = _lattice_lam(obj, len(sizes))
-        ok, _, _ = spectral.cone_series_check(sizes, tuple(obj["order"]), obj["e"], lam)
-        return ok
-    if kind == "degree-one":
-        lam = _lattice_lam(obj, len(sizes))
-        return spectral.cone_degree_one_identity(sizes, tuple(obj["order"]), lam)
-    if kind == "fourier":
-        lam = _lattice_lam(obj, len(sizes))
-        return spectral.cone_fourier_average_check(sizes, obj["e"], lam)
-    if kind == "periodicity":
-        return spectral.cone_periodicity_check(sizes, tuple(obj["order"]), obj["e"])
-    if kind == "growth":
-        tmax = _ints([obj["tmax"]], "lattice tmax", low=1)[0]
-        counts = [cones.truncation_lattice_sum((1, 1), 0, (0, 0), (t, -t))
-                  for t in range(tmax + 1)]
-        return counts == list(range(tmax + 1))
-    raise ValueError(f"unknown lattice check {kind}")
-
-
-def _check_integrality(obj):
-    kind = obj.get("kind")
-    if kind == "congruence":
-        return coprime_factorial_congruence_check(obj["p"], obj["alpha"], obj["n"])
-    if kind == "binom":
-        return binomial_gcd_divisibility_check(obj["n"], obj["m"])
-    if kind is not None:
-        raise ValueError(f"unknown integrality check {kind}")
+def _divisible(inst):
     try:
-        return divisibility_check(DivisibilityInstance.from_obj(obj))
+        return divisibility_check(inst)
     except DivisibilityFailure:
         return False
 
 
-def _check_combinat(obj):
-    kind = obj["kind"]
-    if kind == "cycle":
-        return cycle_sum_identity_check(obj["m"], obj["xi"], _frac(obj["S"]))
-    if kind == "convolution":
-        return binomial_convolution_check(obj["k"], obj["xi"], _frac(obj["D"]), _frac(obj["S"]))
-    if kind == "mobius-divisor":
-        return mobius_divisor_lemma_check(obj["t"], obj["l"], obj["L"])
-    if kind == "partition-count":
-        return sum(1 for _ in partitions(obj["n"])) == partition_count(obj["n"])
-    if kind == "mobius-sum":
-        return sum(mobius(d) for d in divisors(obj["n"])) == (1 if obj["n"] == 1 else 0)
-    raise ValueError(f"unknown combinat check {kind}")
+def _aggregation(f):
+    a, dtable = f["a"], f["dtable"]
+    fields.require_keys("aggregation dtable", dtable,
+                        {(j, d) for j in range(1, a + 1) for d in divisors(j)},
+                        f"'j,d', 1 <= j <= {a}, d | j")
+    return spectral.aggregation_check(a, f["l"], f["S"], f["g"], dtable)
 
 
-def _check_aggregation(obj):
-    dtable = {tuple(int(x) for x in key.split(",")): _frac(val)
-              for key, val in obj["dtable"].items()}
-    return spectral.aggregation_check(obj["a"], obj["l"], _frac(obj["S"]), obj["g"], dtable)
-
-
-def _check_roundtrip(obj):
-    g = obj["g"]
-    n = obj["n"]
-    planted = {int(s): LaurentPoly.from_obj(p) for s, p in obj["planted"].items()}
+def _roundtrip(f):
+    g, n, planted = f["g"], f["n"], f["planted"]
+    fields.require_keys("roundtrip planted", planted, set(range(1, n + 1)), f"1..{n}")
     table = CTable.concrete(g, planted)
     entries = {s: a_from_c(s, g, table) for s in range(2, n + 1)}
     recovered = c_from_a(n, g, ATable(g, entries))
     return all(recovered.base[s] == planted[s] for s in range(1, n + 1))
 
 
-CHECKERS = {
-    "kappa": _check_kappa,
-    "block-det": _check_blockdet,
-    "matrix-tree": _check_tree,
-    "matr": _check_matr,
-    "delta": _check_delta,
-    "gm-family": _check_gm,
-    "cones": _check_cones,
-    "lattice": _check_lattice,
-    "integrality": _check_integrality,
-    "combinat": _check_combinat,
-    "aggregation": _check_aggregation,
-    "roundtrip": _check_roundtrip,
+def _positive(label):
+    return fields.integer(label, low=1)
+
+
+KINDS = {
+    ("kappa", None): (
+        fields.record({"matrix": _MATRIX, "u": _RATIONALS, "v": _RATIONALS}),
+        lambda f: spectral.det_slope_identities_check(f["matrix"], f["u"], f["v"])),
+    ("block-det", None): (
+        fields.record({"a": _MATRIX, "us": _MATRIX}),
+        lambda f: spectral.block_det_identity_check(f["a"], f["us"])),
+    ("matrix-tree", None): (
+        fields.record({"r": fields.integer("matrix-tree r", 1, 7), "weights": fields.keyed(
+            fields.pair_key, fields.rational, "matrix-tree weights")}),
+        _tree),
+    ("matr", None): (DiscretePairDatum.from_obj, _matr),
+    ("delta", None): (
+        fields.record({"lengths": _DELTA, "fixes": _DELTA}),
+        lambda f: _holds(spectral.orbit_character_sum, f["lengths"], f["fixes"])),
+    ("gm-family", None): (
+        fields.record({"r": fields.integer("chamber r", 2, 5), "coeffs": fields.keyed(
+            fields.pair_key, _RATIONALS, "chamber coeffs")}),
+        _chamber),
+    ("gm-family", "circle"): (
+        _kind({"c12": _RATIONAL_FUNC, "c21": _RATIONAL_FUNC}),
+        lambda f: _holds(spectral.circle_count_check, spectral.RationalFunc(**f["c12"]),
+                         spectral.RationalFunc(**f["c21"]))),
+    ("cones", "langlands"): (
+        _kind({"p": _COMPOSITION, "q": _COMPOSITION, "H": _RATIONALS}),
+        lambda f: cones.langlands_identity_check(f["p"], f["q"], f["H"])),
+    ("cones", "egal"): (
+        _kind({"p": _COMPOSITION, "H": _RATIONALS, "T": _RATIONALS}),
+        lambda f: (cones.gamma_cone(f["p"], f["H"], f["T"])
+                   == cones.gamma_prime(f["p"], f["H"], f["T"]))),
+    ("cones", "zero"): (
+        _kind({"p": _COMPOSITION, "H": _RATIONALS}),
+        lambda f: cones.gamma_cone(f["p"], f["H"], [0] * len(f["p"])) == 0),
+    ("cones", "inversion"): (
+        _kind({"p": _COMPOSITION, "H": _RATIONALS, "T": _RATIONALS}),
+        lambda f: cones.gamma_inversion_check(f["p"], f["H"], f["T"])),
+    ("cones", "support"): (
+        _kind({"p": _COMPOSITION, "T": fields.list_of(fields.list_of(fields.integer(
+            "cones support T"))), "e": fields.integer("cones support e")}),
+        lambda f: cones.gamma_support_bound_check(f["p"], f["T"], e=f["e"])),
+    ("lattice", "series"): (
+        _kind({"sizes": _SIZES, "order": _ORDER, "e": _E, "lam": _LAM}),
+        lambda f: spectral.cone_series_check(f["sizes"], f["order"], f["e"], _lam(f))[0]),
+    ("lattice", "degree-one"): (
+        _kind({"sizes": _SIZES, "order": _ORDER, "lam": _LAM}),
+        lambda f: spectral.cone_degree_one_identity(f["sizes"], f["order"], _lam(f))),
+    ("lattice", "fourier"): (
+        _kind({"sizes": _SIZES, "e": _E, "lam": _LAM}),
+        lambda f: spectral.cone_fourier_average_check(f["sizes"], f["e"], _lam(f))),
+    ("lattice", "periodicity"): (
+        _kind({"sizes": _SIZES, "order": _ORDER, "e": _E}),
+        lambda f: spectral.cone_periodicity_check(f["sizes"], f["order"], f["e"])),
+    ("lattice", "growth"): (
+        _kind({"sizes": _SIZES, "tmax": _positive("lattice tmax")}), _growth),
+    ("integrality", None): (DivisibilityInstance.from_obj, _divisible),
+    ("integrality", "congruence"): (
+        _kind({"p": fields.integer("congruence p"), "alpha": fields.integer("congruence alpha"),
+               "n": fields.integer("congruence n")}),
+        lambda f: coprime_factorial_congruence_check(f["p"], f["alpha"], f["n"])),
+    ("integrality", "binom"): (
+        _kind({"n": fields.integer("binom n"), "m": fields.integer("binom m")}),
+        lambda f: binomial_gcd_divisibility_check(f["n"], f["m"])),
+    ("combinat", "cycle"): (
+        _kind({"m": _positive("cycle m"), "xi": _positive("cycle xi"), "S": fields.rational}),
+        lambda f: cycle_sum_identity_check(f["m"], f["xi"], f["S"])),
+    ("combinat", "convolution"): (
+        _kind({"k": _positive("convolution k"), "xi": _positive("convolution xi"),
+               "S": fields.rational, "D": fields.rational}),
+        lambda f: binomial_convolution_check(f["k"], f["xi"], f["D"], f["S"])),
+    ("combinat", "mobius-divisor"): (
+        _kind({"t": _positive("mobius-divisor t"), "l": _positive("mobius-divisor l"),
+               "L": _positive("mobius-divisor L")}),
+        lambda f: mobius_divisor_lemma_check(f["t"], f["l"], f["L"])),
+    ("combinat", "partition-count"): (
+        _kind({"n": _positive("partition-count n")}),
+        lambda f: sum(1 for _ in partitions(f["n"])) == partition_count(f["n"])),
+    ("combinat", "mobius-sum"): (
+        _kind({"n": _positive("mobius-sum n")}),
+        lambda f: sum(mobius(d) for d in divisors(f["n"])) == (1 if f["n"] == 1 else 0)),
+    ("aggregation", None): (
+        fields.record({"a": _positive("aggregation a"), "l": _positive("aggregation l"),
+                       "g": fields.integer("aggregation g"), "S": fields.rational,
+                       "dtable": fields.keyed(fields.pair_key, fields.rational,
+                                              "aggregation dtable")}),
+        _aggregation),
+    ("roundtrip", None): (
+        fields.record({"g": fields.integer("roundtrip g"), "n": _positive("roundtrip n"),
+                       "planted": fields.keyed(fields.canonical_int, LaurentPoly.from_obj,
+                                               "roundtrip planted")}),
+        _roundtrip),
 }
+
+
+def _checker(name):
+    def check(obj):
+        kind = obj.get("kind") if type(obj) is dict else None
+        try:
+            spec, body = KINDS[name, kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown {name} check {kind!r}") from None
+        return body(spec(obj))
+    return check
+
+
+CHECKERS = {name: _checker(name) for name, _ in KINDS}
 
 
 def replay(payload):
@@ -423,10 +423,6 @@ def _moves_integrality(obj):
                     pass
 
 
-def _moves_none(obj):
-    return iter(())
-
-
 _MOVES = {
     "matr": _moves_matr,
     "delta": _moves_delta,
@@ -462,12 +458,11 @@ def _finish(name, items, jobs=1):
     for checks, ((checker_name, instance), (ok, error)) in enumerate(zip(items, results), 1):
         if not ok:
             report = {"suite": name, "passed": False, "checks": checks}
-            if error is None:
-                checker = CHECKERS[checker_name]
-                moves = _MOVES.get(checker_name, _moves_none)
-                instance = _shrink(instance, lambda cand: not checker(cand), moves)
-            else:
+            if error is not None:
                 report["error"] = error
+            elif checker_name in _MOVES:
+                checker = CHECKERS[checker_name]
+                instance = _shrink(instance, lambda cand: not checker(cand), _MOVES[checker_name])
             report["counterexample"] = {"suite": name, "checker": checker_name,
                                         "instance": instance}
             return report

@@ -6,7 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -808,3 +810,123 @@ class TestReplayHelpers:
         payload = {"suite": "delta", "checker": "delta",
                    "instance": {"lengths": [2], "fixes": [1]}}
         assert replay(payload)["passed"] is True
+
+
+def _suite_instances(seeds):
+    """(checker, instance) items of every suite at --iterations 1."""
+    return [item for seed in seeds for suite in verify.SUITES.values()
+            for item in suite(seed, 1)]
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, obj
+
+
+def _with(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return obj
+
+
+def _mutants(instance):
+    """Malformed copies of one suite instance: every single-leaf type
+    mutation, an unknown field, each field missing, and pair or rank keys
+    that respell an entry."""
+    planted = instance.get("planted", {})
+    for path, value in _leaves(instance):
+        if path == ("kind",) or (path[0] == "planted" and path[1:4] != ("1", "terms", 0)):
+            continue  # one term of a polynomial; TestMalformedInput covers the rest
+        if type(value) is int:
+            yield _with(instance, path, float(value))
+            yield _with(instance, path, bool(value))
+            if path[0] not in ("c12", "c21"):
+                # the circle polynomials are rational fields drawn as JSON
+                # integers, so "1" is another spelling there, not a mutation
+                yield _with(instance, path, str(value))
+        else:
+            yield _with(instance, path, float(Fraction(value)))
+    yield {**instance, "extra": 0}
+    for name in instance:
+        yield {key: value for key, value in instance.items() if key != name}
+    for name in ("weights", "dtable"):
+        if name in instance:
+            for key in ("00,1", "1,01", " 1,0"):
+                yield {**instance, name: {**instance[name], key: "1"}}
+    if "2" in planted:
+        yield {**instance, "planted": {**planted, "02": planted["2"]}}
+
+
+class TestReplayFuzz:
+    # replays that printed PASS or never ended before every instance went
+    # through one field table
+    FOUND = [
+        ("combinat", {"kind": "partition-count", "n": 2.5}),
+        ("combinat", {"kind": "mobius-divisor", "t": True, "l": 1, "L": 1}),
+        ("matrix-tree", {"r": 2, "weights": {"0,1": "1", "00,1": "2"}}),
+        ("aggregation", {"a": 1, "l": 1, "g": 2, "S": "1",
+                         "dtable": {"1,1": "1", "01,1": "1/2", "1,01": "3"}}),
+    ]
+
+    def test_every_mutant_is_one_error_line(self):
+        samples = {}
+        for checker, instance in _suite_instances([0]):
+            samples.setdefault((checker, instance.get("kind")), instance)
+        mutants = [(checker, mutant) for (checker, _), instance in samples.items()
+                   for mutant in _mutants(instance)] + self.FOUND
+        assert len(mutants) > 500
+        for checker, mutant in mutants:
+            result = replay(json.loads(json.dumps({"checker": checker, "instance": mutant})))
+            assert result["passed"] is False, (checker, mutant)
+            assert result["error"].startswith(("ValueError: ", "KeyError: ")), (
+                checker, mutant, result["error"])
+
+    @pytest.mark.parametrize("checker,instance", FOUND,
+                             ids=["partition-count", "mobius-divisor", "tree-keys",
+                                  "aggregation-keys"])
+    def test_found_replays_end_in_an_error_line(self, capsys, tmp_path, checker, instance):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": checker, "instance": instance}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", checker, "--replay", str(path))
+        assert time.perf_counter() - start < 1.0
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 2
+        assert lines[0] == f"replay {checker}: FAIL"
+        assert lines[1].startswith("  error: ValueError: ")
+
+    @pytest.mark.parametrize("checker,instance,label", [
+        ("matrix-tree", {"r": 2, "weights": {"0,1": "1", "1,0": "2"}}, "matrix-tree weights"),
+        ("aggregation", {"a": 1, "l": 1, "g": 2, "S": "1", "dtable": {"1,1": "1", "2,1": "1"}},
+         "aggregation dtable"),
+        ("roundtrip", {"g": 2, "n": 2, "planted": {"1": pic_polynomial(2).to_obj()}},
+         "roundtrip planted"),
+    ], ids=["tree-reversed-pair", "aggregation-extra-rank", "roundtrip-missing-rank"])
+    def test_keys_fixed_by_another_field(self, checker, instance, label):
+        # a reversed tree edge used to count in the matrix but not in the
+        # tree sum, and an extra dtable entry was ignored
+        result = replay({"checker": checker, "instance": instance})
+        assert result["passed"] is False
+        assert result["error"].startswith(f"ValueError: {label} must have exactly the keys ")
+
+    def test_table_matches_suites_and_moves(self):
+        """The (checker, kind) pairs the suites draw are the table's keys,
+        and every shrinking move yields an instance the table reads."""
+        items = _suite_instances(range(4))
+        assert {(checker, inst.get("kind")) for checker, inst in items} == set(verify.KINDS)
+        moved = 0
+        for checker, instance in items:
+            for move in verify._MOVES.get(checker, lambda obj: ())(instance):
+                spec, _ = verify.KINDS[checker, move.get("kind")]
+                spec(move)
+                moved += 1
+        assert moved > 0

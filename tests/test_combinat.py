@@ -203,3 +203,10 @@ class TestMobiusDivisorLemma:
             for l in range(1, 13):
                 for big_l in range(1, 13):
                     assert mobius_divisor_lemma_check(t, l, big_l)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None, 0])
+def test_partitions_reject_non_integer_n(n):
+    # 2.5 used to loop without end
+    with pytest.raises(ValueError):
+        list(partitions(n))

@@ -154,3 +154,11 @@ class TestDivisibilityInstances:
             obj[field][0] = str(obj[field][0])
         with pytest.raises(ValueError, match="JSON integers"):
             DivisibilityInstance.from_obj(obj)
+
+
+def test_from_obj_rejects_repeated_key():
+    obj = DivisibilityInstance(a=[2], nu=[1], chi=4, k={(0, 1, 2): 1},
+                               eps={(0, 1, 2): 1}).to_obj()
+    obj["k"].append(obj["k"][0])
+    with pytest.raises(ValueError, match="repeat a key"):
+        DivisibilityInstance.from_obj(obj)
