@@ -28,6 +28,8 @@ from fractions import Fraction
 
 
 def check_composition(parts, n=None):
+    if type(parts) is not list and type(parts) is not tuple:
+        raise ValueError(f"a composition must be a list of parts, not {parts!r}")
     parts = tuple(parts)
     if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"composition parts must be positive integers, not {parts!r}")

@@ -18,22 +18,15 @@ from fractions import Fraction
 
 from . import fields
 from .combinat import divisors, mobius, partitions
-from .laurent import InvarianceError, LaurentPoly, WeilPoly, _coeff, pic_polynomial, render_terms
+from .laurent import (EntryMissing, IntegralityError, InvarianceError, LaurentPoly, WeilPoly,
+                      _coeff, pic_polynomial, render_terms)
 from .series import TruncatedSeries
 
 GAMMA_ATOM = ("y",)
 
 
-class EntryMissing(LookupError):
-    """A required C-table entry is absent."""
-
-
 class ConsistencyError(RuntimeError):
     """The unknown top-rank symbol did not enter with coefficient one."""
-
-
-class IntegralityError(ArithmeticError):
-    """A count polynomial came out with non-integer coefficients."""
 
 
 @dataclass(frozen=True, order=True)

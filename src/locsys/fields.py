@@ -22,8 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def integer(label, low=None, high=None):
-    """A JSON integer, in low..high where given."""
+def integer(label, low=None, high=None, cap=None):
+    """A JSON integer, in low..high where given.  cap bounds a size that sets
+    how much work a check does, with a message of its own."""
     if high is not None:
         want = f"a JSON integer in {low}..{high}"
     else:
@@ -32,6 +33,8 @@ def integer(label, low=None, high=None):
     def read(v):
         if type(v) is not int or (low is not None and v < low) or (high is not None and v > high):
             raise ValueError(f"{label} must be {want}, not {v!r}")
+        if cap is not None and v > cap:
+            raise ValueError(f"{label} must be at most {cap}, not {v!r}")
         return v
     return read
 
@@ -46,12 +49,27 @@ def rational(v):
         raise ValueError(f"rational field {v!r} has a zero denominator") from None
 
 
-def list_of(item):
-    """A JSON list, read item by item."""
+def list_of(item, nonempty=False):
+    """A JSON list, non-empty where asked, read item by item."""
+    want = "a non-empty list" if nonempty else "a list"
+
     def read(v):
-        if type(v) is not list:
-            raise ValueError(f"expected a list, not {v!r}")
+        if type(v) is not list or nonempty and not v:
+            raise ValueError(f"expected {want}, not {v!r}")
         return [item(x) for x in v]
+    return read
+
+
+def square(label, item):
+    """A non-empty square matrix, a JSON list of n lists of n entries, read
+    entry by entry."""
+    rows = list_of(list_of(item))
+
+    def read(v):
+        m = rows(v)
+        if not m or any(len(row) != len(m) for row in m):
+            raise ValueError(f"{label} must be a non-empty square matrix, not {v!r}")
+        return m
     return read
 
 

@@ -45,6 +45,16 @@ class DivisibilityError(ArithmeticError):
         self.remainder = remainder
 
 
+# the counting engine's two errors live here, so that the command line can
+# catch them without importing locsys.counting
+class EntryMissing(LookupError):
+    """A required C-table entry is absent."""
+
+
+class IntegralityError(ArithmeticError):
+    """A count polynomial came out with non-integer coefficients."""
+
+
 class InvarianceError(ValueError):
     """A Weil-invariant polynomial was required."""
 

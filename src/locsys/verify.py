@@ -70,11 +70,10 @@ def _shrink(instance, fails, moves):
 # calls when it runs, so a patched function takes effect.
 
 _RATIONALS = fields.list_of(fields.rational)
-_MATRIX = fields.list_of(_RATIONALS)
 _DELTA = fields.list_of(fields.integer("delta entries", low=1))
 _RATIONAL_FUNC = fields.record({"num": _RATIONALS, "den": _RATIONALS})
 _COMPOSITION = cones.check_composition
-_SIZES = fields.list_of(fields.integer("lattice sizes", low=1))
+_SIZES = fields.list_of(fields.integer("lattice sizes", low=1), nonempty=True)
 _ORDER = fields.list_of(fields.integer("lattice order"))
 _E = fields.integer("lattice e")
 _LAM = fields.list_of(fields.tuple_of("lam entries", "[re, im] pairs",
@@ -93,6 +92,21 @@ def _holds(check, *args):
     except TheoremViolation:
         return False
     return True
+
+
+def _kappa(f):
+    matrix, u, v = f["matrix"], f["u"], f["v"]
+    if not len(u) == len(v) == len(matrix):
+        raise ValueError(f"kappa u and v must have {len(matrix)} entries each, one per row")
+    return spectral.det_slope_identities_check(matrix, u, v)
+
+
+def _block_det(f):
+    a, us = f["a"], f["us"]
+    if len(us) != len(a):
+        raise ValueError(f"block-det us must be {len(a)} lists, one per row of a, "
+                         f"not {len(us)}")
+    return spectral.block_det_identity_check(a, us)
 
 
 def _tree(f):
@@ -148,7 +162,17 @@ def _lam(f):
     return lam
 
 
+def _support(f):
+    p, samples = f["p"], f["T"]
+    if not samples or any(len(T) != sum(p) for T in samples):
+        raise ValueError(f"cones support T must be a non-empty list of points with "
+                         f"{sum(p)} coordinates, one per column of p")
+    return cones.gamma_support_bound_check(p, samples, e=f["e"])
+
+
 def _growth(f):
+    if f["sizes"] != [1, 1]:
+        raise ValueError(f"lattice growth counts the sizes [1, 1], not {f['sizes']!r}")
     counts = [cones.truncation_lattice_sum((1, 1), 0, (0, 0), (t, -t))
               for t in range(f["tmax"] + 1)]
     return counts == list(range(f["tmax"] + 1))
@@ -178,17 +202,23 @@ def _roundtrip(f):
     return all(recovered.base[s] == planted[s] for s in range(1, n + 1))
 
 
-def _positive(label):
-    return fields.integer(label, low=1)
+def _positive(label, cap=None):
+    return fields.integer(label, low=1, cap=cap)
 
 
+# A field that sets the size of a check has a cap, so that every replay ends
+# quickly.  Each cap is at least the largest value a suite draws, and the
+# check runs in well under a second at it (partition-count at n = 50
+# enumerates 204,226 partitions).
 KINDS = {
     ("kappa", None): (
-        fields.record({"matrix": _MATRIX, "u": _RATIONALS, "v": _RATIONALS}),
-        lambda f: spectral.det_slope_identities_check(f["matrix"], f["u"], f["v"])),
+        fields.record({"matrix": fields.square("kappa matrix", fields.rational),
+                       "u": _RATIONALS, "v": _RATIONALS}),
+        _kappa),
     ("block-det", None): (
-        fields.record({"a": _MATRIX, "us": _MATRIX}),
-        lambda f: spectral.block_det_identity_check(f["a"], f["us"])),
+        fields.record({"a": fields.square("block-det a", fields.rational),
+                       "us": fields.list_of(fields.list_of(fields.rational, nonempty=True))}),
+        _block_det),
     ("matrix-tree", None): (
         fields.record({"r": fields.integer("matrix-tree r", 1, 7), "weights": fields.keyed(
             fields.pair_key, fields.rational, "matrix-tree weights")}),
@@ -221,7 +251,7 @@ KINDS = {
     ("cones", "support"): (
         _kind({"p": _COMPOSITION, "T": fields.list_of(fields.list_of(fields.integer(
             "cones support T"))), "e": fields.integer("cones support e")}),
-        lambda f: cones.gamma_support_bound_check(f["p"], f["T"], e=f["e"])),
+        _support),
     ("lattice", "series"): (
         _kind({"sizes": _SIZES, "order": _ORDER, "e": _E, "lam": _LAM}),
         lambda f: spectral.cone_series_check(f["sizes"], f["order"], f["e"], _lam(f))[0]),
@@ -235,40 +265,42 @@ KINDS = {
         _kind({"sizes": _SIZES, "order": _ORDER, "e": _E}),
         lambda f: spectral.cone_periodicity_check(f["sizes"], f["order"], f["e"])),
     ("lattice", "growth"): (
-        _kind({"sizes": _SIZES, "tmax": _positive("lattice tmax")}), _growth),
+        _kind({"sizes": _SIZES, "tmax": _positive("lattice tmax", 100)}), _growth),
     ("integrality", None): (DivisibilityInstance.from_obj, _divisible),
     ("integrality", "congruence"): (
-        _kind({"p": fields.integer("congruence p"), "alpha": fields.integer("congruence alpha"),
-               "n": fields.integer("congruence n")}),
+        _kind({"p": fields.integer("congruence p", low=2, cap=13),
+               "alpha": _positive("congruence alpha", 3), "n": _positive("congruence n", 1000)}),
         lambda f: coprime_factorial_congruence_check(f["p"], f["alpha"], f["n"])),
     ("integrality", "binom"): (
-        _kind({"n": fields.integer("binom n"), "m": fields.integer("binom m")}),
+        _kind({"n": fields.integer("binom n", low=-10 ** 6, cap=10 ** 6),
+               "m": _positive("binom m", 10 ** 4)}),
         lambda f: binomial_gcd_divisibility_check(f["n"], f["m"])),
     ("combinat", "cycle"): (
-        _kind({"m": _positive("cycle m"), "xi": _positive("cycle xi"), "S": fields.rational}),
+        _kind({"m": _positive("cycle m", 30), "xi": _positive("cycle xi"), "S": fields.rational}),
         lambda f: cycle_sum_identity_check(f["m"], f["xi"], f["S"])),
     ("combinat", "convolution"): (
-        _kind({"k": _positive("convolution k"), "xi": _positive("convolution xi"),
+        _kind({"k": _positive("convolution k", 30), "xi": _positive("convolution xi"),
                "S": fields.rational, "D": fields.rational}),
         lambda f: binomial_convolution_check(f["k"], f["xi"], f["D"], f["S"])),
     ("combinat", "mobius-divisor"): (
-        _kind({"t": _positive("mobius-divisor t"), "l": _positive("mobius-divisor l"),
-               "L": _positive("mobius-divisor L")}),
+        _kind({"t": _positive("mobius-divisor t", 10 ** 6),
+               "l": _positive("mobius-divisor l", 10 ** 6),
+               "L": _positive("mobius-divisor L", 10 ** 6)}),
         lambda f: mobius_divisor_lemma_check(f["t"], f["l"], f["L"])),
     ("combinat", "partition-count"): (
-        _kind({"n": _positive("partition-count n")}),
+        _kind({"n": _positive("partition-count n", 50)}),
         lambda f: sum(1 for _ in partitions(f["n"])) == partition_count(f["n"])),
     ("combinat", "mobius-sum"): (
-        _kind({"n": _positive("mobius-sum n")}),
+        _kind({"n": _positive("mobius-sum n", 10 ** 6)}),
         lambda f: sum(mobius(d) for d in divisors(f["n"])) == (1 if f["n"] == 1 else 0)),
     ("aggregation", None): (
-        fields.record({"a": _positive("aggregation a"), "l": _positive("aggregation l"),
+        fields.record({"a": _positive("aggregation a", 12), "l": _positive("aggregation l"),
                        "g": fields.integer("aggregation g"), "S": fields.rational,
                        "dtable": fields.keyed(fields.pair_key, fields.rational,
                                               "aggregation dtable")}),
         _aggregation),
     ("roundtrip", None): (
-        fields.record({"g": fields.integer("roundtrip g"), "n": _positive("roundtrip n"),
+        fields.record({"g": fields.integer("roundtrip g", cap=3), "n": _positive("roundtrip n", 5),
                        "planted": fields.keyed(fields.canonical_int, LaurentPoly.from_obj,
                                                "roundtrip planted")}),
         _roundtrip),

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from locsys import cli, cones, spectral, verify
-from locsys.counting import ATable, CTable, a_from_c, euler_characteristic
+from locsys.counting import ATable, CTable, a_from_c, c_from_a, euler_characteristic
 from locsys.laurent import LaurentPoly, pic_polynomial
 from locsys.verify import _shrink, replay
 
@@ -191,6 +192,20 @@ PINNED_QGN = {
 }
 
 
+def test_emit_ctable_bytes_match_json_dump(capsys, tmp_path):
+    g, n = 2, 5
+    atable = planted_atable(g, n)
+    path = tmp_path / "atable.json"
+    path.write_text(atable.to_json())
+    ctable = tmp_path / "ctable.json"
+    code, _, _ = run(capsys, "--json", "qgn", "--n", str(n), "--g", str(g),
+                     "--a-table", str(path), "--emit-ctable", str(ctable))
+    assert code == 0
+    expected = io.StringIO()
+    json.dump(c_from_a(n, g, atable).to_obj(), expected, sort_keys=True, separators=(",", ":"))
+    assert ctable.read_text(encoding="utf-8") == expected.getvalue()
+
+
 @pytest.mark.parametrize("cell", list(PINNED_QGN), ids=lambda c: f"g{c[0]}n{c[1]}")
 def test_qgn_output_bytes_pinned(capsys, tmp_path, cell):
     g, n = cell
@@ -357,6 +372,59 @@ def test_parser_is_not_held_while_the_command_runs(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", spy)
     monkeypatch.setattr(cli, "cmd_euler", probe)
     assert cli.main(["euler", "--n", "2", "--g", "2"]) == 0
+
+
+def _fresh_python(*args, code=None):
+    """Run a fresh interpreter on the package's source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = [sys.executable] + (["-c", code] if code is not None else []) + list(args)
+    return subprocess.run(argv, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+
+
+class TestStartup:
+    """Each command loads only what it runs."""
+
+    def test_cli_import_loads_neither_verify_nor_counting(self):
+        done = _fresh_python(code="import sys, locsys.cli\n"
+                                  "locsys.cli.build_parser()\n"
+                                  "print(' '.join(sorted(sys.modules)))\n")
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "locsys.cli" in loaded
+        assert not loaded & {"locsys.verify", "locsys.counting"}
+
+    def test_suite_names_are_the_suites(self):
+        assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+    def test_counting_reexports_resolve_on_use(self):
+        import locsys
+        from locsys import ATable as reexported
+        from locsys import counting
+
+        assert reexported is counting.ATable
+        assert locsys.c_from_a is counting.c_from_a
+        namespace = {}
+        exec("from locsys import *", namespace)
+        assert set(locsys.__all__) <= namespace.keys()
+
+    def test_unknown_attribute_is_attribute_error(self):
+        import locsys
+
+        with pytest.raises(AttributeError, match="'nope'"):
+            locsys.nope
+
+    def test_counting_errors_are_the_laurent_classes(self):
+        from locsys import counting, laurent
+
+        assert counting.EntryMissing is laurent.EntryMissing
+        assert counting.IntegralityError is laurent.IntegralityError
+
+    def test_python_dash_m(self):
+        done = _fresh_python("-m", "locsys", "euler", "--n", "2", "--g", "2")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "euler[g=2,n=2] = -3\n", "")
+        done = _fresh_python("-m", "locsys", "verify", "nosuch")
+        assert done.returncode == 2 and "invalid choice: 'nosuch'" in done.stderr
 
 
 class TestPipeline:
@@ -840,8 +908,9 @@ def _with(obj, path, value):
 
 def _mutants(instance):
     """Malformed copies of one suite instance: every single-leaf type
-    mutation, an unknown field, each field missing, and pair or rank keys
-    that respell an entry."""
+    mutation, an unknown field, each field missing, each field replaced whole
+    by a value of another shape, and pair or rank keys that respell an
+    entry."""
     planted = instance.get("planted", {})
     for path, value in _leaves(instance):
         if path == ("kind",) or (path[0] == "planted" and path[1:4] != ("1", "terms", 0)):
@@ -858,6 +927,13 @@ def _mutants(instance):
     yield {**instance, "extra": 0}
     for name in instance:
         yield {key: value for key, value in instance.items() if key != name}
+    for name, old in instance.items():
+        if name == "kind":
+            continue
+        for value in (5, "x", {}, None, [], [[]]):
+            # a JSON integer is a valid value of an integer or rational field
+            if not (value == 5 and type(old) in (int, str)):
+                yield {**instance, name: value}
     for name in ("weights", "dtable"):
         if name in instance:
             for key in ("00,1", "1,01", " 1,0"):
@@ -868,9 +944,11 @@ def _mutants(instance):
 
 class TestReplayFuzz:
     # replays that printed PASS or never ended before every instance went
-    # through one field table
+    # through one field table, or before size fields had caps (n = 200 is
+    # about 4e12 partitions)
     FOUND = [
         ("combinat", {"kind": "partition-count", "n": 2.5}),
+        ("combinat", {"kind": "partition-count", "n": 200}),
         ("combinat", {"kind": "mobius-divisor", "t": True, "l": 1, "L": 1}),
         ("matrix-tree", {"r": 2, "weights": {"0,1": "1", "00,1": "2"}}),
         ("aggregation", {"a": 1, "l": 1, "g": 2, "S": "1",
@@ -891,8 +969,8 @@ class TestReplayFuzz:
                 checker, mutant, result["error"])
 
     @pytest.mark.parametrize("checker,instance", FOUND,
-                             ids=["partition-count", "mobius-divisor", "tree-keys",
-                                  "aggregation-keys"])
+                             ids=["partition-count", "partition-count-200", "mobius-divisor",
+                                  "tree-keys", "aggregation-keys"])
     def test_found_replays_end_in_an_error_line(self, capsys, tmp_path, checker, instance):
         path = tmp_path / "replay.json"
         path.write_text(json.dumps({"checker": checker, "instance": instance}))
@@ -917,6 +995,59 @@ class TestReplayFuzz:
         result = replay({"checker": checker, "instance": instance})
         assert result["passed"] is False
         assert result["error"].startswith(f"ValueError: {label} must have exactly the keys ")
+
+    @pytest.mark.parametrize("checker,instance,message", [
+        ("kappa", {"matrix": [["1", "-1"], ["-1", "1"]], "u": ["1"], "v": ["1", "2"]},
+         "kappa u and v must have 2 entries each"),
+        ("kappa", {"matrix": [["1", "-1"]], "u": ["1"], "v": ["1"]},
+         "kappa matrix must be a non-empty square matrix"),
+        ("block-det", {"a": [["1", "0"], ["0", "1"]], "us": [["1"]]},
+         "block-det us must be 2 lists"),
+        ("block-det", {"a": [["1"]], "us": [[]]}, "expected a non-empty list"),
+        ("cones", {"kind": "support", "p": [2, 1], "T": [[3, 1]], "e": 0},
+         "cones support T must be a non-empty list of points with 3 coordinates"),
+        ("cones", {"kind": "support", "p": [1], "T": [], "e": 0},
+         "cones support T must be a non-empty list"),
+        ("cones", {"kind": "zero", "p": 5, "H": ["1"]}, "a composition must be a list"),
+        ("lattice", {"kind": "growth", "sizes": [2, 1], "tmax": 3},
+         "lattice growth counts the sizes [1, 1]"),
+    ], ids=["kappa-vector-length", "kappa-not-square", "block-det-us-count",
+            "block-det-empty-block", "support-sample-length", "support-no-sample",
+            "composition-not-a-list", "growth-sizes"])
+    def test_shapes_are_checked(self, checker, instance, message):
+        result = replay({"checker": checker, "instance": instance})
+        assert result["passed"] is False
+        assert result["error"].startswith(f"ValueError: {message}")
+
+    # (checker, instance at the cap, field, cap): one above the cap is an
+    # error line before any work is done
+    CAPPED = [
+        ("combinat", {"kind": "partition-count", "n": 50}, "n", 50),
+        ("combinat", {"kind": "mobius-sum", "n": 10 ** 6}, "n", 10 ** 6),
+        ("combinat", {"kind": "cycle", "m": 30, "xi": 5, "S": "1/2"}, "m", 30),
+        ("combinat", {"kind": "convolution", "k": 30, "xi": 5, "S": "1/2", "D": "2"}, "k", 30),
+        ("combinat", {"kind": "mobius-divisor", "t": 10 ** 6, "l": 3, "L": 1}, "t", 10 ** 6),
+        ("aggregation", {"a": 12, "l": 1, "g": 2, "S": "1", "dtable": {}}, "a", 12),
+        ("lattice", {"kind": "growth", "sizes": [1, 1], "tmax": 100}, "tmax", 100),
+        ("integrality", {"kind": "binom", "n": 10 ** 6, "m": 7}, "n", 10 ** 6),
+        ("integrality", {"kind": "binom", "n": 5, "m": 10 ** 4}, "m", 10 ** 4),
+        ("integrality", {"kind": "congruence", "p": 13, "alpha": 1, "n": 2}, "p", 13),
+        ("integrality", {"kind": "congruence", "p": 3, "alpha": 3, "n": 2}, "alpha", 3),
+        ("integrality", {"kind": "congruence", "p": 3, "alpha": 1, "n": 1000}, "n", 1000),
+        ("roundtrip", {"g": 2, "n": 5, "planted": {}}, "n", 5),
+        ("roundtrip", {"g": 3, "n": 2, "planted": {}}, "g", 3),
+    ]
+
+    @pytest.mark.parametrize("checker,instance,field,cap", CAPPED,
+                             ids=[f"{c}-{i.get('kind', c)}-{f}" for c, i, f, _ in CAPPED])
+    def test_size_fields_are_capped(self, checker, instance, field, cap):
+        result = replay({"checker": checker, "instance": instance})
+        assert "must be at most" not in result.get("error", "")
+        start = time.perf_counter()
+        result = replay({"checker": checker, "instance": {**instance, field: cap + 1}})
+        assert time.perf_counter() - start < 1.0
+        assert result["passed"] is False
+        assert result["error"].endswith(f" must be at most {cap}, not {cap + 1}")
 
     def test_table_matches_suites_and_moves(self):
         """The (checker, kind) pairs the suites draw are the table's keys,

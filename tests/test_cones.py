@@ -416,7 +416,8 @@ class TestCompositionParts:
         assert check_composition([2, 1]) == (2, 1)
 
     @pytest.mark.parametrize("parts", [(1.7, 1), (True, 1), (1, False), ("1", 1), (2.0, 1),
-                                       (0, 1), (), (Fraction(2), 1)])
+                                       (0, 1), (), (Fraction(2), 1),
+                                       5, None, {1: 1}, range(1, 3)])
     def test_rejected(self, parts):
         with pytest.raises(ValueError):
             check_composition(parts)
