@@ -11,6 +11,7 @@ polynomials whose curve values are the counts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -168,6 +169,129 @@ class FreePoly(LaurentPoly):
 
     def __repr__(self):
         return f"FreePoly({self.render()})"
+
+
+class PackedPoly(LaurentPoly):
+    """FreePoly with each monomial packed into one int, so that the product
+    of two monomials is one integer addition.  The symbolic master formula
+    runs on it; FreePoly is what callers see.
+
+    `packed_kind(n)` makes the subclass for rank n.  Its key has one bit
+    field per atom, GAMMA_ATOM in the lowest bits and then C[s,k] for
+    s*k <= n in (s, k) order.  A field is wide enough for the largest
+    exponent rank n needs (n for the genus offset, n // (s*k) for C[s,k])
+    and has one guard bit above it.  The sum of two fields with clear guard
+    bits cannot carry into the next field, and it sets its guard bit exactly
+    when it overflows, so __mul__ checks each product's keys once and raises
+    OverflowError rather than return a wrong polynomial.  Two ranks are two
+    classes, so their operands never mix.
+    """
+
+    __slots__ = ()
+    layout = {}  # atom -> (shift, width) of its exponent
+    guard = 0    # every guard bit
+    bits = 0     # the fields' total width
+
+    def __init__(self, terms=None):
+        super().__init__(0, terms)
+
+    def _key(self, key):
+        if type(key) is not int or key < 0 or key >> self.bits or key & self.guard:
+            raise ValueError(f"{key!r} is not a packed monomial of {type(self).__name__}")
+        return key
+
+    def _unit(self):
+        return 0
+
+    @staticmethod
+    def _mono_row(a, keys):
+        return [a + b for b in keys]
+
+    def __mul__(self, other):
+        out = LaurentPoly.__mul__(self, other)
+        if isinstance(other, LaurentPoly) and any(map(self.guard.__and__, out.terms)):
+            raise OverflowError(f"an exponent overflowed its field in {type(self).__name__}")
+        return out
+
+    __rmul__ = __mul__
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def pack(cls, p: FreePoly) -> "PackedPoly":
+        terms = {}
+        for mono, c in p.terms.items():
+            key = 0
+            for a, e in mono:
+                if a not in cls.layout:
+                    raise ValueError(f"{FreePoly._atom_label(a)} is not in {cls.__name__}")
+                shift, width = cls.layout[a]
+                if e >> width:
+                    raise OverflowError(f"{FreePoly._atom_label(a)}^{e} overflows its field "
+                                        f"in {cls.__name__}")
+                key |= e << shift
+            terms[key] = c
+        return cls(terms)
+
+    @classmethod
+    def entry(cls, s: int, k: int) -> "PackedPoly":
+        """The symbol C[s,k]; with zero() this makes the class a C-table
+        for count_exponent."""
+        return cls.pack(FreePoly.symbol(s, k))
+
+    def unpack(self) -> FreePoly:
+        """The same polynomial as a FreePoly.  Only the nonzero fields of a
+        key are read, lowest first: the C-symbols come out in (s, k) order
+        and the genus offset, the lowest field, goes last, which is the
+        sorted order of FreePoly's keys."""
+        owner = [None] * self.bits  # bit -> (atom, shift, mask) of its field
+        for a, (shift, width) in self.layout.items():
+            owner[shift:shift + width] = [(a, shift, (1 << width) - 1)] * width
+        gamma_mask = owner[0][2]
+        terms = {}
+        for key, c in self.terms.items():
+            mono = []
+            rest = key & ~gamma_mask
+            while rest:
+                a, shift, mask = owner[(rest & -rest).bit_length() - 1]
+                mono.append((a, rest >> shift & mask))
+                rest &= ~(mask << shift)
+            if key & gamma_mask:
+                mono.append((GAMMA_ATOM, key & gamma_mask))
+            terms[tuple(mono)] = c
+        return FreePoly()._new(terms)
+
+    def divide_exact(self, scalar, gamma_power: int = 0) -> "PackedPoly":
+        """FreePoly.divide_exact on packed keys: the genus offset is the
+        lowest field, so dividing by its power is a subtraction."""
+        mask = (1 << self.layout[GAMMA_ATOM][1]) - 1
+        terms = {}
+        for key, c in self.terms.items():
+            if key & mask < gamma_power:
+                raise IntegralityError("sum is not divisible by the genus factor")
+            terms[key - gamma_power] = _coeff(Fraction(c, scalar))
+        return self._new(terms)
+
+
+@functools.cache  # one class per rank, so that equal layouts are one type
+def packed_kind(n: int) -> type:
+    """The PackedPoly subclass whose fields hold every monomial of the
+    rank-n master formula."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    bounds = [(GAMMA_ATOM, n)]
+    bounds += [(CSymbol(s, k).atom, n // (s * k))
+               for s in range(1, n + 1) for k in range(1, n // s + 1)]
+    layout, guard, shift = {}, 0, 0
+    for atom, bound in bounds:
+        width = bound.bit_length()
+        layout[atom] = (shift, width)
+        guard |= 1 << (shift + width)
+        shift += width + 1
+    return type(f"PackedPoly{n}", (PackedPoly,),
+                {"__slots__": (), "layout": layout, "guard": guard, "bits": shift})
 
 
 # --------------------------------------------------------------------------
@@ -378,6 +502,10 @@ def a_from_c(n: int, genus, ctable: CTable):
     symbolic genus-offset variable.  For n = 1 the value is C[1,1] itself
     and any genus >= 1 is accepted.  A concrete table's polynomials are
     multiplied in e-form; the result has the form of the table's entries.
+    A symbolic table's symbols are multiplied as packed monomials
+    (`packed_kind(n)`); the result is a FreePoly.  Both are conversions on
+    the way in and out: z-form -> `CTable.to_weil()` ... `to_laurent()`, and
+    FreePoly -> `PackedPoly.pack` ... `unpack()`.
 
     Each exp factor depends only on (l, a_j, lam.s_weight(j)) and is computed
     once.  The partition terms are added up in integers, each weighted
@@ -391,7 +519,12 @@ def a_from_c(n: int, genus, ctable: CTable):
         raise ValueError("need genus >= 2 for ranks >= 2")
 
     chi = _two_g_minus_2(genus)
-    z_form = ctable.mode == "concrete" and ctable.ring is LaurentPoly
+    packed = ctable.mode == "symbolic"
+    if packed:
+        ctable = packed_kind(n)  # hands out the symbols as entry(s, k), and zero()
+        if genus is None:
+            chi = ctable.pack(chi)
+    z_form = not packed and ctable.ring is LaurentPoly
     if z_form:
         ctable = ctable.to_weil()
     exponents = {}
@@ -424,8 +557,11 @@ def a_from_c(n: int, genus, ctable: CTable):
             term = term * factors[key][0]
         numerator = numerator + term
     if genus is None:
-        return numerator.divide_exact(2 * n * common, gamma_power=1)
-    result = numerator * Fraction(1, common * n * (2 * genus - 2))
+        result = numerator.divide_exact(2 * n * common, gamma_power=1)
+    else:
+        result = numerator * Fraction(1, common * n * (2 * genus - 2))
+    if packed:
+        return result.unpack()
     return result.to_laurent() if z_form else result
 
 

@@ -99,6 +99,8 @@ class DivisibilityInstance:
             if total != self.a[i]:
                 raise ValueError(f"stage {i} exponents sum to {total}, not {self.a[i]}")
         for key in self.k:
+            if not 0 <= key[0] < m:
+                raise ValueError(f"exponent key {list(key)} names no stage of {m}")
             if key not in self.eps or self.eps[key] not in (1, -1):
                 raise ValueError("every exponent needs a sign of +-1")
 
@@ -137,12 +139,40 @@ class DivisibilityInstance:
         return cls(a=obj["a"], nu=obj["nu"], chi=obj["chi"], k=k, eps=eps)
 
 
+# Caps on the fields that size a check: a replay at the caps takes well
+# under a second, and random_instance draws far below them.
+_STAGES = 10
 _INT = fields.integer("divisibility fields")
-_ENTRIES = fields.list_of(fields.tuple_of(
-    "divisibility k and eps entries", "[[i, j, s], value] pairs",
-    fields.tuple_of("divisibility keys", "[i, j, s] triples", _INT, _INT, _INT), _INT))
-_INSTANCE_FIELDS = fields.record({"a": fields.list_of(_INT), "nu": fields.list_of(_INT),
-                                  "chi": _INT, "k": _ENTRIES, "eps": _ENTRIES})
+_CHI = fields.integer("divisibility chi", cap=100)
+
+
+def _capped_list(label, item, cap):
+    """A JSON list of at most cap items, each read by item."""
+    length = fields.integer(f"{label} length", cap=cap)
+    items = fields.list_of(item)
+
+    def read(v):
+        if type(v) is list:
+            length(len(v))
+        return items(v)
+    return read
+
+
+def _entries(label, value):
+    key = fields.tuple_of("divisibility keys", "[i, j, s] triples",
+                          fields.integer("divisibility stage i", low=0, cap=_STAGES - 1), _INT,
+                          fields.integer("divisibility part s", low=1, cap=100))
+    return _capped_list(label, fields.tuple_of(
+        "divisibility k and eps entries", "[[i, j, s], value] pairs", key, value), 30)
+
+
+_INSTANCE_FIELDS = fields.record({
+    "a": _capped_list("divisibility a", fields.integer("divisibility a", cap=100), _STAGES),
+    "nu": _capped_list("divisibility nu", fields.integer("divisibility nu", low=-100, cap=100),
+                       _STAGES),
+    "chi": lambda v: _CHI(_INT(v)),  # a non-integer chi is reported as one of the fields
+    "k": _entries("divisibility k", fields.integer("divisibility k exponent", low=0, cap=100)),
+    "eps": _entries("divisibility eps", _INT)})
 
 
 def alternating_binomial_sum(inst: DivisibilityInstance) -> int:

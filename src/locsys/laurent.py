@@ -10,7 +10,8 @@ and JSON serialization byte-reproducible.
 
 LaurentPoly's ring structure is the package's one sparse-polynomial kernel;
 the e-form (WeilPoly, below) and the free symbols of the master formula
-(counting.FreePoly) are subclasses that differ only in their monomial keys.
+(counting.FreePoly, and counting.PackedPoly with each monomial packed into
+one int) are subclasses that differ only in their monomial keys.
 
 A curve is its integer zeta numerator.  Its Frobenius power sums give, in
 integers, the power sums of w_i = a_i^k + q^k/a_i^k over the g Frobenius
@@ -98,9 +99,10 @@ class LaurentPoly:
 
     The ring structure below is the one polynomial kernel of the package: a
     dict from monomial keys to int/Fraction coefficients, normalised through
-    _coeff, with +, -, *, powers, equality and hashing.  Three monomial kinds
+    _coeff, with +, -, *, powers, equality and hashing.  Four monomial kinds
     run on it: the z-form here, the e-form (WeilPoly) and the free symbols of
-    the master formula (counting.FreePoly).  Each class supplies only its key
+    the master formula, as tuples (counting.FreePoly) and packed into one int
+    (counting.PackedPoly).  Each class supplies only its key
     validation (_key), monomial product (_mono_row), unit key (_unit) and how
     one monomial renders; operands of different classes never mix.
     """

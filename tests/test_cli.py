@@ -83,7 +83,8 @@ class TestSymbolicCommands:
 
 # sha256 of stdout, recorded before FreePoly moved onto LaurentPoly's kernel
 # and the symbolic master formula onto _exp_coeff_concrete (ranks 11-14:
-# before the master formula memoized its exp factors and summed in integers)
+# before the master formula memoized its exp factors and summed in integers;
+# ranks 15-16: before the symbolic master formula ran on packed monomials)
 PINNED_STDOUT = {
     "a-symbolic --n 1":
         "d2e4284bd50d82a733fab8da140315e19297e93970982729b92210fc722f9eee",
@@ -141,6 +142,14 @@ PINNED_STDOUT = {
         "0aad85dcd3017df975a0548478b0e43996f3fa08ea1e66f708266d42f61f7a95",
     "--json a-symbolic --n 14":
         "85fc71a79c3cfe30b5e6a076992356cfe91f634d01845d55c85870f8c758355f",
+    "a-symbolic --n 15":
+        "fb11dedbce043b5acf0741807a977855772249a0f0d59a1347a1a5b0188a1fbd",
+    "--json a-symbolic --n 15":
+        "43e2d99f278609e315234914ea88bf90978fff2312f19869b4044efd5ec556b6",
+    "a-symbolic --n 16":
+        "67961af4ccdd535a12916a3bc6bcdc8ff06a2996138330da4a9bd6ae391b6092",
+    "--json a-symbolic --n 16":
+        "57a1236b5602000d59307adfbf21b624eb662bd5116632fed4386de20bb78339",
     "d-count --n 4 --d 2":
         "42d364bb87fd3d5c1a39354eb701aae8affdab842f54ef1800a47a310fc74076",
     "--json d-count --n 4 --d 2":
@@ -942,13 +951,23 @@ def _mutants(instance):
         yield {**instance, "planted": {**planted, "02": planted["2"]}}
 
 
+def _staged(stages=1, per=1, s=1, k=1, nu=1, chi=2):
+    """A divisibility instance with `per` entries of part s and exponent k
+    in each stage; it holds (and replays as PASS) within the caps."""
+    keys = [[i, j, s] for i in range(stages) for j in range(per)]
+    return {"a": [per * s * k] * stages, "nu": [nu] * stages, "chi": chi,
+            "k": [[key, k] for key in keys], "eps": [[key, 1] for key in keys]}
+
+
 class TestReplayFuzz:
     # replays that printed PASS or never ended before every instance went
     # through one field table, or before size fields had caps (n = 200 is
-    # about 4e12 partitions)
+    # about 4e12 partitions; the integrality instance took 11.5 s to PASS)
     FOUND = [
         ("combinat", {"kind": "partition-count", "n": 2.5}),
         ("combinat", {"kind": "partition-count", "n": 200}),
+        ("integrality", {"a": [100000], "nu": [-3], "chi": 2,
+                         "k": [[[0, 1, 1], 100000]], "eps": [[[0, 1, 1], -1]]}),
         ("combinat", {"kind": "mobius-divisor", "t": True, "l": 1, "L": 1}),
         ("matrix-tree", {"r": 2, "weights": {"0,1": "1", "00,1": "2"}}),
         ("aggregation", {"a": 1, "l": 1, "g": 2, "S": "1",
@@ -969,7 +988,8 @@ class TestReplayFuzz:
                 checker, mutant, result["error"])
 
     @pytest.mark.parametrize("checker,instance", FOUND,
-                             ids=["partition-count", "partition-count-200", "mobius-divisor",
+                             ids=["partition-count", "partition-count-200",
+                                  "integrality-a-100000", "mobius-divisor",
                                   "tree-keys", "aggregation-keys"])
     def test_found_replays_end_in_an_error_line(self, capsys, tmp_path, checker, instance):
         path = tmp_path / "replay.json"
@@ -1036,6 +1056,7 @@ class TestReplayFuzz:
         ("integrality", {"kind": "congruence", "p": 3, "alpha": 1, "n": 1000}, "n", 1000),
         ("roundtrip", {"g": 2, "n": 5, "planted": {}}, "n", 5),
         ("roundtrip", {"g": 3, "n": 2, "planted": {}}, "g", 3),
+        ("integrality", _staged(chi=100), "chi", 100),
     ]
 
     @pytest.mark.parametrize("checker,instance,field,cap", CAPPED,
@@ -1048,6 +1069,37 @@ class TestReplayFuzz:
         assert time.perf_counter() - start < 1.0
         assert result["passed"] is False
         assert result["error"].endswith(f" must be at most {cap}, not {cap + 1}")
+
+    # (label, cap, instance at the cap, instance one above it) for the
+    # fields inside a divisibility instance's lists
+    DIVISIBILITY_CAPS = [
+        ("divisibility a", 100, _staged(k=100), {**_staged(k=100), "a": [101]}),
+        ("divisibility nu", 100, _staged(nu=100), {**_staged(), "nu": [101]}),
+        ("divisibility k exponent", 100, _staged(k=100), {**_staged(k=101), "a": [1]}),
+        ("divisibility part s", 100, _staged(s=100), {**_staged(s=101), "a": [1]}),
+        ("divisibility stage i", 9, _staged(stages=10),
+         {**_staged(stages=11), "a": [1] * 10, "nu": [1] * 10}),
+        ("divisibility a length", 10, _staged(stages=10), _staged(stages=11)),
+        ("divisibility nu length", 10, _staged(stages=10),
+         {**_staged(stages=10), "nu": [1] * 11}),
+        ("divisibility k length", 30, _staged(stages=10, per=3),
+         {**_staged(stages=10, per=3), "k": _staged(stages=10, per=3)["k"] + [[[0, 3, 1], 1]]}),
+        ("divisibility eps length", 30, _staged(stages=10, per=3),
+         {**_staged(stages=10, per=3),
+          "eps": _staged(stages=10, per=3)["eps"] + [[[0, 3, 1], 1]]}),
+    ]
+
+    @pytest.mark.parametrize("label,cap,at_cap,above", DIVISIBILITY_CAPS,
+                             ids=[label.split(" ", 1)[1].replace(" ", "-")
+                                  for label, *_ in DIVISIBILITY_CAPS])
+    def test_divisibility_fields_are_capped(self, label, cap, at_cap, above):
+        start = time.perf_counter()
+        assert replay({"checker": "integrality", "instance": at_cap}) == {
+            "suite": "integrality", "passed": True}
+        result = replay({"checker": "integrality", "instance": above})
+        assert time.perf_counter() - start < 1.0
+        assert result["passed"] is False
+        assert result["error"] == f"ValueError: {label} must be at most {cap}, not {cap + 1}"
 
     def test_table_matches_suites_and_moves(self):
         """The (checker, kind) pairs the suites draw are the table's keys,

@@ -13,6 +13,7 @@ from locsys.counting import (
     EntryMissing,
     FreePoly,
     IntegralityError,
+    PackedPoly,
     _exp_coeff_concrete,
     a_from_c,
     c_from_a,
@@ -21,6 +22,7 @@ from locsys.counting import (
     inertial_class_count,
     linear_part_check,
     orbit_inversion_check,
+    packed_kind,
     pic_quotient,
 )
 from locsys.laurent import LaurentPoly, WeilPoly, pic_polynomial
@@ -143,6 +145,128 @@ class TestMasterFormula:
                 values, lambda c: LaurentPoly.const(g, c)
             )
             assert direct == substituted
+
+
+    def test_symbolic_result_is_a_free_poly(self):
+        # the packed monomials stay inside a_from_c
+        for n in range(1, 9):
+            poly = a_from_c(n, None, CTable.symbolic())
+            assert type(poly) is FreePoly
+            for mono in poly.terms:
+                assert type(mono) is tuple and mono == FreePoly._key(mono)
+
+    def test_symbolic_table_at_a_genus(self):
+        # an integer genus on a symbolic table is (g-1) -> g-1
+        for n, g in ((3, 2), (5, 3)):
+            general = a_from_c(n, None, CTable.symbolic())
+            values = {a: FreePoly.atom(a) for a in packed_kind(n).layout}
+            values[GAMMA_ATOM] = FreePoly.const(g - 1)
+            got = a_from_c(n, g, CTable.symbolic())
+            assert type(got) is FreePoly
+            assert got == general.substitute(values, FreePoly.const)
+
+
+def _random_free(rng, kind, share):
+    """A random FreePoly over the atoms of `kind`, with every exponent at
+    most 1/share of its field, so that products of `share` factors fit."""
+    room = {a: ((1 << width) - 1) // share for a, (_shift, width) in kind.layout.items()}
+    atoms = [a for a, r in room.items() if r]
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        mono = tuple((a, rng.randint(1, room[a])) for a in rng.sample(atoms, rng.randint(0, min(3, len(atoms)))))
+        terms[mono] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+    return FreePoly(terms)
+
+
+def _random_packed(rng, kind):
+    """A random polynomial of `kind` drawn as packed keys, every field full range."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        key = 0
+        for shift, width in rng.sample(sorted(kind.layout.values()), rng.randint(0, min(4, len(kind.layout)))):
+            key |= rng.randint(0, (1 << width) - 1) << shift
+        terms[key] = rng.randint(-9, 9)
+    return kind(terms)
+
+
+class TestPackedPoly:
+    """The packed kind against FreePoly, on a seeded grid of ranks."""
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 17])
+    def test_agrees_with_free_poly(self, n):
+        kind = packed_kind(n)
+        rng = random.Random(f"packed:{n}")
+        for _ in range(60):
+            p, q = _random_free(rng, kind, 3), _random_free(rng, kind, 3)
+            pp, pq = kind.pack(p), kind.pack(q)
+            assert pp.unpack() == p and pp.unpack().terms == p.terms
+            assert (pp * pq).unpack() == p * q
+            assert (pp + pq).unpack() == p + q
+            assert (pp - pq).unpack() == p - q
+            assert (pp * Fraction(3, 2) + 1).unpack() == p * Fraction(3, 2) + 1
+            assert (pp ** 3).unpack() == p ** 3
+            assert (pp ** 0).unpack() == FreePoly.const(1)
+            shifted = p * FreePoly.gamma() ** 2
+            assert (kind.pack(shifted).divide_exact(6, gamma_power=2).unpack()
+                    == shifted.divide_exact(6, gamma_power=2))
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_packed_round_trip(self, n):
+        kind = packed_kind(n)
+        rng = random.Random(f"round:{n}")
+        for _ in range(200):
+            packed = _random_packed(rng, kind)
+            free = packed.unpack()
+            assert type(free) is FreePoly and free.terms == FreePoly(free.terms).terms
+            assert kind.pack(free) == packed
+
+    def test_divide_exact_needs_the_gamma_power(self):
+        kind = packed_kind(4)
+        p = FreePoly.gamma() * FreePoly.symbol(1, 1) + FreePoly.symbol(2, 1)
+        for poly in (p, kind.pack(p)):
+            with pytest.raises(IntegralityError):
+                poly.divide_exact(2, gamma_power=1)
+
+    def test_layout_is_fixed(self):
+        kind = packed_kind(3)
+        assert kind is packed_kind(3) and issubclass(kind, PackedPoly)
+        # genus offset first, then C[s,k] in (s, k) order; a guard bit each
+        assert list(kind.layout.items()) == [
+            (GAMMA_ATOM, (0, 2)), (("C", 1, 1), (3, 2)), (("C", 1, 2), (6, 1)),
+            (("C", 1, 3), (8, 1)), (("C", 2, 1), (10, 1)), (("C", 3, 1), (12, 1))]
+        assert kind.guard == sum(1 << b for b in (2, 5, 7, 9, 11, 13)) and kind.bits == 14
+
+    def test_carry_raises(self):
+        # C[1,1] has 3 bits at rank 4: x^4 fits, x^8 would carry into C[1,2]
+        kind = packed_kind(4)
+        x = kind.entry(1, 1)
+        x4 = (x * x) * (x * x)
+        assert x4.unpack() == FreePoly.symbol(1, 1) ** 4
+        with pytest.raises(OverflowError):
+            x4 * x4
+        with pytest.raises(OverflowError):
+            x4 ** 2
+        # the top field has a guard bit too
+        top = kind.entry(4, 1)
+        with pytest.raises(OverflowError):
+            top * top
+        gamma = kind.pack(FreePoly.gamma())
+        with pytest.raises(OverflowError):
+            gamma ** 8
+
+    def test_rejects_what_does_not_fit(self):
+        kind = packed_kind(4)
+        with pytest.raises(OverflowError):
+            kind.pack(FreePoly.symbol(1, 1) ** 8)
+        with pytest.raises(ValueError, match=r"C\[5,1\] is not in PackedPoly4"):
+            kind.pack(FreePoly.symbol(5, 1))
+        for key in (-1, 1 << kind.bits, 1 << kind.layout[GAMMA_ATOM][1], "x"):
+            with pytest.raises(ValueError):
+                kind({key: 1})
+        with pytest.raises(TypeError):
+            kind.entry(1, 1) * packed_kind(5).entry(1, 1)
+        with pytest.raises(TypeError):
+            kind.entry(1, 1) + FreePoly.symbol(1, 1)
 
 
 class TestLinearPart:

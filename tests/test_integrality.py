@@ -105,6 +105,19 @@ class TestDivisibilityInstances:
             DivisibilityInstance(a=[2], nu=[1], chi=2,
                                  k={(0, 1, 1): 1}, eps={(0, 1, 1): 1})
 
+    def test_every_key_names_a_stage(self):
+        # a key past the last stage used to end in IndexError, and a key of
+        # stage -1 read the last stage's nu and passed
+        with pytest.raises(ValueError, match=r"exponent key \[1, 1, 1\] names no stage of 1"):
+            DivisibilityInstance(a=[1], nu=[1], chi=2, k={(0, 1, 1): 1, (1, 1, 1): 1},
+                                 eps={(0, 1, 1): 1, (1, 1, 1): 1})
+        obj = DivisibilityInstance(a=[1], nu=[1], chi=2, k={(0, 1, 1): 1},
+                                   eps={(0, 1, 1): 1}).to_obj()
+        obj["k"].append([[-1, 1, 1], 1])
+        obj["eps"].append([[-1, 1, 1], 1])
+        with pytest.raises(ValueError, match="divisibility stage i must be JSON integers >= 0"):
+            DivisibilityInstance.from_obj(obj)
+
     def test_chi_must_be_even(self):
         with pytest.raises(ValueError):
             DivisibilityInstance(a=[1], nu=[1], chi=3,
