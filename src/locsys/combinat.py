@@ -99,21 +99,21 @@ def _trusted_partition(mult, n):
     return lam
 
 
-def partitions(n: int):
-    """All unordered partitions of n, largest part decreasing first.
+def partition_walk(n: int):
+    """Walk the partitions of n, largest part decreasing first, yielding at
+    each step the two lists it then mutates: the distinct parts in ascending
+    order and their multiplicities.  A caller that keeps a step must copy it.
 
-    Reverse-lexicographic order, generated in multiplicity form with O(1)
-    amortised steps per partition (Zoghbi & Stojmenovic's ZS1, 1998): the
-    distinct parts are kept in ascending order beside their multiplicities,
-    and each step takes one copy of the smallest part p > 1, together with
-    all the 1s, and re-splits that amount greedily into parts p - 1 and one
-    smaller remainder.
+    Reverse-lexicographic order with O(1) amortised steps per partition
+    (Zoghbi & Stojmenovic's ZS1, 1998): each step takes one copy of the
+    smallest part p > 1, together with all the 1s, and re-splits that amount
+    greedily into parts p - 1 and one smaller remainder.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"need an integer n >= 1, not {n!r}")
     parts, mults = [n], [1]
     while True:
-        yield _trusted_partition(dict(zip(parts, mults)), n)
+        yield parts, mults
         freed = 0
         if parts[0] == 1:
             if len(parts) == 1:
@@ -134,6 +134,13 @@ def partitions(n: int):
         else:
             parts.insert(0, p)
             mults.insert(0, q)
+
+
+def partitions(n: int):
+    """All unordered partitions of n as Partition objects, in the order of
+    `partition_walk`."""
+    return (_trusted_partition(dict(zip(parts, mults)), n)
+            for parts, mults in partition_walk(n))
 
 
 def partitions_restricted(m: int, xi: int):

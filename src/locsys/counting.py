@@ -152,18 +152,31 @@ class FreePoly(LaurentPoly):
         return f"C[{a[1]},{a[2]}]"
 
     def render(self) -> str:
-        def sortkey(item):
-            mono, _ = item
-            cdeg = sum(e for a, e in mono if a[0] == "C")
-            top = max((a[1] * a[2], a[1]) for a, e in mono if a[0] == "C") if cdeg else (0, 0)
-            return (-top[0], -top[1], cdeg, mono)
-
+        """Monomials by decreasing top C-symbol (largest s*k, then s), then
+        by C-degree and key; the genus offset prints first in a monomial.
+        A key is sorted by atom, so the genus offset, if present, is last."""
+        keyed = []
+        for mono, c in self.terms.items():
+            cdeg, top = 0, (0, 0)
+            for a, e in mono:
+                if a[0] == "C":
+                    cdeg += e
+                    sk = (a[1] * a[2], a[1])
+                    if sk > top:
+                        top = sk
+            keyed.append(((-top[0], -top[1], cdeg, mono), c))
+        keyed.sort()
+        texts = {}  # (atom, exponent) -> its factor text
         pairs = []
-        for mono, c in sorted(self.terms.items(), key=sortkey):
+        for (_, _, _, mono), c in keyed:
+            if mono and mono[-1][0] == GAMMA_ATOM:
+                mono = mono[-1:] + mono[:-1]
             factors = []
-            for a, e in sorted(mono, key=lambda ae: (ae[0] != GAMMA_ATOM, ae[0])):
-                label = self._atom_label(a)
-                factors.append(label if e == 1 else f"{label}^{e}")
+            for ae in mono:
+                if ae not in texts:
+                    label = self._atom_label(ae[0])
+                    texts[ae] = label if ae[1] == 1 else f"{label}^{ae[1]}"
+                factors.append(texts[ae])
             pairs.append(("*".join(factors), c))
         return render_terms(pairs)
 

@@ -117,9 +117,9 @@ class LaurentPoly:
         if terms:
             for key, c in terms.items():
                 c = _coeff(c)
+                k = self._key(key)
                 if c == 0:
                     continue
-                k = self._key(key)
                 clean[k] = clean.get(k, 0) + c
                 if clean[k] == 0:
                     del clean[k]

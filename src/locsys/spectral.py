@@ -127,40 +127,49 @@ def det_slope(rows) -> Fraction:
     return poly[1] / n
 
 
-def principal_cofactors(rows):
-    n = len(rows)
-    out = []
-    for i in range(n):
-        minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
-        out.append(mat_det(minor) if minor else Fraction(1))
-    return out
-
-
 def det_slope_identities_check(rows, u, v) -> bool:
     """The singular-matrix slope equals the cofactor average, and (for zero
-    row / zero row+column sums) the two bordered-determinant forms."""
+    row / zero row+column sums) the two bordered-determinant forms.
+
+    The matrix, u and v are scaled to integers a, uu, vv by one common
+    denominator d.  Both sides of each identity are homogeneous in that
+    scaling, so with t = n * det_slope(a), the integer x-coefficient of
+    det(a + x Id):
+      - the principal cofactors of a sum to t;
+      - det(a + 1 uu^T) = sum(uu) * t;
+      - n * det(d a + uu vv^T) = sum(uu) * sum(vv) * t * d^(n-1).
+    Each principal cofactor is one Bareiss pass on an integer minor.
+    """
     n = len(rows)
     rows = [[Fraction(x) for x in row] for row in rows]
     u = [Fraction(x) for x in u]
     v = [Fraction(x) for x in v]
-    base = det_slope(rows)
-    if base != sum(principal_cofactors(rows), Fraction(0)) / n:
+    d = math.lcm(*[x.denominator for x in itertools.chain(u, v, *rows)])
+
+    def scaled(xs):
+        return [x.numerator * (d // x.denominator) for x in xs]
+
+    a, uu, vv = [scaled(row) for row in rows], scaled(u), scaled(v)
+    t = (n * det_slope(a)).numerator
+    cofs = [_bareiss([[row[c] for c in range(n) if c != i] for r, row in enumerate(a) if r != i])
+            for i in range(n)]
+    if sum(cofs) != t:
         return False
-    zero_rows = all(sum(row, Fraction(0)) == 0 for row in rows)
-    zero_cols = all(sum(rows[r][c] for r in range(n)) == 0 for c in range(n))
+    zero_rows = all(sum(row) == 0 for row in a)
+    zero_cols = all(sum(row[c] for row in a) == 0 for c in range(n))
     if zero_rows:
-        if sum(u, Fraction(0)) == 0:
+        su = sum(uu)
+        if su == 0:
             raise ValueError("need a test vector with nonzero sum")
-        bordered = [[rows[i][j] + u[j] for j in range(n)] for i in range(n)]
-        if mat_det(bordered) != n * sum(u, Fraction(0)) * base:
+        if _bareiss([[x + y for x, y in zip(row, uu)] for row in a]) != su * t:
             return False
     if zero_rows and zero_cols:
-        if sum(v, Fraction(0)) == 0:
+        sv = sum(vv)
+        if sv == 0:
             raise ValueError("need a test vector with nonzero sum")
-        bordered = [[rows[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
-        if mat_det(bordered) != sum(u, Fraction(0)) * sum(v, Fraction(0)) * base:
+        bordered = [[d * x + ui * y for x, y in zip(row, vv)] for row, ui in zip(a, uu)]
+        if n * _bareiss(bordered) != su * sv * t * d ** (n - 1):
             return False
-        cofs = principal_cofactors(rows)
         if any(c != cofs[0] for c in cofs):
             return False
     return True

@@ -21,7 +21,7 @@ from .combinat import (
     mobius,
     mobius_divisor_lemma_check,
     partition_count,
-    partitions,
+    partition_walk,
 )
 from .counting import ATable, CTable, a_from_c, c_from_a
 from .integrality import (
@@ -209,7 +209,7 @@ def _positive(label, cap=None):
 # A field that sets the size of a check has a cap, so that every replay ends
 # quickly.  Each cap is at least the largest value a suite draws, and the
 # check runs in well under a second at it (partition-count at n = 50
-# enumerates 204,226 partitions).
+# walks 204,226 partitions).
 KINDS = {
     ("kappa", None): (
         fields.record({"matrix": fields.square("kappa matrix", fields.rational),
@@ -289,7 +289,7 @@ KINDS = {
         lambda f: mobius_divisor_lemma_check(f["t"], f["l"], f["L"])),
     ("combinat", "partition-count"): (
         _kind({"n": _positive("partition-count n", 50)}),
-        lambda f: sum(1 for _ in partitions(f["n"])) == partition_count(f["n"])),
+        lambda f: sum(1 for _ in partition_walk(f["n"])) == partition_count(f["n"])),
     ("combinat", "mobius-sum"): (
         _kind({"n": _positive("mobius-sum n", 10 ** 6)}),
         lambda f: sum(mobius(d) for d in divisors(f["n"])) == (1 if f["n"] == 1 else 0)),

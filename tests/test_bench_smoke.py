@@ -1,6 +1,6 @@
 """The benchmark in perfbench/ keeps working against the package: every
-callable its tracer wraps still exists, and the master and evaluate
-workloads pass their own oracles at their smallest size."""
+callable its tracer wraps still exists, and every workload passes its own
+oracles at its smallest size."""
 
 import os
 import sys
@@ -27,7 +27,7 @@ def test_tracer_installs_on_every_traced_attribute():
     assert locsys.laurent.LaurentPoly.__dict__["__mul__"] is mul
 
 
-@pytest.mark.parametrize("name", ["master", "evaluate"])
+@pytest.mark.parametrize("name", ["master", "evaluate", "verify"])
 def test_workload_smoke(tmp_path, name):
     workload = WORKLOADS[name](0, str(tmp_path), size="smoke")
     for op in workload.operations():

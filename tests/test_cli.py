@@ -331,6 +331,23 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("usage error: malformed") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("term,message", [
+        ({"c": "0", "t": 0, "z": [0, 0, 0], "gamma": -1}, "has length != g=2"),
+        ({"c": "0", "t": 0, "z": [0, 0], "gamma": -1}, "must be nonnegative"),
+    ], ids=["z-length", "negative-gamma"])
+    @pytest.mark.parametrize("flag", ["--pgn", "--a-table"])
+    def test_zero_term_key_is_checked(self, capsys, curve_file, tmp_path, flag, term, message):
+        # a zero coefficient used to drop its term before the key was checked
+        poly = {"g": 2, "terms": [term, {"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(poly if flag == "--pgn" else {"entries": {"2": poly}}))
+        argv = {"--pgn": ("eval", "--curve", curve_file, "--n", "2", "--k", "1",
+                          "--pgn", str(path)),
+                "--a-table": ("pgn", "--n", "2", "--g", "2", "--a-table", str(path))}[flag]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and message in err and err.count("\n") == 1
+
     def test_integer_coefficient_reads_like_its_string(self, capsys, curve_file, tmp_path):
         outs = []
         for c in (-3, "-3"):

@@ -13,6 +13,7 @@ from locsys.combinat import (
     mobius,
     mobius_divisor_lemma_check,
     partition_count,
+    partition_walk,
     partitions,
     partitions_restricted,
     squarefree_divisors,
@@ -90,6 +91,20 @@ def test_partition_counts_match_recurrence():
         assert sum(1 for _ in partitions(n)) == partition_count(n)
     assert partition_count(10) == 42
     assert sum(1 for _ in partitions(4)) == 5
+
+
+def test_walk_step_counts_match_recurrence():
+    for n in range(1, 51):
+        assert sum(1 for _ in partition_walk(n)) == partition_count(n)
+
+
+def test_partitions_are_the_walk_steps():
+    for n in range(1, 21):
+        steps = [dict(zip(parts, mults)) for parts, mults in partition_walk(n)]
+        lams = list(partitions(n))
+        assert [lam.mult for lam in lams] == steps
+        assert all(type(lam) is Partition and lam.n == n for lam in lams)
+        assert all(list(m) == sorted(m) for m in steps)
 
 
 def test_partitions_deterministic_order():
@@ -210,3 +225,5 @@ def test_partitions_reject_non_integer_n(n):
     # 2.5 used to loop without end
     with pytest.raises(ValueError):
         list(partitions(n))
+    with pytest.raises(ValueError):
+        list(partition_walk(n))

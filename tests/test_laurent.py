@@ -52,6 +52,13 @@ class TestRingOps:
         with pytest.raises(DimensionMismatch):
             LaurentPoly.const(1, 1) + LaurentPoly.const(2, 1)
 
+    def test_zero_term_key_is_checked(self):
+        with pytest.raises(DimensionMismatch):
+            LaurentPoly(2, {(0, (0, 0, 0), 0): 0})
+        with pytest.raises(ValueError, match="nonnegative"):
+            LaurentPoly(1, {(0, (0,), -1): "0"})
+        assert LaurentPoly(1, {(0, (0,), 0): 0, (1, (2,), 0): "0/3"}).is_zero()
+
     def test_scalar_and_int_coefficients_mix(self):
         p = lp(1, c=Fraction(1, 2), t=1)
         assert p * 2 == LaurentPoly.t_var(1)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from locsys import spectral
 from locsys.spectral import (
     Block,
     Cyclotomic,
@@ -193,6 +194,132 @@ class TestDetSlope:
         rows = random_symmetric_zero_sum(random.Random(1), 3)
         with pytest.raises(ValueError):
             det_slope_identities_check(rows, [1, -1, 0], [1, 1, 1])
+
+
+def principal_cofactors_reference(rows):
+    n = len(rows)
+    out = []
+    for i in range(n):
+        minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
+        out.append(mat_det(minor) if minor else Fraction(1))
+    return out
+
+
+def det_slope_identities_reference(rows, u, v) -> bool:
+    """Reference: `det_slope_identities_check` before it scaled to integers
+    once, in Fraction arithmetic with `mat_det` on every minor and bordered
+    matrix.  It looks `det_slope` up at call time, like the new version."""
+    n = len(rows)
+    rows = [[Fraction(x) for x in row] for row in rows]
+    u = [Fraction(x) for x in u]
+    v = [Fraction(x) for x in v]
+    base = spectral.det_slope(rows)
+    if base != sum(principal_cofactors_reference(rows), Fraction(0)) / n:
+        return False
+    zero_rows = all(sum(row, Fraction(0)) == 0 for row in rows)
+    zero_cols = all(sum(rows[r][c] for r in range(n)) == 0 for c in range(n))
+    if zero_rows:
+        if sum(u, Fraction(0)) == 0:
+            raise ValueError("need a test vector with nonzero sum")
+        bordered = [[rows[i][j] + u[j] for j in range(n)] for i in range(n)]
+        if mat_det(bordered) != n * sum(u, Fraction(0)) * base:
+            return False
+    if zero_rows and zero_cols:
+        if sum(v, Fraction(0)) == 0:
+            raise ValueError("need a test vector with nonzero sum")
+        bordered = [[rows[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
+        if mat_det(bordered) != sum(u, Fraction(0)) * sum(v, Fraction(0)) * base:
+            return False
+        cofs = principal_cofactors_reference(rows)
+        if any(c != cofs[0] for c in cofs):
+            return False
+    return True
+
+
+def _entry(rng, rational):
+    if rational:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-5, 5)
+
+
+def _vector(rng, n, rational, zero_sum):
+    vec = [_entry(rng, rational) for _ in range(n)]
+    if zero_sum:
+        vec[-1] -= sum(vec)
+    return vec
+
+
+def kappa_grid(seed):
+    """Seeded (case, rows, u, v) with n = 1..6, integer or rational entries,
+    in three cases: zero row sums only, zero row and column sums, and
+    neither (a singular matrix, or a nonsingular one now and then).  A test
+    vector has zero sum now and then."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        for rational in (False, True):
+            for case in ("rows", "both", "neither"):
+                rows = [[_entry(rng, rational) for _ in range(n)] for _ in range(n)]
+                if case == "rows":
+                    for row in rows:
+                        row[-1] -= sum(row)
+                elif case == "both":
+                    for row in rows[:-1]:
+                        row[-1] -= sum(row)
+                    rows[-1] = [-sum(row[c] for row in rows[:-1]) for c in range(n)]
+                elif rng.random() < 0.8:
+                    rows[-1] = [sum(k * row[c] for k, row in zip(range(1, n), rows))
+                                for c in range(n)]
+                u = _vector(rng, n, rational and rng.random() < 0.5, rng.random() < 0.2)
+                v = _vector(rng, n, rational and rng.random() < 0.5, rng.random() < 0.2)
+                yield case, rows, u, v
+
+
+def _outcome(check, rows, u, v):
+    try:
+        return check(rows, u, v)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestDetSlopeIdentitiesReference:
+    SEEDS = range(12)
+
+    @staticmethod
+    def _compare(seeds):
+        """Every outcome of the grid, as (case, outcome); a zero-sum error
+        is named by the vector that caused it."""
+        seen = set()
+        for seed in seeds:
+            for case, rows, u, v in kappa_grid(seed):
+                new = _outcome(det_slope_identities_check, rows, u, v)
+                assert new == _outcome(det_slope_identities_reference, rows, u, v), rows
+                if new == "need a test vector with nonzero sum":
+                    new = "zero-sum u" if sum(u) == 0 else "zero-sum v"
+                seen.add((case, new))
+        return seen
+
+    def test_matches_fraction_reference(self):
+        seen = self._compare(self.SEEDS)
+        assert {("rows", True), ("both", True), ("neither", True), ("rows", "zero-sum u"),
+                ("both", "zero-sum v"), ("neither", "matrix must be singular")} <= seen
+
+    def test_failures_match_fraction_reference(self, monkeypatch):
+        # Doubling the slope breaks each identity whose sides are nonzero,
+        # so both versions must return False at the same places.
+        slope = spectral.det_slope
+        monkeypatch.setattr(spectral, "det_slope", lambda rows: 2 * slope(rows))
+        seen = self._compare(self.SEEDS)
+        assert {("rows", False), ("both", False), ("neither", False)} <= seen
+
+    def test_empty_matrix(self):
+        for check in (det_slope_identities_check, det_slope_identities_reference):
+            with pytest.raises(ValueError, match="empty matrix"):
+                check([], [], [])
+
+    def test_string_entries(self):
+        rows = [["1/2", "-1/2"], ["-1/2", "1/2"]]
+        assert det_slope_identities_check(rows, ["1/3", 1], [2, "5/7"])
+        assert det_slope_identities_reference(rows, ["1/3", 1], [2, "5/7"])
 
 
 class TestSpanningTrees:
