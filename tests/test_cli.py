@@ -408,6 +408,48 @@ def _fresh_python(*args, code=None):
                           env={**os.environ, "PYTHONPATH": src}, timeout=300)
 
 
+class TestTableReadMatchesPgnRead:
+    """`--a-table` entries go through the one-pass polynomial reader and
+    `eval --pgn` through the two-pass one; a bad polynomial gives the same
+    one-line usage error on both."""
+
+    TERM = {"c": "1", "t": 0, "z": [0, 0], "gamma": 0}
+
+    @pytest.mark.parametrize("poly,message", [
+        ({"g": 2, "terms": [{"t": 0, "z": [0, 0]}]}, "malformed polynomial JSON: KeyError('c')"),
+        ({"g": 2, "terms": [3]}, "malformed polynomial JSON: "
+                                 "TypeError(\"'int' object is not subscriptable\")"),
+        ({"g": 2.0, "terms": []}, "malformed polynomial JSON: g has non-integer 2.0"),
+        ({"g": 2, "terms": [dict(TERM, t=1.5)]},
+         "malformed polynomial JSON: non-integer exponent in (1.5, (0, 0), 0)"),
+        ({"g": 2, "terms": [TERM, dict(TERM, c="2")]},
+         "malformed polynomial JSON: duplicate term (0, (0, 0), 0)"),
+        ({"g": 2, "terms": [dict(TERM, c="1/0")]},
+         "malformed polynomial JSON: coefficient '1/0' is not a rational number"),
+        ({"g": 2, "terms": [dict(TERM, c="9" * 5000)]},
+         f"malformed polynomial JSON: coefficient '{'9' * 5000}' is not a rational number"),
+        ({"g": 2, "terms": [dict(TERM, c=0.5)]},
+         "malformed polynomial JSON: coefficient 0.5 is neither a string nor an integer"),
+        ({"g": 2, "terms": [dict(TERM, c=True)]},
+         "malformed polynomial JSON: coefficient True is neither a string nor an integer"),
+        ({"g": -1, "terms": [dict(TERM, z=[0])]}, "need g >= 0"),
+        ({"g": 2, "terms": [dict(TERM, c="0", z=[0]), dict(TERM, gamma=-1)]},
+         "exponent vector (0,) has length != g=2"),
+        ({"g": 2, "terms": [dict(TERM, gamma=-1), dict(TERM, c="x", t=1)]},
+         "malformed polynomial JSON: coefficient 'x' is not a rational number"),
+        ({"g": 2, "terms": [dict(TERM, gamma=-1)]}, "genus-offset exponent must be nonnegative"),
+    ], ids=["missing-c", "term-not-object", "float-g", "float-t", "duplicate", "zero-denominator",
+            "over-digit-limit", "float-c", "bool-c", "negative-g", "zero-term-z-length",
+            "coefficient-before-key", "negative-gamma"])
+    def test_same_usage_error(self, capsys, curve_file, tmp_path, poly, message):
+        pgn, table = tmp_path / "pgn.json", tmp_path / "atable.json"
+        pgn.write_text(json.dumps(poly))
+        table.write_text(json.dumps({"entries": {"2": poly}}))
+        for argv in (("eval", "--curve", curve_file, "--n", "2", "--k", "1", "--pgn", str(pgn)),
+                     ("qgn", "--n", "2", "--g", "2", "--a-table", str(table))):
+            assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
 class TestStartup:
     """Each command loads only what it runs."""
 

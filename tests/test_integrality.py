@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from locsys import cli
 from locsys.integrality import (
     DivisibilityFailure,
     DivisibilityInstance,
@@ -175,3 +177,36 @@ def test_from_obj_rejects_repeated_key():
     obj["k"].append(obj["k"][0])
     with pytest.raises(ValueError, match="repeat a key"):
         DivisibilityInstance.from_obj(obj)
+
+
+class TestZeroModulus:
+    """chi * S_m * sum(a) = 0 leaves nothing to divide by: a ValueError,
+    which `verify --replay` reports as a failed check with its message."""
+
+    INSTANCES = [
+        {"a": [2], "nu": [0], "chi": 2, "k": [[[0, 0, 1], 2]], "eps": [[[0, 0, 1], 1]]},
+        {"a": [1, 1], "nu": [1, -1], "chi": 4, "k": [[[0, 0, 1], 1], [[1, 0, 1], 1]],
+         "eps": [[[0, 0, 1], 1], [[1, 0, 1], -1]]},
+    ]
+    MESSAGE = "divisor chi * S_m * sum(a) vanishes for this instance"
+
+    @pytest.mark.parametrize("obj", INSTANCES, ids=["nu-zero", "scalar-cancels"])
+    def test_direct_call(self, obj):
+        inst = DivisibilityInstance.from_obj(obj)
+        assert inst.chi * inst.stage_scalar(inst.m - 1) * sum(inst.a) == 0
+        with pytest.raises(ValueError) as info:
+            divisibility_check(inst)
+        assert str(info.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("obj", INSTANCES, ids=["nu-zero", "scalar-cancels"])
+    def test_replay(self, capsys, tmp_path, obj):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"checker": "integrality", "instance": obj}))
+        code = cli.main(["verify", "integrality", "--replay", str(path)])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (
+            1, f"replay integrality: FAIL\n  error: ValueError: {self.MESSAGE}\n", "")
+        code = cli.main(["--json", "verify", "integrality", "--replay", str(path)])
+        out = capsys.readouterr()
+        assert code == 1 and json.loads(out.out) == {
+            "suite": "integrality", "passed": False, "error": f"ValueError: {self.MESSAGE}"}

@@ -578,3 +578,121 @@ class TestSerialization:
         obj = CURVE.to_obj()
         again = CurveInput.from_obj(obj)
         assert (again.g, again.q, again.numerator) == (CURVE.g, CURVE.q, CURVE.numerator)
+
+
+def _read_outcome(reader, obj):
+    """The polynomial a reader returns, as (class, g, terms in order with
+    their coefficient types), or the ValueError it raises, as (class, text)."""
+    try:
+        p = reader(obj)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(p), p.g, [(k, type(c), c) for k, c in p.terms.items()]
+
+
+def _same_read(obj):
+    """from_obj and the two-pass reader it replaced agree on obj."""
+    new = _read_outcome(LaurentPoly.from_obj, obj)
+    assert new == _read_outcome(LaurentPoly._from_obj_two_pass, obj), obj
+    return new
+
+
+COEFFICIENT_CORPUS = [
+    "3", "-3", "007", "-0", "0", "+3", " 3", "3 ", "1_0", "3/2", "-6/4", "3/1", "0/5", "3/0",
+    "--3", "-+3", "-", "", "٣", "-٣", "1e3", "3.0", "0.5", "½", "0x10", "3/-2", "1/2/3",
+    "9" * 5000, "-" + "9" * 5000, "9" * 4300, "9" * 4301,
+    0, 7, -7, 10 ** 30, True, False, 0.5, 3.0, -0.0, None, [3], {"n": 3},
+]
+
+
+class TestOnePassReader:
+    """from_obj reads each term once; the two-pass reader it replaced
+    (kept for from_json) is the reference for every value and message."""
+
+    @pytest.mark.parametrize("c", COEFFICIENT_CORPUS,
+                             ids=[repr(c)[:20] for c in COEFFICIENT_CORPUS])
+    def test_coefficient_corpus(self, c):
+        term = {"c": c, "t": 1, "z": [2], "gamma": 0}
+        _same_read({"g": 1, "terms": [term]})
+        _same_read({"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": 0}, term]})
+
+    def test_corpus_values(self):
+        def read(c):
+            return _read_outcome(LaurentPoly.from_obj,
+                                 {"g": 0, "terms": [{"c": c, "t": 0, "z": []}]})[2]
+        key = (0, (), 0)
+        assert read("007") == [(key, int, 7)]
+        assert read("-6/4") == [(key, Fraction, Fraction(-3, 2))]
+        assert read("3/1") == read("3.0") == read("+3") == read("٣") == [(key, int, 3)]
+        assert read("-0") == read("0/5") == []
+
+    @pytest.mark.parametrize("obj", [
+        # a format error anywhere comes before g < 0 and before any key shape
+        {"g": -1, "terms": [{"c": "1", "t": 0, "z": [], "gamma": -1}, {"c": "x", "t": 0, "z": []}]},
+        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0, 0]}, {"c": "1", "t": 0.5, "z": [0]}]},
+        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [], "gamma": -1}, {"t": 0, "z": [0]}]},
+        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0, 0]}, {"c": "2", "t": 0, "z": [0, 0]}]},
+        {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0]}, {"c": 1.5, "t": 1, "z": [0, 0]}]},
+        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": -1}, 7]},
+        {"g": -2, "terms": [{"c": "1", "t": 0, "z": [0]}, {"c": "2", "t": 0, "z": 5}]},
+        # g < 0 comes before any key shape
+        {"g": -1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": -1}]},
+        {"g": -1, "terms": []},
+        # the first bad key in file order, length before sign within a term
+        {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": -1},
+                           {"c": "1", "t": 1, "z": [0]}]},
+        {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": 0},
+                           {"c": "1", "t": 1, "z": [0, 0], "gamma": -3}]},
+        {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": -1}]},
+        # zero terms are dropped only after their keys are checked
+        {"g": 1, "terms": [{"c": "0", "t": 0, "z": [0, 1]}, {"c": "1", "t": 0, "z": [0]}]},
+        {"g": 1, "terms": [{"c": 0, "t": 0, "z": [0], "gamma": -1}]},
+        {"g": 1, "terms": [{"c": "-0/7", "t": 0, "z": [0]}, {"c": "0", "t": 0, "z": [0]}]},
+        {"g": 1, "terms": [{"c": "0", "t": 0, "z": [0]}, {"c": "3", "t": 1, "z": [0]}]},
+        {"g": 0, "terms": [{"c": "0", "t": 0, "z": []}, {"c": "0", "t": 1, "z": [1]}]},
+        # the container itself
+        {"g": 1}, {"terms": []}, [], {"g": 1, "terms": 3}, {"g": 1, "terms": {"a": 1}},
+        {"g": "1", "terms": []}, {"g": True, "terms": []}, {"g": 1, "terms": [{"c": "1"}]},
+    ])
+    def test_files_with_faults(self, obj):
+        _same_read(obj)
+
+    def test_random_faulty_files(self):
+        rng = random.Random(16)
+        coefficients = [c for c in COEFFICIENT_CORPUS if type(c) is str and len(c) < 10]
+        coefficients += [0, 5, -2, True, 0.5]
+        seen = set()
+        for _ in range(3000):
+            g = rng.choice((-1, 0, 1, 2, 3, 1.0))
+            width = g if type(g) is int and g >= 0 else 1
+            terms = []
+            for _ in range(rng.randint(0, 4)):
+                term = {"c": rng.choice(coefficients),
+                        "t": rng.choice((0, 1, -2, 1.5)) if rng.random() < 0.2 else rng.randint(-2, 2),
+                        "z": [rng.randint(-1, 1) for _ in range(width)],
+                        "gamma": rng.choice((0, 1, -1, "0"))}
+                kind = rng.random()
+                if kind < 0.1:
+                    term["z"].append(0)
+                elif kind < 0.15:
+                    del term[rng.choice(("c", "t", "z", "gamma"))]
+                elif kind < 0.2 and terms:
+                    term.update({k: terms[-1][k] for k in ("t", "z", "gamma") if k in terms[-1]})
+                elif kind < 0.25:
+                    term["c"] = rng.choice(("0", 0, "-0", "0/3"))
+                terms.append(term)
+            outcome = _same_read({"g": g, "terms": terms})
+            seen.add(outcome[1].split(":")[0] if outcome[0] is not LaurentPoly else "read")
+        assert {"read", "need g >= 0", "exponent vector (0, 0, 0) has length != g=2",
+                "genus-offset exponent must be nonnegative",
+                "malformed polynomial JSON"} <= seen
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_random_invariants(self, g):
+        rng = random.Random(g)
+        for _ in range(4):
+            p = random_invariant(rng, g) * rng.choice((1, -1, Fraction(3, 7), Fraction(-5, 2)))
+            obj = json.loads(p.to_json())
+            new = _same_read(obj)
+            assert new[0] is LaurentPoly and LaurentPoly.from_obj(obj) == p
+            assert LaurentPoly.from_obj(obj).to_json() == p.to_json()

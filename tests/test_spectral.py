@@ -195,6 +195,27 @@ class TestDetSlope:
         with pytest.raises(ValueError):
             det_slope_identities_check(rows, [1, -1, 0], [1, 1, 1])
 
+    @pytest.mark.parametrize("rows", [
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+        [["1/2", "-1/2", 0, 0], [0, 1, -1, 0], [0, 0, 3, -3], ["-1/2", "-1/2", -2, 3]],
+    ], ids=["symmetric", "directed"])
+    def test_unequal_cofactors_fail(self, monkeypatch, rows):
+        # On a zero-row-and-column-sum matrix all principal cofactors are
+        # equal.  Moving two of them by +1 and -1 keeps their sum, and so
+        # every other identity, so only the all-equal clause can see it.
+        u, v = [1, 2, "1/3", 1][:len(rows)], [2, -1, 1, 1][:len(rows)]
+        assert det_slope_identities_check(rows, u, v)
+        bareiss = spectral._bareiss
+        shifts = iter((1, -1))
+
+        def skewed(a):
+            cofactor = len(a) == len(rows) - 1
+            return bareiss(a) + (next(shifts, 0) if cofactor else 0)
+
+        monkeypatch.setattr(spectral, "_bareiss", skewed)
+        assert not det_slope_identities_check(rows, u, v)
+        assert next(shifts, None) is None  # both shifts were applied
+
 
 def principal_cofactors_reference(rows):
     n = len(rows)
