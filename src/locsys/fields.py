@@ -39,34 +39,14 @@ def integer(label, low=None, high=None, cap=None):
     return read
 
 
-def parse_rational(s):
-    """The rational the string s names under Fraction's grammar: an int when
-    it is integral, a Fraction otherwise; raises as Fraction(s) does.
-
-    A plain decimal integer (ASCII digits, at most one leading "-") is read
-    with int(), which gives Fraction's value without its regex.  Every other
-    spelling ("+3", " 3", "1_0", "3.0", "1e3", digits of other scripts)
-    goes to Fraction, and so does a string past int()'s digit limit, which
-    Fraction then rejects in its own words."""
-    if s.isascii() and s[s.startswith("-"):].isdigit():
-        try:
-            return int(s)
-        except ValueError:
-            pass
-    q = Fraction(s)
-    return q.numerator if q.denominator == 1 else q
-
-
 def rational(v):
     """A string naming a rational, or a JSON integer, as a Fraction."""
-    if type(v) is str:
-        try:
-            v = parse_rational(v)
-        except ZeroDivisionError:
-            raise ValueError(f"rational field {v!r} has a zero denominator") from None
-    elif type(v) is not int:
+    if type(v) is not int and type(v) is not str:
         raise ValueError(f"rational fields must be strings or JSON integers, not {v!r}")
-    return Fraction(v) if type(v) is int else v
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"rational field {v!r} has a zero denominator") from None
 
 
 def list_of(item, nonempty=False):

@@ -72,6 +72,21 @@ def _coeff(c):
     raise TypeError(f"unsupported coefficient {c!r}")
 
 
+def _read_rational(s):
+    """The rational the string s names under Fraction's grammar, normalised
+    as _coeff does; raises as Fraction(s) does.  A plain decimal integer
+    (ASCII digits, at most one leading "-") is read with int(), which gives
+    Fraction's value without its regex; every other spelling ("+3", " 3",
+    "1_0", "3.0", digits of other scripts) and a string int() refuses go to
+    Fraction."""
+    if s.isascii() and s[s.startswith("-"):].isdigit():
+        try:
+            return int(s)
+        except ValueError:
+            pass
+    return _coeff(Fraction(s))
+
+
 def render_terms(pairs):
     """The signed sum of (monomial text, coefficient) pairs, in the given
     order; empty text is the constant monomial and no pairs render as 0."""
@@ -447,9 +462,8 @@ class LaurentPoly:
         order of a read followed by __init__: format errors in file order,
         then g >= 0, then the first term whose key has the wrong shape
         (zero terms included)."""
-        # imported here so that `eval`, which reads through from_json, starts without it
-        from .fields import parse_rational
-
+        if cls is not LaurentPoly:
+            raise TypeError(f"the file form is the z-form; read a LaurentPoly, not a {cls.__name__}")
         try:
             g = obj["g"]
             if type(g) is not int:
@@ -467,7 +481,7 @@ class LaurentPoly:
                 c = term["c"]
                 if type(c) is str:
                     try:
-                        c = parse_rational(c)
+                        c = _read_rational(c)
                     except (ValueError, ZeroDivisionError):
                         raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
                                          "is not a rational number") from None
@@ -487,47 +501,9 @@ class LaurentPoly:
         poly.terms = {k: c for k, c in terms.items() if c} if zeros else terms
         return poly
 
-    # The two-pass reader that from_obj replaced: Fraction reads every
-    # coefficient string and __init__ normalises every term again.  `eval
-    # --pgn` (from_json) stays on it, and the differential test reads it as
-    # the reference, until the benchmark freezes the collector once per run
-    # rather than once per pass (ROADMAP item 1); then from_json calls
-    # from_obj and this body goes.
-    @classmethod
-    def _from_obj_two_pass(cls, obj):
-        """Read to_obj's form; g and every exponent must be a JSON integer
-        (a float, bool or string is rejected, not truncated), and a
-        coefficient a rational string such as "3/2" or a JSON integer."""
-        try:
-            g = obj["g"]
-            if type(g) is not int:
-                raise ValueError(f"malformed polynomial JSON: g has non-integer {g!r}")
-            terms = {}
-            for term in obj["terms"]:
-                key = (term["t"], tuple(term["z"]), term.get("gamma", 0))
-                if (type(key[0]) is not int or type(key[2]) is not int
-                        or not all(type(e) is int for e in key[1])):
-                    raise ValueError(f"malformed polynomial JSON: non-integer exponent in {key}")
-                if key in terms:
-                    raise ValueError(f"malformed polynomial JSON: duplicate term {key}")
-                c = term["c"]
-                if type(c) is str:
-                    try:
-                        c = Fraction(c)
-                    except (ValueError, ZeroDivisionError):
-                        raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
-                                         "is not a rational number") from None
-                elif type(c) is not int:
-                    raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
-                                     "is neither a string nor an integer")
-                terms[key] = c
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
-        return cls(g, terms)
-
     @classmethod
     def from_json(cls, text):
-        return cls._from_obj_two_pass(json.loads(text))
+        return cls.from_obj(json.loads(text))
 
     def render(self, gamma_label="(g-1)") -> str:
         pairs = []
