@@ -12,6 +12,7 @@ the counting commands load the counting engine, and `eval` needs neither.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -41,6 +42,21 @@ def _open_input(path):
         return open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _any_digits():
+    """Lift Python's int-to-str digit limit (3.10.7 and later) while an exact
+    result is printed: the limit guards the readers against oversized input,
+    and stays on for them."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _print(args, obj, text):
@@ -139,8 +155,9 @@ def cmd_euler(args):
     from .counting import euler_characteristic
 
     value = euler_characteristic(args.n, args.g)
-    _print(args, {"n": args.n, "g": args.g, "euler": value},
-           f"euler[g={args.g},n={args.n}] = {value}")
+    with _any_digits():
+        _print(args, {"n": args.n, "g": args.g, "euler": value},
+               f"euler[g={args.g},n={args.n}] = {value}")
     return 0
 
 
@@ -164,8 +181,9 @@ def cmd_eval(args):
         with _open_input(args.pgn) as fh:
             poly = LaurentPoly.from_json(fh.read())
     value = evaluate_at_curve(poly, curve, args.k, curve.g - 1)
-    _print(args, {"n": args.n, "k": args.k, "count": value},
-           f"count[n={args.n},k={args.k}] = {value}")
+    with _any_digits():
+        _print(args, {"n": args.n, "k": args.k, "count": value},
+               f"count[n={args.n},k={args.k}] = {value}")
     return 0
 
 

@@ -75,19 +75,11 @@ def coarsenings(p):
         yield tuple(sizes)
 
 
-def project(H, p, q):
-    """Block sums of H along the coarsening q of p."""
-    p = check_composition(p)
-    if len(H) != len(p):
-        raise ValueError("point does not match the composition")
-    return tuple(_block_sums(H, grouping_of(p, q), Fraction(0)))
-
-
-def _block_sums(v, grouping, start=0):
+def _block_sums(v, grouping):
     out = []
     i = 0
     for s in grouping:
-        out.append(sum(v[i:i + s], start))
+        out.append(sum(v[i:i + s]))
         i += s
     return out
 

@@ -106,45 +106,6 @@ class FreePoly(LaurentPoly):
             if sum(e for a, e in m if a[0] == "C") == degree
         })
 
-    def divide_exact(self, scalar, gamma_power: int = 0) -> "FreePoly":
-        """Divide by scalar * gamma^power; every monomial must carry the power."""
-        terms = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            have = d.get(GAMMA_ATOM, 0)
-            if have < gamma_power:
-                raise IntegralityError("sum is not divisible by the genus factor")
-            if have == gamma_power:
-                d.pop(GAMMA_ATOM, None)
-            else:
-                d[GAMMA_ATOM] = have - gamma_power
-            terms[tuple(d.items())] = _coeff(Fraction(c) / scalar)
-        return self._new(terms)
-
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def non_integer_terms(self) -> dict:
-        """Monomials whose coefficient is not an integer.
-
-        The count polynomials in the C-symbols are not integral in general
-        (rank 4 already has 2/3 * (g-1) C[1,1] C[1,3]); integrality of the
-        final counts only appears after substituting counts that share one
-        system of Weil numbers, which is what the divisibility suite checks.
-        """
-        return {m: c for m, c in self.terms.items() if c.denominator != 1}
-
-    def substitute(self, values, const):
-        """Evaluate with atom -> value (values may live in any ring); `const`
-        embeds rationals into that ring."""
-        total = const(0)
-        for m, c in self.terms.items():
-            v = const(c)
-            for a, e in m:
-                v = v * (values[a] ** e)
-            total = total + v
-        return total
-
     @staticmethod
     def _atom_label(a):
         if a == GAMMA_ATOM:
@@ -277,8 +238,9 @@ class PackedPoly(LaurentPoly):
         return FreePoly()._new(terms)
 
     def divide_exact(self, scalar, gamma_power: int = 0) -> "PackedPoly":
-        """FreePoly.divide_exact on packed keys: the genus offset is the
-        lowest field, so dividing by its power is a subtraction."""
+        """Divide by scalar * gamma^power; every monomial must carry the
+        power.  The genus offset is the lowest field, so dividing by its
+        power is a subtraction."""
         mask = (1 << self.layout[GAMMA_ATOM][1]) - 1
         terms = {}
         for key, c in self.terms.items():
@@ -363,9 +325,6 @@ class CTable:
     def zero(self):
         return FreePoly.zero() if self.mode == "symbolic" else self.ring.zero(self.g)
 
-    def one(self):
-        return FreePoly.const(1) if self.mode == "symbolic" else self.ring.const(self.g, 1)
-
     def entry(self, s: int, k: int):
         if self.mode == "symbolic":
             return FreePoly.symbol(s, k)
@@ -377,12 +336,6 @@ class CTable:
 
     def to_obj(self):
         return {"entries": {str(s): p.to_obj() for s, p in sorted(self.base.items())}}
-
-    @classmethod
-    def from_obj(cls, obj, g):
-        base = fields.keyed(fields.canonical_int, LaurentPoly.from_obj,
-                            "count table entries")(obj["entries"])
-        return cls.concrete(g, base)
 
 
 class ATable:
@@ -419,11 +372,6 @@ class ATable:
             if any(et < 0 for et, _a, _ey in self.weil[n].terms):
                 raise ValueError(f"A-table entry {n} violates positivity")
             self.entries[n] = poly
-
-    def __getitem__(self, n):
-        if n not in self.entries:
-            raise EntryMissing(f"no A-table entry for rank {n}")
-        return self.entries[n]
 
     def to_obj(self):
         return {"entries": {str(n): p.to_obj() for n, p in sorted(self.entries.items())}}
@@ -643,36 +591,22 @@ def linear_part_check(n: int, g: int = 2) -> bool:
     return linear == expected
 
 
-def inertial_class_count(n: int, d: int, entry):
+def inertial_class_count(n: int, d: int, table):
     """Number of inertial classes of rank-n systems whose twist-fixator has
     order exactly d:  (1/d) * sum over l | d of mu(l) C[n/d, d/l].
 
-    `entry` is either a CTable or a callable (s, k) -> ring element.
+    `table` is a CTable, or any object with its `entry(s, k)`.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if n % d:
         raise ValueError("d must divide n")
-    lookup = entry.entry if isinstance(entry, CTable) else entry
     total = None
     for l in divisors(d):
         mu = mobius(l)
         if mu == 0:
             continue
-        piece = lookup(n // d, d // l) * Fraction(mu, d)
+        piece = table.entry(n // d, d // l) * Fraction(mu, d)
         total = piece if total is None else total + piece
     return total
 
-
-def orbit_inversion_check(r: int, dmax: int, otable) -> bool:
-    """Plant orbit counts O_r(l), aggregate them into fixed-point counts
-    C_r(X_d) = sum_{l | d} l O_r(l), and verify the Moebius inversion
-    recovers each O_r(d)."""
-    cvals = {}
-    for d in range(1, dmax + 1):
-        cvals[d] = sum(l * otable.get(l, 0) for l in divisors(d))
-    for d in range(1, dmax + 1):
-        got = inertial_class_count(r * d, d, lambda s, k: Fraction(cvals[k]))
-        if got != Fraction(otable.get(d, 0)):
-            return False
-    return True

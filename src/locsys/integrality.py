@@ -45,11 +45,6 @@ def coprime_factorial(p: int, n: int, mod: int | None = None) -> int:
     return out
 
 
-def coprime_factorial_identity_check(p: int, n: int) -> bool:
-    """f_p(n) * p^[n/p] * [n/p]! == n!, the defining identity."""
-    return coprime_factorial(p, n) * p ** (n // p) * math.factorial(n // p) == math.factorial(n)
-
-
 def coprime_factorial_congruence_check(p: int, alpha: int, n: int) -> bool:
     """p^(2 alpha) divides f_p(p^alpha n) - f_p(p^alpha)^n for odd p with
     alpha >= 1 or p = 2 with alpha >= 2; and f_2(2n) = (-1)^[n/2] mod 4."""

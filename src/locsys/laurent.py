@@ -165,10 +165,6 @@ class LaurentPoly:
         z[i] = 1
         return cls.monomial(g, 1, z=z)
 
-    @classmethod
-    def genus_offset(cls, g):
-        return cls.monomial(g, 1, y=1)
-
     # -- monomial kind: keys (t_exp, z_exps, y_exp) --------------------------
 
     def _key(self, key):
@@ -256,9 +252,6 @@ class LaurentPoly:
         return self._new({k: c for k, c in terms.items() if c != 0})
 
     __rmul__ = __mul__
-
-    def scalar_mul(self, c):
-        return self * c
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -822,9 +815,6 @@ class CurveInput:
         e = _elementary(_real_weil_sums(self, 1, 2 * self.g)[::2])
         f = polyq.squarefree([(-1) ** j * c for j, c in enumerate(e)][::-1])
         return polyq.sturm_count(f, 0, 4 * self.q) + (f[0] == 0) == len(f) - 1
-
-    def to_obj(self):
-        return {"g": self.g, "q": self.q, "numerator": list(self.numerator)}
 
     @classmethod
     def from_obj(cls, obj):

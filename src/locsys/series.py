@@ -2,12 +2,13 @@
 
 The ring is duck-typed: coefficients must support +, -, * among themselves
 and * by int/Fraction.  Rationals, LaurentPoly and FreePoly all qualify.
-exp and log use the standard derivative recurrences, which only ever divide
-by integers, so everything stays exact.
+exp uses the standard derivative recurrence, which only ever divides by
+integers, so everything stays exact.
 
-The master formula does not call exp: counting._exp_coeff_concrete takes the
-one coefficient it needs in integer arithmetic, for concrete and symbolic
-tables alike.  exp is the reference implementation the tests compare it with.
+exp serves the chamber limits: `spectral.chamber_limit_exact` takes exp(x t)
+from it.  The master formula does not call it: counting._exp_coeff_concrete
+takes the one coefficient it needs in integer arithmetic, for concrete and
+symbolic tables alike, and exp is the reference the tests compare it with.
 Inverses, integer powers and division by scalars (field coefficients) let
 `spectral.chamber_limit_exact` evaluate c-functions on truncated series.
 """
@@ -44,12 +45,6 @@ class TruncatedSeries:
         for e, c in terms:
             if 0 <= e <= cap:
                 coeffs[e] = coeffs[e] + c
-        return cls(cap, coeffs)
-
-    @classmethod
-    def constant(cls, cap, value, zero):
-        coeffs = [zero] * (cap + 1)
-        coeffs[0] = value
         return cls(cap, coeffs)
 
     def _zero(self):
@@ -105,14 +100,14 @@ class TruncatedSeries:
         divides as the Fraction 1/other)."""
         if isinstance(other, TruncatedSeries):
             return self * other.inverse()
-        return self.scalar_mul(Fraction(1, other) if isinstance(other, int) else 1 / other)
+        return self * (Fraction(1, other) if isinstance(other, int) else 1 / other)
 
     def __pow__(self, k: int):
         """Integer powers, negative ones through `inverse`."""
         if not isinstance(k, int):
             raise TypeError("series powers take an integer exponent")
         base = self if k >= 0 else self.inverse()
-        out = TruncatedSeries.constant(self.cap, self._zero() + 1, self._zero())
+        out = TruncatedSeries.from_terms(self.cap, [(0, 1)], self._zero())
         k = abs(k)
         while k:
             if k & 1:
@@ -140,26 +135,10 @@ class TruncatedSeries:
             out.append(-acc * inv0)
         return TruncatedSeries(self.cap, out)
 
-    def scalar_mul(self, a):
-        return TruncatedSeries(self.cap, [c * a for c in self.coeffs])
-
     def coeff(self, v: int):
         if not 0 <= v <= self.cap:
             raise IndexError(f"coefficient {v} outside 0..{self.cap}")
         return self.coeffs[v]
-
-    def stretch(self, l: int) -> "TruncatedSeries":
-        """Substitute z -> z^l, truncating at the same cap."""
-        if not isinstance(l, int) or l < 1:
-            raise ValueError("need l >= 1")
-        zero = self._zero()
-        out = [zero] * (self.cap + 1)
-        for e, c in enumerate(self.coeffs):
-            if e * l <= self.cap:
-                out[e * l] = c
-            else:
-                break
-        return TruncatedSeries(self.cap, out)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term.
@@ -179,28 +158,6 @@ class TruncatedSeries:
                     acc = acc + (sk * out[n - k]) * k
             out[n] = acc * Fraction(1, n)
         return TruncatedSeries(self.cap, out)
-
-    def log(self) -> "TruncatedSeries":
-        """log of a series with constant term one.
-
-        Recurrence from s' = l's:  l_n = s_n - (1/n) sum_{k<n} k l_k s_{n-k}.
-        """
-        if not _is_zero(self.coeffs[0] - 1):
-            raise ValueError("log needs constant term 1")
-        zero = self._zero()
-        out = [zero] * (self.cap + 1)
-        for n in range(1, self.cap + 1):
-            acc = zero
-            for k in range(1, n):
-                lk = out[k]
-                if not _is_zero(lk):
-                    acc = acc + (lk * self.coeffs[n - k]) * k
-            out[n] = self.coeffs[n] - acc * Fraction(1, n)
-        return TruncatedSeries(self.cap, out)
-
-    def pow_scalar(self, alpha) -> "TruncatedSeries":
-        """s^alpha := exp(alpha * log s) for any ring element alpha."""
-        return self.log().scalar_mul(alpha).exp()
 
     def __repr__(self):
         return f"TruncatedSeries(cap={self.cap}, {self.coeffs})"

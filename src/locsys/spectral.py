@@ -281,10 +281,6 @@ class Block:
         if sum(self.orbits) != self.m or any(l < 1 for l in self.orbits):
             raise ValueError("orbit lengths must be positive and sum to m")
 
-    @property
-    def rank(self):
-        return self.d * self.nu
-
 
 @dataclass(frozen=True)
 class DiscretePairDatum:
@@ -496,14 +492,6 @@ def _orderings(r):
     return itertools.permutations(range(r))
 
 
-def _exp_series(x, cap):
-    """exp(x t) truncated after t^cap."""
-    coeffs = [Fraction(1)]
-    for k in range(1, cap + 1):
-        coeffs.append(coeffs[-1] * x / k)
-    return TruncatedSeries(cap, coeffs)
-
-
 def oriented_basis_sum(r, derivs):
     """sum over subsets of roots forming bases of the trace-zero space of the
     product of the derivatives at 1.  Bases = spanning trees of the complete
@@ -535,16 +523,21 @@ def chamber_limit_exact(r: int, cfuncs, derivs=None):
     if r > 5:
         raise ValueError("chamber enumeration capped at r = 5")
     cap = r - 1
+
+    def exp_xt(x, top):
+        """exp(x t) truncated after t^top."""
+        return TruncatedSeries.from_terms(top, [(1, x)], Fraction(0)).exp()
+
     if derivs is None:
-        exp_t = _exp_series(1, 1)
+        exp_t = exp_xt(1, 1)
         derivs = {key: f(exp_t).coeff(1) for key, f in cfuncs.items()}
     xi = [Fraction(2 * k + 1, 3 * k + 2) for k in range(r)]
     shift = sum(xi) / r
     xi = [x - shift for x in xi]  # trace zero keeps prod(mu_i) = 1
     # the c-functions on the chamber's positive pairs, each pair evaluated once
-    c_values = {(i, j): f(_exp_series(xi[i] - xi[j], cap)) for (i, j), f in cfuncs.items()}
+    c_values = {(i, j): f(exp_xt(xi[i] - xi[j], cap)) for (i, j), f in cfuncs.items()}
     # 1 / ((mu_u - mu_v) / t) per ordered pair: each theta factor is t times a unit
-    mu = [_exp_series(x, r) for x in xi]
+    mu = [exp_xt(x, r) for x in xi]
     inv_steps = {}
     for u in range(r):
         for v in range(r):
@@ -552,7 +545,7 @@ def chamber_limit_exact(r: int, cfuncs, derivs=None):
                 step = (mu[u] - mu[v]).coeffs[1:]
                 inv_steps[(u, v)] = TruncatedSeries(cap, step).inverse()
     # t^(r-1) times the chamber sum
-    total = TruncatedSeries.constant(cap, Fraction(0), Fraction(0))
+    total = TruncatedSeries.from_terms(cap, (), Fraction(0))
     for order in _orderings(r):
         term = math.prod((inv_steps[pair] for pair in zip(order, order[1:])), start=1)
         for pair in itertools.combinations(order, 2):
@@ -984,12 +977,6 @@ def cone_closed_form(sizes, order, e: int, lam):
     return _floor_monomial(sizes, order, e, lam) / _chamber_denominator(order, lam)
 
 
-def cone_indicator(sizes, order, H) -> bool:
-    """Membership of an integer vector in the chamber cone: the dual-basis
-    weight values must be <=0 at ascent positions and >0 at descents."""
-    return _in_cone(_cone_walls(sizes, order), sum(sizes), order, H)
-
-
 def _cone_walls(sizes, order):
     """(prefix size, ascent?) at each of the chamber's r - 1 walls."""
     walls = []
@@ -1149,32 +1136,7 @@ def cone_fourier_average_check(sizes, e: int, lam) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Per-pair weights and the aggregation identity
-
-
-def pair_weight(datum: DiscretePairDatum, l: int) -> Fraction:
-    """The bracketed per-pair product of the degree-coprime spectral sum:
-    prod over blocks of binom(S/xi, m/xi) fix^m (-1)^(m/xi) m!, zero unless
-    every xi divides its m."""
-    g = datum.genus
-    if l < 1 or datum.n % l:
-        raise ValueError("l must divide the total rank")
-    a = datum.a_table()
-    out = Fraction(1)
-    for b in datum.blocks:
-        xi = l // math.gcd(l, b.fix)
-        if b.m % xi:
-            return Fraction(0)
-        s_top = -Fraction(
-            (2 * g - 2) * b.d * sum(av * min(b.nu, nu) for nu, av in a.items()), b.fix
-        )
-        out *= (
-            binom_ring(s_top / xi, b.m // xi)
-            * Fraction(b.fix) ** b.m
-            * (-1) ** (b.m // xi)
-            * math.factorial(b.m)
-        )
-    return out
+# The aggregation identity
 
 
 def aggregation_check(a: int, l: int, s, g: int, dtable) -> bool:

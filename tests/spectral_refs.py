@@ -1,11 +1,20 @@
-"""mpmath references for the exact spectral checks: the numeric versions
+"""References for the exact spectral checks: the mpmath versions
 `locsys.spectral` used before its chamber limits, circle counts and cone
-series identities became exact.  The differential tests compare against
-them; nothing in the package imports this module."""
+series identities became exact, and the chamber-cone membership test that
+the package runs only inside `cone_direct_sum`.  The differential tests
+compare against them; nothing in the package imports this module."""
 
 import itertools
 
 import mpmath
+
+from locsys import spectral
+
+
+def cone_indicator(sizes, order, H) -> bool:
+    """Membership of an integer vector in the chamber cone: the dual-basis
+    weight values must be <=0 at ascent positions and >0 at descents."""
+    return spectral._in_cone(spectral._cone_walls(sizes, order), sum(sizes), order, H)
 
 
 class NumericInstability(RuntimeError):

@@ -15,7 +15,7 @@ import pytest
 
 from locsys import cli, cones, spectral, verify
 from locsys.counting import ATable, CTable, a_from_c, c_from_a, euler_characteristic
-from locsys.laurent import LaurentPoly, pic_polynomial
+from locsys.laurent import CurveInput, LaurentPoly, graeffe_power, pic_polynomial
 from locsys.verify import _shrink, replay
 
 
@@ -256,6 +256,32 @@ class TestEval:
         # oracle: P(1) * (q^3 - 4q) at the curve point t=2
         # planted = pic * (t^3 - 4t) evaluates at (q, sigma) to 8 * (8 - 8) = 0
         assert "= 0" in out
+
+    def test_exact_results_past_the_digit_limit(self, capsys, tmp_path):
+        """eval and euler print exact integers of any size, as text and as
+        JSON, and the interpreter's int-to-str digit limit stays on for the
+        readers.  The rank-1 count is prod(1 - alpha_i^k), the sum of
+        graeffe_power's coefficients."""
+        curve = {"g": 2, "q": 5, "numerator": [1, -2, 2, -10, 25]}
+        path = tmp_path / "g2q5.json"
+        path.write_text(json.dumps(curve))
+        cases = [(("eval", "--curve", str(path), "--n", "1", "--k", "8000"), "count[n=1,k=8000]",
+                  "count", sum(graeffe_power(CurveInput.from_obj(curve), 8000))),
+                 (("euler", "--n", "3", "--g", "5000"), "euler[g=5000,n=3]",
+                  "euler", euler_characteristic(3, 5000))]
+        outputs = [(run(capsys, *argv), run(capsys, "--json", *argv)) for argv, *_ in cases]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert limit == DIGIT_LIMIT
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            for (text, as_json), (_argv, label, key, value) in zip(outputs, cases):
+                assert abs(value) > 10 ** 4300
+                assert text == (0, f"{label} = {value}\n", "")
+                assert as_json[0] == 0 and json.loads(as_json[1])[key] == value
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     def test_functional_equation_violation_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

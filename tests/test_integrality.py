@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -14,6 +15,11 @@ from locsys.integrality import (
     divisibility_check,
     random_instance,
 )
+
+
+def coprime_factorial_identity_check(p: int, n: int) -> bool:
+    """f_p(n) * p^[n/p] * [n/p]! == n!, the defining identity."""
+    return coprime_factorial(p, n) * p ** (n // p) * math.factorial(n // p) == math.factorial(n)
 
 
 class TestCoprimeFactorial:
@@ -38,8 +44,7 @@ class TestCoprimeFactorial:
                     floor_fact *= n // p
                     power *= p
                 assert fp * power * floor_fact == fact, (p, n)
-        # and the packaged checker on a few scattered points
-        from locsys.integrality import coprime_factorial_identity_check
+        # and coprime_factorial itself on a few scattered points
         assert all(coprime_factorial_identity_check(p, n)
                    for p in (2, 5) for n in (0, 1, 97, 343))
 
