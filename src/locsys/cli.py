@@ -22,6 +22,7 @@ from .laurent import (
     EntryMissing,
     IntegralityError,
     LaurentPoly,
+    WeilPoly,
     evaluate_at_curve,
     pic_polynomial,
 )
@@ -36,12 +37,14 @@ class CheckFailure(RuntimeError):
     pass
 
 
-def _open_input(path):
-    """Open an input file; a missing or unreadable one is a usage error."""
+def _open(path, mode="r"):
+    """Open an input file (mode "r") or an output file (mode "w"); one that
+    cannot be opened is a usage error."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+        verb = "read" if mode == "r" else "write"
+        raise ValueError(f"cannot {verb} {path}: {exc.strerror}") from None
 
 
 @contextlib.contextmanager
@@ -75,68 +78,43 @@ def cmd_a_symbolic(args):
 
 
 def _build_pipeline(n, g, a_table_path):
-    from .counting import ATable, CTable, c_from_a
+    """The e-form C-table through rank n."""
+    from .counting import ATable, CTable, c_from_a_weil
 
-    if n >= 2:
-        if a_table_path is None:
-            raise ValueError("ranks >= 2 need --a-table with the bundle counts")
-        with _open_input(a_table_path) as fh:
-            atable = ATable.from_json(fh.read(), g)
-        table = c_from_a(n, g, atable)
-    else:
-        table = CTable.concrete(g, {1: pic_polynomial(g)})
-    return table
-
-
-def _pgn_report(n, g, p):
-    from .counting import euler_characteristic, pic_quotient
-
-    report = {}
-    report["weil_invariant"] = p.is_weil_invariant()
-    report["positivity"] = p.satisfies_positivity()
-    w, tops = p.weight()
-    expected_top = (g - 1) * n * n + 1
-    report["dominant_term"] = (
-        w == 2 * expected_top
-        and tops == [(expected_top, (0,) * g, 0)]
-        and p.terms[tops[0]] == 1
-    )
-    try:
-        q = pic_quotient(p, g)
-        report["pic_divisible"] = True
-    except DivisibilityError:
-        q = None
-        report["pic_divisible"] = False
-    if q is not None:
-        chi = euler_characteristic(n, g) if g >= 2 else 1
-        value = q.substitute(1, [1] * g, g - 1)
-        report["euler_value"] = str(value)
-        report["euler_matches"] = value == chi
-    else:
-        report["euler_matches"] = False
-    return report, q
+    if n < 2:
+        return CTable.concrete(g, {1: WeilPoly.from_laurent(pic_polynomial(g))})
+    if a_table_path is None:
+        raise ValueError("ranks >= 2 need --a-table with the bundle counts")
+    with _open(a_table_path) as fh:
+        atable = ATable.from_json(fh.read(), g)
+    return c_from_a_weil(n, g, atable)
 
 
 def _run_pgn(args, want_quotient):
+    """The report runs in e-form; only the table and polynomial that are
+    written are converted to z-form."""
+    from .counting import pgn_report
+
     n, g = args.n, args.g
     if n < 1 or g < 2 and not (g == 1 and n == 1):
         raise ValueError("need n >= 1 and g >= 2 (or g = 1 with n = 1)")
     table = _build_pipeline(n, g, args.a_table)
     if args.emit_ctable:
-        with open(args.emit_ctable, "w", encoding="utf-8") as fh:
+        with _open(args.emit_ctable, "w") as fh:
             # json.dumps runs the C encoder; json.dump to a file would not
             fh.write(json.dumps(table.to_obj(), sort_keys=True, separators=(",", ":")))
     p = table.entry(n, 1)
-    report, q = _pgn_report(n, g, p)
-    out_poly = q if want_quotient else p
+    report, q = pgn_report(n, g, p)
     label = "Q" if want_quotient else "P"
     if want_quotient and q is None:
         raise CheckFailure("quotient unavailable: Picard divisibility failed")
-    obj = {"n": n, "g": g, label: out_poly.to_obj(), "report": report}
-    lines = [f"{label}[g={g},n={n}] = {out_poly.render()}"]
-    for key in sorted(report):
-        lines.append(f"  {key}: {report[key]}")
-    _print(args, obj, "\n".join(lines))
+    out_poly = (q if want_quotient else p).to_laurent()
+    if args.json:  # each form builds only what it prints
+        _print(args, {"n": n, "g": g, label: out_poly.to_obj(), "report": report}, None)
+    else:
+        lines = [f"{label}[g={g},n={n}] = {out_poly.render()}"]
+        lines += [f"  {key}: {report[key]}" for key in sorted(report)]
+        _print(args, None, "\n".join(lines))
     if not all(report[k] for k in
                ("weil_invariant", "positivity", "dominant_term", "pic_divisible", "euler_matches")):
         raise CheckFailure("pipeline report contains failing checks")
@@ -171,14 +149,14 @@ def cmd_d_count(args):
 
 
 def cmd_eval(args):
-    with _open_input(args.curve) as fh:
+    with _open(args.curve) as fh:
         curve = CurveInput.from_obj(json.load(fh))
     if args.n == 1:
         poly = pic_polynomial(curve.g)
     else:
         if args.pgn is None:
             raise ValueError("ranks >= 2 need --pgn with the count polynomial")
-        with _open_input(args.pgn) as fh:
+        with _open(args.pgn) as fh:
             poly = LaurentPoly.from_json(fh.read())
     value = evaluate_at_curve(poly, curve, args.k, curve.g - 1)
     with _any_digits():
@@ -191,7 +169,7 @@ def cmd_verify(args):
     from . import verify as verify_mod
 
     if args.replay:
-        with _open_input(args.replay) as fh:
+        with _open(args.replay) as fh:
             payload = json.load(fh)
         result = verify_mod.replay(payload)
         lines = [f"replay {result['suite']}: {'PASS' if result['passed'] else 'FAIL'}"]
@@ -280,10 +258,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CheckFailure, DivisibilityError, EntryMissing, IntegralityError) as exc:
+    except (CheckFailure, DivisibilityError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, EntryMissing) as exc:  # EntryMissing: the A-table lacks a rank
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

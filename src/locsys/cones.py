@@ -95,21 +95,10 @@ def _scaled_point(p, *points):
     return [[x.numerator * (d // x.denominator) for x in v] for v in points]
 
 
-def _check_grouping(p, grouping):
-    if sum(grouping) != len(p):
-        raise ValueError("grouping does not match the composition")
-
-
-def tau(p, grouping, H) -> int:
-    """Indicator of the open root cone relative to a coarsening: adjacent
-    parts inside a common group must have strictly decreasing slopes."""
-    p = check_composition(p)
-    _check_grouping(p, grouping)
-    H, = _scaled_point(p, H)
-    return _tau(p, grouping, H)
-
-
 def _tau(p, grouping, H) -> int:
+    """Indicator of the open root cone relative to a coarsening, at an
+    integer point H: adjacent parts inside a common group must have strictly
+    decreasing slopes."""
     # H_a/n_a > H_b/n_b  <=>  H_a n_b > H_b n_a
     start = 0
     for s in grouping:
@@ -120,16 +109,10 @@ def _tau(p, grouping, H) -> int:
     return 1
 
 
-def tau_hat(p, grouping, H) -> int:
-    """Indicator of the open weight cone: inside each group every proper
-    prefix must sit strictly above the group's average slope."""
-    p = check_composition(p)
-    _check_grouping(p, grouping)
-    H, = _scaled_point(p, H)
-    return _tau_hat(p, grouping, H)
-
-
 def _tau_hat(p, grouping, H) -> int:
+    """Indicator of the open weight cone, at an integer point H: inside each
+    group every proper prefix must sit strictly above the group's average
+    slope."""
     # pre_h - (pre_n / total_n) total_h > 0  <=>  pre_h total_n > pre_n total_h
     start = 0
     for s in grouping:

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import fields
 from .combinat import divisors, mobius, partitions
-from .laurent import (EntryMissing, IntegralityError, InvarianceError, LaurentPoly, WeilPoly,
-                      _coeff, pic_polynomial, render_terms)
+from .laurent import (DivisibilityError, EntryMissing, IntegralityError, InvarianceError,
+                      LaurentPoly, WeilPoly, _coeff, pic_polynomial, render_terms)
 from .series import TruncatedSeries
 
 GAMMA_ATOM = ("y",)
@@ -335,14 +335,17 @@ class CTable:
         return self._cache[(s, k)]
 
     def to_obj(self):
-        return {"entries": {str(s): p.to_obj() for s, p in sorted(self.base.items())}}
+        """The JSON form, with z-form entries."""
+        base = self.to_laurent().base
+        return {"entries": {str(s): p.to_obj() for s, p in sorted(base.items())}}
 
 
 class ATable:
     """Indecomposable-bundle counts for ranks >= 2 (rank 1 is the built-in
     Picard polynomial).  Entries are validated to be Weil-invariant and to
     satisfy the positivity constraint on load; the Weil check is the
-    conversion to e-form, which the inversion then reads (`weil`).
+    conversion to e-form, and the table keeps only that e-form (`weil`),
+    which the inversion reads.
 
     Positivity (every z-form term t^m z^n has v = m + sum_i min(n_i, 0) >= 0)
     is read off the e-form: it holds exactly when every e-form t-exponent is
@@ -359,7 +362,6 @@ class ATable:
 
     def __init__(self, g, entries):
         self.g = g
-        self.entries = {}
         self.weil = {}
         for n, poly in entries.items():
             n = int(n)
@@ -371,13 +373,6 @@ class ATable:
                 raise ValueError(f"A-table entry {n} is not Weil-invariant") from None
             if any(et < 0 for et, _a, _ey in self.weil[n].terms):
                 raise ValueError(f"A-table entry {n} violates positivity")
-            self.entries[n] = poly
-
-    def to_obj(self):
-        return {"entries": {str(n): p.to_obj() for n, p in sorted(self.entries.items())}}
-
-    def to_json(self):
-        return json.dumps(self.to_obj(), separators=(",", ":"))
 
     @classmethod
     def from_obj(cls, obj, g):
@@ -526,8 +521,14 @@ def a_from_c(n: int, genus, ctable: CTable):
     return result.to_laurent() if z_form else result
 
 
-def c_from_a(n: int, g: int, atable: ATable, base_ctable: CTable | None = None) -> CTable:
-    """Extend the C-table through rank n by inverting the master formula.
+def c_from_a(n: int, g: int, atable: ATable) -> CTable:
+    """Extend the C-table through rank n by inverting the master formula;
+    the returned table is z-form (`c_from_a_weil` returns the e-form)."""
+    return c_from_a_weil(n, g, atable).to_laurent()
+
+
+def c_from_a_weil(n: int, g: int, atable: ATable) -> CTable:
+    """The C-table through rank n, with e-form entries.
 
     Every monomial of the z^m coefficient of the rank-s formula has total
     weight m <= s in the (rank * extension) grading, so the unknown C[s,1]
@@ -538,14 +539,11 @@ def c_from_a(n: int, g: int, atable: ATable, base_ctable: CTable | None = None) 
 
     The inversion runs in e-form, where every entry is Weil-invariant by
     construction; the change of basis to the z-form is unitriangular over Z,
-    so C_s is integral in one form exactly when it is in the other.  The
-    returned table is z-form.
+    so C_s is integral in one form exactly when it is in the other.
     """
     if g < 2:
         raise ValueError("need genus >= 2")
-    if base_ctable is None:
-        base_ctable = CTable.concrete(g, {1: pic_polynomial(g)})
-    table = base_ctable.to_weil()
+    table = CTable.concrete(g, {1: WeilPoly.from_laurent(pic_polynomial(g))})
     zero, one = WeilPoly.zero(g), WeilPoly.const(g, 1)
     for s in range(2, n + 1):
         zeros = CTable.concrete(g, {r: zero for r in range(1, s)})
@@ -561,14 +559,58 @@ def c_from_a(n: int, g: int, atable: ATable, base_ctable: CTable | None = None) 
         if any(c.denominator != 1 for c in c_s.terms.values()):
             raise IntegralityError(f"rank-{s} count polynomial is not integral")
         table = table.with_entry(s, c_s)
-    return table.to_laurent()
+    return table
 
 
-def pic_quotient(p: LaurentPoly, g: int) -> LaurentPoly:
-    """Exact quotient of p by the Picard polynomial prod (1-z_i)(1-t/z_i)."""
+def pic_quotient(p: WeilPoly, g: int) -> WeilPoly:
+    """Exact quotient of the e-form p by the Picard polynomial
+    prod (1-z_i)(1-t/z_i), whose e-form is sum_j (-1)^j e_j (1+t)^(g-j)."""
     if p.is_zero():
         return p
-    return p.exact_divide(pic_polynomial(g))
+    return p.exact_divide(WeilPoly.from_laurent(pic_polynomial(g)))
+
+
+def pgn_report(n: int, g: int, p: WeilPoly):
+    """The `pgn`/`qgn` report on the e-form P = C_n, and the quotient
+    Q = P / Pic in e-form (None when Pic does not divide P).
+
+    Every verdict is read off the e-form.  P is Weil-invariant because it is
+    built in the invariant ring.  Positivity is ATable's rule: every
+    t-exponent is >= 0.  With deg t = 2 and deg z_i = 1, each w_i has weight
+    1 and e_j weight j; the change of basis keeps weight, so the top-weight
+    z-part is t^((g-1)n^2+1) exactly when the top-weight e-part is.  Q lies
+    in the invariant ring whenever it exists (P and Pic are invariant), so Pic
+    divides P in one form exactly when it does in the other.
+    """
+    top = (g - 1) * n * n + 1
+    weights = {key: 2 * key[0] + sum(j * a for j, a in enumerate(key[1], 1))
+               for key in p.terms}
+    w = max(weights.values(), default=None)
+    tops = [key for key, v in weights.items() if v == w]
+    report = {
+        "weil_invariant": True,
+        "positivity": all(et >= 0 for et, _a, _ey in p.terms),
+        "dominant_term": (w == 2 * top and tops == [(top, (0,) * g, 0)]
+                          and p.terms[tops[0]] == 1),
+    }
+    try:
+        q = pic_quotient(p, g)
+    except DivisibilityError:
+        q = None
+    report["pic_divisible"] = q is not None
+    report["euler_matches"] = False
+    if q is not None:
+        value = _euler_value(q, g)
+        report["euler_value"] = str(value)
+        report["euler_matches"] = value == (euler_characteristic(n, g) if g >= 2 else 1)
+    return report, q
+
+
+def _euler_value(q: WeilPoly, g: int) -> Fraction:
+    """q at t = z_i = 1 and y = g - 1: there w_i = 2, so e_j = C(g, j) 2^j."""
+    e = [math.comb(g, j) * 2 ** j for j in range(1, g + 1)]
+    return Fraction(sum(c * math.prod(map(pow, e, a)) * (g - 1) ** ey
+                        for (_et, a, ey), c in q.terms.items()))
 
 
 def euler_characteristic(n: int, g: int) -> int:

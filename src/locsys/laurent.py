@@ -296,16 +296,6 @@ class LaurentPoly:
         }
         return out
 
-    def _swap(self, i, j):
-        out = LaurentPoly(self.g)
-        terms = {}
-        for (et, ez, ey), c in self.terms.items():
-            z = list(ez)
-            z[i], z[j] = z[j], z[i]
-            terms[(et, tuple(z), ey)] = c
-        out.terms = terms
-        return out
-
     def _flip(self, i):
         # z_i -> t * z_i^{-1}
         terms = {}
@@ -324,20 +314,12 @@ class LaurentPoly:
         return out
 
     def is_weil_invariant(self) -> bool:
-        """Fixed by every z_i <-> z_j swap and every z_i -> t z_i^{-1} flip."""
-        for i in range(self.g - 1):
-            if self._swap(i, i + 1) != self:
-                return False
-        for i in range(self.g):
-            if self._flip(i) != self:
-                return False
-        return True
-
-    def satisfies_positivity(self) -> bool:
-        """Every monomial t^m z^n has m + sum_i min(n_i, 0) >= 0."""
-        for (et, ez, _ey) in self.terms:
-            if et + sum(min(e, 0) for e in ez) < 0:
-                return False
+        """Fixed by every z_i <-> z_j swap and every z_i -> t z_i^{-1} flip,
+        that is, the conversion to e-form succeeds."""
+        try:
+            WeilPoly.from_laurent(self)
+        except InvarianceError:
+            return False
         return True
 
     # -- division ----------------------------------------------------------
@@ -352,12 +334,10 @@ class LaurentPoly:
         return vt, vz, vy
 
     def _shift(self, dt, dz, dy):
-        out = LaurentPoly(self.g)
-        out.terms = {
+        return self._new({
             (et + dt, tuple(a + b for a, b in zip(ez, dz)), ey + dy): c
             for (et, ez, ey), c in self.terms.items()
-        }
-        return out
+        })
 
     def exact_divide(self, d: "LaurentPoly") -> "LaurentPoly":
         """Quotient q with q*d == self, or DivisibilityError with remainder.
@@ -372,7 +352,7 @@ class LaurentPoly:
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly.zero(self.g)
+            return self.zero(self.g)
 
         pt, pz, py = self._valuations()
         dt, dz, dy = d._valuations()
@@ -383,7 +363,7 @@ class LaurentPoly:
 
         lt_d = max(den.terms)
         cd = den.terms[lt_d]
-        quotient = LaurentPoly.zero(self.g)
+        quotient = self.zero(self.g)
         rem = num
         while not rem.is_zero():
             lt_r = max(rem.terms)
@@ -393,7 +373,7 @@ class LaurentPoly:
             if et < 0 or ey < 0 or any(e < 0 for e in ez):
                 raise DivisibilityError("not exactly divisible", rem)
             ratio = Fraction(rem.terms[lt_r]) / cd
-            mono = LaurentPoly.monomial(self.g, ratio, t=et, z=ez, y=ey)
+            mono = self.monomial(self.g, ratio, t=et, z=ez, y=ey)
             quotient = quotient + mono
             rem = rem - mono * den
         return quotient._shift(pt - dt, tuple(a - b for a, b in zip(pz, dz)), py - dy)
@@ -414,20 +394,6 @@ class LaurentPoly:
                 v *= zv ** e
             total += v
         return total
-
-    def weight(self):
-        """Top weight for deg t = 2, deg z_i = 1, and the list of top terms."""
-        if self.is_zero():
-            return None, []
-        best = None
-        tops = []
-        for key in self.terms:
-            w = 2 * key[0] + sum(key[1])
-            if best is None or w > best:
-                best, tops = w, [key]
-            elif w == best:
-                tops.append(key)
-        return best, sorted(tops)
 
     # -- serialization -----------------------------------------------------
 
@@ -559,13 +525,18 @@ class WeilPoly(LaurentPoly):
     The invariant ring is Q[t^{+-1}, y][e_1..e_g], where e_j is the j-th
     elementary symmetric function of w_i = z_i + t/z_i: a plain polynomial
     ring, so products here have far fewer terms than in the z-form.  Keys are
-    ``(t_exp, e_exps, y_exp)`` and the arithmetic is LaurentPoly's kernel;
-    mixing the two forms raises TypeError.  The z-specific methods (Weil
-    checks, substitute, weight, render, JSON) apply to the z-form only: convert
-    with to_laurent first.
+    ``(t_exp, e_exps, y_exp)`` and the arithmetic, exact division included,
+    is LaurentPoly's kernel; mixing the two forms raises TypeError.  The
+    z-specific methods (Weil check, substitute, render, JSON) apply to the
+    z-form only: convert with to_laurent first.
     """
 
     __slots__ = ()
+
+    def _valuations(self):
+        # the e_j are polynomial variables, so exact division never shifts them
+        vt, _ve, vy = LaurentPoly._valuations(self)
+        return vt, (0,) * self.g, vy
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "WeilPoly":

@@ -1,7 +1,11 @@
 """References for the counting engine that the package itself no longer
 needs: evaluating a FreePoly at ring values, the oracle the symbolic and
-concrete master formulas are compared through.  Nothing in the package
-imports this module."""
+concrete master formulas are compared through, and the z-form `pgn`/`qgn`
+report that the e-form report replaced, with the z-form scans it runs on.
+Nothing in the package imports this module."""
+
+from locsys.counting import euler_characteristic
+from locsys.laurent import DivisibilityError, LaurentPoly, pic_polynomial
 
 
 def free_substitute(p, values, const):
@@ -14,3 +18,61 @@ def free_substitute(p, values, const):
             v = v * (values[a] ** e)
         total = total + v
     return total
+
+
+def swap(p, i, j):
+    """The z-form p with z_i and z_j exchanged."""
+    terms = {}
+    for (et, ez, ey), c in p.terms.items():
+        z = list(ez)
+        z[i], z[j] = z[j], z[i]
+        terms[(et, tuple(z), ey)] = c
+    return LaurentPoly(p.g, terms)
+
+
+def swap_flip_invariant(p):
+    """Fixed by every z_i <-> z_{i+1} swap and every z_i -> t z_i^{-1} flip."""
+    return (all(swap(p, i, i + 1) == p for i in range(p.g - 1))
+            and all(p._flip(i) == p for i in range(p.g)))
+
+
+def satisfies_positivity(p):
+    """Every z-form monomial t^m z^n has m + sum_i min(n_i, 0) >= 0."""
+    return all(et + sum(min(e, 0) for e in ez) >= 0 for et, ez, _ey in p.terms)
+
+
+def weight(p):
+    """Top weight of the z-form p for deg t = 2, deg z_i = 1, and the sorted
+    list of its top terms."""
+    if p.is_zero():
+        return None, []
+    best = max(2 * et + sum(ez) for et, ez, _ey in p.terms)
+    return best, sorted(k for k in p.terms if 2 * k[0] + sum(k[1]) == best)
+
+
+def zform_pgn_report(n, g, p):
+    """The `pgn`/`qgn` report and quotient, scanned in the z-form."""
+    report = {}
+    report["weil_invariant"] = swap_flip_invariant(p)
+    report["positivity"] = satisfies_positivity(p)
+    w, tops = weight(p)
+    expected_top = (g - 1) * n * n + 1
+    report["dominant_term"] = (
+        w == 2 * expected_top
+        and tops == [(expected_top, (0,) * g, 0)]
+        and p.terms[tops[0]] == 1
+    )
+    try:
+        q = p if p.is_zero() else p.exact_divide(pic_polynomial(g))
+        report["pic_divisible"] = True
+    except DivisibilityError:
+        q = None
+        report["pic_divisible"] = False
+    if q is not None:
+        chi = euler_characteristic(n, g) if g >= 2 else 1
+        value = q.substitute(1, [1] * g, g - 1)
+        report["euler_value"] = str(value)
+        report["euler_matches"] = value == chi
+    else:
+        report["euler_matches"] = False
+    return report, q

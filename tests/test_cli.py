@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import io
@@ -15,7 +16,8 @@ import pytest
 
 from locsys import cli, cones, spectral, verify
 from locsys.counting import ATable, CTable, a_from_c, c_from_a, euler_characteristic
-from locsys.laurent import CurveInput, LaurentPoly, graeffe_power, pic_polynomial
+from locsys.laurent import (CurveInput, LaurentPoly, graeffe_power, pic_polynomial,
+                            weil_symmetrize)
 from locsys.verify import _shrink, replay
 
 
@@ -32,6 +34,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def write_atable(path, entries):
+    """Write the bundle-count table file of the z-form entries {rank: poly}."""
+    obj = {"entries": {str(n): p.to_obj() for n, p in sorted(entries.items())}}
+    path.write_text(json.dumps(obj, separators=(",", ":")))
+
+
 def consistent_fixture(tmp_path):
     """A rank-2 fixture engineered so every pipeline check passes: the
     planted count is the Picard polynomial times t^3 - 4t, which has the
@@ -40,9 +48,8 @@ def consistent_fixture(tmp_path):
     t = LaurentPoly.t_var(g)
     planted = pic_polynomial(g) * (t * t * t - 4 * t)
     table = CTable.concrete(g, {1: pic_polynomial(g), 2: planted})
-    atable = ATable(g, {2: a_from_c(2, g, table)})
     path = tmp_path / "atable.json"
-    path.write_text(atable.to_json())
+    write_atable(path, {2: a_from_c(2, g, table)})
     return str(path), planted
 
 
@@ -172,8 +179,8 @@ def test_symbolic_output_bytes_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
-def planted_atable(g, n):
-    """An A-table whose qgn report passes: ranks 2..n-1 of the C-table are
+def planted_entries(g, n):
+    """A-table entries whose qgn report passes: ranks 2..n-1 of the C-table are
     seeded `verify.random_invariant`s, and the top rank is the Picard
     polynomial times t^((g-1)n^2+1-g) + R + c, with R random and c chosen
     for the Euler value."""
@@ -188,7 +195,7 @@ def planted_atable(g, n):
                 + (chi - 1 - rest.substitute(1, [1] * g, g - 1)))
     planted[n] = pic_polynomial(g) * cofactor
     table = CTable.concrete(g, planted)
-    return ATable(g, {r: a_from_c(r, g, table) for r in range(2, n + 1)})
+    return {r: a_from_c(r, g, table) for r in range(2, n + 1)}
 
 
 # sha256 of `qgn --json` stdout and of its --emit-ctable file, recorded before
@@ -203,15 +210,16 @@ PINNED_QGN = {
 
 def test_emit_ctable_bytes_match_json_dump(capsys, tmp_path):
     g, n = 2, 5
-    atable = planted_atable(g, n)
+    entries = planted_entries(g, n)
     path = tmp_path / "atable.json"
-    path.write_text(atable.to_json())
+    write_atable(path, entries)
     ctable = tmp_path / "ctable.json"
     code, _, _ = run(capsys, "--json", "qgn", "--n", str(n), "--g", str(g),
                      "--a-table", str(path), "--emit-ctable", str(ctable))
     assert code == 0
     expected = io.StringIO()
-    json.dump(c_from_a(n, g, atable).to_obj(), expected, sort_keys=True, separators=(",", ":"))
+    json.dump(c_from_a(n, g, ATable(g, entries)).to_obj(), expected, sort_keys=True,
+              separators=(",", ":"))
     assert ctable.read_text(encoding="utf-8") == expected.getvalue()
 
 
@@ -219,7 +227,7 @@ def test_emit_ctable_bytes_match_json_dump(capsys, tmp_path):
 def test_qgn_output_bytes_pinned(capsys, tmp_path, cell):
     g, n = cell
     atable = tmp_path / "atable.json"
-    atable.write_text(planted_atable(g, n).to_json())
+    write_atable(atable, planted_entries(g, n))
     ctable = tmp_path / "ctable.json"
     code, out, _ = run(capsys, "--json", "qgn", "--n", str(n), "--g", str(g),
                        "--a-table", str(atable), "--emit-ctable", str(ctable))
@@ -227,6 +235,62 @@ def test_qgn_output_bytes_pinned(capsys, tmp_path, cell):
     digests = (hashlib.sha256(out.encode()).hexdigest(),
                hashlib.sha256(ctable.read_bytes()).hexdigest())
     assert digests == PINNED_QGN[cell]
+
+
+def failing_entries(case):
+    """Rank-2 A-table entries (g = 2) whose report fails.  "wrong-top"
+    plants the Picard polynomial times 2t^3 + 2(z1 + t/z1 + z2 + t/z2) + 1,
+    which fails dominant_term and euler_matches; "not-divisible" plants the
+    Picard polynomial times t^3 - 4t, plus t, which fails pic_divisible and
+    euler_matches."""
+    g = 2
+    t, pic = LaurentPoly.t_var(g), pic_polynomial(g)
+    planted = {"wrong-top": pic * (2 * t ** 3 + weil_symmetrize(LaurentPoly.z_var(g, 0)) + 1),
+               "not-divisible": pic * (t ** 3 - 4 * t) + t}[case]
+    table = CTable.concrete(g, {1: pic, 2: planted})
+    return {2: a_from_c(2, g, table)}
+
+
+# sha256 of stdout and the stderr line of a failing report, recorded while
+# the report still scanned the z-form
+PINNED_FAILING = {
+    ("wrong-top", "pgn", "text"): (
+        "0161850864a888bca9a8f7ac721cc153678a9b46ec7016f9243ff27891e7619f",
+        "error: pipeline report contains failing checks\n"),
+    ("wrong-top", "pgn", "json"): (
+        "c78c2dac4794dcd4548a9e8129892f829c7d243913a6cac0ce263d468073c641",
+        "error: pipeline report contains failing checks\n"),
+    ("wrong-top", "qgn", "text"): (
+        "0a9219978096f4cba50dc27b866b12c43a35a44957f3daa74e4117e27911858a",
+        "error: pipeline report contains failing checks\n"),
+    ("wrong-top", "qgn", "json"): (
+        "f2c248fc395d9f74020030b14708725ad2d6fe69e08facad336a19a4bf65e49a",
+        "error: pipeline report contains failing checks\n"),
+    ("not-divisible", "pgn", "text"): (
+        "818f73de5783ca12247c3c80150b89cb8f4835454d19cbd2bcf0cb3b1c4dc6e2",
+        "error: pipeline report contains failing checks\n"),
+    ("not-divisible", "pgn", "json"): (
+        "549516b13345df4098ca077b6c1a587d1a7a146c761c2f3868a9314bdae7e233",
+        "error: pipeline report contains failing checks\n"),
+    ("not-divisible", "qgn", "text"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: quotient unavailable: Picard divisibility failed\n"),
+    ("not-divisible", "qgn", "json"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: quotient unavailable: Picard divisibility failed\n"),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_FAILING), ids=lambda k: "-".join(k))
+def test_failing_report_bytes_pinned(capsys, tmp_path, key):
+    case, command, form = key
+    path = tmp_path / "atable.json"
+    write_atable(path, failing_entries(case))
+    argv = (["--json"] if form == "json" else []) + [command, "--n", "2", "--g", "2",
+                                                     "--a-table", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == PINNED_FAILING[key]
 
 
 class TestEval:
@@ -305,12 +369,20 @@ class TestMalformedInput:
         ("eval", "--curve", "{curve}", "--n", "2", "--k", "1", "--pgn", "{missing}"),
         ("pgn", "--n", "2", "--g", "2", "--a-table", "{missing}"),
         ("verify", "matr", "--replay", "{missing}"),
-    ], ids=["curve", "pgn", "a-table", "replay"])
+        ("qgn", "--n", "1", "--g", "2", "--emit-ctable", "{missing}/ctable.json"),
+    ], ids=["curve", "pgn", "a-table", "replay", "emit-ctable"])
     def test_missing_file(self, capsys, curve_file, tmp_path, argv):
         missing = str(tmp_path / "absent.json")
         argv = [a.format(missing=missing, curve=curve_file) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2 and "absent.json" in err
+
+    def test_emit_ctable_to_a_directory(self, capsys, tmp_path):
+        # an output path that cannot be written used to end in a traceback
+        # with exit 1 (test_missing_file has one in a missing directory)
+        code, out, err = run(capsys, "qgn", "--n", "1", "--g", "2", "--emit-ctable", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
 
     @pytest.mark.parametrize("flag,obj", [
         ("--curve", {"g": 2, "q": 2}),
@@ -576,13 +648,19 @@ class TestPipeline:
         t = LaurentPoly.t_var(2)
         assert LaurentPoly.from_obj(obj["Q"]) == t * t * t - 4 * t
 
+    def test_table_without_a_needed_rank_is_usage_error(self, capsys, tmp_path):
+        # a missing rank is bad input, not a theorem failure; it used to exit 1
+        path = tmp_path / "atable.json"
+        write_atable(path, planted_entries(2, 3))
+        code, out, err = run(capsys, "qgn", "--n", "4", "--g", "2", "--a-table", str(path))
+        assert (code, out, err) == (2, "", "usage error: no A-table entry for rank 4\n")
+
     def test_generic_fixture_fails_dominant_term(self, capsys, tmp_path):
         g = 2
         table = CTable.concrete(g, {1: pic_polynomial(g),
                                     2: pic_polynomial(g) * 3})
-        atable = ATable(g, {2: a_from_c(2, g, table)})
         path = tmp_path / "bad.json"
-        path.write_text(atable.to_json())
+        write_atable(path, {2: a_from_c(2, g, table)})
         code, _, err = run(capsys, "pgn", "--n", "2", "--g", "2", "--a-table", str(path))
         assert code == 1
 

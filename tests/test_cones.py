@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from locsys.cones import (
+    _scaled_point,
+    _tau,
+    _tau_hat,
     check_composition,
     coarsenings,
     gamma_cone,
@@ -16,8 +19,6 @@ from locsys.cones import (
     is_dominant,
     langlands_identity_check,
     project_full_flag,
-    tau,
-    tau_hat,
     truncation_lattice_sum,
 )
 
@@ -28,6 +29,34 @@ COMPOSITIONS = {
     5: [(1, 1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1), (3, 1, 1), (1, 1, 3),
         (4, 1), (2, 3), (5,)],
 }
+
+
+# tau and tau_hat take a rational point and check their arguments.  No
+# command calls them: the package runs the integer cores _tau and _tau_hat on
+# points it has scaled itself.
+
+
+def _check_grouping(p, grouping):
+    if sum(grouping) != len(p):
+        raise ValueError("grouping does not match the composition")
+
+
+def tau(p, grouping, H) -> int:
+    """Indicator of the open root cone relative to a coarsening: adjacent
+    parts inside a common group must have strictly decreasing slopes."""
+    p = check_composition(p)
+    _check_grouping(p, grouping)
+    H, = _scaled_point(p, H)
+    return _tau(p, grouping, H)
+
+
+def tau_hat(p, grouping, H) -> int:
+    """Indicator of the open weight cone: inside each group every proper
+    prefix must sit strictly above the group's average slope."""
+    p = check_composition(p)
+    _check_grouping(p, grouping)
+    H, = _scaled_point(p, H)
+    return _tau_hat(p, grouping, H)
 
 
 def dominant_flag(rng, n, bound=9):

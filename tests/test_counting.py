@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from counting_refs import free_substitute
+from counting_refs import free_substitute, satisfies_positivity, zform_pgn_report
 
 from locsys import counting
 from locsys.counting import (
@@ -24,10 +24,11 @@ from locsys.counting import (
     inertial_class_count,
     linear_part_check,
     packed_kind,
+    pgn_report,
     pic_quotient,
 )
 from locsys.combinat import divisors
-from locsys.laurent import LaurentPoly, WeilPoly, _coeff, pic_polynomial
+from locsys.laurent import LaurentPoly, WeilPoly, _coeff, pic_polynomial, weil_symmetrize
 from locsys.series import TruncatedSeries
 from locsys.verify import random_invariant
 
@@ -345,15 +346,63 @@ class TestInversion:
 
 
 class TestPicQuotient:
+    # pic_quotient divides e-forms
     def test_rank_one_quotient_is_unit(self):
-        assert pic_quotient(pic_polynomial(2), 2) == LaurentPoly.const(2, 1)
+        pic = WeilPoly.from_laurent(pic_polynomial(2))
+        assert pic_quotient(pic, 2) == WeilPoly.const(2, 1)
 
     def test_zero(self):
-        assert pic_quotient(LaurentPoly.zero(3), 3).is_zero()
+        assert pic_quotient(WeilPoly.zero(3), 3).is_zero()
 
     def test_square(self):
-        pic = pic_polynomial(2)
+        pic = WeilPoly.from_laurent(pic_polynomial(2))
         assert pic_quotient(pic * pic, 2) == pic
+
+
+def _report_cases(rng, g, n):
+    """(label, z-form P) for the report grid: P = Pic * Q with Q the planted
+    cofactor t^(top-g) + R + c (R random, c for the Euler value), which
+    passes, and variants that fail one verdict or more."""
+    mono = lambda c=1, t=0, z=None, y=0: LaurentPoly.monomial(g, c, t=t, z=z, y=y)
+    pic = pic_polynomial(g)
+    chi = euler_characteristic(n, g) if g >= 2 else 1
+    top = (g - 1) * n * n + 1
+    rest = random_invariant(rng, g)
+    cofactor = mono(t=top - g) + rest + (chi - 1 - rest.substitute(1, [1] * g, g - 1))
+    same_weight = weil_symmetrize(mono(t=top - g - 1, z=[2] + [0] * (g - 1)))
+    same_weight = same_weight - same_weight.substitute(1, [1] * g, g - 1)
+    return [
+        ("passes", pic * cofactor),
+        ("top coefficient 2", pic * (cofactor + mono(t=top - g) - 1)),
+        ("extra top term", pic * (cofactor + same_weight)),
+        ("extra top term in (g-1)", pic * (cofactor + mono(t=top - g, y=1) - mono(y=1))),
+        ("top weight too low", pic * (cofactor - mono(t=top - g) + 1)),
+        ("not positive", pic * (cofactor + mono(t=-1) - 1)),
+        ("not divisible", pic * cofactor + random_invariant(rng, g)),
+        ("wrong Euler value", pic * (cofactor + rng.choice([-2, -1, 1, 3]))),
+        ("random", random_invariant(rng, g) * random_invariant(rng, g) * mono(t=rng.randint(-2, 1))),
+        ("zero", LaurentPoly.zero(g)),
+    ]
+
+
+def test_report_matches_z_form_reference():
+    """pgn_report reads every verdict off the e-form; the z-form report it
+    replaced, kept in counting_refs, must give the same report and the same
+    quotient on a seeded grid where each verdict fails somewhere."""
+    rng = random.Random(13)
+    failed = dict.fromkeys(("positivity", "dominant_term", "pic_divisible", "euler_matches"), 0)
+    cells = [(1, 1)] + [(g, n) for g in (2, 3) for n in (1, 2, 3)]
+    for g, n in cells:
+        for _ in range(3):
+            for label, p in _report_cases(rng, g, n):
+                want, want_q = zform_pgn_report(n, g, p)
+                got, q = pgn_report(n, g, WeilPoly.from_laurent(p))
+                assert got == want, (g, n, label)
+                assert (q is None) == (want_q is None)
+                assert q is None or q.to_laurent() == want_q, (g, n, label)
+                for key in failed:
+                    failed[key] += not got[key]
+    assert all(count >= 10 for count in failed.values()), failed
 
 
 def orbit_inversion_check(r: int, dmax: int, otable) -> bool:
@@ -555,14 +604,14 @@ class TestTables:
             2, 1, t=-1, z=[1, 0]) + LaurentPoly.monomial(2, 1, z=[0, -1]) \
             + LaurentPoly.monomial(2, 1, t=-1, z=[0, 1])
         # symmetric under flips/swaps but breaks the exponent constraint
-        assert bad.is_weil_invariant() and not bad.satisfies_positivity()
+        assert bad.is_weil_invariant() and not satisfies_positivity(bad)
         with pytest.raises(ValueError, match="positivity"):
             ATable(2, {2: bad})
 
     def test_json_roundtrip(self):
         table = ATable(2, {2: pic_polynomial(2)})
-        again = ATable.from_json(table.to_json(), 2)
-        assert again.entries == table.entries
+        again = ATable.from_json(json.dumps({"entries": {"2": pic_polynomial(2).to_obj()}}), 2)
+        assert again.weil == table.weil
 
     def test_ctable_json(self):
         table = CTable.concrete(2, {1: pic_polynomial(2)})

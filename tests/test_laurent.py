@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from counting_refs import satisfies_positivity, swap_flip_invariant
 
 from locsys.laurent import (
     CurveInput,
@@ -119,6 +120,24 @@ class TestInvariance:
             assert (p + q).is_weil_invariant()
             assert (p * q).is_weil_invariant()
 
+    def test_matches_swap_flip_scan(self):
+        """is_weil_invariant (the e-form conversion succeeds) against the
+        z-form reference that checks every swap and flip, on invariants and
+        on invariants with one term dropped, changed or added."""
+        rng = random.Random(11)
+        verdicts = []
+        for _ in range(120):
+            g = rng.randint(1, 3)
+            p = random_invariant(rng, g) * random_invariant(rng, g)
+            keys = sorted(p.terms)
+            key = rng.choice(keys)
+            mono = lp(g, t=rng.randint(-1, 2), z=[rng.randint(-2, 2) for _ in range(g)])
+            for q in (p, LaurentPoly(g, {k: c for k, c in p.terms.items() if k != key}),
+                      p + lp(g, c=p.terms[key], t=key[0], z=key[1]), p + mono):
+                verdicts.append(q.is_weil_invariant())
+                assert verdicts[-1] == swap_flip_invariant(q)
+        assert verdicts.count(True) >= 130 and verdicts.count(False) >= 200
+
 
 class TestPositivity:
     @pytest.mark.parametrize("t,z,expect", [
@@ -127,7 +146,7 @@ class TestPositivity:
         (2, [-1, -1], True),
     ])
     def test_examples(self, t, z, expect):
-        assert lp(len(z), t=t, z=z).satisfies_positivity() is expect
+        assert satisfies_positivity(lp(len(z), t=t, z=z)) is expect
 
     def test_invariant_under_symmetrization(self):
         rng = random.Random(2)
@@ -135,7 +154,7 @@ class TestPositivity:
             g = rng.randint(1, 3)
             z = [rng.randint(-2, 2) for _ in range(g)]
             t = -sum(min(e, 0) for e in z) + rng.randint(0, 1)
-            assert weil_symmetrize(lp(g, t=t, z=z)).satisfies_positivity()
+            assert satisfies_positivity(weil_symmetrize(lp(g, t=t, z=z)))
 
 
 class TestExactDivide:
@@ -172,6 +191,33 @@ class TestExactDivide:
             if d.is_zero():
                 continue
             assert (p * d).exact_divide(d) == p
+
+    def test_e_form_matches_z_form(self):
+        """WeilPoly.exact_divide against the z-form quotient on seeded
+        invariants: an exact product, and the product plus an invariant that
+        breaks divisibility, which both forms reject."""
+        rng = random.Random(12)
+        for _ in range(40):
+            g = rng.randint(1, 3)
+            p, d = random_invariant(rng, g), random_invariant(rng, g) * pic_polynomial(g)
+            pw, dw = WeilPoly.from_laurent(p), WeilPoly.from_laurent(d)
+            assert (pw * dw).exact_divide(dw).to_laurent() == (p * d).exact_divide(d) == p
+            bad = p * d + LaurentPoly.const(g, 1)  # 1 modulo d
+            for num, den in ((bad, d), (WeilPoly.from_laurent(bad), dw)):
+                with pytest.raises(DivisibilityError) as info:
+                    num.exact_divide(den)
+                assert not info.value.remainder.is_zero()
+
+    def test_e_j_is_a_polynomial_variable(self):
+        # 1 / e_1 is a Laurent monomial in the e_j, but no polynomial of the
+        # invariant ring, and 1 / (z1 + t/z1 + z2 + t/z2) is none in the z-form
+        g = 2
+        e1 = WeilPoly.monomial(g, 1, z=(1, 0))
+        with pytest.raises(DivisibilityError):
+            WeilPoly.const(g, 1).exact_divide(e1)
+        with pytest.raises(DivisibilityError):
+            LaurentPoly.const(g, 1).exact_divide(e1.to_laurent())
+        assert (e1 * e1).exact_divide(e1) == e1
 
 
 class TestCurve:

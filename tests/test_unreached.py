@@ -4,7 +4,8 @@ A function or method is reached when its name appears somewhere other than
 its own definition: in the package, in the benchmark (`perfbench/`) or in
 the acceptance test.  Names count as identifiers, attribute names, imported
 names and words inside string constants, since the benchmark's tracer names
-the callables it wraps in strings.  Dunder methods are called by the
+the callables it wraps in strings; docstrings do not count, since a name
+that only prose mentions is not used.  Dunder methods are called by the
 language and are not listed.  A function that only its unit tests call
 belongs in `tests/`, next to them, as a reference.
 """
@@ -20,6 +21,10 @@ USERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"
 
 
 def _used_names(tree):
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -28,7 +33,8 @@ def _used_names(tree):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
             names.update(re.findall(r"\w+", node.value))
     return names
 
