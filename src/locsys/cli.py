@@ -33,6 +33,11 @@ SUITE_NAMES = ("kappa", "matrix-tree", "matr", "delta", "gm-family", "cones", "l
                "integrality", "combinat", "aggregation", "roundtrip")
 
 
+# the largest a-symbolic rank: rank 20 takes about 1.5 s, and each rank
+# above costs 1.5-2 times the one below
+A_SYMBOLIC_MAX_RANK = 20
+
+
 class CheckFailure(RuntimeError):
     pass
 
@@ -72,6 +77,8 @@ def _print(args, obj, text):
 def cmd_a_symbolic(args):
     from .counting import CTable, a_from_c
 
+    if args.n > A_SYMBOLIC_MAX_RANK:
+        raise ValueError(f"a-symbolic takes --n up to {A_SYMBOLIC_MAX_RANK}, not {args.n}")
     text = a_from_c(args.n, None, CTable.symbolic()).render()
     _print(args, {"n": args.n, "polynomial": text}, f"A[{args.n}] = {text}")
     return 0

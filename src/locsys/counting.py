@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import fields
 from .combinat import divisors, mobius, partitions
@@ -145,34 +146,21 @@ class FreePoly(LaurentPoly):
         return f"FreePoly({self.render()})"
 
 
-class PackedPoly(LaurentPoly):
-    """FreePoly with each monomial packed into one int, so that the product
-    of two monomials is one integer addition.  The symbolic master formula
-    runs on it; FreePoly is what callers see.
-
-    `packed_kind(n)` makes the subclass for rank n.  Its key has one bit
-    field per atom, GAMMA_ATOM in the lowest bits and then C[s,k] for
-    s*k <= n in (s, k) order.  A field is wide enough for the largest
-    exponent rank n needs (n for the genus offset, n // (s*k) for C[s,k])
-    and has one guard bit above it.  The sum of two fields with clear guard
-    bits cannot carry into the next field, and it sets its guard bit exactly
-    when it overflows, so __mul__ checks each product's keys once and raises
-    OverflowError rather than return a wrong polynomial.  Two ranks are two
-    classes, so their operands never mix.
-    """
+class _Packed(LaurentPoly):
+    """A monomial kind whose key is one int, so that the product of two
+    monomials is one integer addition.  The exponents sit in bit fields with
+    one guard bit above each; the sum of two fields with clear guard bits
+    cannot carry into the next field, and it sets its guard bit exactly when
+    it overflows.  So __mul__ checks each product's keys once and raises
+    OverflowError rather than return a wrong polynomial.  A subclass fixes
+    the layout (`guard` holds every guard bit), and two layouts are two
+    classes, so their operands never mix."""
 
     __slots__ = ()
-    layout = {}  # atom -> (shift, width) of its exponent
-    guard = 0    # every guard bit
-    bits = 0     # the fields' total width
+    guard = 0
 
     def __init__(self, terms=None):
         super().__init__(0, terms)
-
-    def _key(self, key):
-        if type(key) is not int or key < 0 or key >> self.bits or key & self.guard:
-            raise ValueError(f"{key!r} is not a packed monomial of {type(self).__name__}")
-        return key
 
     def _unit(self):
         return 0
@@ -192,6 +180,26 @@ class PackedPoly(LaurentPoly):
     @classmethod
     def zero(cls):
         return cls()
+
+
+class PackedPoly(_Packed):
+    """FreePoly with packed monomials.  The symbolic master formula runs on
+    it; FreePoly is what callers see.
+
+    `packed_kind(n)` makes the subclass for rank n.  Its key has one bit
+    field per atom, GAMMA_ATOM in the lowest bits and then C[s,k] for
+    s*k <= n in (s, k) order.  A field is wide enough for the largest
+    exponent rank n needs (n for the genus offset, n // (s*k) for C[s,k]).
+    """
+
+    __slots__ = ()
+    layout = {}  # atom -> (shift, width) of its exponent
+    bits = 0     # the fields' total width
+
+    def _key(self, key):
+        if type(key) is not int or key < 0 or key >> self.bits or key & self.guard:
+            raise ValueError(f"{key!r} is not a packed monomial of {type(self).__name__}")
+        return key
 
     @classmethod
     def pack(cls, p: FreePoly) -> "PackedPoly":
@@ -267,6 +275,98 @@ def packed_kind(n: int) -> type:
         shift += width + 1
     return type(f"PackedPoly{n}", (PackedPoly,),
                 {"__slots__": (), "layout": layout, "guard": guard, "bits": shift})
+
+
+class PackedWeilPoly(_Packed):
+    """WeilPoly with packed monomials.  The concrete master formula runs on
+    it; WeilPoly is what callers see.
+
+    `packed_weil_kind(g, width)` makes the subclass.  Its key is
+    (t << shift) + fields: the genus offset y in the lowest `width` bits and
+    then e_1..e_g, each field `width` bits wide with a guard bit above it,
+    and the t-exponent, signed and unbounded, above every field.  A sum of
+    fields never reaches the t-exponent, and `>>` decodes a negative one
+    exactly.
+    """
+
+    __slots__ = ()
+    genus = 0
+    width = 0
+    shift = 0  # the lowest bit of the t-exponent
+
+    def _key(self, key):
+        if type(key) is not int or key & self.guard:
+            raise ValueError(f"{key!r} is not a packed monomial of {type(self).__name__}")
+        return key
+
+    @classmethod
+    def pack(cls, p: WeilPoly) -> "PackedWeilPoly":
+        if type(p) is not WeilPoly or p.g != cls.genus:
+            raise TypeError(f"need a genus-{cls.genus} WeilPoly")
+        step, top = cls.width + 1, 1 << cls.width
+        terms = {}
+        for (et, a, ey), c in p.terms.items():
+            key = et << cls.shift
+            for i, e in enumerate((ey,) + a):
+                if not 0 <= e < top:
+                    raise OverflowError(f"exponent {e} does not fit in {cls.__name__}")
+                key += e << (i * step)
+            terms[key] = c
+        return cls()._new(terms)
+
+    @classmethod
+    def table(cls, ctable: "CTable"):
+        """The e-form C-table as count_exponent reads it, in this kind: each
+        Frobenius image comes from the table's entry cache and is packed once
+        per view."""
+        return SimpleNamespace(zero=cls.zero,
+                               entry=functools.cache(lambda s, k: cls.pack(ctable.entry(s, k))))
+
+    def unpack(self) -> WeilPoly:
+        """The same polynomial as a WeilPoly."""
+        shift, mask, step = self.shift, (1 << self.width) - 1, self.width + 1
+        low = (1 << shift) - 1
+        offsets = range(step, shift, step)  # e_1..e_g
+        terms = {}
+        for key, c in self.terms.items():
+            f = key & low
+            terms[(key >> shift, tuple(f >> o & mask for o in offsets), f & mask)] = c
+        return WeilPoly(self.genus)._new(terms)
+
+
+@functools.cache  # one class per layout, so that equal layouts are one type
+def packed_weil_kind(g: int, width: int) -> type:
+    """The PackedWeilPoly subclass for genus g with `width`-bit fields."""
+    step = width + 1
+    return type(f"PackedWeilPoly{g}w{width}", (PackedWeilPoly,),
+                {"__slots__": (), "genus": g, "width": width, "shift": (g + 1) * step,
+                 "guard": sum(1 << (i * step + width) for i in range(g + 1))})
+
+
+def _field_width(n: int, ctable: "CTable") -> int:
+    """Bits enough for every y- and e-exponent of the rank-n master formula
+    on the e-form table ctable: those of n R, where R = max_s max(E_s, Y_s)/s
+    over the entries C_s, s <= n, with E_s the largest e-weight
+    sum_j j a_j of C_s and Y_s its largest y-exponent.
+
+    Frobenius k maps e_j to M_(k^j), whose e-terms have weight
+    jk - 2 deg_t <= jk (every t-exponent is >= 0), so it at most multiplies
+    the e-weight by k and keeps the y-exponent.  C[s,k'] with s k' = m
+    therefore has e-weight at most m E_s / s <= m R and y-exponent at most
+    Y_s <= m R: the z^m coefficient of count_exponent has both at most m R,
+    and so does [z^a] of its exp (a sum of products of coefficients of
+    z^m_i with sum m_i = a).  A partition term multiplies the [z^(a_j)] of
+    one exp per distinct part j, where the multiplicities a_j add up to the
+    number of parts, at most n.  Every single exponent is at most the
+    weight, so n R bounds each field.  (A wrong bound could only raise
+    OverflowError: every product checks its guard bits.)
+    """
+    bound = 0
+    for s, p in ctable.base.items():
+        if s <= n:
+            for _et, a, ey in p.terms:
+                bound = max(bound, n * max(ey, sum(j * e for j, e in enumerate(a, 1))) // s)
+    return bound.bit_length()
 
 
 # --------------------------------------------------------------------------
@@ -388,6 +488,9 @@ class ATable:
             if n is None:
                 raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
                                  "is not a canonical integer")
+            if n < 2:
+                raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
+                                 "is below 2 (rank 1 is the built-in Picard polynomial)")
             table[n] = LaurentPoly.from_obj(p)
         return cls(g, table)
 
@@ -456,12 +559,13 @@ def a_from_c(n: int, genus, ctable: CTable):
 
     genus is an integer >= 2 for the concrete evaluation, or None for the
     symbolic genus-offset variable.  For n = 1 the value is C[1,1] itself
-    and any genus >= 1 is accepted.  A concrete table's polynomials are
-    multiplied in e-form; the result has the form of the table's entries.
-    A symbolic table's symbols are multiplied as packed monomials
-    (`packed_kind(n)`); the result is a FreePoly.  Both are conversions on
-    the way in and out: z-form -> `CTable.to_weil()` ... `to_laurent()`, and
-    FreePoly -> `PackedPoly.pack` ... `unpack()`.
+    and any genus >= 1 is accepted.  Both modes multiply packed monomials,
+    one int each, and convert only on the way in and out.  A concrete
+    table's Frobenius images are packed into `packed_weil_kind(g, width)`
+    (width from `_field_width`) and the result is unpacked into a WeilPoly,
+    which a z-form table gets back in z-form (`CTable.to_weil()` ...
+    `to_laurent()`).  A symbolic table's symbols are packed into
+    `packed_kind(n)` and the result is unpacked into a FreePoly.
 
     Each exp factor depends only on (l, a_j, lam.s_weight(j)) and is computed
     once.  The partition terms are added up in integers, each weighted
@@ -475,14 +579,16 @@ def a_from_c(n: int, genus, ctable: CTable):
         raise ValueError("need genus >= 2 for ranks >= 2")
 
     chi = _two_g_minus_2(genus)
-    packed = ctable.mode == "symbolic"
-    if packed:
-        ctable = packed_kind(n)  # hands out the symbols as entry(s, k), and zero()
+    z_form = False
+    if ctable.mode == "symbolic":
+        source = packed_kind(n)  # hands out the symbols as entry(s, k), and zero()
         if genus is None:
-            chi = ctable.pack(chi)
-    z_form = not packed and ctable.ring is LaurentPoly
-    if z_form:
-        ctable = ctable.to_weil()
+            chi = source.pack(chi)
+    else:
+        z_form = ctable.ring is LaurentPoly
+        if z_form:
+            ctable = ctable.to_weil()
+        source = packed_weil_kind(ctable.g, _field_width(n, ctable)).table(ctable)
     exponents = {}
     factors = {}
     scaled_terms = []
@@ -499,25 +605,23 @@ def a_from_c(n: int, genus, ctable: CTable):
                 key = (l, aj, lam.s_weight(j))
                 if key not in factors:
                     if (l, aj) not in exponents:
-                        exponents[(l, aj)] = count_exponent(ctable, l, aj)
+                        exponents[(l, aj)] = count_exponent(source, l, aj)
                     alpha = chi * Fraction(key[2], l)
                     factors[key] = _exp_coeff_concrete(exponents[(l, aj)], alpha, aj)
                 keys.append(key)
                 scale *= factors[key][1]
             scaled_terms.append((keys, scale))
     common = math.lcm(*(scale.denominator for _, scale in scaled_terms))
-    numerator = ctable.zero()
+    numerator = source.zero()
     for keys, scale in scaled_terms:
         term = factors[keys[0]][0] * (scale.numerator * (common // scale.denominator))
         for key in keys[1:]:
             term = term * factors[key][0]
         numerator = numerator + term
     if genus is None:
-        result = numerator.divide_exact(2 * n * common, gamma_power=1)
+        result = numerator.divide_exact(2 * n * common, gamma_power=1).unpack()
     else:
-        result = numerator * Fraction(1, common * n * (2 * genus - 2))
-    if packed:
-        return result.unpack()
+        result = (numerator * Fraction(1, common * n * (2 * genus - 2))).unpack()
     return result.to_laurent() if z_form else result
 
 

@@ -9,9 +9,10 @@ the canonical term order is lexicographic on the key, which makes rendering
 and JSON serialization byte-reproducible.
 
 LaurentPoly's ring structure is the package's one sparse-polynomial kernel;
-the e-form (WeilPoly, below) and the free symbols of the master formula
-(counting.FreePoly, and counting.PackedPoly with each monomial packed into
-one int) are subclasses that differ only in their monomial keys.
+the e-form (WeilPoly, below), the free symbols of the master formula
+(counting.FreePoly) and the packed kinds the master formula multiplies
+(counting.PackedPoly and counting.PackedWeilPoly, one int per monomial) are
+subclasses that differ only in their monomial keys.
 
 A curve is its integer zeta numerator.  Its Frobenius power sums give, in
 integers, the power sums of w_i = a_i^k + q^k/a_i^k over the g Frobenius
@@ -114,12 +115,14 @@ class LaurentPoly:
 
     The ring structure below is the one polynomial kernel of the package: a
     dict from monomial keys to int/Fraction coefficients, normalised through
-    _coeff, with +, -, *, powers, equality and hashing.  Four monomial kinds
-    run on it: the z-form here, the e-form (WeilPoly) and the free symbols of
-    the master formula, as tuples (counting.FreePoly) and packed into one int
-    (counting.PackedPoly).  Each class supplies only its key
-    validation (_key), monomial product (_mono_row), unit key (_unit) and how
-    one monomial renders; operands of different classes never mix.
+    _coeff, with +, -, *, powers, equality and hashing.  Five monomial kinds
+    run on it: the z-form here and the e-form (WeilPoly), the free symbols of
+    the master formula as tuples (counting.FreePoly), and the symbols and the
+    e-form with each monomial packed into one int (counting.PackedPoly and
+    counting.PackedWeilPoly, which the master formula multiplies).  Each
+    class supplies only its key validation (_key), monomial product
+    (_mono_row), unit key (_unit) and how one monomial renders; operands of
+    different classes never mix.
     """
 
     __slots__ = ("g", "terms")
@@ -545,15 +548,21 @@ class WeilPoly(LaurentPoly):
         Each Weil orbit has one member with all z-exponents >= 0 sorted in
         descending order (mu); the orbit sum of t^a z^mu y^b is t^a y^b M_mu.
         Raises InvarianceError when some orbit has a member that is missing or
-        carries a different coefficient.
+        carries a different coefficient.  Each distinct z-exponent vector's
+        (mu, t-shift) is worked out once per call.
         """
         if type(p) is not LaurentPoly:
             raise TypeError("need a z-form LaurentPoly")
         g, terms = p.g, p.terms
         members = {}
+        shapes = {}
         for (et, ez, ey), c in terms.items():
-            mu = tuple(sorted(map(abs, ez), reverse=True))
-            rep = (et + (sum(ez) - sum(mu)) // 2, mu, ey)  # t-shift: sum of min(e_i, 0)
+            shape = shapes.get(ez)
+            if shape is None:
+                mu = tuple(sorted(map(abs, ez), reverse=True))
+                shape = shapes[ez] = (mu, (sum(ez) - sum(mu)) // 2)  # t-shift: sum of min(e_i, 0)
+            mu, dt = shape
+            rep = (et + dt, mu, ey)
             if terms.get(rep) != c:
                 raise InvarianceError("polynomial is not Weil-invariant")
             members[rep] = members.get(rep, 0) + 1

@@ -1,10 +1,15 @@
 """References for the counting engine that the package itself no longer
 needs: evaluating a FreePoly at ring values, the oracle the symbolic and
-concrete master formulas are compared through, and the z-form `pgn`/`qgn`
-report that the e-form report replaced, with the z-form scans it runs on.
-Nothing in the package imports this module."""
+concrete master formulas are compared through; the concrete master formula
+on WeilPoly's tuple keys, which the packed one replaced; and the z-form
+`pgn`/`qgn` report that the e-form report replaced, with the z-form scans it
+runs on.  Nothing in the package imports this module."""
 
-from locsys.counting import euler_characteristic
+import math
+from fractions import Fraction
+
+from locsys.combinat import divisors, mobius, partitions
+from locsys.counting import _exp_coeff_concrete, count_exponent, euler_characteristic
 from locsys.laurent import DivisibilityError, LaurentPoly, pic_polynomial
 
 
@@ -18,6 +23,45 @@ def free_substitute(p, values, const):
             v = v * (values[a] ** e)
         total = total + v
     return total
+
+
+def weil_a_from_c(n, genus, ctable):
+    """a_from_c on a concrete table with every product on WeilPoly's tuple
+    keys (t, (a_1..a_g), y): the same exp factors and partition sum, without
+    packing."""
+    if n == 1:
+        return ctable.entry(1, 1)
+    z_form = ctable.ring is LaurentPoly
+    table = ctable.to_weil()
+    chi = Fraction(2 * genus - 2)
+    factors = {}
+    scaled_terms = []
+    for l in divisors(n):
+        mu = mobius(l)
+        if mu == 0:
+            continue
+        for lam in partitions(n):
+            if any(a % l for a in lam.mult.values()):
+                continue
+            keys = []
+            scale = Fraction(mu, lam.num_parts())
+            for j, aj in lam.mult.items():
+                key = (l, aj, lam.s_weight(j))
+                if key not in factors:
+                    factors[key] = _exp_coeff_concrete(count_exponent(table, l, aj),
+                                                       chi * Fraction(key[2], l), aj)
+                keys.append(key)
+                scale *= factors[key][1]
+            scaled_terms.append((keys, scale))
+    common = math.lcm(*(scale.denominator for _, scale in scaled_terms))
+    numerator = table.zero()
+    for keys, scale in scaled_terms:
+        term = factors[keys[0]][0] * (scale.numerator * (common // scale.denominator))
+        for key in keys[1:]:
+            term = term * factors[key][0]
+        numerator = numerator + term
+    result = numerator * Fraction(1, common * n * (2 * genus - 2))
+    return result.to_laurent() if z_form else result
 
 
 def swap(p, i, j):

@@ -71,6 +71,14 @@ class TestSymbolicCommands:
                       "2*(g-1)^2*C[1,1]^3", "2*(g-1)*C[1,1]^2"):
             assert piece in out
 
+    def test_rank_is_capped(self, capsys):
+        code, out, err = run(capsys, "a-symbolic", "--n", str(cli.A_SYMBOLIC_MAX_RANK + 1))
+        assert code == 2 and out == ""
+        assert err == (f"usage error: a-symbolic takes --n up to {cli.A_SYMBOLIC_MAX_RANK}, "
+                       f"not {cli.A_SYMBOLIC_MAX_RANK + 1}\n")
+        code, out, err = run(capsys, "--json", "a-symbolic", "--n", "60")
+        assert code == 2 and out == "" and err.count("\n") == 1
+
     def test_euler(self, capsys):
         code, out, _ = run(capsys, "euler", "--n", "2", "--g", "2")
         assert code == 0 and "= -3" in out
@@ -468,6 +476,21 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("usage error: malformed bundle-count table JSON: rank key")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["-1", "0", "1"])
+    def test_rank_key_below_two_is_rejected(self, capsys, tmp_path, key):
+        # rank 1 is the built-in Picard polynomial: a rank-1 entry that
+        # contradicts it must not load and be ignored
+        entries = {key: LaurentPoly.monomial(2, 1, t=3).to_obj(),
+                   "2": a_from_c(2, 2, CTable.concrete(2, {1: pic_polynomial(2),
+                                                          2: LaurentPoly.zero(2)})).to_obj()}
+        path = tmp_path / "atable.json"
+        path.write_text(json.dumps({"entries": entries}))
+        for command in ("pgn", "qgn"):
+            code, out, err = run(capsys, command, "--n", "2", "--g", "2", "--a-table", str(path))
+            assert code == 2 and out == ""
+            assert err == (f"usage error: malformed bundle-count table JSON: rank key {key!r} "
+                           "is below 2 (rank 1 is the built-in Picard polynomial)\n")
 
     @pytest.mark.parametrize("checker", ["nope", ["matr"]])
     def test_unknown_checker(self, capsys, tmp_path, checker):

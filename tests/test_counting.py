@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from counting_refs import free_substitute, satisfies_positivity, zform_pgn_report
+from counting_refs import free_substitute, satisfies_positivity, weil_a_from_c, zform_pgn_report
 
 from locsys import counting
 from locsys.counting import (
@@ -16,14 +16,18 @@ from locsys.counting import (
     FreePoly,
     IntegralityError,
     PackedPoly,
+    PackedWeilPoly,
     _exp_coeff_concrete,
+    _field_width,
     a_from_c,
     c_from_a,
+    c_from_a_weil,
     count_exponent,
     euler_characteristic,
     inertial_class_count,
     linear_part_check,
     packed_kind,
+    packed_weil_kind,
     pgn_report,
     pic_quotient,
 )
@@ -291,6 +295,127 @@ class TestPackedPoly:
             kind.entry(1, 1) * packed_kind(5).entry(1, 1)
         with pytest.raises(TypeError):
             kind.entry(1, 1) + FreePoly.symbol(1, 1)
+
+
+def _random_weil(rng, g, top):
+    """A random WeilPoly with y- and e-exponents at most `top`, negative
+    t-exponents and Fraction coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        key = (rng.randint(-9, 9), tuple(rng.randint(0, top) for _ in range(g)), rng.randint(0, top))
+        terms[key] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+    return WeilPoly(g, terms)
+
+
+class TestPackedWeilPoly:
+    """The packed e-form kind against WeilPoly's tuple keys."""
+
+    @pytest.mark.parametrize("g", [0, 2, 4])
+    def test_round_trip(self, g):
+        rng = random.Random(f"weil-round:{g}")
+        for width in (0, 1, 3, 7):
+            kind = packed_weil_kind(g, width)
+            assert issubclass(kind, PackedWeilPoly) and kind is packed_weil_kind(g, width)
+            for _ in range(40):
+                p = _random_weil(rng, g, (1 << width) - 1)
+                packed = kind.pack(p)
+                assert all(type(key) is int for key in packed.terms)
+                assert packed.unpack().terms == p.terms and type(packed.unpack()) is WeilPoly
+                assert kind(packed.terms) == packed
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_agrees_with_weil_poly(self, g):
+        rng = random.Random(f"weil-ring:{g}")
+        kind = packed_weil_kind(g, 5)
+        for _ in range(60):
+            p, q = _random_weil(rng, g, 10), _random_weil(rng, g, 10)
+            pp, pq = kind.pack(p), kind.pack(q)
+            assert (pp * pq).unpack() == p * q
+            assert (pp + pq).unpack() == p + q
+            assert (pp - pq).unpack() == p - q
+            assert (pp * Fraction(3, 2) + 1).unpack() == p * Fraction(3, 2) + 1
+            assert (Fraction(-2, 7) * pp - 3).unpack() == p * Fraction(-2, 7) - 3
+            assert (pp ** 3).unpack() == p ** 3
+            assert (pp ** 0).unpack() == WeilPoly.const(g, 1)
+            assert (-pp).unpack() == -p
+
+    def test_carry_raises(self):
+        kind = packed_weil_kind(2, 3)  # exponents up to 7
+        for key in ((0, (4, 0), 0), (-3, (0, 7), 0), (2, (0, 0), 4)):
+            x = kind.pack(WeilPoly(2, {key: 1}))
+            with pytest.raises(OverflowError):
+                x * x
+            with pytest.raises(OverflowError):
+                x ** 2
+        # a carry out of the top field would reach the t-exponent
+        top = kind.pack(WeilPoly(2, {(-1, (0, 7), 0): 1}))
+        with pytest.raises(OverflowError):
+            top * kind.pack(WeilPoly(2, {(5, (0, 1), 0): 1}))
+        fits = kind.pack(WeilPoly(2, {(-1, (3, 4), 7): 1, (2, (0, 0), 0): 3}))
+        assert (fits * kind.pack(WeilPoly(2, {(-4, (4, 3), 0): 1}))).unpack() == WeilPoly(
+            2, {(-5, (7, 7), 7): 1, (-2, (4, 3), 0): 3})
+
+    def test_rejects_what_does_not_fit(self):
+        kind = packed_weil_kind(2, 3)
+        for key in ((0, (8, 0), 0), (0, (0, 8), 0), (0, (0, 0), 8), (0, (-1, 0), 0)):
+            with pytest.raises(OverflowError):
+                kind.pack(WeilPoly(2, {key: 1}))
+        for bad in (WeilPoly(3, {(0, (1, 0, 0), 0): 1}), LaurentPoly.const(2, 1)):
+            with pytest.raises(TypeError):
+                kind.pack(bad)
+        for key in (1 << 3, 1 << 7, -1, "x"):  # guard bits set, or not an int
+            with pytest.raises(ValueError):
+                kind({key: 1})
+        with pytest.raises(TypeError):
+            kind.pack(WeilPoly.const(2, 1)) * packed_weil_kind(2, 4).pack(WeilPoly.const(2, 1))
+        with pytest.raises(TypeError):
+            kind.zero() + packed_kind(2).zero()
+
+    def test_table_at_the_width_bound(self, monkeypatch):
+        """C_1 = e_1^5 + y^5 + ..., C_2 and C_3 of the same ratio 5: the rank-3
+        formula reaches e_1^15 and y^15 (C[1,1]^3, C[3,1]), the largest values
+        of the 4-bit fields that the bound gives."""
+        g, n = 2, 3
+        base = {1: WeilPoly(2, {(0, (5, 0), 0): 1, (0, (0, 0), 5): 2, (-2, (1, 2), 0): -1}),
+                2: WeilPoly(2, {(1, (0, 5), 0): 3, (0, (0, 0), 10): 1}),
+                3: WeilPoly(2, {(0, (15, 0), 0): 1, (-1, (1, 0), 2): 5})}
+        table = CTable.concrete(g, base)
+        assert _field_width(n, table) == 4
+        # e_j weighs j; rank-2 entries count half, and only ranks <= n count
+        weights = CTable.concrete(g, {1: WeilPoly(2, {(0, (1, 4), 1): 1}),  # e-weight 9
+                                      2: WeilPoly(2, {(0, (0, 0), 9): 1}),
+                                      3: WeilPoly(2, {(0, (0, 0), 99): 1})})
+        assert [_field_width(m, weights) for m in (1, 2)] == [(9).bit_length(), (2 * 9).bit_length()]
+        got = a_from_c(n, g, table)
+        assert got == weil_a_from_c(n, g, table)
+        assert max(a[0] for _t, a, _y in got.terms) == 15
+        assert max(y for _t, _a, y in got.terms) == 15
+        # one bit fewer: an exponent overflows its field, which raises rather than wraps
+        monkeypatch.setattr(counting, "_field_width", lambda n, table: 3)
+        with pytest.raises(OverflowError):
+            a_from_c(n, g, table)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_master_formula_matches_tuple_keys(self, g, monkeypatch):
+        """a_from_c and c_from_a_weil on packed keys against the tuple-keyed
+        reference, on seeded concrete tables in both forms."""
+        rng = random.Random(f"weil-master:{g}")
+        for n in range(2, 6):
+            planted = {1: pic_polynomial(g)}
+            planted.update({s: random_invariant(rng, g) for s in range(2, n + 1)})
+            ztable = CTable.concrete(g, planted)
+            etable = ztable.to_weil()
+            entries = {}
+            for s in range(2, n + 1):
+                entries[s] = a_from_c(s, g, ztable)
+                assert entries[s] == weil_a_from_c(s, g, ztable)
+                assert a_from_c(s, g, etable) == weil_a_from_c(s, g, etable)
+            atable = ATable(g, entries)
+            packed = c_from_a_weil(n, g, atable)
+            with monkeypatch.context() as m:
+                m.setattr(counting, "a_from_c", weil_a_from_c)
+                reference = c_from_a_weil(n, g, atable)
+            assert packed.base == reference.base == etable.base
 
 
 class TestLinearPart:
