@@ -33,8 +33,8 @@ SUITE_NAMES = ("kappa", "matrix-tree", "matr", "delta", "gm-family", "cones", "l
                "integrality", "combinat", "aggregation", "roundtrip")
 
 
-# the largest a-symbolic rank: rank 20 takes about 1.5 s, and each rank
-# above costs 1.5-2 times the one below
+# the largest a-symbolic rank: rank 20 takes about 0.8 s, and each rank
+# above costs 1.4-2 times the one below (21 and 22 about 1.1 and 2.2 s)
 A_SYMBOLIC_MAX_RANK = 20
 
 
@@ -156,6 +156,10 @@ def cmd_d_count(args):
 
 
 def cmd_eval(args):
+    if args.n < 1:
+        raise ValueError("need n >= 1")
+    if args.n == 1 and args.pgn is not None:
+        raise ValueError("eval --n 1 takes no --pgn: the rank-1 polynomial is built in")
     with _open(args.curve) as fh:
         curve = CurveInput.from_obj(json.load(fh))
     if args.n == 1:

@@ -520,19 +520,21 @@ def _two_g_minus_2(genus):
 
 
 def _exp_coeff_concrete(exponent, alpha, a: int):
-    """[z^a] of exp(alpha * exponent) for polynomial coefficients, returned
-    as (integer polynomial, rational scale).  It serves both modes of the
-    master formula: alpha is rational for a concrete table and a FreePoly
+    """[z^0..z^a] of exp(alpha * exponent) for polynomial coefficients, from
+    one recurrence: a list whose entry m is (integer polynomial, rational
+    scale) with value polynomial * scale.  It serves both modes of the
+    master formula: alpha is rational for a concrete table and a PackedPoly
     (2 (g-1) times a rational) for the symbolic one.
 
     Denominators are cleared up front so the polynomial convolutions run in
     pure integer arithmetic: with M_m = D alpha E_m integral, the scaled
-    coefficients f_n = n! D^n e_n satisfy
-    f_n = sum_k k M_k f_{n-k} (n-1)!/(n-k)! D^{k-1}.
+    coefficients f_m = m! D^m e_m satisfy
+    f_m = sum_k k M_k f_{m-k} (m-1)!/(m-k)! D^{k-1}, and the scale of f_m is
+    1/(m! D^m).  Entry m depends on E_1..E_m alone, and D only on how it is
+    written, so a recurrence run to a larger `a` (a larger D, or E truncated
+    later) gives each lower coefficient the same value.
     """
     zero = exponent.coeff(0)
-    if a == 0:
-        return zero + 1, Fraction(1)
     scaled = []
     denom = 1
     for m in range(1, a + 1):
@@ -550,7 +552,51 @@ def _exp_coeff_concrete(exponent, alpha, a: int):
             factor = k * (math.factorial(n - 1) // math.factorial(n - k)) * denom ** (k - 1)
             acc = acc + (ms[k] * factor) * f[n - k]
         f[n] = acc
-    return f[a], Fraction(1, math.factorial(a) * denom ** a)
+    return [(f[m], Fraction(1, math.factorial(m) * denom ** m)) for m in range(a + 1)]
+
+
+def _graded(p: PackedPoly, w: int) -> PackedPoly:
+    """p with each monomial's coefficient times w^(its genus-offset
+    exponent)."""
+    if w == 1:
+        return p
+    mask = (1 << p.layout[GAMMA_ATOM][1]) - 1
+    return p._new({key: c * w ** (key & mask) for key, c in p.terms.items()})
+
+
+def _exp_factors(keys, source, chi, graded: bool):
+    """The exp factor [z^a] exp(chi w/l E_l) of each key (l, a, w), as
+    (integer polynomial, scale), where E_l = count_exponent(source, l, .).
+
+    One `_exp_coeff_concrete` recurrence per group, run to the largest a
+    the group needs, gives every factor of the group, since its lower
+    coefficients keep their values.  A group is one (l, w), or with
+    `graded` one l: then chi is 2 gamma (the symbolic genus offset) and the
+    factor for w is the w = 1 factor graded by gamma.  Proof:
+    [z^a] exp(x E_l) = sum_k x^k/k! [z^a] E_l^k, and each coefficient of
+    E_l is linear in the C-symbols and free of gamma, so each monomial of
+    the k-th summand has C-degree k.  With x = 2 gamma w/l it carries
+    gamma^k w^k: its gamma exponent is k, and summands of different k share
+    no monomial.  So multiplying each monomial of the w = 1 factor by
+    w^(its gamma exponent) gives the w factor; w is an integer, so the
+    polynomial stays integral under the same scale.
+    """
+    caps = {}  # group -> the largest a it needs
+    for l, a, w in keys:
+        group = l if graded else (l, w)
+        caps[group] = max(caps.get(group, 0), a)
+    runs = {}
+    for group, cap in caps.items():
+        l, w = (group, 1) if graded else group
+        runs[group] = _exp_coeff_concrete(count_exponent(source, l, cap), chi * Fraction(w, l), cap)
+    factors = {}
+    for l, a, w in keys:
+        if graded:
+            poly, scale = runs[l][a]
+            factors[(l, a, w)] = (_graded(poly, w), scale)
+        else:
+            factors[(l, a, w)] = runs[(l, w)][a]
+    return factors
 
 
 def a_from_c(n: int, genus, ctable: CTable):
@@ -567,9 +613,12 @@ def a_from_c(n: int, genus, ctable: CTable):
     `to_laurent()`).  A symbolic table's symbols are packed into
     `packed_kind(n)` and the result is unpacked into a FreePoly.
 
-    Each exp factor depends only on (l, a_j, lam.s_weight(j)) and is computed
-    once.  The partition terms are added up in integers, each weighted
-    against the common denominator of their scales, and divided once.
+    The partition terms are listed first.  Part j of a partition has the
+    exp factor [z^(a_j)] exp((2g-2) w/l E_l) with w = s_weight(j), and
+    `_exp_factors` computes every factor the terms need, one recurrence per
+    (l, w), or per l in the genus offset.  The terms are added up in
+    integers, each weighted against the common denominator of their
+    scales, and divided once.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -589,9 +638,7 @@ def a_from_c(n: int, genus, ctable: CTable):
         if z_form:
             ctable = ctable.to_weil()
         source = packed_weil_kind(ctable.g, _field_width(n, ctable)).table(ctable)
-    exponents = {}
-    factors = {}
-    scaled_terms = []
+    plan = []  # (mu(l) / number of parts, factor keys (l, a_j, w)) per term
     for l in divisors(n):
         mu = mobius(l)
         if mu == 0:
@@ -599,18 +646,15 @@ def a_from_c(n: int, genus, ctable: CTable):
         for lam in partitions(n):
             if any(a % l for a in lam.mult.values()):
                 continue  # the z^{a_j} coefficient vanishes when l does not divide a_j
-            keys = []
-            scale = Fraction(mu, lam.num_parts())
-            for j, aj in lam.mult.items():
-                key = (l, aj, lam.s_weight(j))
-                if key not in factors:
-                    if (l, aj) not in exponents:
-                        exponents[(l, aj)] = count_exponent(source, l, aj)
-                    alpha = chi * Fraction(key[2], l)
-                    factors[key] = _exp_coeff_concrete(exponents[(l, aj)], alpha, aj)
-                keys.append(key)
-                scale *= factors[key][1]
-            scaled_terms.append((keys, scale))
+            plan.append((Fraction(mu, lam.num_parts()),
+                         [(l, aj, lam.s_weight(j)) for j, aj in lam.mult.items()]))
+    keys = dict.fromkeys(key for _, term_keys in plan for key in term_keys)
+    factors = _exp_factors(keys, source, chi, graded=genus is None)
+    scaled_terms = []
+    for scale, term_keys in plan:
+        for key in term_keys:
+            scale *= factors[key][1]
+        scaled_terms.append((term_keys, scale))
     common = math.lcm(*(scale.denominator for _, scale in scaled_terms))
     numerator = source.zero()
     for keys, scale in scaled_terms:

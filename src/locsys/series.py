@@ -7,7 +7,7 @@ integers, so everything stays exact.
 
 exp serves the chamber limits: `spectral.chamber_limit_exact` takes exp(x t)
 from it.  The master formula does not call it: counting._exp_coeff_concrete
-takes the one coefficient it needs in integer arithmetic, for concrete and
+takes the coefficients it needs in integer arithmetic, for concrete and
 symbolic tables alike, and exp is the reference the tests compare it with.
 Inverses, integer powers and division by scalars (field coefficients) let
 `spectral.chamber_limit_exact` evaluate c-functions on truncated series.

@@ -472,6 +472,11 @@ def _run_one(item):
         return False, f"{type(exc).__name__}: {exc}"
 
 
+# the most worker processes a suite starts; a pool never has more workers
+# than items
+MAX_JOBS = 64
+
+
 def _finish(name, items, jobs=1):
     """Run the (checker name, instance) items and build the suite's report.
 
@@ -483,7 +488,7 @@ def _finish(name, items, jobs=1):
     if jobs > 1 and len(items) > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(items))) as pool:
             results = pool.map(_run_one, items)
     else:
         results = map(_run_one, items)
@@ -743,8 +748,8 @@ def run_suite(name, seed=0, iterations=None, jobs=1):
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if iterations is not None and iterations < 1:
         raise ValueError(f"need iterations >= 1, got {iterations}")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, got {jobs}")
     report = _finish(name, SUITES[name](seed, iterations), jobs)
     if name == "matr":
         report["note"] = (

@@ -27,8 +27,9 @@ def free_substitute(p, values, const):
 
 def weil_a_from_c(n, genus, ctable):
     """a_from_c on a concrete table with every product on WeilPoly's tuple
-    keys (t, (a_1..a_g), y): the same exp factors and partition sum, without
-    packing."""
+    keys (t, (a_1..a_g), y): the same partition sum, without packing, and one
+    exp recurrence per factor key (l, a_j, w), the per-key reference for the
+    grouped recurrences of a_from_c."""
     if n == 1:
         return ctable.entry(1, 1)
     z_form = ctable.ring is LaurentPoly
@@ -49,7 +50,7 @@ def weil_a_from_c(n, genus, ctable):
                 key = (l, aj, lam.s_weight(j))
                 if key not in factors:
                     factors[key] = _exp_coeff_concrete(count_exponent(table, l, aj),
-                                                       chi * Fraction(key[2], l), aj)
+                                                       chi * Fraction(key[2], l), aj)[aj]
                 keys.append(key)
                 scale *= factors[key][1]
             scaled_terms.append((keys, scale))

@@ -11,6 +11,7 @@ import sys
 import time
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -317,6 +318,26 @@ class TestEval:
     def test_rank_two_needs_polynomial(self, capsys, curve_file):
         code, _, err = run(capsys, "eval", "--curve", curve_file, "--n", "2", "--k", "1")
         assert code == 2 and "pgn" in err
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_rank_below_one_rejected(self, capsys, curve_file, tmp_path, n):
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text(pic_polynomial(2).to_json())
+        for extra in ((), ("--pgn", str(poly_file))):
+            code, out, err = run(capsys, "eval", "--curve", curve_file, "--n", n, "--k", "1",
+                                 *extra)
+            assert (code, out, err) == (2, "", "usage error: need n >= 1\n")
+
+    def test_rank_one_takes_no_polynomial(self, capsys, curve_file, tmp_path):
+        """The rank-1 polynomial is built in, so a --pgn file with --n 1 is
+        refused rather than ignored."""
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text(pic_polynomial(2).to_json())
+        code, out, err = run(capsys, "eval", "--curve", curve_file, "--n", "1", "--k", "1",
+                             "--pgn", str(poly_file))
+        assert (code, out) == (2, "")
+        assert err == ("usage error: eval --n 1 takes no --pgn: "
+                       "the rank-1 polynomial is built in\n")
 
     def test_rank_two_with_polynomial(self, capsys, curve_file, tmp_path):
         _, planted = consistent_fixture(tmp_path)
@@ -731,6 +752,48 @@ class TestVerifyCommand:
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         code, out, err = run(capsys, "verify", "matr", "--iterations", "2", "--jobs", jobs)
         assert code == 2 and out == "" and "jobs" in err
+
+    @pytest.mark.parametrize("jobs", [str(verify.MAX_JOBS + 1), "5000"])
+    def test_jobs_above_the_cap_rejected(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        for suite in ("matr", "all"):
+            code, out, err = run(capsys, "verify", suite, "--iterations", "2", "--jobs", jobs)
+            assert (code, out) == (2, "")
+            assert err == (f"usage error: need 1 <= jobs <= {verify.MAX_JOBS}, "
+                           f"got {jobs}\n")
+
+    def test_pool_has_no_more_workers_than_items(self, capsys, monkeypatch):
+        """A pool is sized min(jobs, items); the stub pool runs the items in
+        this process, so no worker starts whatever size is asked."""
+        sizes = []
+
+        class StubPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=StubPool))
+        base = ("--json", "verify", "kappa", "--seed", "5", "--iterations", "3")
+        items = len(verify.SUITES["kappa"](5, 3))
+        assert 1 < items < verify.MAX_JOBS
+        _, seq, _ = run(capsys, *base)
+        for jobs, size in ((2, 2), (verify.MAX_JOBS, items)):
+            sizes.clear()
+            code, par, _ = run(capsys, *base, "--jobs", str(jobs))
+            assert code == 0 and par == seq
+            assert sizes == [size]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_crashing_checker_is_an_error(self, capsys, monkeypatch, jobs):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from locsys.counting import (
     PackedPoly,
     PackedWeilPoly,
     _exp_coeff_concrete,
+    _exp_factors,
     _field_width,
     a_from_c,
     c_from_a,
@@ -31,7 +33,7 @@ from locsys.counting import (
     pgn_report,
     pic_quotient,
 )
-from locsys.combinat import divisors
+from locsys.combinat import divisors, mobius, partitions
 from locsys.laurent import LaurentPoly, WeilPoly, _coeff, pic_polynomial, weil_symmetrize
 from locsys.series import TruncatedSeries
 from locsys.verify import random_invariant
@@ -664,6 +666,23 @@ def _random_ring_element(rng, kind):
                      c() for _ in range(n)})
 
 
+def _factor_keys(n):
+    """The exp-factor keys (l, a_j, s_weight(j)) of the rank-n master formula."""
+    return {(l, aj, lam.s_weight(j))
+            for l in divisors(n) if mobius(l)
+            for lam in partitions(n) if not any(a % l for a in lam.mult.values())
+            for j, aj in lam.mult.items()}
+
+
+def _seeded_tables(g, n):
+    """The seeded concrete tables through rank n, z-form and e-form."""
+    rng = random.Random(f"weil-master:{g}:{n}")
+    planted = {1: pic_polynomial(g)}
+    planted.update({s: random_invariant(rng, g) for s in range(2, n + 1)})
+    ztable = CTable.concrete(g, planted)
+    return ztable, ztable.to_weil()
+
+
 class TestExpCoefficient:
     """_exp_coeff_concrete, the one exp path of the master formula in both
     modes, against the reference TruncatedSeries.exp (itself checked against
@@ -671,26 +690,31 @@ class TestExpCoefficient:
 
     @pytest.mark.parametrize("kind", ["constant", "laurent", "weil", "free"])
     def test_matches_reference_exp(self, kind):
+        """One call gives every coefficient [z^0..z^cap], each integral
+        under its scale 1/(m! D^m)."""
         rng = random.Random(f"exp:{kind}")
         free_alpha = kind in ("constant", "free")
         for _ in range(12):
-            cap = rng.randint(1, 5)
+            cap = rng.randint(0, 5)
             coeffs = [_random_ring_element(rng, kind) for _ in range(cap + 1)]
             exponent = TruncatedSeries(cap, [coeffs[0] * 0] + coeffs[1:])
             alpha = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             alphas = [alpha] + ([FreePoly.gamma(2) * alpha] if free_alpha else [])
             for alpha in alphas:
                 reference = (exponent * alpha).exp()
-                for a in range(cap + 1):
-                    poly, scale = _exp_coeff_concrete(exponent, alpha, a)
+                prefix = _exp_coeff_concrete(exponent, alpha, cap)
+                assert len(prefix) == cap + 1
+                denom = 1 / prefix[1][1] if cap else 1  # D of the recurrence
+                for a, (poly, scale) in enumerate(prefix):
                     assert all(c.denominator == 1 for c in poly.terms.values())
+                    assert scale == Fraction(1, math.factorial(a) * denom ** a)
                     assert poly * scale == reference.coeff(a), (kind, cap, alpha, a)
 
-    @pytest.mark.parametrize("n,calls", [(5, 9), (14, 91)])
-    def test_each_factor_computed_once(self, monkeypatch, n, calls):
-        """a_from_c computes each exp factor, which depends only on
-        (l, a_j, s_weight(j)), once per call; one per part of every partition
-        would be 13 and 406 calls."""
+    @pytest.mark.parametrize("n,calls", [(5, 2), (14, 4)])
+    def test_one_recurrence_per_l_symbolically(self, monkeypatch, n, calls):
+        """The symbolic master formula runs one exp recurrence per l
+        (squarefree divisor of n), to the largest a_j it needs; one per
+        factor key (l, a_j, w) was 9 and 91 calls."""
         seen = []
 
         def counted(exponent, alpha, a):
@@ -700,6 +724,61 @@ class TestExpCoefficient:
         monkeypatch.setattr(counting, "_exp_coeff_concrete", counted)
         a_from_c(n, None, CTable.symbolic())
         assert len(seen) == calls
+        assert len(_factor_keys(n)) == {5: 9, 14: 91}[n]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_one_recurrence_per_l_and_weight_concretely(self, monkeypatch, n):
+        """A concrete table (and a symbolic one at a fixed genus) runs one
+        exp recurrence per (l, w), to the largest a_j with that (l, w)."""
+        groups = {}
+        for l, aj, w in _factor_keys(n):
+            groups[(l, w)] = max(groups.get((l, w), 0), aj)
+        seen = []
+
+        def counted(exponent, alpha, a):
+            seen.append(a)
+            return _exp_coeff_concrete(exponent, alpha, a)
+
+        monkeypatch.setattr(counting, "_exp_coeff_concrete", counted)
+        for table, genus in ((_seeded_tables(2, n)[1], 2), (CTable.symbolic(), 3)):
+            seen.clear()
+            a_from_c(n, genus, table)
+            assert sorted(seen) == sorted(groups.values())
+
+    def test_grouped_factors_match_per_key(self, monkeypatch):
+        """Every factor `_exp_factors` reads off a grouped (and, in the genus
+        offset, graded) recurrence has the value of that key's own
+        recurrence, symbolically for ranks 2-12 and on seeded concrete
+        tables for g = 2..4 and n = 2..5; and symbolically every factor
+        monomial's genus-offset exponent equals its C-degree, the premise
+        of the grading."""
+        calls = []
+
+        def recorded(keys, source, chi, graded):
+            out = _exp_factors(keys, source, chi, graded)
+            calls.append((keys, source, chi, graded, out))
+            return out
+
+        monkeypatch.setattr(counting, "_exp_factors", recorded)
+        cases = [(n, None, CTable.symbolic()) for n in range(2, 13)]
+        cases += [(n, g, _seeded_tables(g, n)[0]) for g in (2, 3, 4) for n in range(2, 6)]
+        for n, genus, table in cases:
+            calls.clear()
+            a_from_c(n, genus, table)
+            [(keys, source, chi, graded, factors)] = calls
+            assert graded == (genus is None)
+            assert set(keys) == set(factors) == _factor_keys(n)
+            for (l, aj, w), (poly, scale) in factors.items():
+                own, own_scale = _exp_coeff_concrete(count_exponent(source, l, aj),
+                                                     chi * Fraction(w, l), aj)[aj]
+                assert poly * scale == own * own_scale, (n, genus, l, aj, w)
+                assert all(c.denominator == 1 for c in poly.terms.values())
+                if graded:
+                    for mono in poly.unpack().terms:
+                        degrees = dict.fromkeys(("y", "C"), 0)
+                        for atom, e in mono:
+                            degrees[atom[0]] += e
+                        assert degrees["y"] == degrees["C"], (n, l, aj, w, mono)
 
 
 class TestFreePolyKernel:
