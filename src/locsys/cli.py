@@ -22,7 +22,6 @@ from .laurent import (
     EntryMissing,
     IntegralityError,
     LaurentPoly,
-    WeilPoly,
     evaluate_at_curve,
     pic_polynomial,
 )
@@ -85,16 +84,16 @@ def cmd_a_symbolic(args):
 
 
 def _build_pipeline(n, g, a_table_path):
-    """The e-form C-table through rank n."""
-    from .counting import ATable, CTable, c_from_a_weil
+    """The e-form C-table through rank n; rank 1 reads no A-table."""
+    from .counting import ATable, c_from_a
 
-    if n < 2:
-        return CTable.concrete(g, {1: WeilPoly.from_laurent(pic_polynomial(g))})
-    if a_table_path is None:
-        raise ValueError("ranks >= 2 need --a-table with the bundle counts")
-    with _open(a_table_path) as fh:
-        atable = ATable.from_json(fh.read(), g)
-    return c_from_a_weil(n, g, atable)
+    atable = ATable(g, {})
+    if n >= 2:
+        if a_table_path is None:
+            raise ValueError("ranks >= 2 need --a-table with the bundle counts")
+        with _open(a_table_path) as fh:
+            atable = ATable.from_json(fh.read(), g)
+    return c_from_a(n, g, atable)
 
 
 def _run_pgn(args, want_quotient):

@@ -2,7 +2,7 @@
 
 Two tables drive everything: a C-table holding, for each rank s and field
 extension degree k, the number C[s,k] of Frobenius^k-fixed irreducible rank-s
-local systems (as a Laurent polynomial or as a free symbol), and an A-table
+local systems (as an e-form polynomial or as a free symbol), and an A-table
 holding the counts of geometrically indecomposable rank-n degree-coprime
 vector bundles.  The master formula expresses A_n in terms of the C[s,k]
 with s*k <= n; inverting it rank by rank recovers the C's, hence the
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -362,7 +363,7 @@ def _field_width(n: int, ctable: "CTable") -> int:
     OverflowError: every product checks its guard bits.)
     """
     bound = 0
-    for s, p in ctable.base.items():
+    for s, p in ctable.weil.items():
         if s <= n:
             for _et, a, ey in p.terms:
                 bound = max(bound, n * max(ey, sum(j * e for j, e in enumerate(a, 1))) // s)
@@ -375,22 +376,20 @@ def _field_width(n: int, ctable: "CTable") -> int:
 
 class CTable:
     """Counts C[s,k].  Symbolic mode hands out free symbols; concrete mode
-    stores the rank-s polynomial for k=1 and derives every other k by the
-    Frobenius substitution, so the compatibility C[s,k] = C[s,1](t^k, z^k)
-    holds by construction.  Concrete entries are all z-form (LaurentPoly) or
-    all e-form (WeilPoly); `ring` is their class."""
+    keeps the rank-s polynomial for k=1 in e-form (`weil`), as ATable does,
+    and derives every other k by the Frobenius substitution, so the
+    compatibility C[s,k] = C[s,1](t^k, z^k) holds by construction.
+    `concrete` converts z-form entries once; `z_form` says it was given
+    them.  `base` and `to_obj` render the z-form and keep no copy of it."""
 
-    def __init__(self, mode, g=None, base=None):
+    def __init__(self, mode, g=None, weil=None, z_form=False):
         if mode not in ("symbolic", "concrete"):
             raise ValueError("mode must be 'symbolic' or 'concrete'")
         self.mode = mode
         self.g = g
-        self.base = dict(base or {})
+        self.weil = dict(weil or {})
+        self.z_form = z_form
         self._cache = {}
-        rings = {type(p) for p in self.base.values()}
-        if len(rings) > 1:
-            raise ValueError("mixed z-form and e-form entries")
-        self.ring = rings.pop() if rings else LaurentPoly
 
     @classmethod
     def symbolic(cls):
@@ -401,43 +400,54 @@ class CTable:
         for s, poly in base.items():
             if poly.g != g:
                 raise ValueError(f"entry {s} has wrong number of z-variables")
-        return cls("concrete", g=g, base=base)
+        forms = {type(p) for p in base.values()}
+        if len(forms) > 1:
+            raise ValueError("mixed z-form and e-form entries")
+        if forms == {LaurentPoly}:
+            return cls("concrete", g, {s: WeilPoly.from_laurent(p) for s, p in base.items()}, True)
+        return cls("concrete", g, base)
 
     def with_entry(self, s, poly):
-        base = dict(self.base)
-        base[s] = poly
-        out = CTable.concrete(self.g, base)
+        out = CTable("concrete", self.g, {**self.weil, s: poly}, self.z_form)
         out._cache = {key: v for key, v in self._cache.items() if key[0] != s}
         return out
 
-    def to_weil(self):
-        """The same table with e-form entries."""
-        if self.ring is WeilPoly:
-            return self
-        return CTable.concrete(self.g, {s: WeilPoly.from_laurent(p) for s, p in self.base.items()})
-
-    def to_laurent(self):
-        """The same table with z-form entries."""
-        if self.ring is LaurentPoly:
-            return self
-        return CTable.concrete(self.g, {s: p.to_laurent() for s, p in self.base.items()})
+    @property
+    def base(self):
+        """The entries in z-form, each converted when it is read."""
+        return _ZForm(self.weil)
 
     def zero(self):
-        return FreePoly.zero() if self.mode == "symbolic" else self.ring.zero(self.g)
+        return FreePoly.zero() if self.mode == "symbolic" else WeilPoly.zero(self.g)
 
     def entry(self, s: int, k: int):
         if self.mode == "symbolic":
             return FreePoly.symbol(s, k)
-        if s not in self.base:
+        if s not in self.weil:
             raise EntryMissing(f"no C-table entry for rank s={s}, extension k={k}")
         if (s, k) not in self._cache:
-            self._cache[(s, k)] = self.base[s].frobenius_substitute(k)
+            self._cache[(s, k)] = self.weil[s].frobenius_substitute(k)
         return self._cache[(s, k)]
 
     def to_obj(self):
         """The JSON form, with z-form entries."""
-        base = self.to_laurent().base
-        return {"entries": {str(s): p.to_obj() for s, p in sorted(base.items())}}
+        return {"entries": {str(s): p.to_laurent().to_obj() for s, p in sorted(self.weil.items())}}
+
+
+class _ZForm(Mapping):
+    """A read-only z-form view of e-form entries."""
+
+    def __init__(self, weil):
+        self._weil = weil
+
+    def __getitem__(self, s):
+        return self._weil[s].to_laurent()
+
+    def __iter__(self):
+        return iter(self._weil)
+
+    def __len__(self):
+        return len(self._weil)
 
 
 class ATable:
@@ -570,7 +580,9 @@ def _exp_factors(keys, source, chi, graded: bool):
 
     One `_exp_coeff_concrete` recurrence per group, run to the largest a
     the group needs, gives every factor of the group, since its lower
-    coefficients keep their values.  A group is one (l, w), or with
+    coefficients keep their values; one E_l, truncated at the largest a of
+    any group of that l, serves all of them, since a longer truncation
+    leaves the lower coefficients alone.  A group is one (l, w), or with
     `graded` one l: then chi is 2 gamma (the symbolic genus offset) and the
     factor for w is the w = 1 factor graded by gamma.  Proof:
     [z^a] exp(x E_l) = sum_k x^k/k! [z^a] E_l^k, and each coefficient of
@@ -585,10 +597,15 @@ def _exp_factors(keys, source, chi, graded: bool):
     for l, a, w in keys:
         group = l if graded else (l, w)
         caps[group] = max(caps.get(group, 0), a)
+    tops = {}  # l -> the largest a of any group of that l
+    for group, cap in caps.items():
+        l = group if graded else group[0]
+        tops[l] = max(tops.get(l, 0), cap)
+    series = {l: count_exponent(source, l, cap) for l, cap in tops.items()}
     runs = {}
     for group, cap in caps.items():
         l, w = (group, 1) if graded else group
-        runs[group] = _exp_coeff_concrete(count_exponent(source, l, cap), chi * Fraction(w, l), cap)
+        runs[group] = _exp_coeff_concrete(series[l], chi * Fraction(w, l), cap)
     factors = {}
     for l, a, w in keys:
         if graded:
@@ -607,11 +624,12 @@ def a_from_c(n: int, genus, ctable: CTable):
     symbolic genus-offset variable.  For n = 1 the value is C[1,1] itself
     and any genus >= 1 is accepted.  Both modes multiply packed monomials,
     one int each, and convert only on the way in and out.  A concrete
-    table's Frobenius images are packed into `packed_weil_kind(g, width)`
-    (width from `_field_width`) and the result is unpacked into a WeilPoly,
-    which a z-form table gets back in z-form (`CTable.to_weil()` ...
-    `to_laurent()`).  A symbolic table's symbols are packed into
-    `packed_kind(n)` and the result is unpacked into a FreePoly.
+    table's e-form Frobenius images are packed into
+    `packed_weil_kind(g, width)` (width from `_field_width`) and the result
+    is unpacked into a WeilPoly; no table is converted here, and only a
+    table made from z-form entries gets its result back in z-form.  A
+    symbolic table's symbols are packed into `packed_kind(n)` and the
+    result is unpacked into a FreePoly.
 
     The partition terms are listed first.  Part j of a partition has the
     exp factor [z^(a_j)] exp((2g-2) w/l E_l) with w = s_weight(j), and
@@ -623,20 +641,17 @@ def a_from_c(n: int, genus, ctable: CTable):
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return ctable.entry(1, 1)
+        p = ctable.entry(1, 1)
+        return p.to_laurent() if ctable.z_form else p
     if genus is not None and genus < 2:
         raise ValueError("need genus >= 2 for ranks >= 2")
 
     chi = _two_g_minus_2(genus)
-    z_form = False
     if ctable.mode == "symbolic":
         source = packed_kind(n)  # hands out the symbols as entry(s, k), and zero()
         if genus is None:
             chi = source.pack(chi)
     else:
-        z_form = ctable.ring is LaurentPoly
-        if z_form:
-            ctable = ctable.to_weil()
         source = packed_weil_kind(ctable.g, _field_width(n, ctable)).table(ctable)
     plan = []  # (mu(l) / number of parts, factor keys (l, a_j, w)) per term
     for l in divisors(n):
@@ -663,20 +678,16 @@ def a_from_c(n: int, genus, ctable: CTable):
             term = term * factors[key][0]
         numerator = numerator + term
     if genus is None:
-        result = numerator.divide_exact(2 * n * common, gamma_power=1).unpack()
-    else:
-        result = (numerator * Fraction(1, common * n * (2 * genus - 2))).unpack()
-    return result.to_laurent() if z_form else result
+        return numerator.divide_exact(2 * n * common, gamma_power=1).unpack()
+    result = (numerator * Fraction(1, common * n * (2 * genus - 2))).unpack()
+    return result.to_laurent() if ctable.z_form else result
 
 
 def c_from_a(n: int, g: int, atable: ATable) -> CTable:
-    """Extend the C-table through rank n by inverting the master formula;
-    the returned table is z-form (`c_from_a_weil` returns the e-form)."""
-    return c_from_a_weil(n, g, atable).to_laurent()
-
-
-def c_from_a_weil(n: int, g: int, atable: ATable) -> CTable:
-    """The C-table through rank n, with e-form entries.
+    """The C-table through rank n, by inverting the master formula rank by
+    rank; it keeps e-form entries (`base` and `to_obj` render the z-form).
+    The genus rule is a_from_c's: g >= 2 for ranks >= 2, and g >= 1 at
+    rank 1, whose entry is the built-in Picard polynomial.
 
     Every monomial of the z^m coefficient of the rank-s formula has total
     weight m <= s in the (rank * extension) grading, so the unknown C[s,1]
@@ -689,8 +700,9 @@ def c_from_a_weil(n: int, g: int, atable: ATable) -> CTable:
     construction; the change of basis to the z-form is unitriangular over Z,
     so C_s is integral in one form exactly when it is in the other.
     """
-    if g < 2:
-        raise ValueError("need genus >= 2")
+    least = 2 if n >= 2 else 1
+    if g < least:
+        raise ValueError(f"need genus >= {least}")
     table = CTable.concrete(g, {1: WeilPoly.from_laurent(pic_polynomial(g))})
     zero, one = WeilPoly.zero(g), WeilPoly.const(g, 1)
     for s in range(2, n + 1):

@@ -288,34 +288,6 @@ class LaurentPoly:
 
     # -- structure maps ----------------------------------------------------
 
-    def frobenius_substitute(self, k: int) -> "LaurentPoly":
-        """t -> t^k and z_i -> z_i^k; the genus-offset exponent is untouched."""
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("need k >= 1")
-        out = LaurentPoly(self.g)
-        out.terms = {
-            (et * k, tuple(e * k for e in ez), ey): c
-            for (et, ez, ey), c in self.terms.items()
-        }
-        return out
-
-    def _flip(self, i):
-        # z_i -> t * z_i^{-1}
-        terms = {}
-        for (et, ez, ey), c in self.terms.items():
-            z = list(ez)
-            e = z[i]
-            z[i] = -e
-            k = (et + e, tuple(z), ey)
-            s = terms.get(k, 0) + c
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        out = LaurentPoly(self.g)
-        out.terms = terms
-        return out
-
     def is_weil_invariant(self) -> bool:
         """Fixed by every z_i <-> z_j swap and every z_i -> t z_i^{-1} flip,
         that is, the conversion to e-form succeeds."""
@@ -500,22 +472,19 @@ def pic_polynomial(g: int) -> LaurentPoly:
 
 def weil_symmetrize(mono: LaurentPoly) -> LaurentPoly:
     """Group-average of a polynomial over all z-swaps and z_i -> t z_i^{-1}
-    flips (without the 1/|group| normalization, to stay integral)."""
+    flips, without the 1/(g! 2^g) to stay integral: each term goes to every
+    member of its Weil orbit g! 2^g / |orbit| times."""
     g = mono.g
-    total = LaurentPoly.zero(g)
-    for perm in itertools.permutations(range(g)):
-        base = LaurentPoly(g)
-        base.terms = {
-            (et, tuple(ez[perm[i]] for i in range(g)), ey): c
-            for (et, ez, ey), c in mono.terms.items()
-        }
-        for flips in itertools.product((False, True), repeat=g):
-            q = base
-            for i, do in enumerate(flips):
-                if do:
-                    q = q._flip(i)
-            total = total + q
-    return total
+    order = math.factorial(g) * 2 ** g
+    terms = {}
+    for (et, ez, ey), c in mono.terms.items():
+        mu, dt = _orbit_rep(ez)
+        members = _orbit(mu)
+        c = c * (order // len(members))
+        for shift, z in members:
+            key = (et + dt + shift, z, ey)
+            terms[key] = terms.get(key, 0) + c
+    return LaurentPoly(g, terms)
 
 
 # --------------------------------------------------------------------------
@@ -559,8 +528,7 @@ class WeilPoly(LaurentPoly):
         for (et, ez, ey), c in terms.items():
             shape = shapes.get(ez)
             if shape is None:
-                mu = tuple(sorted(map(abs, ez), reverse=True))
-                shape = shapes[ez] = (mu, (sum(ez) - sum(mu)) // 2)  # t-shift: sum of min(e_i, 0)
+                shape = shapes[ez] = _orbit_rep(ez)
             mu, dt = shape
             rep = (et + dt, mu, ey)
             if terms.get(rep) != c:
@@ -655,6 +623,13 @@ def _composed(images, powers, a):
         j = max(i for i, e in enumerate(a) if e)
         powers[a] = _composed(images, powers, a[:j] + (a[j] - 1,) + a[j + 1:]) * images[j]
     return powers[a]
+
+
+def _orbit_rep(ez):
+    """(mu, dt): t^a z^ez is in the Weil orbit of t^(a + dt) z^mu, with mu
+    the |e_i| sorted descending."""
+    mu = tuple(sorted(map(abs, ez), reverse=True))
+    return mu, (sum(ez) - sum(mu)) // 2  # the t-shift: sum of min(e_i, 0)
 
 
 # The caches below fill lazily, per genus and exponent shape; their values

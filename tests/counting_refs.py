@@ -1,10 +1,13 @@
 """References for the counting engine that the package itself no longer
 needs: evaluating a FreePoly at ring values, the oracle the symbolic and
 concrete master formulas are compared through; the concrete master formula
-on WeilPoly's tuple keys, which the packed one replaced; and the z-form
+on WeilPoly's tuple keys, which the packed one replaced; the z-form
 `pgn`/`qgn` report that the e-form report replaced, with the z-form scans it
-runs on.  Nothing in the package imports this module."""
+runs on; and the z-form Frobenius substitution and Weil symmetrization,
+the references for WeilPoly.frobenius_substitute and for the orbit-based
+laurent.weil_symmetrize.  Nothing in the package imports this module."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -31,9 +34,8 @@ def weil_a_from_c(n, genus, ctable):
     exp recurrence per factor key (l, a_j, w), the per-key reference for the
     grouped recurrences of a_from_c."""
     if n == 1:
-        return ctable.entry(1, 1)
-    z_form = ctable.ring is LaurentPoly
-    table = ctable.to_weil()
+        p = ctable.entry(1, 1)
+        return p.to_laurent() if ctable.z_form else p
     chi = Fraction(2 * genus - 2)
     factors = {}
     scaled_terms = []
@@ -49,20 +51,58 @@ def weil_a_from_c(n, genus, ctable):
             for j, aj in lam.mult.items():
                 key = (l, aj, lam.s_weight(j))
                 if key not in factors:
-                    factors[key] = _exp_coeff_concrete(count_exponent(table, l, aj),
+                    factors[key] = _exp_coeff_concrete(count_exponent(ctable, l, aj),
                                                        chi * Fraction(key[2], l), aj)[aj]
                 keys.append(key)
                 scale *= factors[key][1]
             scaled_terms.append((keys, scale))
     common = math.lcm(*(scale.denominator for _, scale in scaled_terms))
-    numerator = table.zero()
+    numerator = ctable.zero()
     for keys, scale in scaled_terms:
         term = factors[keys[0]][0] * (scale.numerator * (common // scale.denominator))
         for key in keys[1:]:
             term = term * factors[key][0]
         numerator = numerator + term
     result = numerator * Fraction(1, common * n * (2 * genus - 2))
-    return result.to_laurent() if z_form else result
+    return result.to_laurent() if ctable.z_form else result
+
+
+def frobenius_substitute(p, k):
+    """The z-form p with t -> t^k and z_i -> z_i^k; the genus-offset
+    exponent is untouched."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("need k >= 1")
+    return LaurentPoly(p.g, {(et * k, tuple(e * k for e in ez), ey): c
+                             for (et, ez, ey), c in p.terms.items()})
+
+
+def flip(p, i):
+    """The z-form p with z_i -> t z_i^{-1}."""
+    terms = {}
+    for (et, ez, ey), c in p.terms.items():
+        z = list(ez)
+        e = z[i]
+        z[i] = -e
+        k = (et + e, tuple(z), ey)
+        terms[k] = terms.get(k, 0) + c
+    return LaurentPoly(p.g, terms)
+
+
+def permutation_flip_symmetrize(mono):
+    """The sum of mono's images under every z-permutation and every set of
+    z_i -> t z_i^{-1} flips, g! 2^g images in all."""
+    g = mono.g
+    total = LaurentPoly.zero(g)
+    for perm in itertools.permutations(range(g)):
+        base = LaurentPoly(g, {(et, tuple(ez[perm[i]] for i in range(g)), ey): c
+                               for (et, ez, ey), c in mono.terms.items()})
+        for flips in itertools.product((False, True), repeat=g):
+            q = base
+            for i, do in enumerate(flips):
+                if do:
+                    q = flip(q, i)
+            total = total + q
+    return total
 
 
 def swap(p, i, j):
@@ -78,7 +118,7 @@ def swap(p, i, j):
 def swap_flip_invariant(p):
     """Fixed by every z_i <-> z_{i+1} swap and every z_i -> t z_i^{-1} flip."""
     return (all(swap(p, i, i + 1) == p for i in range(p.g - 1))
-            and all(p._flip(i) == p for i in range(p.g)))
+            and all(flip(p, i) == p for i in range(p.g)))
 
 
 def satisfies_positivity(p):

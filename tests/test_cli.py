@@ -1369,3 +1369,50 @@ class TestReplayFuzz:
                 spec(move)
                 moved += 1
         assert moved > 0
+
+
+class TestIterationsCap:
+    """--iterations is capped at verify.MAX_ITERATIONS, checked before any
+    suite builds an item."""
+
+    @pytest.fixture()
+    def no_items(self, monkeypatch):
+        def refuse(seed, iterations):
+            raise AssertionError("a suite built its items")
+
+        monkeypatch.setattr(verify, "SUITES", {name: refuse for name in verify.SUITES})
+
+    @pytest.mark.parametrize("suite", ["roundtrip", "all"])
+    def test_above_the_cap_rejected(self, capsys, no_items, suite):
+        above = str(verify.MAX_ITERATIONS + 1)
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, *flags, "verify", suite, "--iterations", above)
+            assert (code, out) == (2, "")
+            assert err == (f"usage error: need iterations <= {verify.MAX_ITERATIONS}, "
+                           f"got {above}\n")
+
+    def test_cap_in_run_suite(self, no_items):
+        with pytest.raises(ValueError, match=f"<= {verify.MAX_ITERATIONS},"):
+            verify.run_suite("matr", iterations=verify.MAX_ITERATIONS + 1)
+
+
+class TestPipelineInversion:
+    def test_every_rank_runs_c_from_a(self, capsys, monkeypatch, tmp_path):
+        """`pgn`/`qgn` run the one inversion, c_from_a, at rank 1 too."""
+        from locsys import counting
+
+        calls = []
+        inverse = counting.c_from_a
+
+        def recorded(n, g, atable):
+            calls.append((n, g, sorted(atable.weil)))
+            return inverse(n, g, atable)
+
+        monkeypatch.setattr(counting, "c_from_a", recorded)
+        for g in ("1", "2"):
+            code, _, _ = run(capsys, "pgn", "--n", "1", "--g", g)
+            assert code == 0
+        path, _ = consistent_fixture(tmp_path)
+        code, _, _ = run(capsys, "qgn", "--n", "2", "--g", "2", "--a-table", path)
+        assert code == 0
+        assert calls == [(1, 1, []), (1, 2, []), (2, 2, [2])]

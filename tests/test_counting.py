@@ -5,7 +5,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from counting_refs import free_substitute, satisfies_positivity, weil_a_from_c, zform_pgn_report
+from counting_refs import (free_substitute, frobenius_substitute, satisfies_positivity,
+                          weil_a_from_c, zform_pgn_report)
 
 from locsys import counting
 from locsys.counting import (
@@ -23,7 +24,6 @@ from locsys.counting import (
     _field_width,
     a_from_c,
     c_from_a,
-    c_from_a_weil,
     count_exponent,
     euler_characteristic,
     inertial_class_count,
@@ -153,7 +153,7 @@ class TestMasterFormula:
             values = {("y",): LaurentPoly.const(g, g - 1)}
             for s in range(1, n + 1):
                 for k in range(1, n // s + 1):
-                    values[CSymbol(s, k).atom] = table.entry(s, k)
+                    values[CSymbol(s, k).atom] = frobenius_substitute(base[s], k)
             substituted = free_substitute(a_from_c(n, None, CTable.symbolic()),
                                           values, lambda c: LaurentPoly.const(g, c))
             assert direct == substituted
@@ -399,25 +399,25 @@ class TestPackedWeilPoly:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_master_formula_matches_tuple_keys(self, g, monkeypatch):
-        """a_from_c and c_from_a_weil on packed keys against the tuple-keyed
-        reference, on seeded concrete tables in both forms."""
+        """a_from_c and c_from_a on packed keys against the tuple-keyed
+        reference, on seeded concrete tables made from either form."""
         rng = random.Random(f"weil-master:{g}")
         for n in range(2, 6):
             planted = {1: pic_polynomial(g)}
             planted.update({s: random_invariant(rng, g) for s in range(2, n + 1)})
             ztable = CTable.concrete(g, planted)
-            etable = ztable.to_weil()
+            etable = CTable.concrete(g, ztable.weil)
             entries = {}
             for s in range(2, n + 1):
                 entries[s] = a_from_c(s, g, ztable)
                 assert entries[s] == weil_a_from_c(s, g, ztable)
                 assert a_from_c(s, g, etable) == weil_a_from_c(s, g, etable)
             atable = ATable(g, entries)
-            packed = c_from_a_weil(n, g, atable)
+            packed = c_from_a(n, g, atable)
             with monkeypatch.context() as m:
                 m.setattr(counting, "a_from_c", weil_a_from_c)
-                reference = c_from_a_weil(n, g, atable)
-            assert packed.base == reference.base == etable.base
+                reference = c_from_a(n, g, atable)
+            assert packed.weil == reference.weil == etable.weil
 
 
 class TestLinearPart:
@@ -440,7 +440,7 @@ class TestEuler:
 class TestInversion:
     def test_rank_one_builtin(self):
         table = c_from_a(1, 2, ATable(2, {}))
-        assert table.entry(1, 1) == pic_polynomial(2)
+        assert table.base[1] == pic_polynomial(2)
 
     def test_roundtrip_random(self):
         rng = random.Random(6)
@@ -680,7 +680,7 @@ def _seeded_tables(g, n):
     planted = {1: pic_polynomial(g)}
     planted.update({s: random_invariant(rng, g) for s in range(2, n + 1)})
     ztable = CTable.concrete(g, planted)
-    return ztable, ztable.to_weil()
+    return ztable, CTable.concrete(g, ztable.weil)
 
 
 class TestExpCoefficient:
@@ -822,3 +822,123 @@ class TestTables:
         entries = json.loads(json.dumps(table.to_obj()))["entries"]
         again = {int(s): LaurentPoly.from_obj(obj) for s, obj in entries.items()}
         assert again == table.base
+
+
+class TestEFormTable:
+    """A concrete CTable keeps only the e-form, as ATable does: z-form
+    entries are converted once, when the table is made, and the z-form is
+    only rendered (`base`, `to_obj`) or handed back by a_from_c to a table
+    made from z-form entries."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"from_laurent": 0, "to_laurent": 0}
+        from_laurent, to_laurent = WeilPoly.from_laurent.__func__, WeilPoly.to_laurent
+
+        def counted_from(cls, p):
+            calls["from_laurent"] += 1
+            return from_laurent(cls, p)
+
+        def counted_to(self):
+            calls["to_laurent"] += 1
+            return to_laurent(self)
+
+        monkeypatch.setattr(WeilPoly, "from_laurent", classmethod(counted_from))
+        monkeypatch.setattr(WeilPoly, "to_laurent", counted_to)
+        return calls
+
+    def test_entries_are_e_form(self):
+        ztable, etable = _seeded_tables(3, 3)
+        for table, z_form in ((ztable, True), (etable, False)):
+            assert table.z_form is z_form and sorted(table.weil) == [1, 2, 3]
+            assert all(type(p) is WeilPoly for p in table.weil.values())
+            assert type(table.entry(2, 1)) is type(table.entry(1, 3)) is WeilPoly
+            assert type(table.zero()) is WeilPoly
+        assert etable.weil == ztable.weil
+        for name in ("ring", "to_weil", "to_laurent"):
+            assert not hasattr(ztable, name)
+        with pytest.raises(ValueError, match="mixed"):
+            CTable.concrete(2, {1: pic_polynomial(2), 2: WeilPoly.const(2, 1)})
+        with pytest.raises(ValueError, match="entry 2"):
+            CTable.concrete(2, {1: pic_polynomial(2), 2: LaurentPoly.const(3, 1)})
+
+    def test_a_from_c_converts_no_table(self, monkeypatch):
+        """One z-form table is converted once, however many ranks are asked;
+        only a table made from z-form entries gets z-form results."""
+        rng = random.Random("one-conversion")
+        g, n = 2, 4
+        planted = {1: pic_polynomial(g)}
+        planted.update({s: random_invariant(rng, g) for s in range(2, n + 1)})
+        calls = self.counted(monkeypatch)
+        ztable = CTable.concrete(g, planted)
+        assert calls == {"from_laurent": n, "to_laurent": 0}
+        etable = CTable.concrete(g, ztable.weil)
+        results = {}
+        for r in range(1, n + 1):
+            results[r] = a_from_c(r, g, etable)
+            assert type(results[r]) is WeilPoly
+        assert calls == {"from_laurent": n, "to_laurent": 0}
+        for r in range(1, n + 1):
+            got = a_from_c(r, g, ztable)
+            assert type(got) is LaurentPoly and got == results[r].to_laurent()
+        assert calls["from_laurent"] == n
+
+    def test_base_renders_each_read(self, monkeypatch):
+        """base[s] converts entry s once per read, to_obj each entry once,
+        and neither leaves a z-form copy on the table."""
+        ztable, _ = _seeded_tables(2, 3)
+        calls = self.counted(monkeypatch)
+        assert type(ztable.base[3]) is LaurentPoly and calls["to_laurent"] == 1
+        assert len(ztable.base) == 3 and sorted(ztable.base) == [1, 2, 3]
+        obj = ztable.to_obj()
+        assert calls["to_laurent"] == 4 and sorted(obj["entries"]) == ["1", "2", "3"]
+        assert set(vars(ztable)) == {"mode", "g", "weil", "z_form", "_cache"}
+        held = list(ztable.weil.values()) + list(ztable._cache.values())
+        assert all(type(p) is WeilPoly for p in held)
+
+    def test_inversion_table_is_e_form(self):
+        ztable, _ = _seeded_tables(2, 3)
+        atable = ATable(2, {s: a_from_c(s, 2, ztable) for s in (2, 3)})
+        recovered = c_from_a(3, 2, atable)
+        assert recovered.z_form is False and recovered.weil == ztable.weil
+        assert dict(recovered.base) == dict(ztable.base)
+        assert recovered.to_obj() == ztable.to_obj()
+
+
+class TestInversionGenusRule:
+    """c_from_a takes a_from_c's genus rule: g >= 2 for ranks >= 2, and
+    g >= 1 at rank 1, whose entry is the built-in Picard polynomial."""
+
+    def test_rank_one_at_genus_one(self):
+        table = c_from_a(1, 1, ATable(1, {}))
+        assert table.base[1] == pic_polynomial(1) and sorted(table.weil) == [1]
+
+    @pytest.mark.parametrize("n,g,least", [(1, 0, 1), (2, 1, 2), (3, 0, 2)])
+    def test_genus_below_the_rule_rejected(self, n, g, least):
+        with pytest.raises(ValueError, match=f"need genus >= {least}"):
+            c_from_a(n, g, ATable(g, {}))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 12])
+def test_one_count_exponent_per_l(monkeypatch, n):
+    """Each a_from_c(n) builds E_l once per squarefree l | n, to the largest
+    a_j any group of that l needs, on concrete tables of either form and on
+    symbolic ones with and without a genus."""
+    seen = []
+
+    def counted(source, l, cap):
+        seen.append((l, cap))
+        return count_exponent(source, l, cap)
+
+    monkeypatch.setattr(counting, "count_exponent", counted)
+    caps = {}
+    for l, aj, _w in _factor_keys(n):
+        caps[l] = max(caps.get(l, 0), aj)
+    assert sorted(caps) == [l for l in divisors(n) if mobius(l)]
+    cases = [(None, CTable.symbolic()), (3, CTable.symbolic())]
+    if n <= 6:
+        cases += [(2, table) for table in _seeded_tables(2, n)]
+    for genus, table in cases:
+        seen.clear()
+        a_from_c(n, genus, table)
+        assert sorted(seen) == sorted(caps.items()), (n, genus)

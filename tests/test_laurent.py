@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from counting_refs import satisfies_positivity, swap_flip_invariant
+from counting_refs import (frobenius_substitute, permutation_flip_symmetrize, satisfies_positivity,
+                          swap_flip_invariant)
 
 from locsys.laurent import (
     CurveInput,
@@ -68,6 +69,8 @@ class TestRingOps:
 
 
 class TestFrobenius:
+    # the z-form substitution is the test reference for the e-form one
+    # (test_weil.test_frobenius_matches_z_form)
     def test_exponent_scaling(self):
         one = LaurentPoly.const(1, 1)
         t = LaurentPoly.t_var(1)
@@ -75,14 +78,14 @@ class TestFrobenius:
         zinv = lp(1, z=[-1])
         p = (one - z) * (one - t * zinv)
         expected = (one - z * z) * (one - t * t * lp(1, z=[-2]))
-        assert p.frobenius_substitute(2) == expected
+        assert frobenius_substitute(p, 2) == expected
 
     def test_constant_fixed(self):
-        assert LaurentPoly.const(3, 5).frobenius_substitute(3) == LaurentPoly.const(3, 5)
+        assert frobenius_substitute(LaurentPoly.const(3, 5), 3) == LaurentPoly.const(3, 5)
 
     def test_monomial(self):
         p = LaurentPoly.t_var(1) * LaurentPoly.z_var(1, 0)
-        assert p.frobenius_substitute(2) == lp(1, t=2, z=[2])
+        assert frobenius_substitute(p, 2) == lp(1, t=2, z=[2])
 
     def test_composition_property(self):
         rng = random.Random(0)
@@ -91,11 +94,12 @@ class TestFrobenius:
             p = lp(g, c=rng.randint(-3, 3), t=rng.randint(-2, 2),
                    z=[rng.randint(-2, 2) for _ in range(g)]) + LaurentPoly.const(g, 1)
             a, b = rng.randint(1, 3), rng.randint(1, 3)
-            assert p.frobenius_substitute(a * b) == p.frobenius_substitute(a).frobenius_substitute(b)
+            assert (frobenius_substitute(p, a * b)
+                    == frobenius_substitute(frobenius_substitute(p, a), b))
 
     def test_bad_power(self):
         with pytest.raises(ValueError):
-            LaurentPoly.const(1, 1).frobenius_substitute(0)
+            WeilPoly.const(1, 1).frobenius_substitute(0)
 
 
 class TestInvariance:
@@ -779,3 +783,31 @@ class TestOnePassReader:
             new = _same_read(obj)
             assert new[0] is LaurentPoly and LaurentPoly.from_obj(obj) == p
             assert LaurentPoly.from_obj(obj).to_json() == p.to_json()
+
+
+class TestWeilSymmetrize:
+    """weil_symmetrize sends each term to its Weil orbit, with the weight
+    g! 2^g / |orbit|; the reference sums all g! 2^g permutation-and-flip
+    images."""
+
+    def test_matches_permutation_flip_sum(self):
+        rng = random.Random("weil-symmetrize")
+        for _ in range(300):
+            g = rng.randint(0, 4)
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                z = tuple(rng.randint(-3, 3) for _ in range(g))
+                c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                terms[(rng.randint(-2, 3), z, rng.randint(0, 2))] = c
+            p = LaurentPoly(g, terms)
+            got = weil_symmetrize(p)
+            assert got == permutation_flip_symmetrize(p), p
+            assert got.is_weil_invariant() and swap_flip_invariant(got)
+
+    def test_orbit_weights(self):
+        # z^(1,0) has 4 orbit members in genus 2; the group of order 8 hits each twice
+        p = weil_symmetrize(lp(2, z=[1, 0]))
+        assert p == 2 * (lp(2, z=[1, 0]) + lp(2, z=[0, 1]) + lp(2, t=1, z=[-1, 0])
+                         + lp(2, t=1, z=[0, -1]))
+        assert weil_symmetrize(LaurentPoly.const(3, 5)) == LaurentPoly.const(3, 5 * 48)
+        assert weil_symmetrize(LaurentPoly.zero(2)).is_zero()
