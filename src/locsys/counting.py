@@ -147,21 +147,41 @@ class FreePoly(LaurentPoly):
         return f"FreePoly({self.render()})"
 
 
-class _Packed(LaurentPoly):
+class PackedPoly(LaurentPoly):
     """A monomial kind whose key is one int, so that the product of two
-    monomials is one integer addition.  The exponents sit in bit fields with
-    one guard bit above each; the sum of two fields with clear guard bits
-    cannot carry into the next field, and it sets its guard bit exactly when
-    it overflows.  So __mul__ checks each product's keys once and raises
-    OverflowError rather than return a wrong polynomial.  A subclass fixes
-    the layout (`guard` holds every guard bit), and two layouts are two
-    classes, so their operands never mix."""
+    monomials is one integer addition.  The master formula runs on it in
+    both modes; FreePoly and WeilPoly are what callers see.
+
+    `packed_kind(name, widths, atoms)` makes the class of a layout.  Field i
+    holds an exponent in widths[i] bits with one guard bit above it, field 0
+    (the lowest) is the genus offset, and the t-exponent, signed and
+    unbounded, sits above every field.  The sum of two fields with clear
+    guard bits cannot carry into the next field, and it sets its guard bit
+    exactly when it overflows; a sum of fields never reaches the t-exponent,
+    and `>>` decodes a negative one exactly.  So __mul__ checks each
+    product's keys once and raises OverflowError rather than return a wrong
+    polynomial.  Two layouts are two classes, so their operands never mix.
+
+    Only `pack` and `unpack` depend on the mode.  A symbolic layout names
+    the FreePoly atom of each field (`atoms`) and keeps the t-exponent 0; an
+    e-form layout has no atoms, and its fields are y, e_1..e_g of a WeilPoly
+    of genus len(widths) - 1.
+    """
 
     __slots__ = ()
-    guard = 0
+    widths = ()  # the bits of each field, genus offset first
+    shifts = ()  # the lowest bit of each field
+    atoms = {}   # symbolic: the FreePoly atom of each field -> its index
+    guard = 0    # every guard bit
+    top = 0      # the lowest bit of the t-exponent
 
     def __init__(self, terms=None):
         super().__init__(0, terms)
+
+    def _key(self, key):
+        if type(key) is not int or key & self.guard or (self.atoms and key >> self.top):
+            raise ValueError(f"{key!r} is not a packed monomial of {type(self).__name__}")
+        return key
 
     def _unit(self):
         return 0
@@ -182,67 +202,61 @@ class _Packed(LaurentPoly):
     def zero(cls):
         return cls()
 
-
-class PackedPoly(_Packed):
-    """FreePoly with packed monomials.  The symbolic master formula runs on
-    it; FreePoly is what callers see.
-
-    `packed_kind(n)` makes the subclass for rank n.  Its key has one bit
-    field per atom, GAMMA_ATOM in the lowest bits and then C[s,k] for
-    s*k <= n in (s, k) order.  A field is wide enough for the largest
-    exponent rank n needs (n for the genus offset, n // (s*k) for C[s,k]).
-    """
-
-    __slots__ = ()
-    layout = {}  # atom -> (shift, width) of its exponent
-    bits = 0     # the fields' total width
-
-    def _key(self, key):
-        if type(key) is not int or key < 0 or key >> self.bits or key & self.guard:
-            raise ValueError(f"{key!r} is not a packed monomial of {type(self).__name__}")
-        return key
-
     @classmethod
-    def pack(cls, p: FreePoly) -> "PackedPoly":
+    def pack(cls, p) -> "PackedPoly":
+        """p, a FreePoly over `atoms` or a WeilPoly of the layout's genus, in
+        this kind."""
+        if cls.atoms:
+            if type(p) is not FreePoly:
+                raise TypeError(f"need a FreePoly for {cls.__name__}")
+            monomials = []
+            for mono, c in p.terms.items():
+                exps = [0] * len(cls.widths)
+                for a, e in mono:
+                    if a not in cls.atoms:
+                        raise ValueError(f"{FreePoly._atom_label(a)} is not in {cls.__name__}")
+                    exps[cls.atoms[a]] = e
+                monomials.append((0, exps, c))
+        else:
+            if type(p) is not WeilPoly or p.g != len(cls.widths) - 1:
+                raise TypeError(f"need a genus-{len(cls.widths) - 1} WeilPoly")
+            monomials = [(et, (ey,) + a, c) for (et, a, ey), c in p.terms.items()]
         terms = {}
-        for mono, c in p.terms.items():
-            key = 0
-            for a, e in mono:
-                if a not in cls.layout:
-                    raise ValueError(f"{FreePoly._atom_label(a)} is not in {cls.__name__}")
-                shift, width = cls.layout[a]
-                if e >> width:
-                    raise OverflowError(f"{FreePoly._atom_label(a)}^{e} overflows its field "
-                                        f"in {cls.__name__}")
-                key |= e << shift
+        for et, exps, c in monomials:
+            key = et << cls.top
+            for e, shift, width in zip(exps, cls.shifts, cls.widths):
+                if not 0 <= e < 1 << width:
+                    raise OverflowError(f"exponent {e} does not fit in {cls.__name__}")
+                key += e << shift
             terms[key] = c
-        return cls(terms)
+        return cls()._new(terms)
 
-    @classmethod
-    def entry(cls, s: int, k: int) -> "PackedPoly":
-        """The symbol C[s,k]; with zero() this makes the class a C-table
-        for count_exponent."""
-        return cls.pack(FreePoly.symbol(s, k))
-
-    def unpack(self) -> FreePoly:
-        """The same polynomial as a FreePoly.  Only the nonzero fields of a
-        key are read, lowest first: the C-symbols come out in (s, k) order
-        and the genus offset, the lowest field, goes last, which is the
-        sorted order of FreePoly's keys."""
-        owner = [None] * self.bits  # bit -> (atom, shift, mask) of its field
-        for a, (shift, width) in self.layout.items():
-            owner[shift:shift + width] = [(a, shift, (1 << width) - 1)] * width
-        gamma_mask = owner[0][2]
-        terms = {}
+    def unpack(self):
+        """The same polynomial as a FreePoly or a WeilPoly.  Symbolic keys
+        are read by their nonzero fields, lowest first: the C-symbols come
+        out in (s, k) order and the genus offset, field 0, goes last, which
+        is the sorted order of FreePoly's keys."""
+        masks = [(1 << width) - 1 for width in self.widths]
+        gamma, top, terms = masks[0], self.top, {}
+        if not self.atoms:
+            low = (1 << top) - 1
+            fields = list(zip(self.shifts[1:], masks[1:]))  # e_1..e_g
+            for key, c in self.terms.items():
+                f = key & low
+                terms[(key >> top, tuple(f >> o & m for o, m in fields), f & gamma)] = c
+            return WeilPoly(len(self.widths) - 1)._new(terms)
+        owner = [None] * top  # bit -> (atom, shift, mask) of its field
+        for a, shift, width, mask in zip(self.atoms, self.shifts, self.widths, masks):
+            owner[shift:shift + width] = [(a, shift, mask)] * width
         for key, c in self.terms.items():
             mono = []
-            rest = key & ~gamma_mask
+            rest = key & ~gamma
             while rest:
                 a, shift, mask = owner[(rest & -rest).bit_length() - 1]
                 mono.append((a, rest >> shift & mask))
                 rest &= ~(mask << shift)
-            if key & gamma_mask:
-                mono.append((GAMMA_ATOM, key & gamma_mask))
+            if key & gamma:
+                mono.append((GAMMA_ATOM, key & gamma))
             terms[tuple(mono)] = c
         return FreePoly()._new(terms)
 
@@ -250,7 +264,7 @@ class PackedPoly(_Packed):
         """Divide by scalar * gamma^power; every monomial must carry the
         power.  The genus offset is the lowest field, so dividing by its
         power is a subtraction."""
-        mask = (1 << self.layout[GAMMA_ATOM][1]) - 1
+        mask = (1 << self.widths[0]) - 1
         terms = {}
         for key, c in self.terms.items():
             if key & mask < gamma_power:
@@ -259,89 +273,28 @@ class PackedPoly(_Packed):
         return self._new(terms)
 
 
-@functools.cache  # one class per rank, so that equal layouts are one type
-def packed_kind(n: int) -> type:
-    """The PackedPoly subclass whose fields hold every monomial of the
-    rank-n master formula."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    bounds = [(GAMMA_ATOM, n)]
-    bounds += [(CSymbol(s, k).atom, n // (s * k))
-               for s in range(1, n + 1) for k in range(1, n // s + 1)]
-    layout, guard, shift = {}, 0, 0
-    for atom, bound in bounds:
-        width = bound.bit_length()
-        layout[atom] = (shift, width)
-        guard |= 1 << (shift + width)
-        shift += width + 1
-    return type(f"PackedPoly{n}", (PackedPoly,),
-                {"__slots__": (), "layout": layout, "guard": guard, "bits": shift})
-
-
-class PackedWeilPoly(_Packed):
-    """WeilPoly with packed monomials.  The concrete master formula runs on
-    it; WeilPoly is what callers see.
-
-    `packed_weil_kind(g, width)` makes the subclass.  Its key is
-    (t << shift) + fields: the genus offset y in the lowest `width` bits and
-    then e_1..e_g, each field `width` bits wide with a guard bit above it,
-    and the t-exponent, signed and unbounded, above every field.  A sum of
-    fields never reaches the t-exponent, and `>>` decodes a negative one
-    exactly.
-    """
-
-    __slots__ = ()
-    genus = 0
-    width = 0
-    shift = 0  # the lowest bit of the t-exponent
-
-    def _key(self, key):
-        if type(key) is not int or key & self.guard:
-            raise ValueError(f"{key!r} is not a packed monomial of {type(self).__name__}")
-        return key
-
-    @classmethod
-    def pack(cls, p: WeilPoly) -> "PackedWeilPoly":
-        if type(p) is not WeilPoly or p.g != cls.genus:
-            raise TypeError(f"need a genus-{cls.genus} WeilPoly")
-        step, top = cls.width + 1, 1 << cls.width
-        terms = {}
-        for (et, a, ey), c in p.terms.items():
-            key = et << cls.shift
-            for i, e in enumerate((ey,) + a):
-                if not 0 <= e < top:
-                    raise OverflowError(f"exponent {e} does not fit in {cls.__name__}")
-                key += e << (i * step)
-            terms[key] = c
-        return cls()._new(terms)
-
-    @classmethod
-    def table(cls, ctable: "CTable"):
-        """The e-form C-table as count_exponent reads it, in this kind: each
-        Frobenius image comes from the table's entry cache and is packed once
-        per view."""
-        return SimpleNamespace(zero=cls.zero,
-                               entry=functools.cache(lambda s, k: cls.pack(ctable.entry(s, k))))
-
-    def unpack(self) -> WeilPoly:
-        """The same polynomial as a WeilPoly."""
-        shift, mask, step = self.shift, (1 << self.width) - 1, self.width + 1
-        low = (1 << shift) - 1
-        offsets = range(step, shift, step)  # e_1..e_g
-        terms = {}
-        for key, c in self.terms.items():
-            f = key & low
-            terms[(key >> shift, tuple(f >> o & mask for o in offsets), f & mask)] = c
-        return WeilPoly(self.genus)._new(terms)
-
-
 @functools.cache  # one class per layout, so that equal layouts are one type
-def packed_weil_kind(g: int, width: int) -> type:
-    """The PackedWeilPoly subclass for genus g with `width`-bit fields."""
-    step = width + 1
-    return type(f"PackedWeilPoly{g}w{width}", (PackedWeilPoly,),
-                {"__slots__": (), "genus": g, "width": width, "shift": (g + 1) * step,
-                 "guard": sum(1 << (i * step + width) for i in range(g + 1))})
+def packed_kind(name: str, widths: tuple, atoms: tuple = ()) -> type:
+    """The PackedPoly subclass with these field widths, and the FreePoly atom
+    of each field for a symbolic layout."""
+    shifts, top = [], 0
+    for width in widths:
+        shifts.append(top)
+        top += width + 1
+    return type(name, (PackedPoly,), {
+        "__slots__": (), "widths": widths, "shifts": tuple(shifts), "top": top,
+        "atoms": {a: i for i, a in enumerate(atoms)},
+        "guard": sum(1 << (shift + width) for shift, width in zip(shifts, widths))})
+
+
+def _symbol_kind(n: int) -> type:
+    """The kind whose fields hold every monomial of the rank-n symbolic
+    master formula: the genus offset, then C[s,k] for s*k <= n in (s, k)
+    order, as wide as n and n // (s*k)."""
+    atoms = [GAMMA_ATOM] + [CSymbol(s, k).atom
+                            for s in range(1, n + 1) for k in range(1, n // s + 1)]
+    widths = [n.bit_length()] + [(n // (a[1] * a[2])).bit_length() for a in atoms[1:]]
+    return packed_kind(f"PackedPoly{n}", tuple(widths), tuple(atoms))
 
 
 def _field_width(n: int, ctable: "CTable") -> int:
@@ -523,18 +476,13 @@ def count_exponent(ctable: CTable, l: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries.from_terms(cap, terms, zero)
 
 
-def _two_g_minus_2(genus):
-    if genus is None:
-        return FreePoly.gamma(coeff=2)
-    return Fraction(2 * genus - 2)
-
-
 def _exp_coeff_concrete(exponent, alpha, a: int):
     """[z^0..z^a] of exp(alpha * exponent) for polynomial coefficients, from
     one recurrence: a list whose entry m is (integer polynomial, rational
     scale) with value polynomial * scale.  It serves both modes of the
-    master formula: alpha is rational for a concrete table and a PackedPoly
-    (2 (g-1) times a rational) for the symbolic one.
+    master formula: alpha is rational for a concrete table (or a symbolic
+    one at a fixed genus) and a packed polynomial, 2 (g-1) times a
+    rational, in the symbolic genus offset.
 
     Denominators are cleared up front so the polynomial convolutions run in
     pure integer arithmetic: with M_m = D alpha E_m integral, the scaled
@@ -570,7 +518,7 @@ def _graded(p: PackedPoly, w: int) -> PackedPoly:
     exponent)."""
     if w == 1:
         return p
-    mask = (1 << p.layout[GAMMA_ATOM][1]) - 1
+    mask = (1 << p.widths[0]) - 1
     return p._new({key: c * w ** (key & mask) for key, c in p.terms.items()})
 
 
@@ -622,14 +570,15 @@ def a_from_c(n: int, genus, ctable: CTable):
 
     genus is an integer >= 2 for the concrete evaluation, or None for the
     symbolic genus-offset variable.  For n = 1 the value is C[1,1] itself
-    and any genus >= 1 is accepted.  Both modes multiply packed monomials,
-    one int each, and convert only on the way in and out.  A concrete
-    table's e-form Frobenius images are packed into
-    `packed_weil_kind(g, width)` (width from `_field_width`) and the result
-    is unpacked into a WeilPoly; no table is converted here, and only a
-    table made from z-form entries gets its result back in z-form.  A
-    symbolic table's symbols are packed into `packed_kind(n)` and the
-    result is unpacked into a FreePoly.
+    and any genus >= 1 is accepted.  Both modes run the same code on
+    packed monomials, one int each (PackedPoly), and convert only on the
+    way in and out: each entry the formula reads is packed once per call,
+    and the result is divided once and unpacked.  A symbolic table's
+    symbols are packed into `_symbol_kind(n)` and the result comes out as a
+    FreePoly.  A concrete table's e-form Frobenius images are packed into
+    fields of the width `_field_width` gives, and the result comes out as a
+    WeilPoly; no table is converted here, and only a table made from z-form
+    entries gets its result back in z-form.
 
     The partition terms are listed first.  Part j of a partition has the
     exp factor [z^(a_j)] exp((2g-2) w/l E_l) with w = s_weight(j), and
@@ -646,13 +595,18 @@ def a_from_c(n: int, genus, ctable: CTable):
     if genus is not None and genus < 2:
         raise ValueError("need genus >= 2 for ranks >= 2")
 
-    chi = _two_g_minus_2(genus)
     if ctable.mode == "symbolic":
-        source = packed_kind(n)  # hands out the symbols as entry(s, k), and zero()
-        if genus is None:
-            chi = source.pack(chi)
+        kind = _symbol_kind(n)
     else:
-        source = packed_weil_kind(ctable.g, _field_width(n, ctable)).table(ctable)
+        width = _field_width(n, ctable)
+        kind = packed_kind(f"PackedWeilPoly{ctable.g}w{width}", (width,) * (ctable.g + 1))
+    # the table as count_exponent reads it: each entry packed once per call
+    source = SimpleNamespace(zero=kind.zero,
+                             entry=functools.cache(lambda s, k: kind.pack(ctable.entry(s, k))))
+    if genus is None:  # chi = 2 (g-1), and the result is divided by 2n (g-1)
+        chi, scalar, gamma_power = kind.pack(FreePoly.gamma(coeff=2)), 2 * n, 1
+    else:
+        chi, scalar, gamma_power = Fraction(2 * genus - 2), n * (2 * genus - 2), 0
     plan = []  # (mu(l) / number of parts, factor keys (l, a_j, w)) per term
     for l in divisors(n):
         mu = mobius(l)
@@ -677,9 +631,7 @@ def a_from_c(n: int, genus, ctable: CTable):
         for key in keys[1:]:
             term = term * factors[key][0]
         numerator = numerator + term
-    if genus is None:
-        return numerator.divide_exact(2 * n * common, gamma_power=1).unpack()
-    result = (numerator * Fraction(1, common * n * (2 * genus - 2))).unpack()
+    result = numerator.divide_exact(scalar * common, gamma_power).unpack()
     return result.to_laurent() if ctable.z_form else result
 
 

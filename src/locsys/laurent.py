@@ -10,9 +10,9 @@ and JSON serialization byte-reproducible.
 
 LaurentPoly's ring structure is the package's one sparse-polynomial kernel;
 the e-form (WeilPoly, below), the free symbols of the master formula
-(counting.FreePoly) and the packed kinds the master formula multiplies
-(counting.PackedPoly and counting.PackedWeilPoly, one int per monomial) are
-subclasses that differ only in their monomial keys.
+(counting.FreePoly) and the packed kind the master formula multiplies in
+both modes (counting.PackedPoly, one int per monomial) are subclasses that
+differ only in their monomial keys.
 
 A curve is its integer zeta numerator.  Its Frobenius power sums give, in
 integers, the power sums of w_i = a_i^k + q^k/a_i^k over the g Frobenius
@@ -115,14 +115,13 @@ class LaurentPoly:
 
     The ring structure below is the one polynomial kernel of the package: a
     dict from monomial keys to int/Fraction coefficients, normalised through
-    _coeff, with +, -, *, powers, equality and hashing.  Five monomial kinds
+    _coeff, with +, -, *, powers, equality and hashing.  Four monomial kinds
     run on it: the z-form here and the e-form (WeilPoly), the free symbols of
-    the master formula as tuples (counting.FreePoly), and the symbols and the
-    e-form with each monomial packed into one int (counting.PackedPoly and
-    counting.PackedWeilPoly, which the master formula multiplies).  Each
-    class supplies only its key validation (_key), monomial product
-    (_mono_row), unit key (_unit) and how one monomial renders; operands of
-    different classes never mix.
+    the master formula as tuples (counting.FreePoly), and the symbols or the
+    e-form with each monomial packed into one int (counting.PackedPoly,
+    which the master formula multiplies).  Each class supplies only its key
+    validation (_key), monomial product (_mono_row), unit key (_unit) and
+    how one monomial renders; operands of different classes never mix.
     """
 
     __slots__ = ("g", "terms")

@@ -53,12 +53,19 @@ def value(f, x):
     return v
 
 
+def remainder_chain(f0, f1):
+    """The signed remainder chain f0, f1, f2, ... with f_(i+1) = -(f_(i-1)
+    mod f_i), up to the last nonzero one (f1 nonzero)."""
+    chain = [f0, f1]
+    while rem := divmod_(chain[-2], chain[-1])[1]:
+        chain.append([-c for c in rem])
+    return chain
+
+
 def sturm_count(f, lo, hi):
     """Distinct real roots of a squarefree f in (lo, hi] (Sturm's theorem;
     zeros are dropped when sign changes are counted)."""
-    chain = [f, derivative(f)]
-    while rem := divmod_(chain[-2], chain[-1])[1]:
-        chain.append([-c for c in rem])
+    chain = remainder_chain(f, derivative(f))
 
     def changes(x):
         signs = [v > 0 for v in (value(p, x) for p in chain) if v]

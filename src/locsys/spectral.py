@@ -694,9 +694,7 @@ def _cauchy_index(f0, f1) -> int:
     +inf minus jumps from +inf to -inf), from the signed remainder chain."""
     if not f1:
         return 0
-    chain = [f0, f1]
-    while rem := polyq.divmod_(chain[-2], chain[-1])[1]:
-        chain.append([-c for c in rem])
+    chain = polyq.remainder_chain(f0, f1)
     return _sign_changes(chain, False) - _sign_changes(chain, True)
 
 

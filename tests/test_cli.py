@@ -100,7 +100,9 @@ class TestSymbolicCommands:
 # sha256 of stdout, recorded before FreePoly moved onto LaurentPoly's kernel
 # and the symbolic master formula onto _exp_coeff_concrete (ranks 11-14:
 # before the master formula memoized its exp factors and summed in integers;
-# ranks 15-16: before the symbolic master formula ran on packed monomials)
+# ranks 15-16: before the symbolic master formula ran on packed monomials;
+# ranks 17-20, the widest packed layouts, one form each: before the symbolic
+# and e-form packed kinds became one)
 PINNED_STDOUT = {
     "a-symbolic --n 1":
         "d2e4284bd50d82a733fab8da140315e19297e93970982729b92210fc722f9eee",
@@ -166,6 +168,14 @@ PINNED_STDOUT = {
         "67961af4ccdd535a12916a3bc6bcdc8ff06a2996138330da4a9bd6ae391b6092",
     "--json a-symbolic --n 16":
         "57a1236b5602000d59307adfbf21b624eb662bd5116632fed4386de20bb78339",
+    "a-symbolic --n 17":
+        "043e0645e9498bed0c30633d96794c72f4a075835f5c7c5736196dae40082863",
+    "--json a-symbolic --n 18":
+        "d055ef0a3ba869a1d1d786c861593f72a559b0c439508d43e53918b7d05c5995",
+    "a-symbolic --n 19":
+        "2566681b72d4b3d517b7c3bb24cc7ebf194bf0241848b3940d792a465d929c09",
+    "--json a-symbolic --n 20":
+        "4494534e939afab004c90750406009e6eecdb46c1e0e1c0b5142db8af4aba035",
     "d-count --n 4 --d 2":
         "42d364bb87fd3d5c1a39354eb701aae8affdab842f54ef1800a47a310fc74076",
     "--json d-count --n 4 --d 2":
@@ -208,12 +218,18 @@ def planted_entries(g, n):
 
 
 # sha256 of `qgn --json` stdout and of its --emit-ctable file, recorded before
-# the master formula memoized its exp factors and summed in integers
+# the master formula memoized its exp factors and summed in integers (cells
+# (4, 3) and (3, 5), a genus-4 and a rank-5 e-form layout: before the
+# symbolic and e-form packed kinds became one)
 PINNED_QGN = {
     (2, 5): ("612a0268e38a746e0713ac9d5dee6d4cb0e1460fad7f9cf0d39661bd8400ede5",
              "351fcef429e6cba3ea526f039f02401fe2092c86b8db393905f51e57008e5cfb"),
     (3, 4): ("99d7555913f1c444699ab68df7c6103e4f8e2710ca9f8e5952ed612b1f3a51ec",
              "f96d29afc5906314bcab1a85ba10bda8bcfc80a1d323a453973b2db0170c366a"),
+    (4, 3): ("35e844fe0d900bd927e3eabcb5097e2b051cd415e5d8cfddc193e8ebbc587487",
+             "4a21770ef7f37b058bce4cc2fc1b3fbcc5ae90113faa78eff3a148e31df58b0c"),
+    (3, 5): ("4172bc61badf86681a4d0d94db978903e960a1323cf59bf14bbb8536a751ab51",
+             "7931b80e66346de14c3250998fbf8d02d7d8504dbcaf2429dfb6354e0d528f92"),
 }
 
 
@@ -1394,6 +1410,15 @@ class TestIterationsCap:
     def test_cap_in_run_suite(self, no_items):
         with pytest.raises(ValueError, match=f"<= {verify.MAX_ITERATIONS},"):
             verify.run_suite("matr", iterations=verify.MAX_ITERATIONS + 1)
+
+    def test_delta_reads_iterations_as_an_entry_bound(self):
+        """delta's --iterations bounds each orbit length and fix, capped at
+        8: 8 and 9 build the same items (the lists only, no check runs)."""
+        at_cap = verify.suite_delta(0, 8)
+        assert verify.suite_delta(0, 9) == at_cap and len(at_cap) == 47904
+        assert max(max(f["lengths"] + f["fixes"]) for _, f in at_cap) == 8
+        assert verify.suite_delta(0, 1) == verify.suite_delta(0, 2)
+        assert len(verify.suite_delta(0, None)) == 9138
 
 
 class TestPipelineInversion:

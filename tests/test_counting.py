@@ -18,10 +18,10 @@ from locsys.counting import (
     FreePoly,
     IntegralityError,
     PackedPoly,
-    PackedWeilPoly,
     _exp_coeff_concrete,
     _exp_factors,
     _field_width,
+    _symbol_kind,
     a_from_c,
     c_from_a,
     count_exponent,
@@ -29,7 +29,6 @@ from locsys.counting import (
     inertial_class_count,
     linear_part_check,
     packed_kind,
-    packed_weil_kind,
     pgn_report,
     pic_quotient,
 )
@@ -171,7 +170,7 @@ class TestMasterFormula:
         # an integer genus on a symbolic table is (g-1) -> g-1
         for n, g in ((3, 2), (5, 3)):
             general = a_from_c(n, None, CTable.symbolic())
-            values = {a: FreePoly.atom(a) for a in packed_kind(n).layout}
+            values = {a: FreePoly.atom(a) for a in _symbol_kind(n).atoms}
             values[GAMMA_ATOM] = FreePoly.const(g - 1)
             got = a_from_c(n, g, CTable.symbolic())
             assert type(got) is FreePoly
@@ -181,7 +180,7 @@ class TestMasterFormula:
 def _random_free(rng, kind, share):
     """A random FreePoly over the atoms of `kind`, with every exponent at
     most 1/share of its field, so that products of `share` factors fit."""
-    room = {a: ((1 << width) - 1) // share for a, (_shift, width) in kind.layout.items()}
+    room = {a: ((1 << width) - 1) // share for a, width in zip(kind.atoms, kind.widths)}
     atoms = [a for a, r in room.items() if r]
     terms = {}
     for _ in range(rng.randint(0, 6)):
@@ -195,15 +194,17 @@ def _random_packed(rng, kind):
     terms = {}
     for _ in range(rng.randint(0, 6)):
         key = 0
-        for shift, width in rng.sample(sorted(kind.layout.values()), rng.randint(0, min(4, len(kind.layout)))):
+        fields = list(zip(kind.shifts, kind.widths))
+        for shift, width in rng.sample(fields, rng.randint(0, min(4, len(fields)))):
             key |= rng.randint(0, (1 << width) - 1) << shift
         terms[key] = rng.randint(-9, 9)
     return kind(terms)
 
 
 def free_divide_exact(p, scalar, gamma_power=0):
-    """The reference for PackedPoly.divide_exact: divide the FreePoly p by
-    scalar * gamma^power; every monomial must carry the power."""
+    """The reference for PackedPoly.divide_exact on symbols: divide the
+    FreePoly p by scalar * gamma^power; every monomial must carry the
+    power."""
     terms = {}
     for m, c in p.terms.items():
         d = dict(m)
@@ -218,12 +219,23 @@ def free_divide_exact(p, scalar, gamma_power=0):
     return p._new(terms)
 
 
+def weil_kind(g, width):
+    """The packed e-form kind of genus g with `width`-bit fields, as a_from_c
+    makes it."""
+    return packed_kind(f"PackedWeilPoly{g}w{width}", (width,) * (g + 1))
+
+
+def packed_symbol(kind, s, k):
+    return kind.pack(FreePoly.symbol(s, k))
+
+
 class TestPackedPoly:
-    """The packed kind against FreePoly, on a seeded grid of ranks."""
+    """The packed kind on symbolic layouts against FreePoly, on a seeded
+    grid of ranks."""
 
     @pytest.mark.parametrize("n", [2, 5, 12, 17])
     def test_agrees_with_free_poly(self, n):
-        kind = packed_kind(n)
+        kind = _symbol_kind(n)
         rng = random.Random(f"packed:{n}")
         for _ in range(60):
             p, q = _random_free(rng, kind, 3), _random_free(rng, kind, 3)
@@ -241,7 +253,7 @@ class TestPackedPoly:
 
     @pytest.mark.parametrize("n", [1, 3, 16])
     def test_packed_round_trip(self, n):
-        kind = packed_kind(n)
+        kind = _symbol_kind(n)
         rng = random.Random(f"round:{n}")
         for _ in range(200):
             packed = _random_packed(rng, kind)
@@ -250,7 +262,7 @@ class TestPackedPoly:
             assert kind.pack(free) == packed
 
     def test_divide_exact_needs_the_gamma_power(self):
-        kind = packed_kind(4)
+        kind = _symbol_kind(4)
         p = FreePoly.gamma() * FreePoly.symbol(1, 1) + FreePoly.symbol(2, 1)
         with pytest.raises(IntegralityError):
             free_divide_exact(p, 2, gamma_power=1)
@@ -258,18 +270,20 @@ class TestPackedPoly:
             kind.pack(p).divide_exact(2, gamma_power=1)
 
     def test_layout_is_fixed(self):
-        kind = packed_kind(3)
-        assert kind is packed_kind(3) and issubclass(kind, PackedPoly)
-        # genus offset first, then C[s,k] in (s, k) order; a guard bit each
-        assert list(kind.layout.items()) == [
-            (GAMMA_ATOM, (0, 2)), (("C", 1, 1), (3, 2)), (("C", 1, 2), (6, 1)),
-            (("C", 1, 3), (8, 1)), (("C", 2, 1), (10, 1)), (("C", 3, 1), (12, 1))]
-        assert kind.guard == sum(1 << b for b in (2, 5, 7, 9, 11, 13)) and kind.bits == 14
+        kind = _symbol_kind(3)
+        assert kind is _symbol_kind(3) and issubclass(kind, PackedPoly)
+        assert kind.__name__ == "PackedPoly3"
+        # genus offset first, then C[s,k] in (s, k) order; a guard bit each,
+        # and the t-exponent above every field
+        assert list(kind.atoms) == [GAMMA_ATOM, ("C", 1, 1), ("C", 1, 2), ("C", 1, 3),
+                                    ("C", 2, 1), ("C", 3, 1)]
+        assert kind.widths == (2, 2, 1, 1, 1, 1) and kind.shifts == (0, 3, 6, 8, 10, 12)
+        assert kind.guard == sum(1 << b for b in (2, 5, 7, 9, 11, 13)) and kind.top == 14
 
     def test_carry_raises(self):
         # C[1,1] has 3 bits at rank 4: x^4 fits, x^8 would carry into C[1,2]
-        kind = packed_kind(4)
-        x = kind.entry(1, 1)
+        kind = _symbol_kind(4)
+        x = packed_symbol(kind, 1, 1)
         x4 = (x * x) * (x * x)
         assert x4.unpack() == FreePoly.symbol(1, 1) ** 4
         with pytest.raises(OverflowError):
@@ -277,7 +291,7 @@ class TestPackedPoly:
         with pytest.raises(OverflowError):
             x4 ** 2
         # the top field has a guard bit too
-        top = kind.entry(4, 1)
+        top = packed_symbol(kind, 4, 1)
         with pytest.raises(OverflowError):
             top * top
         gamma = kind.pack(FreePoly.gamma())
@@ -285,18 +299,23 @@ class TestPackedPoly:
             gamma ** 8
 
     def test_rejects_what_does_not_fit(self):
-        kind = packed_kind(4)
+        kind = _symbol_kind(4)
         with pytest.raises(OverflowError):
             kind.pack(FreePoly.symbol(1, 1) ** 8)
+        with pytest.raises(OverflowError):
+            kind.pack(FreePoly({((("C", 1, 1), -1),): 1}))
         with pytest.raises(ValueError, match=r"C\[5,1\] is not in PackedPoly4"):
             kind.pack(FreePoly.symbol(5, 1))
-        for key in (-1, 1 << kind.bits, 1 << kind.layout[GAMMA_ATOM][1], "x"):
+        # a negative key, a t-exponent (symbols have none), a guard bit, not an int
+        for key in (-1, 1 << kind.top, 1 << kind.widths[0], "x"):
             with pytest.raises(ValueError):
                 kind({key: 1})
         with pytest.raises(TypeError):
-            kind.entry(1, 1) * packed_kind(5).entry(1, 1)
+            packed_symbol(kind, 1, 1) * packed_symbol(_symbol_kind(5), 1, 1)
         with pytest.raises(TypeError):
-            kind.entry(1, 1) + FreePoly.symbol(1, 1)
+            packed_symbol(kind, 1, 1) + FreePoly.symbol(1, 1)
+        with pytest.raises(TypeError):
+            kind.pack(WeilPoly.const(2, 1))
 
 
 def _random_weil(rng, g, top):
@@ -310,14 +329,15 @@ def _random_weil(rng, g, top):
 
 
 class TestPackedWeilPoly:
-    """The packed e-form kind against WeilPoly's tuple keys."""
+    """The packed kind on e-form layouts against WeilPoly's tuple keys."""
 
     @pytest.mark.parametrize("g", [0, 2, 4])
     def test_round_trip(self, g):
         rng = random.Random(f"weil-round:{g}")
         for width in (0, 1, 3, 7):
-            kind = packed_weil_kind(g, width)
-            assert issubclass(kind, PackedWeilPoly) and kind is packed_weil_kind(g, width)
+            kind = weil_kind(g, width)
+            assert issubclass(kind, PackedPoly) and kind is weil_kind(g, width)
+            assert kind.__name__ == f"PackedWeilPoly{g}w{width}" and not kind.atoms
             for _ in range(40):
                 p = _random_weil(rng, g, (1 << width) - 1)
                 packed = kind.pack(p)
@@ -328,7 +348,7 @@ class TestPackedWeilPoly:
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_agrees_with_weil_poly(self, g):
         rng = random.Random(f"weil-ring:{g}")
-        kind = packed_weil_kind(g, 5)
+        kind = weil_kind(g, 5)
         for _ in range(60):
             p, q = _random_weil(rng, g, 10), _random_weil(rng, g, 10)
             pp, pq = kind.pack(p), kind.pack(q)
@@ -340,9 +360,10 @@ class TestPackedWeilPoly:
             assert (pp ** 3).unpack() == p ** 3
             assert (pp ** 0).unpack() == WeilPoly.const(g, 1)
             assert (-pp).unpack() == -p
+            assert pp.divide_exact(6).unpack() == p * Fraction(1, 6)
 
     def test_carry_raises(self):
-        kind = packed_weil_kind(2, 3)  # exponents up to 7
+        kind = weil_kind(2, 3)  # exponents up to 7
         for key in ((0, (4, 0), 0), (-3, (0, 7), 0), (2, (0, 0), 4)):
             x = kind.pack(WeilPoly(2, {key: 1}))
             with pytest.raises(OverflowError):
@@ -358,20 +379,20 @@ class TestPackedWeilPoly:
             2, {(-5, (7, 7), 7): 1, (-2, (4, 3), 0): 3})
 
     def test_rejects_what_does_not_fit(self):
-        kind = packed_weil_kind(2, 3)
+        kind = weil_kind(2, 3)
         for key in ((0, (8, 0), 0), (0, (0, 8), 0), (0, (0, 0), 8), (0, (-1, 0), 0)):
             with pytest.raises(OverflowError):
                 kind.pack(WeilPoly(2, {key: 1}))
-        for bad in (WeilPoly(3, {(0, (1, 0, 0), 0): 1}), LaurentPoly.const(2, 1)):
+        for bad in (WeilPoly(3, {(0, (1, 0, 0), 0): 1}), LaurentPoly.const(2, 1), FreePoly.const(1)):
             with pytest.raises(TypeError):
                 kind.pack(bad)
         for key in (1 << 3, 1 << 7, -1, "x"):  # guard bits set, or not an int
             with pytest.raises(ValueError):
                 kind({key: 1})
         with pytest.raises(TypeError):
-            kind.pack(WeilPoly.const(2, 1)) * packed_weil_kind(2, 4).pack(WeilPoly.const(2, 1))
+            kind.pack(WeilPoly.const(2, 1)) * weil_kind(2, 4).pack(WeilPoly.const(2, 1))
         with pytest.raises(TypeError):
-            kind.zero() + packed_kind(2).zero()
+            kind.zero() + _symbol_kind(2).zero()
 
     def test_table_at_the_width_bound(self, monkeypatch):
         """C_1 = e_1^5 + y^5 + ..., C_2 and C_3 of the same ratio 5: the rank-3

@@ -4,16 +4,18 @@ A check that no input can make fail guards nothing.  Each test below makes
 one verdict fail: where the checked statement is a theorem for every valid
 input, by perturbing one of its two independent sides with monkeypatch;
 then it reads the verdict where a user would, through `verify --replay` or
-`verify <suite>`, and asserts FAIL with exit code 1.
+`verify <suite>`, and asserts FAIL with exit code 1.  The power transform,
+which no suite runs, is read where `eval` calls it.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from locsys import cli, counting, integrality, spectral, verify
+from locsys import cli, cones, counting, integrality, laurent, spectral, verify
 from locsys.counting import ATable, CTable, ConsistencyError, a_from_c, c_from_a
-from locsys.laurent import pic_polynomial
+from locsys.laurent import CurveInput, evaluate_at_curve, graeffe_power, pic_polynomial
 from locsys.spectral import DiscretePairDatum, TheoremViolation, det_slope_identities_check
 
 
@@ -45,6 +47,24 @@ class TestIntegrality:
         inst = integrality.DivisibilityInstance.from_obj(self.INSTANCE)
         with pytest.raises(integrality.DivisibilityFailure, match="not divisible by 8"):
             integrality.divisibility_check(inst)
+        assert replay(capsys, tmp_path, "integrality", self.INSTANCE) == (
+            1, "replay integrality: FAIL\n")
+
+
+    def test_non_integer_sum_fails(self, capsys, tmp_path, monkeypatch):
+        # a half added to the first binomial only: the l = 1 and l = 2 terms
+        # no longer add up to an integer
+        binom_ring, calls = integrality.binom_ring, []
+
+        def first_plus_half(top, k):
+            calls.append(k)
+            return binom_ring(top, k) + (Fraction(1, 2) if len(calls) == 1 else 0)
+
+        monkeypatch.setattr(integrality, "binom_ring", first_plus_half)
+        inst = integrality.DivisibilityInstance.from_obj(self.INSTANCE)
+        with pytest.raises(integrality.DivisibilityFailure, match="not an integer"):
+            integrality.alternating_binomial_sum(inst)
+        calls.clear()
         assert replay(capsys, tmp_path, "integrality", self.INSTANCE) == (
             1, "replay integrality: FAIL\n")
 
@@ -136,6 +156,101 @@ class TestPairMatrix:
         assert replay(capsys, tmp_path, "matr", self.INSTANCE) == (
             1, "replay matr: FAIL\n  error: TheoremViolation: row sums of the pair matrix "
                "do not vanish\n")
+
+
+    @staticmethod
+    def moved_x(monkeypatch, moves, diagonal=None):
+        """Add moves[(i, j)] to the zero-pole count of blocks i, j, and
+        diagonal[i] to the diagonal term of block i."""
+        pair_xy = spectral._pair_xy
+
+        def moved(d):
+            x, y = pair_xy(d)
+            return ({key: v + moves.get(key, 0) for key, v in x.items()},
+                    {i: v + (diagonal or {}).get(i, 0) for i, v in y.items()})
+
+        monkeypatch.setattr(spectral, "_pair_xy", moved)
+
+    # one orbit of length 1 per block, so vertex i is block i
+    BLOCKS = [{"d": 1, "nu": 1, "fix": 1, "m": 1, "orbits": [1]},
+              {"d": 1, "nu": 2, "fix": 1, "m": 1, "orbits": [1]},
+              {"d": 2, "nu": 1, "fix": 2, "m": 1, "orbits": [1]}]
+
+    def test_column_sums_checked(self, capsys, tmp_path, monkeypatch):
+        instance = {"g": 2, "blocks": self.BLOCKS[:2]}
+        assert replay(capsys, tmp_path, "matr", instance) == (0, "replay matr: PASS\n")
+        # entry (0, 1) and the diagonal of row 0 move together: every row
+        # still sums to zero, columns 0 and 1 do not
+        self.moved_x(monkeypatch, {(0, 1): 1}, {0: 1})
+        with pytest.raises(TheoremViolation, match="column sums"):
+            spectral.pair_matrix(DiscretePairDatum.from_obj(instance))
+        assert replay(capsys, tmp_path, "matr", instance) == (
+            1, "replay matr: FAIL\n  error: TheoremViolation: column sums of the pair matrix "
+               "do not vanish\n")
+
+    def test_symmetry_checked(self, capsys, tmp_path, monkeypatch):
+        instance = {"g": 2, "blocks": self.BLOCKS}
+        assert replay(capsys, tmp_path, "matr", instance) == (0, "replay matr: PASS\n")
+        # a 3-cycle: +1 on (0, 1), (1, 2), (2, 0) and -1 on the transposes
+        # keeps every row and column sum, and breaks the symmetry
+        self.moved_x(monkeypatch, {(0, 1): 1, (1, 2): 1, (2, 0): 1,
+                                   (1, 0): -1, (2, 1): -1, (0, 2): -1})
+        with pytest.raises(TheoremViolation, match="not symmetric"):
+            spectral.pair_matrix(DiscretePairDatum.from_obj(instance))
+        assert replay(capsys, tmp_path, "matr", instance) == (
+            1, "replay matr: FAIL\n  error: TheoremViolation: pair matrix is not symmetric\n")
+
+
+class TestConeSupport:
+    INSTANCE = {"kind": "support", "p": [1, 1], "T": [[2, -2], [5, 1]], "e": 0}
+
+    def test_kernel_outside_a_shrunk_box_fails(self, capsys, tmp_path, monkeypatch):
+        assert replay(capsys, tmp_path, "cones", self.INSTANCE) == (0, "replay cones: PASS\n")
+        # the certified box one short at the top: its top row is scanned as
+        # outside, and the kernel does not vanish there
+        box = cones.gamma_support_box
+        monkeypatch.setattr(cones, "gamma_support_box",
+                            lambda p, T, e=0: [(lo, hi - 1) for lo, hi in box(p, T, e)])
+        assert not cones.gamma_support_bound_check([1, 1], self.INSTANCE["T"])
+        assert replay(capsys, tmp_path, "cones", self.INSTANCE) == (1, "replay cones: FAIL\n")
+
+
+class TestConeFourierAverage:
+    INSTANCE = {"kind": "fourier", "sizes": [1, 1], "e": 0, "lam": [["2", "1"], ["1", "-3"]]}
+
+    def test_closed_form_off_by_one_fails(self, capsys, tmp_path, monkeypatch):
+        assert replay(capsys, tmp_path, "lattice", self.INSTANCE) == (
+            0, "replay lattice: PASS\n")
+        # the closed form is the degree-e side only; the average is built
+        # from the floor monomials
+        shifted(monkeypatch, spectral, "cone_closed_form")
+        assert not spectral.cone_fourier_average_check([1, 1], 0, self.INSTANCE["lam"])
+        assert replay(capsys, tmp_path, "lattice", self.INSTANCE) == (
+            1, "replay lattice: FAIL\n")
+
+
+class TestPowerTransform:
+    def test_non_integer_power_transform_raises(self, monkeypatch):
+        """Newton's identities divide by m; a power sum p_2 off by one makes
+        e_2 a half-integer, which raises rather than round.  Both callers
+        that `eval` runs, the curve evaluation and the power transform, say
+        so."""
+        curve = CurveInput(2, 2, [1, 0, 3, 0, 4])
+        poly = pic_polynomial(2)
+        assert graeffe_power(curve, 1) == curve.numerator
+        assert evaluate_at_curve(poly, curve, 1, 1) == sum(curve.numerator)
+        power_sums = laurent._power_sums_from_coeffs
+
+        def p2_plus_one(b, count):
+            p = power_sums(b, count)
+            p[2] += 1
+            return p
+
+        monkeypatch.setattr(laurent, "_power_sums_from_coeffs", p2_plus_one)
+        with pytest.raises(ArithmeticError, match="power transform produced a non-integer"):
+            graeffe_power(curve, 1)
+        with pytest.raises(ArithmeticError, match="power transform produced a non-integer"):
+            evaluate_at_curve(poly, curve, 1, 1)
 
 
 class TestInversion:
