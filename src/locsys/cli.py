@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 
@@ -35,6 +36,12 @@ SUITE_NAMES = ("kappa", "matrix-tree", "matr", "delta", "gm-family", "cones", "l
 # the largest a-symbolic rank: rank 20 takes about 0.8 s, and each rank
 # above costs 1.4-2 times the one below (21 and 22 about 1.1 and 2.2 s)
 A_SYMBOLIC_MAX_RANK = 20
+# the largest eval --k: at 10000, a rank-1 count on a genus-3 curve over F_5
+# takes about 0.3 s and A[3,4] there about 2.6 s; the cost grows with k^2
+EVAL_MAX_K = 10000
+# the largest euler --g: at 10000, --n 30030 (six primes) prints 89,564
+# digits in about 0.34 s; the cost grows with g^2
+EULER_MAX_GENUS = 10000
 
 
 class CheckFailure(RuntimeError):
@@ -138,6 +145,8 @@ def cmd_qgn(args):
 def cmd_euler(args):
     from .counting import euler_characteristic
 
+    if args.g > EULER_MAX_GENUS:
+        raise ValueError(f"euler takes --g up to {EULER_MAX_GENUS}, not {args.g}")
     value = euler_characteristic(args.n, args.g)
     with _any_digits():
         _print(args, {"n": args.n, "g": args.g, "euler": value},
@@ -157,6 +166,8 @@ def cmd_d_count(args):
 def cmd_eval(args):
     if args.n < 1:
         raise ValueError("need n >= 1")
+    if args.k > EVAL_MAX_K:
+        raise ValueError(f"eval takes --k up to {EVAL_MAX_K}, not {args.k}")
     if args.n == 1 and args.pgn is not None:
         raise ValueError("eval --n 1 takes no --pgn: the rank-1 polynomial is built in")
     with _open(args.curve) as fh:
@@ -263,9 +274,12 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    # keep no reference to the parser, so that the collector can free its
-    # reference cycles while the command runs
+    # keep no reference to the parser, and free its reference cycles (about
+    # 220 objects) before the command runs rather than at the collector's next
+    # run, so that a caller in the same process is not left holding them; a
+    # young-generation collection here costs about what that run would
     args = build_parser().parse_args(argv)
+    gc.collect(0)
     try:
         return args.func(args)
     except (CheckFailure, DivisibilityError, IntegralityError) as exc:

@@ -73,21 +73,6 @@ def _coeff(c):
     raise TypeError(f"unsupported coefficient {c!r}")
 
 
-def _read_rational(s):
-    """The rational the string s names under Fraction's grammar, normalised
-    as _coeff does; raises as Fraction(s) does.  A plain decimal integer
-    (ASCII digits, at most one leading "-") is read with int(), which gives
-    Fraction's value without its regex; every other spelling ("+3", " 3",
-    "1_0", "3.0", digits of other scripts) and a string int() refuses go to
-    Fraction."""
-    if s.isascii() and s[s.startswith("-"):].isdigit():
-        try:
-            return int(s)
-        except ValueError:
-            pass
-    return _coeff(Fraction(s))
-
-
 def render_terms(pairs):
     """The signed sum of (monomial text, coefficient) pairs, in the given
     order; empty text is the constant monomial and no pairs render as 0."""
@@ -388,7 +373,11 @@ class LaurentPoly:
         """Read to_obj's form, a z-form LaurentPoly; g and every exponent
         must be a JSON integer (a float, bool or string is rejected, not
         truncated), and a coefficient a rational string such as "3/2" or a
-        JSON integer.
+        JSON integer.  A string is read under Fraction's grammar; a plain
+        decimal integer (ASCII digits, at most one leading "-") is read with
+        int(), which gives Fraction's value without its regex, and every
+        other spelling ("+3", " 3", "1_0", "3.0", digits of other scripts)
+        goes to Fraction.  Past the interpreter's digit limit both raise.
 
         Each term is checked and converted once, and the terms go to the
         polynomial without a second normalisation.  The errors come in the
@@ -407,14 +396,15 @@ class LaurentPoly:
             for term in obj["terms"]:
                 key = (term["t"], tuple(term["z"]), term.get("gamma", 0))
                 t, z, gamma = key
-                if type(t) is not int or type(gamma) is not int or not all(type(e) is int for e in z):
+                if type(t) is not int or type(gamma) is not int or [e for e in z if type(e) is not int]:
                     raise ValueError(f"malformed polynomial JSON: non-integer exponent in {key}")
                 if key in terms:
                     raise ValueError(f"malformed polynomial JSON: duplicate term {key}")
                 c = term["c"]
                 if type(c) is str:
                     try:
-                        c = _read_rational(c)
+                        c = (int(c) if c.isascii() and c[c.startswith("-"):].isdigit()
+                             else _coeff(Fraction(c)))
                     except (ValueError, ZeroDivisionError):
                         raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
                                          "is not a rational number") from None
@@ -514,34 +504,51 @@ class WeilPoly(LaurentPoly):
         """The e-form of a Weil-invariant z-form polynomial.
 
         Each Weil orbit has one member with all z-exponents >= 0 sorted in
-        descending order (mu); the orbit sum of t^a z^mu y^b is t^a y^b M_mu.
-        Raises InvarianceError when some orbit has a member that is missing or
-        carries a different coefficient.  Each distinct z-exponent vector's
-        (mu, t-shift) is worked out once per call.
+        descending order (mu), its representative; the orbit sum of
+        t^a z^mu y^b is t^a y^b M_mu.  Raises InvarianceError when some orbit
+        has a member that is missing or carries a different coefficient.
+
+        One scan checks this.  A term that is not a representative needs its
+        representative present with the same coefficient (one lookup), and a
+        representative adds its orbit size to a running total.  That is
+        enough: the terms are distinct keys, each lies in the orbit of
+        exactly one present representative, and an orbit holds at most
+        |orbit| of them; so the terms number at most the total, with
+        equality exactly when every orbit is full.  The e-form is then
+        c t^a y^b M_mu summed over the representatives into one dict.  Each
+        distinct z-exponent vector's shape is worked out once per call.
         """
         if type(p) is not LaurentPoly:
             raise TypeError("need a z-form LaurentPoly")
         g, terms = p.g, p.terms
-        members = {}
+        get = terms.get
         shapes = {}
+        reps = []
+        covered = 0
         for (et, ez, ey), c in terms.items():
             shape = shapes.get(ez)
             if shape is None:
-                shape = shapes[ez] = _orbit_rep(ez)
-            mu, dt = shape
-            rep = (et + dt, mu, ey)
-            if terms.get(rep) != c:
+                mu, dt = _orbit_rep(ez)
+                # (mu, t-shift, orbit size, M_mu's terms), the last two for a
+                # representative only
+                shape = shapes[ez] = ((mu, 0, len(_orbit(mu)), _orbit_sum(g, mu).terms.items())
+                                      if ez == mu else (mu, dt, 0, None))
+            mu, dt, size, orbit_terms = shape
+            if size:
+                covered += size
+                reps.append((et, ey, c, orbit_terms))
+            elif get((et + dt, mu, ey)) != c:
                 raise InvarianceError("polynomial is not Weil-invariant")
-            members[rep] = members.get(rep, 0) + 1
-        by_mu = {}
-        for rep, count in members.items():
-            et, mu, ey = rep
-            if count != len(_orbit(mu)):
-                raise InvarianceError("polynomial is not Weil-invariant")
-            by_mu.setdefault(mu, {})[(et, (0,) * g, ey)] = terms[rep]
-        out = cls.zero(g)
-        for mu, coeffs in by_mu.items():
-            out = out + cls(g, coeffs) * _orbit_sum(g, mu)
+        if covered != len(terms):
+            raise InvarianceError("polynomial is not Weil-invariant")
+        acc = {}
+        acc_get = acc.get
+        for et, ey, c, orbit_terms in reps:
+            for (mt, ma, my), mc in orbit_terms:
+                k = (et + mt, ma, ey + my)
+                acc[k] = acc_get(k, 0) + c * mc
+        out = cls(g)
+        out.terms = {k: c for k, c in acc.items() if c}
         return out
 
     def to_laurent(self) -> LaurentPoly:

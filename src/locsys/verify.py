@@ -680,6 +680,12 @@ def suite_integrality(seed, iterations):
 
 
 def suite_combinat(seed, iterations):
+    """Partition counts for n <= 40, Mobius sums for n <= 2000, the
+    Mobius-divisor identity on an 8 x 8 x 8 grid, and seeded cycle and
+    convolution items for every m <= 12 and divisor xi of m.  Only the last
+    are random, drawn max(1, iterations // 10) times per (m, xi) (5 by
+    default): `iterations` counts rounds of ten, so 1 to 19 build the same
+    2,622 items and 20 builds 2,692."""
     rng = _rng(seed, "combinat")
     iterations = iterations or 50
     instances = []

@@ -3,9 +3,11 @@ needs: evaluating a FreePoly at ring values, the oracle the symbolic and
 concrete master formulas are compared through; the concrete master formula
 on WeilPoly's tuple keys, which the packed one replaced; the z-form
 `pgn`/`qgn` report that the e-form report replaced, with the z-form scans it
-runs on; and the z-form Frobenius substitution and Weil symmetrization,
-the references for WeilPoly.frobenius_substitute and for the orbit-based
-laurent.weil_symmetrize.  Nothing in the package imports this module."""
+runs on; the z-form Frobenius substitution and Weil symmetrization, the
+references for WeilPoly.frobenius_substitute and for the orbit-based
+laurent.weil_symmetrize; and the z-form to e-form conversion that counts
+every orbit's members, the reference for WeilPoly.from_laurent.  Nothing in
+the package imports this module."""
 
 import itertools
 import math
@@ -13,7 +15,16 @@ from fractions import Fraction
 
 from locsys.combinat import divisors, mobius, partitions
 from locsys.counting import _exp_coeff_concrete, count_exponent, euler_characteristic
-from locsys.laurent import DivisibilityError, LaurentPoly, pic_polynomial
+from locsys.laurent import (
+    DivisibilityError,
+    InvarianceError,
+    LaurentPoly,
+    WeilPoly,
+    _orbit,
+    _orbit_rep,
+    _orbit_sum,
+    pic_polynomial,
+)
 
 
 def free_substitute(p, values, const):
@@ -103,6 +114,36 @@ def permutation_flip_symmetrize(mono):
                     q = flip(q, i)
             total = total + q
     return total
+
+
+def from_laurent(p):
+    """WeilPoly.from_laurent as it was before it checked invariance by
+    orbit sizes: count each representative's members, then add
+    t^a y^b M_mu per distinct mu into a running sum."""
+    if type(p) is not LaurentPoly:
+        raise TypeError("need a z-form LaurentPoly")
+    g, terms = p.g, p.terms
+    members = {}
+    shapes = {}
+    for (et, ez, ey), c in terms.items():
+        shape = shapes.get(ez)
+        if shape is None:
+            shape = shapes[ez] = _orbit_rep(ez)
+        mu, dt = shape
+        rep = (et + dt, mu, ey)
+        if terms.get(rep) != c:
+            raise InvarianceError("polynomial is not Weil-invariant")
+        members[rep] = members.get(rep, 0) + 1
+    by_mu = {}
+    for rep, count in members.items():
+        et, mu, ey = rep
+        if count != len(_orbit(mu)):
+            raise InvarianceError("polynomial is not Weil-invariant")
+        by_mu.setdefault(mu, {})[(et, (0,) * g, ey)] = terms[rep]
+    out = WeilPoly.zero(g)
+    for mu, coeffs in by_mu.items():
+        out = out + WeilPoly(g, coeffs) * _orbit_sum(g, mu)
+    return out
 
 
 def swap(p, i, j):

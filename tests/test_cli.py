@@ -84,6 +84,20 @@ class TestSymbolicCommands:
         code, out, _ = run(capsys, "euler", "--n", "2", "--g", "2")
         assert code == 0 and "= -3" in out
 
+    def test_euler_genus_is_capped(self, capsys, monkeypatch):
+        import locsys.counting
+
+        def unreachable(n, g):
+            raise AssertionError("the cap is checked before any work")
+
+        monkeypatch.setattr(locsys.counting, "euler_characteristic", unreachable)
+        for prefix in ([], ["--json"]):
+            code, out, err = run(capsys, *prefix, "euler", "--n", "6", "--g",
+                                 str(cli.EULER_MAX_GENUS + 1))
+            assert code == 2 and out == ""
+            assert err == (f"usage error: euler takes --g up to {cli.EULER_MAX_GENUS}, "
+                           f"not {cli.EULER_MAX_GENUS + 1}\n")
+
     def test_d_count(self, capsys):
         code, out, _ = run(capsys, "d-count", "--n", "4", "--d", "2")
         assert code == 0
@@ -220,7 +234,8 @@ def planted_entries(g, n):
 # sha256 of `qgn --json` stdout and of its --emit-ctable file, recorded before
 # the master formula memoized its exp factors and summed in integers (cells
 # (4, 3) and (3, 5), a genus-4 and a rank-5 e-form layout: before the
-# symbolic and e-form packed kinds became one)
+# symbolic and e-form packed kinds became one; cell (4, 4), a 3.3 MB table:
+# before WeilPoly.from_laurent checked invariance by orbit sizes)
 PINNED_QGN = {
     (2, 5): ("612a0268e38a746e0713ac9d5dee6d4cb0e1460fad7f9cf0d39661bd8400ede5",
              "351fcef429e6cba3ea526f039f02401fe2092c86b8db393905f51e57008e5cfb"),
@@ -230,7 +245,40 @@ PINNED_QGN = {
              "4a21770ef7f37b058bce4cc2fc1b3fbcc5ae90113faa78eff3a148e31df58b0c"),
     (3, 5): ("4172bc61badf86681a4d0d94db978903e960a1323cf59bf14bbb8536a751ab51",
              "7931b80e66346de14c3250998fbf8d02d7d8504dbcaf2429dfb6354e0d528f92"),
+    (4, 4): ("136ad227af9364de1118bb70de8eec0279c4c4efccb41e4773c44acb85c7cc21",
+             "613912afc07c40ec9230a161656c9f5ebd3f3ce309c4baedde9b146178f230a6"),
 }
+
+# sha256 of the sorted compact JSON of planted_entries(g, n)'s to_obj(), the
+# z-form results of a_from_c on a z-form CTable.concrete, recorded before
+# WeilPoly.from_laurent checked invariance by orbit sizes
+PINNED_ENTRIES = {
+    (4, 3): "b7260a1ec18f566ffdd046ad66360fb9b9ea9161755904ec67c1ec1b9bba08dd",
+    (3, 5): "7d8c51c9621872876269ad721b7844243a4fa05c0bc2e2d1736913c884219574",
+}
+
+
+@pytest.mark.parametrize("cell", list(PINNED_ENTRIES), ids=lambda c: f"g{c[0]}n{c[1]}")
+def test_planted_entries_bytes_pinned(cell):
+    entries = planted_entries(*cell)
+    blob = json.dumps({str(r): p.to_obj() for r, p in sorted(entries.items())},
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_ENTRIES[cell]
+
+
+def test_eval_pgn_bytes_pinned(capsys, tmp_path):
+    # sha256 of `--json eval --n 4 --k 1 --pgn` on A[3,4] at a genus-3 curve
+    # (traces 4, 2, -4 over F_5), recorded before WeilPoly.from_laurent
+    # checked invariance by orbit sizes
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"g": 3, "q": 5, "numerator": [1, -2, -1, 12, -5, -50, 125]}))
+    pgn = tmp_path / "a34.json"
+    pgn.write_text(planted_entries(3, 4)[4].to_json())
+    code, out, _ = run(capsys, "--json", "eval", "--curve", str(curve), "--n", "4", "--k", "1",
+                       "--pgn", str(pgn))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cd8b81538359a375e11769c9ca539004eedcc4976f5a06c1706d1806e26eda7b")
 
 
 def test_emit_ctable_bytes_match_json_dump(capsys, tmp_path):
@@ -319,6 +367,18 @@ def test_failing_report_bytes_pinned(capsys, tmp_path, key):
 
 
 class TestEval:
+    def test_k_is_capped(self, capsys, curve_file, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the cap is checked before any work")
+
+        monkeypatch.setattr(cli, "evaluate_at_curve", unreachable)
+        for n in ("1", "2"):
+            code, out, err = run(capsys, "eval", "--curve", curve_file, "--n", n, "--k",
+                                 str(cli.EVAL_MAX_K + 1))
+            assert code == 2 and out == ""
+            assert err == (f"usage error: eval takes --k up to {cli.EVAL_MAX_K}, "
+                           f"not {cli.EVAL_MAX_K + 1}\n")
+
     def test_rank_one_counts(self, capsys, curve_file):
         code, out, _ = run(capsys, "eval", "--curve", curve_file, "--n", "1", "--k", "1")
         assert code == 0 and "= 8" in out
@@ -558,6 +618,23 @@ def test_parser_is_not_held_while_the_command_runs(monkeypatch):
     assert cli.main(["euler", "--n", "2", "--g", "2"]) == 0
 
 
+def test_parser_is_freed_before_the_command_runs(monkeypatch):
+    """main frees its parser's reference cycles itself: no parser or
+    subparser is left when the command starts, with no collection by the
+    caller or the command (the collection before main leaves the young
+    generation empty, so none starts while the parser is being built)."""
+    import argparse
+
+    def probe(args):
+        assert not [o for o in gc.get_objects()
+                    if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("locsys")]
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_euler", probe)
+    gc.collect()
+    assert cli.main(["euler", "--n", "2", "--g", "2"]) == 0
+
+
 def _fresh_python(*args, code=None):
     """Run a fresh interpreter on the package's source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -690,6 +767,21 @@ class TestPipeline:
         assert code == 1
         assert out == ""
         assert err == "error: rank-2 count polynomial is not integral\n"
+
+    def test_non_invariant_table_is_usage_error(self, capsys, tmp_path):
+        """An entry with an orbit member missing, bumped or shifted in t
+        fails the invariance check that its conversion to e-form makes."""
+        entries = planted_entries(2, 3)
+        top = entries[3]
+        key = max(k for k in top.terms if k[1] != (0, 0))  # not an orbit of one
+        dropped = LaurentPoly(2, {k: c for k, c in top.terms.items() if k != key})
+        bumped = top + LaurentPoly(2, {key: 1})
+        shifted = dropped + LaurentPoly(2, {(key[0] + 1, key[1], key[2]): top.terms[key]})
+        path = tmp_path / "atable.json"
+        for bad in (dropped, bumped, shifted):
+            write_atable(path, {2: entries[2], 3: bad})
+            code, out, err = run(capsys, "qgn", "--n", "3", "--g", "2", "--a-table", str(path))
+            assert (code, out, err) == (2, "", "usage error: A-table entry 3 is not Weil-invariant\n")
 
     def test_consistent_fixture_passes(self, capsys, tmp_path):
         path, planted = consistent_fixture(tmp_path)
@@ -1419,6 +1511,15 @@ class TestIterationsCap:
         assert max(max(f["lengths"] + f["fixes"]) for _, f in at_cap) == 8
         assert verify.suite_delta(0, 1) == verify.suite_delta(0, 2)
         assert len(verify.suite_delta(0, None)) == 9138
+
+    def test_combinat_repeats_random_items_per_ten_iterations(self):
+        """combinat draws its random cycle/convolution items N // 10 times
+        (at least once) beside its fixed items: 1 and 19 build the same
+        items, and 20 draws a second round (the lists only, no check runs)."""
+        low = verify.suite_combinat(0, 1)
+        assert verify.suite_combinat(0, 19) == low and len(low) == 2622
+        assert verify.suite_combinat(0, 20) != low
+        assert len(verify.suite_combinat(0, 20)) == 2692
 
 
 class TestPipelineInversion:

@@ -1,11 +1,19 @@
 """The e-form (Weil-invariant coordinates) against the z-form it replaces in
 the counting engine."""
 
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from counting_refs import free_substitute, frobenius_substitute, satisfies_positivity
+from counting_refs import (
+    free_substitute,
+    from_laurent,
+    frobenius_substitute,
+    satisfies_positivity,
+    swap_flip_invariant,
+)
 
 from locsys.counting import ATable, CTable, FreePoly, a_from_c
 from locsys.laurent import (
@@ -171,3 +179,103 @@ def test_positivity_read_from_e_form(g):
         assert accepted == satisfies_positivity(p)
         verdicts.append(accepted)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 75
+
+
+# --------------------------------------------------------------------------
+# WeilPoly.from_laurent against the member-counting reference
+
+
+def _symmetrized(rng, g):
+    """One to three Weil orbits with Fraction or integer coefficients,
+    t-shifts and y-exponents."""
+    zmax = 2 if g < 5 else 1  # genus-5 orbits of larger exponents are slow to sum
+    total = LaurentPoly.zero(g)
+    for _ in range(rng.randint(1, 3)):
+        z = [rng.randint(-zmax, zmax) for _ in range(g)]
+        c = rng.choice([rng.randint(-4, 4) or 1, Fraction(rng.randint(-5, 5) or 1, rng.randint(2, 6))])
+        mono = LaurentPoly.monomial(g, c, t=rng.randint(-2, 3), z=z, y=rng.randint(0, 2))
+        total = total + weil_symmetrize(mono)
+    return total
+
+
+def _master_entries(seed):
+    """The A-table entries of the benchmark's `master` cells at one seed."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "perfbench"))
+    try:
+        from workloads import MASTER_CELLS, plant_cell
+    finally:
+        sys.path.pop(0)
+    entries = []
+    for g, n in MASTER_CELLS:
+        table = CTable.concrete(g, plant_cell(seed, g, n)[0])
+        entries += [a_from_c(r, g, table) for r in range(2, n + 1)]
+    return entries
+
+
+def _mutants(rng, p):
+    """p with one coefficient bumped, with one term dropped and with one term
+    shifted by t; a mutant can stay invariant (an orbit of one member)."""
+    keys = sorted(p.terms)
+    if not keys:
+        return []
+    bump, drop, shift = (rng.choice(keys) for _ in range(3))
+    bumped = dict(p.terms)
+    bumped[bump] += 1
+    dropped = {k: c for k, c in p.terms.items() if k != drop}
+    shifted = LaurentPoly(p.g, {k: c for k, c in p.terms.items() if k != shift})
+    shifted = shifted + LaurentPoly(p.g, {(shift[0] + 1, shift[1], shift[2]): p.terms[shift]})
+    return [LaurentPoly(p.g, bumped), LaurentPoly(p.g, dropped), shifted]
+
+
+def _verdict(convert, p):
+    try:
+        return convert(p)
+    except InvarianceError as exc:
+        assert str(exc) == "polynomial is not Weil-invariant"
+        return None
+
+
+class TestFromLaurentAgainstReference:
+    """The orbit-size check and the one-dict assembly against the reference
+    that counts each orbit's members and sums one product per mu: the same
+    e-form, the same verdict, and the verdict of the swap-and-flip scan."""
+
+    def _agree(self, p, verdicts):
+        want = _verdict(from_laurent, p)
+        got = _verdict(WeilPoly.from_laurent, p)
+        assert (got is None) == (want is None) == (not swap_flip_invariant(p))
+        if got is not None:
+            assert type(got) is WeilPoly and got == want
+            assert got.to_laurent() == p
+        verdicts.append(got is not None)
+
+    def test_symmetrized_and_picard_grid(self):
+        rng = random.Random("from-laurent")
+        verdicts = []
+        for g in range(6):
+            polys = [pic_polynomial(g)] + [_symmetrized(rng, g) for _ in range(12 if g < 5 else 4)]
+            for p in polys:
+                for q in [p] + _mutants(rng, p):
+                    self._agree(q, verdicts)
+        assert verdicts.count(True) >= 60 and verdicts.count(False) >= 60
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_master_entries(self, seed):
+        rng = random.Random(f"from-laurent:master:{seed}")
+        verdicts = []
+        for p in _master_entries(seed):
+            for q in [p] + _mutants(rng, p):
+                self._agree(q, verdicts)
+        assert verdicts.count(True) >= 18 and verdicts.count(False) >= 36
+
+    def test_zero_and_constants(self):
+        for g in range(4):
+            for p in (LaurentPoly.zero(g), LaurentPoly.const(g, Fraction(-3, 4))):
+                assert WeilPoly.from_laurent(p) == from_laurent(p)
+                assert WeilPoly.from_laurent(p).to_laurent() == p
+
+    def test_only_z_form_input(self):
+        for p in (WeilPoly.const(2, 1), FreePoly.const(1)):
+            with pytest.raises(TypeError, match="need a z-form LaurentPoly"):
+                WeilPoly.from_laurent(p)
