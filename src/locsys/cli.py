@@ -42,6 +42,10 @@ EVAL_MAX_K = 10000
 # the largest euler --g: at 10000, --n 30030 (six primes) prints 89,564
 # digits in about 0.34 s; the cost grows with g^2
 EULER_MAX_GENUS = 10000
+# the largest euler --n and d-count --n/--d: divisors and mobius try every
+# factor up to the square root, so at 10^12 either command takes 0.15-0.45 s
+# (the most at a prime); the cost grows with the square root of the flag
+DIVISOR_MAX = 10 ** 12
 
 
 class CheckFailure(RuntimeError):
@@ -147,6 +151,8 @@ def cmd_euler(args):
 
     if args.g > EULER_MAX_GENUS:
         raise ValueError(f"euler takes --g up to {EULER_MAX_GENUS}, not {args.g}")
+    if args.n > DIVISOR_MAX:
+        raise ValueError(f"euler takes --n up to {DIVISOR_MAX}, not {args.n}")
     value = euler_characteristic(args.n, args.g)
     with _any_digits():
         _print(args, {"n": args.n, "g": args.g, "euler": value},
@@ -157,6 +163,9 @@ def cmd_euler(args):
 def cmd_d_count(args):
     from .counting import CTable, inertial_class_count
 
+    for flag, value in (("n", args.n), ("d", args.d)):
+        if value > DIVISOR_MAX:
+            raise ValueError(f"d-count takes --{flag} up to {DIVISOR_MAX}, not {value}")
     poly = inertial_class_count(args.n, args.d, CTable.symbolic())
     _print(args, {"n": args.n, "d": args.d, "polynomial": poly.render()},
            f"D[{args.n}]({args.d}) = {poly.render()}")

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from . import fields
 from .combinat import divisors, mobius, partitions
 from .laurent import (DivisibilityError, EntryMissing, IntegralityError, InvarianceError,
-                      LaurentPoly, WeilPoly, _coeff, pic_polynomial, render_terms)
+                      LaurentPoly, WeilPoly, pic_polynomial, render_terms)
 from .series import TruncatedSeries
 
 GAMMA_ATOM = ("y",)
@@ -158,9 +158,10 @@ class PackedPoly(LaurentPoly):
     unbounded, sits above every field.  The sum of two fields with clear
     guard bits cannot carry into the next field, and it sets its guard bit
     exactly when it overflows; a sum of fields never reaches the t-exponent,
-    and `>>` decodes a negative one exactly.  So __mul__ checks each
-    product's keys once and raises OverflowError rather than return a wrong
-    polynomial.  Two layouts are two classes, so their operands never mix.
+    and `>>` decodes a negative one exactly.  So the kernel checks every
+    product key once, before zero terms are dropped, and raises
+    OverflowError rather than return a wrong polynomial.  Two layouts are
+    two classes, so their operands never mix.
 
     Only `pack` and `unpack` depend on the mode.  A symbolic layout names
     the FreePoly atom of each field (`atoms`) and keeps the t-exponent 0; an
@@ -190,13 +191,12 @@ class PackedPoly(LaurentPoly):
     def _mono_row(a, keys):
         return [a + b for b in keys]
 
-    def __mul__(self, other):
-        out = LaurentPoly.__mul__(self, other)
-        if isinstance(other, LaurentPoly) and any(map(self.guard.__and__, out.terms)):
+    def _built(self, terms):
+        # every product key, before the zero terms go: a sum that cancels
+        # does not hide an overflow
+        if any(map(self.guard.__and__, terms)):
             raise OverflowError(f"an exponent overflowed its field in {type(self).__name__}")
-        return out
-
-    __rmul__ = __mul__
+        return LaurentPoly._built(self, terms)
 
     @classmethod
     def zero(cls):
@@ -269,7 +269,8 @@ class PackedPoly(LaurentPoly):
         for key, c in self.terms.items():
             if key & mask < gamma_power:
                 raise IntegralityError("sum is not divisible by the genus factor")
-            terms[key - gamma_power] = _coeff(Fraction(c, scalar))
+            q, r = divmod(c, scalar)
+            terms[key - gamma_power] = Fraction(c, scalar) if r else q
         return self._new(terms)
 
 
@@ -490,7 +491,8 @@ def _exp_coeff_concrete(exponent, alpha, a: int):
     f_m = sum_k k M_k f_{m-k} (m-1)!/(m-k)! D^{k-1}, and the scale of f_m is
     1/(m! D^m).  Entry m depends on E_1..E_m alone, and D only on how it is
     written, so a recurrence run to a larger `a` (a larger D, or E truncated
-    later) gives each lower coefficient the same value.
+    later) gives each lower coefficient the same value.  Each f_m is one
+    fused multiply-accumulate (LaurentPoly.add_products) over its k.
     """
     zero = exponent.coeff(0)
     scaled = []
@@ -503,13 +505,9 @@ def _exp_coeff_concrete(exponent, alpha, a: int):
     ms = [zero] + [em * denom for em in scaled]
     f = [zero + 1] + [zero] * a
     for n in range(1, a + 1):
-        acc = zero
-        for k in range(1, n + 1):
-            if ms[k].is_zero() or f[n - k].is_zero():
-                continue
-            factor = k * (math.factorial(n - 1) // math.factorial(n - k)) * denom ** (k - 1)
-            acc = acc + (ms[k] * factor) * f[n - k]
-        f[n] = acc
+        f[n] = zero.add_products(
+            (ms[k], f[n - k], k * (math.factorial(n - 1) // math.factorial(n - k)) * denom ** (k - 1))
+            for k in range(1, n + 1) if ms[k] and f[n - k])
     return [(f[m], Fraction(1, math.factorial(m) * denom ** m)) for m in range(a + 1)]
 
 
@@ -585,7 +583,8 @@ def a_from_c(n: int, genus, ctable: CTable):
     `_exp_factors` computes every factor the terms need, one recurrence per
     (l, w), or per l in the genus offset.  The terms are added up in
     integers, each weighted against the common denominator of their
-    scales, and divided once.
+    scales, in one fused multiply-accumulate (LaurentPoly.add_products) that
+    also multiplies in each term's last factor, and divided once.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -625,12 +624,15 @@ def a_from_c(n: int, genus, ctable: CTable):
             scale *= factors[key][1]
         scaled_terms.append((term_keys, scale))
     common = math.lcm(*(scale.denominator for _, scale in scaled_terms))
-    numerator = source.zero()
+    unit = source.zero() + 1
+    products = []  # (the product of all factors but the last, the last, weight)
     for keys, scale in scaled_terms:
-        term = factors[keys[0]][0] * (scale.numerator * (common // scale.denominator))
-        for key in keys[1:]:
-            term = term * factors[key][0]
-        numerator = numerator + term
+        polys = [factors[key][0] for key in keys]
+        head = unit if len(polys) == 1 else polys[0]
+        for poly in polys[1:-1]:
+            head = head * poly
+        products.append((head, polys[-1], scale.numerator * (common // scale.denominator)))
+    numerator = source.zero().add_products(products)
     result = numerator.divide_exact(scalar * common, gamma_power).unpack()
     return result.to_laurent() if ctable.z_form else result
 
@@ -726,10 +728,16 @@ def _euler_value(q: WeilPoly, g: int) -> Fraction:
 
 
 def euler_characteristic(n: int, g: int) -> int:
-    """sum over l | n of mu(l) mu(n/l) l^{2g-3}."""
+    """sum over l | n of mu(l) mu(n/l) l^{2g-3}; a divisor with
+    mu(l) mu(n/l) = 0 is skipped before its power is taken."""
     if n < 1 or g < 2:
         raise ValueError("need n >= 1 and g >= 2")
-    return sum(mobius(l) * mobius(n // l) * l ** (2 * g - 3) for l in divisors(n))
+    total = 0
+    for l in divisors(n):
+        sign = mobius(l) * mobius(n // l)
+        if sign:
+            total += sign * l ** (2 * g - 3)
+    return total
 
 
 def linear_part_check(n: int, g: int = 2) -> bool:

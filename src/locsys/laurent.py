@@ -12,7 +12,9 @@ LaurentPoly's ring structure is the package's one sparse-polynomial kernel;
 the e-form (WeilPoly, below), the free symbols of the master formula
 (counting.FreePoly) and the packed kind the master formula multiplies in
 both modes (counting.PackedPoly, one int per monomial) are subclasses that
-differ only in their monomial keys.
+differ only in their monomial keys.  Its one product loop is a fused
+multiply-accumulate, add_products, which adds scale * a * b for many pairs
+into one dict; a product a * b is that loop with a single pair.
 
 A curve is its integer zeta numerator.  Its Frobenius power sums give, in
 integers, the power sums of w_i = a_i^k + q^k/a_i^k over the g Frobenius
@@ -100,13 +102,17 @@ class LaurentPoly:
 
     The ring structure below is the one polynomial kernel of the package: a
     dict from monomial keys to int/Fraction coefficients, normalised through
-    _coeff, with +, -, *, powers, equality and hashing.  Four monomial kinds
+    _coeff, with +, -, *, powers, equality and hashing.  Every product runs
+    through one loop, the fused multiply-accumulate add_products: a sum of
+    scaled products goes into one dict and builds one polynomial, and * is
+    the same loop with one pair and scale 1.  Four monomial kinds
     run on it: the z-form here and the e-form (WeilPoly), the free symbols of
     the master formula as tuples (counting.FreePoly), and the symbols or the
     e-form with each monomial packed into one int (counting.PackedPoly,
     which the master formula multiplies).  Each class supplies only its key
     validation (_key), monomial product (_mono_row), unit key (_unit) and
-    how one monomial renders; operands of different classes never mix.
+    how one monomial renders (PackedPoly also checks the keys a product
+    builds, _built); operands of different classes never mix.
     """
 
     __slots__ = ("g", "terms")
@@ -229,16 +235,40 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        terms = {}
-        get = terms.get
-        row = self._mono_row
-        keys, coeffs = list(other.terms), list(other.terms.values())
-        for k1, c1 in self.terms.items():
-            for k, c2 in zip(row(k1, keys), coeffs):
-                terms[k] = get(k, 0) + c1 * c2
-        return self._new({k: c for k, c in terms.items() if c != 0})
+        return self._accumulate({}, ((self, other, 1),))
 
     __rmul__ = __mul__
+
+    def add_products(self, triples):
+        """self + sum of scale * a * b over the (a, b, scale) in triples, the
+        operands of self's class and g and each scale an int or Fraction:
+        the fused multiply-accumulate.  Every product goes into one dict and
+        one polynomial is built at the end, where a chain of * and + builds
+        a scaled copy, a product and a running sum per step."""
+        triples = list(triples)
+        for a, b, _scale in triples:
+            self._check(a)
+            self._check(b)
+        return self._accumulate(dict(self.terms), triples)
+
+    def _accumulate(self, terms, triples):
+        """The kernel's one product loop: add each scale * a * b into terms,
+        then build the polynomial (_built)."""
+        get = terms.get
+        row = self._mono_row
+        for a, b, scale in triples:
+            if not scale:
+                continue
+            keys, coeffs = list(b.terms), list(b.terms.values())
+            for k1, c1 in a.terms.items():
+                c1 = c1 * scale
+                for k, c2 in zip(row(k1, keys), coeffs):
+                    terms[k] = get(k, 0) + c1 * c2
+        return self._built(terms)
+
+    def _built(self, terms):
+        """The polynomial of accumulated terms, zero coefficients dropped."""
+        return self._new({k: c for k, c in terms.items() if c != 0})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -602,10 +632,8 @@ class WeilPoly(LaurentPoly):
         by_a = {}
         for (et, a, ey), c in self.terms.items():
             by_a.setdefault(a, {})[(et * k, (0,) * g, ey)] = c
-        out = self.zero(g)
-        for a, coeffs in by_a.items():
-            out = out + WeilPoly(g, coeffs) * _composed(images, powers, a)
-        return out
+        return self.zero(g).add_products((WeilPoly(g, coeffs), _composed(images, powers, a), 1)
+                                         for a, coeffs in by_a.items())
 
     def __repr__(self):
         return f"WeilPoly(g={self.g}, {self.terms})"

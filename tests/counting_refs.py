@@ -1,7 +1,11 @@
 """References for the counting engine that the package itself no longer
 needs: evaluating a FreePoly at ring values, the oracle the symbolic and
-concrete master formulas are compared through; the concrete master formula
-on WeilPoly's tuple keys, which the packed one replaced; the z-form
+concrete master formulas are compared through; the master formula on
+WeilPoly's and FreePoly's tuple keys, which the packed one replaced, with
+the exp recurrence and the partition sum built product by product, which
+the fused multiply-accumulate replaced; that multiply-accumulate on packed
+keys decoded into exponent vectors; the Euler characteristic summed over
+every divisor; the z-form
 `pgn`/`qgn` report that the e-form report replaced, with the z-form scans it
 runs on; the z-form Frobenius substitution and Weil symmetrization, the
 references for WeilPoly.frobenius_substitute and for the orbit-based
@@ -14,7 +18,7 @@ import math
 from fractions import Fraction
 
 from locsys.combinat import divisors, mobius, partitions
-from locsys.counting import _exp_coeff_concrete, count_exponent, euler_characteristic
+from locsys.counting import GAMMA_ATOM, CTable, FreePoly, count_exponent
 from locsys.laurent import (
     DivisibilityError,
     InvarianceError,
@@ -39,15 +43,36 @@ def free_substitute(p, values, const):
     return total
 
 
-def weil_a_from_c(n, genus, ctable):
-    """a_from_c on a concrete table with every product on WeilPoly's tuple
-    keys (t, (a_1..a_g), y): the same partition sum, without packing, and one
-    exp recurrence per factor key (l, a_j, w), the per-key reference for the
-    grouped recurrences of a_from_c."""
-    if n == 1:
-        p = ctable.entry(1, 1)
-        return p.to_laurent() if ctable.z_form else p
-    chi = Fraction(2 * genus - 2)
+def exp_coeff_concrete(exponent, alpha, a):
+    """counting._exp_coeff_concrete as it was before the fused
+    multiply-accumulate: the same recurrence, with each f_m built as a
+    running sum of scaled copies times products, one step per k."""
+    zero = exponent.coeff(0)
+    scaled = []
+    denom = 1
+    for m in range(1, a + 1):
+        em = exponent.coeff(m) * alpha
+        scaled.append(em)
+        for c in em.terms.values():
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    ms = [zero] + [em * denom for em in scaled]
+    f = [zero + 1] + [zero] * a
+    for n in range(1, a + 1):
+        acc = zero
+        for k in range(1, n + 1):
+            if ms[k].is_zero() or f[n - k].is_zero():
+                continue
+            factor = k * (math.factorial(n - 1) // math.factorial(n - k)) * denom ** (k - 1)
+            acc = acc + (ms[k] * factor) * f[n - k]
+        f[n] = acc
+    return [(f[m], Fraction(1, math.factorial(m) * denom ** m)) for m in range(a + 1)]
+
+
+def _partition_sum(n, ctable, chi):
+    """(numerator, common) of the rank-n master formula on the table's own
+    keys: the partition terms weighted against their common denominator and
+    added product by product, with one exp recurrence (exp_coeff_concrete)
+    per factor key (l, a_j, w); the formula is numerator / (common * n * chi)."""
     factors = {}
     scaled_terms = []
     for l in divisors(n):
@@ -62,8 +87,8 @@ def weil_a_from_c(n, genus, ctable):
             for j, aj in lam.mult.items():
                 key = (l, aj, lam.s_weight(j))
                 if key not in factors:
-                    factors[key] = _exp_coeff_concrete(count_exponent(ctable, l, aj),
-                                                       chi * Fraction(key[2], l), aj)[aj]
+                    factors[key] = exp_coeff_concrete(count_exponent(ctable, l, aj),
+                                                      chi * Fraction(key[2], l), aj)[aj]
                 keys.append(key)
                 scale *= factors[key][1]
             scaled_terms.append((keys, scale))
@@ -74,8 +99,72 @@ def weil_a_from_c(n, genus, ctable):
         for key in keys[1:]:
             term = term * factors[key][0]
         numerator = numerator + term
+    return numerator, common
+
+
+def weil_a_from_c(n, genus, ctable):
+    """a_from_c on a concrete table with every product on WeilPoly's tuple
+    keys (t, (a_1..a_g), y): the same partition sum, without packing, and one
+    exp recurrence per factor key (l, a_j, w), the per-key reference for the
+    grouped recurrences of a_from_c."""
+    if n == 1:
+        p = ctable.entry(1, 1)
+        return p.to_laurent() if ctable.z_form else p
+    numerator, common = _partition_sum(n, ctable, Fraction(2 * genus - 2))
     result = numerator * Fraction(1, common * n * (2 * genus - 2))
     return result.to_laurent() if ctable.z_form else result
+
+
+def free_a_from_c(n):
+    """a_from_c(n, None, CTable.symbolic()) on FreePoly's tuple keys: the
+    partition sum of weil_a_from_c with chi = 2 (g-1), then one factor
+    (g-1) taken off every monomial."""
+    table = CTable.symbolic()
+    if n == 1:
+        return table.entry(1, 1)
+    numerator, common = _partition_sum(n, table, FreePoly.gamma(2))
+    terms = {}
+    for mono, c in numerator.terms.items():
+        exps = dict(mono)
+        exps[GAMMA_ATOM] = exps.get(GAMMA_ATOM, 0) - 1
+        if exps[GAMMA_ATOM] < 0:
+            raise ArithmeticError("a monomial without the genus offset")
+        terms[tuple(exps.items())] = Fraction(c, 2 * n * common)
+    return FreePoly(terms)
+
+
+def packed_add_products(acc, triples):
+    """acc.add_products(triples) for a PackedPoly kind, on each key decoded
+    into (t-exponent, field values): a product adds the vectors, and any
+    field of any product of two monomials past its width raises
+    OverflowError, whether or not the sum cancels that term.  A zero scale
+    contributes nothing."""
+    kind = type(acc)
+
+    def decode(key):
+        return key >> kind.top, tuple(key >> shift & (1 << width) - 1
+                                      for shift, width in zip(kind.shifts, kind.widths))
+
+    terms = {decode(k): c for k, c in acc.terms.items()}
+    for a, b, scale in triples:
+        if not scale:
+            continue
+        for k1, c1 in a.terms.items():
+            t1, f1 = decode(k1)
+            for k2, c2 in b.terms.items():
+                t2, f2 = decode(k2)
+                fields = tuple(x + y for x, y in zip(f1, f2))
+                if any(x >> width for x, width in zip(fields, kind.widths)):
+                    raise OverflowError("an exponent overflowed its field")
+                key = (t1 + t2, fields)
+                terms[key] = terms.get(key, 0) + Fraction(scale) * c1 * c2
+    return kind({(t << kind.top) + sum(x << shift for x, shift in zip(fields, kind.shifts)): c
+                 for (t, fields), c in terms.items() if c})
+
+
+def euler_characteristic(n, g):
+    """sum over l | n of mu(l) mu(n/l) l^{2g-3}, every divisor's power taken."""
+    return sum(mobius(l) * mobius(n // l) * l ** (2 * g - 3) for l in divisors(n))
 
 
 def frobenius_substitute(p, k):

@@ -98,6 +98,36 @@ class TestSymbolicCommands:
             assert err == (f"usage error: euler takes --g up to {cli.EULER_MAX_GENUS}, "
                            f"not {cli.EULER_MAX_GENUS + 1}\n")
 
+    def test_euler_n_is_capped(self, capsys, monkeypatch):
+        import locsys.counting
+
+        def unreachable(n, g):
+            raise AssertionError("the cap is checked before any work")
+
+        monkeypatch.setattr(locsys.counting, "euler_characteristic", unreachable)
+        for prefix in ([], ["--json"]):
+            code, out, err = run(capsys, *prefix, "euler", "--n", str(cli.DIVISOR_MAX + 1),
+                                 "--g", "2")
+            assert code == 2 and out == ""
+            assert err == (f"usage error: euler takes --n up to {cli.DIVISOR_MAX}, "
+                           f"not {cli.DIVISOR_MAX + 1}\n")
+
+    def test_d_count_n_and_d_are_capped(self, capsys, monkeypatch):
+        import locsys.counting
+
+        def unreachable(n, d, table):
+            raise AssertionError("the cap is checked before any work")
+
+        monkeypatch.setattr(locsys.counting, "inertial_class_count", unreachable)
+        over = str(cli.DIVISOR_MAX + 1)
+        for flag, argv in (("n", ["--n", over, "--d", "1"]), ("d", ["--n", "12", "--d", over]),
+                           ("n", ["--n", over, "--d", over])):
+            for prefix in ([], ["--json"]):
+                code, out, err = run(capsys, *prefix, "d-count", *argv)
+                assert code == 2 and out == ""
+                assert err == (f"usage error: d-count takes --{flag} up to {cli.DIVISOR_MAX}, "
+                               f"not {cli.DIVISOR_MAX + 1}\n")
+
     def test_d_count(self, capsys):
         code, out, _ = run(capsys, "d-count", "--n", "4", "--d", "2")
         assert code == 0

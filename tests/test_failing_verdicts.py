@@ -283,3 +283,41 @@ class TestInversion:
         assert report["passed"] is False and "error" not in report and len(planted) >= 2
         monkeypatch.setattr(verify, "c_from_a", inverse)
         assert verify.run_suite("roundtrip", seed=0, iterations=1)["passed"] is True
+
+
+class TestSuiteCounterexampleReplays:
+    """Per suite with shrinking moves, through the command line: one side of
+    the checked statement is perturbed on the instances `when` picks, the
+    suite reports FAIL with exit code 1, and its shrunk counterexample
+    replays as FAIL through `verify --replay` (and as PASS once the
+    perturbation is gone)."""
+
+    @pytest.mark.parametrize("suite,owner,name,when,checks,shrunk", [
+        ("matr", spectral, "pair_closed_form",
+         lambda datum: any(b.nu >= 2 for b in datum.blocks), 2,
+         {"g": 3, "blocks": [{"d": 1, "nu": 2, "fix": 1, "m": 1, "orbits": [1]}]}),
+        ("delta", spectral, "orbit_character_sum_mobius",
+         lambda lengths, fixes: sum(lengths) >= 5, 25, {"lengths": [5], "fixes": [1]}),
+        ("integrality", integrality, "alternating_binomial_sum", lambda inst: True, 1,
+         {"a": [2], "nu": [-3], "chi": 2, "k": [[[0, 3, 2], 1]], "eps": [[[0, 3, 2], -1]]}),
+    ], ids=["matr", "delta", "integrality"])
+    def test_shrunk_counterexample_replays_as_fail(self, capsys, tmp_path, monkeypatch, suite,
+                                                   owner, name, when, checks, shrunk):
+        shifted(monkeypatch, owner, name, when)
+        code = cli.main(["--json", "verify", suite])
+        report = json.loads(capsys.readouterr().out)["suites"][0]
+        assert code == 1 and report["passed"] is False and "error" not in report
+        assert report["checks"] == checks
+        counterexample = report["counterexample"]
+        assert counterexample == {"suite": suite, "checker": suite, "instance": shrunk}
+        code = cli.main(["verify", suite])
+        assert code == 1 and capsys.readouterr().out.splitlines() == [
+            f"{suite}: FAIL ({checks} checks)",
+            f"  counterexample: {json.dumps(counterexample, sort_keys=True)}"]
+        path = tmp_path / "counterexample.json"
+        path.write_text(json.dumps(counterexample))
+        code = cli.main(["verify", suite, "--replay", str(path)])
+        assert code == 1 and capsys.readouterr().out == f"replay {suite}: FAIL\n"
+        monkeypatch.undo()
+        code = cli.main(["verify", suite, "--replay", str(path)])
+        assert code == 0 and capsys.readouterr().out == f"replay {suite}: PASS\n"
