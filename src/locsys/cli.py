@@ -24,7 +24,7 @@ from .laurent import (
     IntegralityError,
     LaurentPoly,
     evaluate_at_curve,
-    pic_polynomial,
+    pic_eform,
 )
 
 # verify.SUITES's keys, in its order (tests check the two agree), so that the
@@ -39,6 +39,9 @@ A_SYMBOLIC_MAX_RANK = 20
 # the largest eval --k: at 10000, a rank-1 count on a genus-3 curve over F_5
 # takes about 0.3 s and A[3,4] there about 2.6 s; the cost grows with k^2
 EVAL_MAX_K = 10000
+# the largest pgn/qgn --g: at rank 1 the printed z-form has 4^g terms, and
+# `pgn --n 1` takes about 1.1 s at g = 9 and 8.6 s at g = 10
+PGN_MAX_GENUS = 9
 # the largest euler --g: at 10000, --n 30030 (six primes) prints 89,564
 # digits in about 0.34 s; the cost grows with g^2
 EULER_MAX_GENUS = 10000
@@ -115,6 +118,8 @@ def _run_pgn(args, want_quotient):
     n, g = args.n, args.g
     if n < 1 or g < 2 and not (g == 1 and n == 1):
         raise ValueError("need n >= 1 and g >= 2 (or g = 1 with n = 1)")
+    if g > PGN_MAX_GENUS:
+        raise ValueError(f"{args.command} takes --g up to {PGN_MAX_GENUS}, not {g}")
     table = _build_pipeline(n, g, args.a_table)
     if args.emit_ctable:
         with _open(args.emit_ctable, "w") as fh:
@@ -182,7 +187,7 @@ def cmd_eval(args):
     with _open(args.curve) as fh:
         curve = CurveInput.from_obj(json.load(fh))
     if args.n == 1:
-        poly = pic_polynomial(curve.g)
+        poly = pic_eform(curve.g)
     else:
         if args.pgn is None:
             raise ValueError("ranks >= 2 need --pgn with the count polynomial")

@@ -292,9 +292,9 @@ def truncation_lattice_sum(p, e: int, residues, T) -> int:
     return total
 
 
-def gamma_support_bound_check(p, T_samples, e: int = 0, extra: int = 6) -> bool:
-    """Scan a grid strictly larger than the certified box and confirm the
-    kernel vanishes outside the box for every sampled dominant T."""
+def gamma_support_bound_check(p, T_samples, e: int = 0) -> bool:
+    """Scan a grid 6 wider than the certified box on each side and confirm
+    the kernel vanishes outside the box for every sampled dominant T."""
     p = check_composition(p)
     r = len(p)
     if r == 1:
@@ -304,7 +304,7 @@ def gamma_support_bound_check(p, T_samples, e: int = 0, extra: int = 6) -> bool:
             raise ValueError("samples must be dominant")
         T_p = project_full_flag(T, p)
         bounds = gamma_support_box(p, T, e)
-        wide = [(lo - extra, hi + extra) for lo, hi in bounds]
+        wide = [(lo - 6, hi + 6) for lo, hi in bounds]
         for prefix in itertools.product(*[range(lo, hi + 1) for lo, hi in wide]):
             inside = all(lo <= x <= hi for x, (lo, hi) in zip(prefix, bounds))
             if inside:

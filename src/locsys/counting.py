@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from . import fields
 from .combinat import divisors, mobius, partitions
 from .laurent import (DivisibilityError, EntryMissing, IntegralityError, InvarianceError,
-                      LaurentPoly, WeilPoly, pic_polynomial, render_terms)
+                      LaurentPoly, WeilPoly, pic_eform, render_terms)
 from .series import TruncatedSeries
 
 GAMMA_ATOM = ("y",)
@@ -89,8 +89,8 @@ class FreePoly(LaurentPoly):
         return cls({(): c})
 
     @classmethod
-    def atom(cls, a, exp=1, coeff=1):
-        return cls({((a, exp),): coeff})
+    def atom(cls, a, coeff=1):
+        return cls({((a, 1),): coeff})
 
     @classmethod
     def gamma(cls, coeff=1):
@@ -657,9 +657,11 @@ def c_from_a(n: int, g: int, atable: ATable) -> CTable:
     least = 2 if n >= 2 else 1
     if g < least:
         raise ValueError(f"need genus >= {least}")
-    table = CTable.concrete(g, {1: WeilPoly.from_laurent(pic_polynomial(g))})
+    table = CTable.concrete(g, {1: pic_eform(g)})
     zero, one = WeilPoly.zero(g), WeilPoly.const(g, 1)
     for s in range(2, n + 1):
+        if s not in atable.weil:
+            raise EntryMissing(f"no A-table entry for rank {s}")
         zeros = CTable.concrete(g, {r: zero for r in range(1, s)})
         probe = a_from_c(s, g, zeros.with_entry(s, one))
         if probe != one:
@@ -667,8 +669,6 @@ def c_from_a(n: int, g: int, atable: ATable) -> CTable:
                 f"rank-{s} unknown has coefficient {probe.to_laurent().render()}, expected 1"
             )
         v0 = a_from_c(s, g, table.with_entry(s, zero))
-        if s not in atable.weil:
-            raise EntryMissing(f"no A-table entry for rank {s}")
         c_s = atable.weil[s] - v0
         if any(c.denominator != 1 for c in c_s.terms.values()):
             raise IntegralityError(f"rank-{s} count polynomial is not integral")
@@ -677,11 +677,10 @@ def c_from_a(n: int, g: int, atable: ATable) -> CTable:
 
 
 def pic_quotient(p: WeilPoly, g: int) -> WeilPoly:
-    """Exact quotient of the e-form p by the Picard polynomial
-    prod (1-z_i)(1-t/z_i), whose e-form is sum_j (-1)^j e_j (1+t)^(g-j)."""
+    """Exact quotient of the e-form p by the Picard polynomial, pic_eform(g)."""
     if p.is_zero():
         return p
-    return p.exact_divide(WeilPoly.from_laurent(pic_polynomial(g)))
+    return p.exact_divide(pic_eform(g))
 
 
 def pgn_report(n: int, g: int, p: WeilPoly):
@@ -740,11 +739,9 @@ def euler_characteristic(n: int, g: int) -> int:
     return total
 
 
-def linear_part_check(n: int, g: int = 2) -> bool:
+def linear_part_check(n: int) -> bool:
     """The part of the rank-n master formula that is linear in the C-symbols
     equals sum over d | n of C[d,1] (with no genus dependence)."""
-    if g < 2:
-        raise ValueError("need genus >= 2")
     full = a_from_c(n, None, CTable.symbolic())
     linear = full.c_degree_part(1)
     expected = FreePoly.zero()

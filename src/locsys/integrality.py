@@ -205,12 +205,12 @@ def divisibility_check(inst: DivisibilityInstance) -> bool:
     return True
 
 
-def random_instance(rng, max_stages=3, max_part=30, chi_choices=(2, 4, 6)) -> DivisibilityInstance:
-    """Valid random instance: exponents are drawn first and each a_i derived,
-    so the stage constraint holds by construction; nu values are retried
-    until the final stage scalar is nonzero."""
+def random_instance(rng) -> DivisibilityInstance:
+    """Valid random instance (1-3 stages, a_i <= 30): exponents are drawn first
+    and each a_i derived, so the stage constraint holds by construction; nu
+    values are retried until the final stage scalar is nonzero."""
     while True:
-        m = rng.randint(1, max_stages)
+        m = rng.randint(1, 3)
         k = {}
         eps = {}
         a = []
@@ -221,7 +221,7 @@ def random_instance(rng, max_stages=3, max_part=30, chi_choices=(2, 4, 6)) -> Di
             for idx in range(entries):
                 j = rng.randint(1, 3)
                 s = rng.randint(1, 4)
-                kk = rng.randint(0 if idx else 1, max(1, max_part // (2 * s)))
+                kk = rng.randint(0 if idx else 1, max(1, 30 // (2 * s)))
                 if kk == 0:
                     continue
                 if (i, j, s) in k:
@@ -230,13 +230,13 @@ def random_instance(rng, max_stages=3, max_part=30, chi_choices=(2, 4, 6)) -> Di
                     k[(i, j, s)] = kk
                     eps[(i, j, s)] = rng.choice((1, -1))
                 total += s * kk
-            if total == 0 or total > max_part:
+            if total == 0 or total > 30:
                 ok = False
                 break
             a.append(total)
         if not ok or not k:
             continue
         nu = [rng.randint(-3, 3) for _ in range(m)]
-        inst = DivisibilityInstance(a=a, nu=nu, chi=rng.choice(chi_choices), k=k, eps=eps)
+        inst = DivisibilityInstance(a=a, nu=nu, chi=rng.choice((2, 4, 6)), k=k, eps=eps)
         if inst.stage_scalar(m - 1) != 0:
             return inst

@@ -458,7 +458,7 @@ class LaurentPoly:
     def from_json(cls, text):
         return cls.from_obj(json.loads(text))
 
-    def render(self, gamma_label="(g-1)") -> str:
+    def render(self) -> str:
         pairs = []
         for (et, ez, ey), c in sorted(self.terms.items(), reverse=True):
             factors = []
@@ -469,7 +469,7 @@ class LaurentPoly:
                     name = f"z{i + 1}"
                     factors.append(name if e == 1 else f"{name}^{e}")
             if ey:
-                factors.append(gamma_label if ey == 1 else f"{gamma_label}^{ey}")
+                factors.append("(g-1)" if ey == 1 else f"(g-1)^{ey}")
             pairs.append(("*".join(factors), c))
         return render_terms(pairs)
 
@@ -487,6 +487,14 @@ def pic_polynomial(g: int) -> LaurentPoly:
         zi_inv = LaurentPoly.monomial(g, 1, z=[-1 if j == i else 0 for j in range(g)])
         p = p * (one - zi) * (one - t * zi_inv)
     return p
+
+
+def pic_eform(g: int) -> "WeilPoly":
+    """pic_polynomial(g) in e-form, without its 4^g z-form terms: since
+    (1 - z)(1 - t/z) = 1 + t - w, it is sum_j (-1)^j e_j (1+t)^(g-j)."""
+    e = [(0,) * g] + [tuple(int(i == j) for i in range(g)) for j in range(g)]
+    return WeilPoly(g, {(i, e[j], 0): (-1) ** j * math.comb(g - j, i)
+                        for j in range(g + 1) for i in range(g - j + 1)})
 
 
 def weil_symmetrize(mono: LaurentPoly) -> LaurentPoly:
@@ -872,7 +880,7 @@ def graeffe_power(curve: CurveInput, k: int):
 
 
 def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: int) -> int:
-    """Value of a Weil-invariant p at t = q^k, z_i = sigma_i^k.
+    """Value of a Weil-invariant p, z-form or e-form, at t = q^k, z_i = sigma_i^k.
 
     The sigma_i^k are one eigenvalue from each Frobenius pair of the base
     change; Weil invariance makes the value independent of which one.  The
@@ -886,7 +894,7 @@ def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: in
         raise ValueError("need k >= 1")
     if curve.g != p.g:
         raise DimensionMismatch(f"curve genus {curve.g} != polynomial g {p.g}")
-    form = WeilPoly.from_laurent(p)
+    form = p if isinstance(p, WeilPoly) else WeilPoly.from_laurent(p)
 
     tq = curve.q ** k
     e = _elementary(_real_weil_sums(curve, k, p.g))[1:]

@@ -1,14 +1,15 @@
 """Seeded verification suites behind the `verify` subcommand.
 
-Each suite draws its work items, (checker name, instance) pairs, from a
-deterministic generator.  `run_suite` runs every item through the registered
-checker of that name, an exact check, and on failure emits a shrunk JSON
-counterexample that `replay` runs again.  Suites never mutate global state,
-so equal seeds give byte-identical reports.
+Each suite is a seeded generator of work items, (checker name, instance)
+pairs.  `run_suite` checks each item as it is drawn, with the registered
+checker of that name, an exact check, and at the first failure emits a shrunk
+JSON counterexample that `replay` runs again; no item list is held.  Suites
+never mutate global state, so equal seeds give byte-identical reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -329,10 +330,10 @@ def replay(payload):
         raise ValueError(f"malformed replay payload: {exc!r}") from None
     if not isinstance(name, str) or name not in CHECKERS:
         raise ValueError(f"unknown checker {name!r}; choose from {sorted(CHECKERS)}")
-    passed, error = _run_one((name, instance))
-    result = {"suite": payload.get("suite", name), "passed": passed}
-    if error is not None:
-        result["error"] = error
+    failure = _run_one((name, instance))
+    result = {"suite": payload.get("suite", name), "passed": failure is None}
+    if failure is not None and failure[1] is not None:
+        result["error"] = failure[1]
     return result
 
 
@@ -351,7 +352,7 @@ def random_zero_sum_matrix(rng, n, symmetric):
     return rows
 
 
-def random_datum(rng, max_orbits=5) -> DiscretePairDatum:
+def random_datum(rng) -> DiscretePairDatum:
     while True:
         blocks = []
         seen = set()
@@ -372,7 +373,7 @@ def random_datum(rng, max_orbits=5) -> DiscretePairDatum:
                 left -= p
             blocks.append(Block(d, nu, fix, m, tuple(parts)))
             orbits_total += len(parts)
-        if blocks and orbits_total <= max_orbits:
+        if blocks and orbits_total <= 5:
             return DiscretePairDatum(rng.choice([2, 3]), tuple(blocks))
 
 
@@ -463,13 +464,14 @@ _MOVES = {
 
 
 def _run_one(item):
-    """(passed, error) of one (checker name, instance) item: error is
-    "<ExcType>: <message>" when the checker raised."""
+    """None when the (checker name, instance) item passes, so that a worker
+    sends nothing back for it, else (item, error): error is "<ExcType>:
+    <message>" when the checker raised, else None."""
     checker_name, instance = item
     try:
-        return bool(CHECKERS[checker_name](instance)), None
+        return None if CHECKERS[checker_name](instance) else (item, None)
     except Exception as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+        return item, f"{type(exc).__name__}: {exc}"
 
 
 # the most worker processes a suite starts; a pool never has more workers
@@ -477,27 +479,41 @@ def _run_one(item):
 MAX_JOBS = 64
 
 # the largest --iterations, twice the largest default (500); at it the
-# roundtrip suite holds about 19 MB of items and runs for about 9 s
+# roundtrip suite runs for about 9 s
 MAX_ITERATIONS = 1000
 
 
 def _finish(name, items, jobs=1):
-    """Run the (checker name, instance) items and build the suite's report.
+    """Check the (checker name, instance) items in one pass, up to the first
+    failing one, and build the suite's report.
 
-    With jobs > 1 the independent items run in a process pool; results are
-    reduced in item order either way, so reports are identical.  "checks" is
-    the position of the first failing item.  A theorem failure is shrunk; a
-    checker that raised is reported unshrunk with its exception under
-    "error"."""
-    if jobs > 1 and len(items) > 1:
-        import multiprocessing
+    With jobs > 1 the items run in a process pool of at most `jobs` workers
+    and never more than there are items; `imap` keeps item order, so reports
+    are identical.  "checks" counts the items checked.  A theorem failure is
+    shrunk; a checker that raised is reported unshrunk with its exception
+    under "error"."""
+    items = iter(items)
+    if jobs > 1:
+        # pool.map's chunk size on at most 64 items per job: a longer suite
+        # runs in chunks of 16, since a message costs more than most checks
+        head = list(itertools.islice(items, 64 * jobs))
+        items = itertools.chain(head, items)
+        if len(head) > 1:
+            import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(min(jobs, len(items))) as pool:
-            results = pool.map(_run_one, items)
-    else:
-        results = map(_run_one, items)
-    for checks, ((checker_name, instance), (ok, error)) in enumerate(zip(items, results), 1):
-        if not ok:
+            workers = min(jobs, len(head))
+            chunk = -(-len(head) // (4 * workers))
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                return _report(name, pool.imap(_run_one, items, chunk))
+    return _report(name, map(_run_one, items))
+
+
+def _report(name, failures):
+    """The report on the per-item results of _run_one, in item order."""
+    checks = 0
+    for checks, failure in enumerate(failures, 1):
+        if failure is not None:
+            (checker_name, instance), error = failure
             report = {"suite": name, "passed": False, "checks": checks}
             if error is not None:
                 report["error"] = error
@@ -507,7 +523,7 @@ def _finish(name, items, jobs=1):
             report["counterexample"] = {"suite": name, "checker": checker_name,
                                         "instance": instance}
             return report
-    return {"suite": name, "passed": True, "checks": len(items), "counterexample": None}
+    return {"suite": name, "passed": True, "checks": checks, "counterexample": None}
 
 
 # --------------------------------------------------------------------------
@@ -517,64 +533,52 @@ def _finish(name, items, jobs=1):
 def suite_kappa(seed, iterations):
     rng = _rng(seed, "kappa")
     iterations = iterations or 200
-    items = []
     for _ in range(iterations):
         n = rng.randint(2, 6)
         rows = random_zero_sum_matrix(rng, n, symmetric=True)
-        items.append(("kappa", {
+        yield "kappa", {
             "matrix": [[_frac_str(x) for x in row] for row in rows],
             "u": [str(rng.randint(1, 5)) for _ in range(n)],
             "v": [str(rng.randint(1, 5)) for _ in range(n)],
-        }))
+        }
     for _ in range(iterations):
         k = rng.randint(1, 3)
-        items.append(("block-det", {
+        yield "block-det", {
             "a": [[f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}" for _ in range(k)]
                   for _ in range(k)],
             "us": [[str(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
                    for _ in range(k)],
-        }))
-    return items
+        }
 
 
 def suite_matrix_tree(seed, iterations):
     rng = _rng(seed, "matrix-tree")
-    iterations = iterations or 100
-    items = []
-    for _ in range(iterations):
+    for _ in range(iterations or 100):
         r = rng.randint(1, 6)
         weights = {
             f"{i},{j}": f"{rng.randint(-6, 6)}/{rng.randint(1, 3)}"
             for i in range(r) for j in range(i + 1, r)
         }
-        items.append(("matrix-tree", {"r": r, "weights": weights}))
-    return items
+        yield "matrix-tree", {"r": r, "weights": weights}
 
 
 def suite_matr(seed, iterations):
     rng = _rng(seed, "matr")
-    return [("matr", random_datum(rng).to_obj()) for _ in range(iterations or 100)]
+    for _ in range(iterations or 100):
+        yield "matr", random_datum(rng).to_obj()
 
 
 def suite_delta(seed, iterations):
     """Every multiset of one to three (orbit length, fix) pairs, each entry
     at most min(max(iterations, 2), 8) (6 by default).  Here `iterations`
-    is that bound, not a count: 1 and 2 build the same items, and so does
+    is that bound, not a count: 1 and 2 yield the same items, and so does
     every value from 8 up (47,904 items, against 9,138 at the default).
     The seed is not read."""
-    limit = iterations or 6
-    max_entry = min(max(limit, 2), 8)
-    items = []
-    import itertools
-
+    max_entry = min(max(iterations or 6, 2), 8)
     pairs = [(l, f) for l in range(1, max_entry + 1) for f in range(1, max_entry + 1)]
     for length in range(1, 4):
         for combo in itertools.combinations_with_replacement(pairs, length):
-            items.append(("delta", {
-                "lengths": [p[0] for p in combo],
-                "fixes": [p[1] for p in combo],
-            }))
-    return items
+            yield "delta", {"lengths": [l for l, _ in combo], "fixes": [f for _, f in combo]}
 
 
 # (numerator, denominator) coefficients, low to high degree, of the two
@@ -590,9 +594,7 @@ _CIRCLE_FAMILIES = [
 
 def suite_gm_family(seed, iterations):
     rng = _rng(seed, "gm-family")
-    iterations = iterations or 12
-    items = []
-    for _ in range(iterations):
+    for _ in range(iterations or 12):
         r = rng.randint(2, 4)
         coeffs = {}
         for i in range(r):
@@ -600,18 +602,16 @@ def suite_gm_family(seed, iterations):
                 if i != j:
                     deg = rng.randint(1, 3)
                     coeffs[f"{i},{j}"] = [str(rng.randint(-2, 2)) for _ in range(deg)]
-        items.append(("gm-family", {"r": r, "coeffs": coeffs}))
+        yield "gm-family", {"r": r, "coeffs": coeffs}
     for (num12, den12), (num21, den21) in _CIRCLE_FAMILIES:
-        items.append(("gm-family", {"kind": "circle", "c12": {"num": num12, "den": den12},
-                                    "c21": {"num": num21, "den": den21}}))
-    return items
+        yield "gm-family", {"kind": "circle", "c12": {"num": num12, "den": den12},
+                            "c21": {"num": num21, "den": den21}}
 
 
 def suite_cones(seed, iterations):
     rng = _rng(seed, "cones")
     iterations = iterations or 250
     compositions = [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1, 1), (1, 1, 1, 1, 1)]
-    items = []
     for _ in range(iterations):
         p = rng.choice(compositions)
         grouping = rng.choice(list(cones.coarsenings(p)))
@@ -621,29 +621,26 @@ def suite_cones(seed, iterations):
             q.append(sum(p[i:i + s]))
             i += s
         H = [f"{rng.randint(-40, 40)}/{rng.choice([1, 3, 7])}" for _ in p]
-        items.append(("cones", {"kind": "langlands", "p": list(p), "q": q, "H": H}))
+        yield "cones", {"kind": "langlands", "p": list(p), "q": q, "H": H}
     for _ in range(iterations):
         p = rng.choice(compositions)
         flag = sorted((rng.randint(-9, 9) for _ in range(sum(p))), reverse=True)
         Tp = [str(x) for x in cones.project_full_flag(flag, p)]
         H = [f"{rng.randint(-15, 15)}/{rng.choice([1, 2])}" for _ in p]
-        items.append(("cones", {"kind": "egal", "p": list(p), "H": H, "T": Tp}))
-        items.append(("cones", {"kind": "inversion", "p": list(p), "H": H, "T": Tp}))
+        yield "cones", {"kind": "egal", "p": list(p), "H": H, "T": Tp}
+        yield "cones", {"kind": "inversion", "p": list(p), "H": H, "T": Tp}
     for h1 in range(-4, 5):
         for h2 in range(-4, 5):
-            items.append(("cones", {"kind": "zero", "p": [1, 1], "H": [str(h1), str(h2)]}))
-    items.append(("cones", {"kind": "support", "p": [1, 1], "T": [[2, -2], [5, 1]], "e": 0}))
-    items.append(("cones", {"kind": "support", "p": [1, 1, 1], "T": [[3, 1, -1]], "e": 0}))
-    return items
+            yield "cones", {"kind": "zero", "p": [1, 1], "H": [str(h1), str(h2)]}
+    yield "cones", {"kind": "support", "p": [1, 1], "T": [[2, -2], [5, 1]], "e": 0}
+    yield "cones", {"kind": "support", "p": [1, 1, 1], "T": [[3, 1, -1]], "e": 0}
 
 
 def suite_lattice(seed, iterations):
     rng = _rng(seed, "lattice")
-    iterations = iterations or 20
     shapes = [((1, 1), (0, 1)), ((1, 1), (1, 0)), ((2, 1), (0, 1)), ((2, 1), (1, 0)),
               ((1, 1, 1), (0, 1, 2)), ((2, 1, 1), (1, 0, 2))]
-    instances = []
-    for idx in range(iterations):
+    for idx in range(iterations or 20):
         sizes, order = shapes[idx % len(shapes)]
         r = len(sizes)
         lam = []
@@ -654,29 +651,28 @@ def suite_lattice(seed, iterations):
                         for f in (math.cos, math.sin)])
         # enforce increasing moduli along the identity order for convergence
         e = rng.randint(-3, 3)
-        instances.append({"kind": "series", "sizes": list(sizes), "order": list(order),
-                          "e": e, "lam": lam})
-        instances.append({"kind": "degree-one", "sizes": list(sizes), "order": list(order),
-                          "lam": lam})
-        instances.append({"kind": "periodicity", "sizes": list(sizes), "order": list(order),
-                          "e": e})
+        yield "lattice", {"kind": "series", "sizes": list(sizes), "order": list(order),
+                          "e": e, "lam": lam}
+        yield "lattice", {"kind": "degree-one", "sizes": list(sizes), "order": list(order),
+                          "lam": lam}
+        yield "lattice", {"kind": "periodicity", "sizes": list(sizes), "order": list(order),
+                          "e": e}
     for sizes, e in (((1, 1), -1), ((2, 1), 2), ((1, 1, 1), 1), ((2, 2), 3)):
         lam = [[_frac_str(Fraction(5 + 3 * i, 10)), _frac_str(Fraction(i + 1, 10))]
                for i in range(len(sizes))]
-        instances.append({"kind": "fourier", "sizes": list(sizes), "e": e, "lam": lam})
-    instances.append({"kind": "growth", "sizes": [1, 1], "tmax": 20})
-    return [("lattice", inst) for inst in instances]
+        yield "lattice", {"kind": "fourier", "sizes": list(sizes), "e": e, "lam": lam}
+    yield "lattice", {"kind": "growth", "sizes": [1, 1], "tmax": 20}
 
 
 def suite_integrality(seed, iterations):
     rng = _rng(seed, "integrality")
-    items = [("integrality", random_instance(rng).to_obj()) for _ in range(iterations or 500)]
-    items += [("integrality", {"kind": "congruence", "p": p, "alpha": alpha, "n": n})
-              for p in (2, 3, 5, 7) for alpha in (1, 2, 3) for n in range(1, 51)]
+    for _ in range(iterations or 500):
+        yield "integrality", random_instance(rng).to_obj()
+    yield from (("integrality", {"kind": "congruence", "p": p, "alpha": alpha, "n": n})
+                for p in (2, 3, 5, 7) for alpha in (1, 2, 3) for n in range(1, 51))
     for _ in range(200):
         n = rng.choice([-1, 1]) * rng.randint(1, 10000)
-        items.append(("integrality", {"kind": "binom", "n": n, "m": rng.randint(1, 400)}))
-    return items
+        yield "integrality", {"kind": "binom", "n": n, "m": rng.randint(1, 400)}
 
 
 def suite_combinat(seed, iterations):
@@ -684,63 +680,55 @@ def suite_combinat(seed, iterations):
     Mobius-divisor identity on an 8 x 8 x 8 grid, and seeded cycle and
     convolution items for every m <= 12 and divisor xi of m.  Only the last
     are random, drawn max(1, iterations // 10) times per (m, xi) (5 by
-    default): `iterations` counts rounds of ten, so 1 to 19 build the same
-    2,622 items and 20 builds 2,692."""
+    default): `iterations` counts rounds of ten, so 1 to 19 yield the same
+    2,622 items and 20 yields 2,692."""
     rng = _rng(seed, "combinat")
-    iterations = iterations or 50
-    instances = []
+    rounds = max(1, (iterations or 50) // 10)
     for n in range(1, 41):
-        instances.append({"kind": "partition-count", "n": n})
+        yield "combinat", {"kind": "partition-count", "n": n}
     for n in range(1, 2001):
-        instances.append({"kind": "mobius-sum", "n": n})
+        yield "combinat", {"kind": "mobius-sum", "n": n}
     for m in range(1, 13):
         for xi in divisors(m):
-            for _ in range(max(1, iterations // 10)):
+            for _ in range(rounds):
                 s = f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
-                instances.append({"kind": "cycle", "m": m, "xi": xi, "S": s})
+                yield "combinat", {"kind": "cycle", "m": m, "xi": xi, "S": s}
                 d = f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
-                instances.append({"kind": "convolution", "k": m, "xi": xi, "S": s, "D": d})
+                yield "combinat", {"kind": "convolution", "k": m, "xi": xi, "S": s, "D": d}
     for t in range(1, 9):
         for l in range(1, 9):
             for big_l in range(1, 9):
-                instances.append({"kind": "mobius-divisor", "t": t, "l": l, "L": big_l})
-    return [("combinat", inst) for inst in instances]
+                yield "combinat", {"kind": "mobius-divisor", "t": t, "l": l, "L": big_l}
 
 
 def suite_aggregation(seed, iterations):
     rng = _rng(seed, "aggregation")
-    iterations = iterations or 50
-    items = []
-    for _ in range(iterations):
+    for _ in range(iterations or 50):
         a = rng.randint(1, 4)
         l = rng.choice([1, 2])
         dtable = {}
         for j in range(1, a + 1):
             for d in divisors(j):
                 dtable[f"{j},{d}"] = f"{rng.randint(-3, 3)}/{rng.randint(1, 2)}"
-        items.append(("aggregation", {
+        yield "aggregation", {
             "a": a, "l": l, "g": rng.choice([2, 3]),
             "S": f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}",
             "dtable": dtable,
-        }))
-    return items
+        }
 
 
 def suite_roundtrip(seed, iterations):
     rng = _rng(seed, "roundtrip")
-    iterations = iterations or 6
-    items = []
-    for _ in range(iterations):
+    for _ in range(iterations or 6):
         g = rng.choice([2, 3])
         n = rng.randint(2, 4)
         planted = {1: pic_polynomial(g)}
         for s in range(2, n + 1):
             planted[s] = random_invariant(rng, g)
-        items.append(("roundtrip", {
+        yield "roundtrip", {
             "g": g, "n": n,
             "planted": {str(s): p.to_obj() for s, p in planted.items()},
-        }))
-    return items
+        }
 
 
 SUITES = {

@@ -780,6 +780,19 @@ class TestPipeline:
         code, out, _ = run(capsys, "pgn", "--n", "1", "--g", "1")
         assert code == 0
 
+    def test_genus_is_capped(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the cap is checked before any work")
+
+        monkeypatch.setattr(cli, "_build_pipeline", unreachable)
+        above = str(cli.PGN_MAX_GENUS + 1)
+        for command in ("pgn", "qgn"):
+            for prefix in ([], ["--json"]):
+                code, out, err = run(capsys, *prefix, command, "--n", "1", "--g", above)
+                assert code == 2 and out == ""
+                assert err == (f"usage error: {command} takes --g up to {cli.PGN_MAX_GENUS}, "
+                               f"not {above}\n")
+
     def test_requires_fixture(self, capsys):
         code, _, err = run(capsys, "pgn", "--n", "2", "--g", "2")
         assert code == 2 and "a-table" in err
@@ -830,12 +843,20 @@ class TestPipeline:
         t = LaurentPoly.t_var(2)
         assert LaurentPoly.from_obj(obj["Q"]) == t * t * t - 4 * t
 
-    def test_table_without_a_needed_rank_is_usage_error(self, capsys, tmp_path):
-        # a missing rank is bad input, not a theorem failure; it used to exit 1
+    def test_table_without_a_needed_rank_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # a missing rank is bad input, not a theorem failure; it used to exit 1.
+        # It is found before the master formula runs at that rank.
+        from locsys import counting
+
+        ranks = []
+        forward = counting.a_from_c
+        monkeypatch.setattr(counting, "a_from_c",
+                            lambda s, g, table: ranks.append(s) or forward(s, g, table))
         path = tmp_path / "atable.json"
         write_atable(path, planted_entries(2, 3))
         code, out, err = run(capsys, "qgn", "--n", "4", "--g", "2", "--a-table", str(path))
         assert (code, out, err) == (2, "", "usage error: no A-table entry for rank 4\n")
+        assert ranks == [2, 2, 3, 3]
 
     def test_generic_fixture_fails_dominant_term(self, capsys, tmp_path):
         g = 2
@@ -918,13 +939,13 @@ class TestVerifyCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return list(map(fn, items))
+            def imap(self, fn, items, chunksize):
+                return map(fn, items)
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method: SimpleNamespace(Pool=StubPool))
         base = ("--json", "verify", "kappa", "--seed", "5", "--iterations", "3")
-        items = len(verify.SUITES["kappa"](5, 3))
+        items = len(list(verify.SUITES["kappa"](5, 3)))
         assert 1 < items < verify.MAX_JOBS
         _, seq, _ = run(capsys, *base)
         for jobs, size in ((2, 2), (verify.MAX_JOBS, items)):
@@ -1536,20 +1557,78 @@ class TestIterationsCap:
     def test_delta_reads_iterations_as_an_entry_bound(self):
         """delta's --iterations bounds each orbit length and fix, capped at
         8: 8 and 9 build the same items (the lists only, no check runs)."""
-        at_cap = verify.suite_delta(0, 8)
-        assert verify.suite_delta(0, 9) == at_cap and len(at_cap) == 47904
+        at_cap = list(verify.suite_delta(0, 8))
+        assert list(verify.suite_delta(0, 9)) == at_cap and len(at_cap) == 47904
         assert max(max(f["lengths"] + f["fixes"]) for _, f in at_cap) == 8
-        assert verify.suite_delta(0, 1) == verify.suite_delta(0, 2)
-        assert len(verify.suite_delta(0, None)) == 9138
+        assert list(verify.suite_delta(0, 1)) == list(verify.suite_delta(0, 2))
+        assert len(list(verify.suite_delta(0, None))) == 9138
 
     def test_combinat_repeats_random_items_per_ten_iterations(self):
         """combinat draws its random cycle/convolution items N // 10 times
         (at least once) beside its fixed items: 1 and 19 build the same
         items, and 20 draws a second round (the lists only, no check runs)."""
-        low = verify.suite_combinat(0, 1)
-        assert verify.suite_combinat(0, 19) == low and len(low) == 2622
-        assert verify.suite_combinat(0, 20) != low
-        assert len(verify.suite_combinat(0, 20)) == 2692
+        low = list(verify.suite_combinat(0, 1))
+        assert list(verify.suite_combinat(0, 19)) == low and len(low) == 2622
+        assert list(verify.suite_combinat(0, 20)) != low
+        assert len(list(verify.suite_combinat(0, 20))) == 2692
+
+
+class TestStreaming:
+    """Each suite is a generator that run_suite consumes as it checks."""
+
+    # sha256 of json.dumps(list(suite(0, None)), sort_keys=True), recorded
+    # when every suite still built its items as a list
+    ITEMS_SEED_0 = {
+        "kappa": (400, "999034f646f5a4b53a327263e1273f8602cc825fbe5c461cc7a367f71547a418"),
+        "matrix-tree": (100, "cc723dac96528ada7c18c02872c6b4782636d183ac72850a72dae02c76675f14"),
+        "matr": (100, "38e1c66e39dadb8f45a47f448426882ed406b3ea2acdd7f5e5c1ab7051410ad7"),
+        "delta": (9138, "fb3d827fbd188e2b2a0d440d2c9d75009f9ffa2204995a94d34b2a44bd366feb"),
+        "gm-family": (16, "ebd91089e4584ba0334d689095c21068d966039dac37902b00b68b28f7e27c22"),
+        "cones": (833, "00dc7e49b9e56ded2704eb3ad90483964401e2032c909a66465a3815247bfebb"),
+        "lattice": (65, "4fa35e422d2a80aba9f83ee88fac0ed2dcd57b3e8849919b052d184cb09a3359"),
+        "integrality": (1300,
+                        "568556302678e614be5dc14588d201c6a14f7ed21faabeba84bd831a3a0b7b08"),
+        "combinat": (2902, "7593b7c53547150d6598788e9f6a4ebaef61375bb5afa29123e57e7f81545202"),
+        "aggregation": (50, "f724551d0bd30af3931bd90aad75618be6153e5fc02121ded15c3852091e9fdd"),
+        "roundtrip": (6, "4f2c0fe9889c2b67fbc572c3dcad1a8800b6fc438e8bdaa0757e9ef3a60b9ba1"),
+    }
+
+    def test_every_suite_is_an_iterator_of_the_pinned_items(self):
+        assert sorted(self.ITEMS_SEED_0) == sorted(verify.SUITES)
+        for name, suite in verify.SUITES.items():
+            items = suite(0, None)
+            assert iter(items) is items, name
+            items = list(items)
+            digest = hashlib.sha256(json.dumps(items, sort_keys=True).encode()).hexdigest()
+            assert (len(items), digest) == self.ITEMS_SEED_0[name], name
+
+    def test_serial_run_pulls_no_item_past_the_first_failure(self, monkeypatch):
+        def suite(seed, iterations):
+            yield "delta", {"lengths": [1], "fixes": [1]}
+            yield "delta", {"lengths": [2], "fixes": [1]}
+            raise AssertionError("an item past the first failure was pulled")
+
+        monkeypatch.setitem(verify.SUITES, "delta", suite)
+        monkeypatch.setitem(verify.CHECKERS, "delta", lambda obj: obj["lengths"] == [1])
+        report = verify.run_suite("delta", jobs=1)
+        assert (report["passed"], report["checks"]) == (False, 2)
+        assert report["counterexample"]["instance"] == {"lengths": [2], "fixes": [1]}
+
+    def test_delta_at_the_cap_holds_no_item_list(self, monkeypatch):
+        """The 47,904 items of `delta --iterations 8` took 20.3 MB as a list;
+        streamed, the peak is one item and the suite's own state."""
+        import tracemalloc
+
+        monkeypatch.setitem(verify.CHECKERS, "delta", lambda obj: True)
+        tracemalloc.start()
+        try:
+            report = verify.run_suite("delta", 0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == {"suite": "delta", "passed": True, "checks": 47904,
+                          "counterexample": None}
+        assert peak < 100_000
 
 
 class TestPipelineInversion:

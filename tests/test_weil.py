@@ -20,6 +20,7 @@ from locsys.laurent import (
     InvarianceError,
     LaurentPoly,
     WeilPoly,
+    pic_eform,
     pic_polynomial,
     weil_symmetrize,
 )
@@ -72,15 +73,17 @@ def test_e_monomials_expand_to_products_of_w(g):
         assert WeilPoly.monomial(g, 1, t=1, z=a).to_laurent() == want * LaurentPoly.t_var(g)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_picard_closed_form(g):
-    """prod (1 - z_i)(1 - t/z_i) = prod (1 + t - w_i) = sum_j (-1)^j e_j (1+t)^(g-j)."""
+    """prod (1 - z_i)(1 - t/z_i) = prod (1 + t - w_i) = sum_j (-1)^j e_j (1+t)^(g-j),
+    which pic_eform builds without the 4^g-term z-form."""
     want = WeilPoly.zero(g)
     one_plus_t = WeilPoly.const(g, 1) + WeilPoly.monomial(g, 1, t=1)
     for j in range(g + 1):
         e = tuple(1 if i == j - 1 else 0 for i in range(g))
         want = want + WeilPoly.monomial(g, (-1) ** j, z=e) * one_plus_t ** (g - j)
     assert WeilPoly.from_laurent(pic_polynomial(g)) == want
+    assert pic_eform(g) == want and pic_eform(g).to_laurent() == pic_polynomial(g)
 
 
 def test_non_invariant_input_rejected():
