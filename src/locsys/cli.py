@@ -22,7 +22,9 @@ from .laurent import (
     DivisibilityError,
     EntryMissing,
     IntegralityError,
+    InvarianceError,
     LaurentPoly,
+    WeilPoly,
     evaluate_at_curve,
     pic_eform,
 )
@@ -80,6 +82,23 @@ def _any_digits():
             sys.set_int_max_str_digits(limit)
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector while a polynomial file is parsed and read
+    into e-form, and restore its state however the read ends.  The loaded
+    JSON and its key tuples hold no reference cycles, so the collections
+    their allocation would start free nothing, and each one rescans the
+    objects the load holds (reading the five A-tables of the benchmark's
+    `master` cells, 2 MB in all, ran 265 young-generation collections)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _print(args, obj, text):
     if args.json:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
@@ -105,7 +124,7 @@ def _build_pipeline(n, g, a_table_path):
     if n >= 2:
         if a_table_path is None:
             raise ValueError("ranks >= 2 need --a-table with the bundle counts")
-        with _open(a_table_path) as fh:
+        with _open(a_table_path) as fh, _collector_paused():
             atable = ATable.from_json(fh.read(), g)
     return c_from_a(n, g, atable)
 
@@ -191,8 +210,14 @@ def cmd_eval(args):
     else:
         if args.pgn is None:
             raise ValueError("ranks >= 2 need --pgn with the count polynomial")
-        with _open(args.pgn) as fh:
-            poly = LaurentPoly.from_json(fh.read())
+        with _open(args.pgn) as fh, _collector_paused():
+            obj = json.load(fh)
+            try:
+                poly = WeilPoly.from_zform(obj)
+            except InvarianceError:
+                # read again as z-form, which evaluate_at_curve rejects after
+                # its genus check, as it did before the e-form read
+                poly = LaurentPoly.from_obj(obj)
     value = evaluate_at_curve(poly, curve, args.k, curve.g - 1)
     with _any_digits():
         _print(args, {"n": args.n, "k": args.k, "count": value},

@@ -407,9 +407,11 @@ class _ZForm(Mapping):
 class ATable:
     """Indecomposable-bundle counts for ranks >= 2 (rank 1 is the built-in
     Picard polynomial).  Entries are validated to be Weil-invariant and to
-    satisfy the positivity constraint on load; the Weil check is the
-    conversion to e-form, and the table keeps only that e-form (`weil`),
-    which the inversion reads.
+    satisfy the positivity constraint on load, and the table keeps only
+    their e-form (`weil`), which the inversion reads.  An entry is given as
+    a WeilPoly, or as a z-form LaurentPoly whose Weil check is its
+    conversion to e-form; the table file's entries are read straight into
+    e-form (WeilPoly.from_zform).
 
     Positivity (every z-form term t^m z^n has v = m + sum_i min(n_i, 0) >= 0)
     is read off the e-form: it holds exactly when every e-form t-exponent is
@@ -431,15 +433,21 @@ class ATable:
             n = int(n)
             if poly.g != g:
                 raise ValueError(f"entry {n} has wrong number of z-variables")
-            try:
-                self.weil[n] = WeilPoly.from_laurent(poly)
-            except InvarianceError:
-                raise ValueError(f"A-table entry {n} is not Weil-invariant") from None
-            if any(et < 0 for et, _a, _ey in self.weil[n].terms):
+            if not isinstance(poly, WeilPoly):
+                try:
+                    poly = WeilPoly.from_laurent(poly)
+                except InvarianceError:
+                    raise ValueError(f"A-table entry {n} is not Weil-invariant") from None
+            if any(et < 0 for et, _a, _ey in poly.terms):
                 raise ValueError(f"A-table entry {n} violates positivity")
+            self.weil[n] = poly
 
     @classmethod
     def from_obj(cls, obj, g):
+        """The table of a file object.  The faults come in this order: every
+        entry's format faults (a rank key, then the polynomial's own, in
+        from_zform's order), in file order; then, entry by entry in file
+        order, a wrong g, a Weil-invariance failure and positivity."""
         try:
             entries = obj["entries"].items()
         except (KeyError, TypeError, AttributeError) as exc:
@@ -455,7 +463,12 @@ class ATable:
             if n < 2:
                 raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
                                  "is below 2 (rank 1 is the built-in Picard polynomial)")
-            table[n] = LaurentPoly.from_obj(p)
+            try:
+                table[n] = WeilPoly.from_zform(p)
+            except InvarianceError:
+                # read again as z-form, which __init__ converts and rejects
+                # in its turn, after the later entries' format faults
+                table[n] = LaurentPoly.from_obj(p)
         return cls(g, table)
 
     @classmethod

@@ -33,6 +33,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from operator import itemgetter
 
 from . import polyq
 
@@ -409,6 +410,9 @@ class LaurentPoly:
         other spelling ("+3", " 3", "1_0", "3.0", digits of other scripts)
         goes to Fraction.  Past the interpreter's digit limit both raise.
 
+        `terms` and each `z` must be JSON lists (an object or a string
+        there is a format error, not an empty or a per-character read).
+
         Each term is checked and converted once, and the terms go to the
         polynomial without a second normalisation.  The errors come in the
         order of a read followed by __init__: format errors in file order,
@@ -420,11 +424,17 @@ class LaurentPoly:
             g = obj["g"]
             if type(g) is not int:
                 raise ValueError(f"malformed polynomial JSON: g has non-integer {g!r}")
+            items = obj["terms"]
+            if type(items) is not list:
+                raise ValueError(f"malformed polynomial JSON: terms has non-list {items!r}")
             terms = {}
             zeros = False
             bad_key = None
-            for term in obj["terms"]:
-                key = (term["t"], tuple(term["z"]), term.get("gamma", 0))
+            for term in items:
+                t, z = term["t"], term["z"]
+                if type(z) is not list:
+                    raise ValueError(f"malformed polynomial JSON: z has non-list {z!r}")
+                key = (t, tuple(z), term.get("gamma", 0))
                 t, z, gamma = key
                 if type(t) is not int or type(gamma) is not int or [e for e in z if type(e) is not int]:
                     raise ValueError(f"malformed polynomial JSON: non-integer exponent in {key}")
@@ -527,7 +537,8 @@ class WeilPoly(LaurentPoly):
     ``(t_exp, e_exps, y_exp)`` and the arithmetic, exact division included,
     is LaurentPoly's kernel; mixing the two forms raises TypeError.  The
     z-specific methods (Weil check, substitute, render, JSON) apply to the
-    z-form only: convert with to_laurent first.
+    z-form only: convert with to_laurent first.  The file form is the
+    z-form's; from_zform reads it straight into e-form.
     """
 
     __slots__ = ()
@@ -544,49 +555,34 @@ class WeilPoly(LaurentPoly):
         Each Weil orbit has one member with all z-exponents >= 0 sorted in
         descending order (mu), its representative; the orbit sum of
         t^a z^mu y^b is t^a y^b M_mu.  Raises InvarianceError when some orbit
-        has a member that is missing or carries a different coefficient.
-
-        One scan checks this.  A term that is not a representative needs its
-        representative present with the same coefficient (one lookup), and a
-        representative adds its orbit size to a running total.  That is
-        enough: the terms are distinct keys, each lies in the orbit of
-        exactly one present representative, and an orbit holds at most
-        |orbit| of them; so the terms number at most the total, with
-        equality exactly when every orbit is full.  The e-form is then
-        c t^a y^b M_mu summed over the representatives into one dict.  Each
-        distinct z-exponent vector's shape is worked out once per call.
+        has a member that is missing or carries a different coefficient
+        (_eform_terms has the one-scan check).
         """
         if type(p) is not LaurentPoly:
             raise TypeError("need a z-form LaurentPoly")
-        g, terms = p.g, p.terms
-        get = terms.get
-        shapes = {}
-        reps = []
-        covered = 0
-        for (et, ez, ey), c in terms.items():
-            shape = shapes.get(ez)
-            if shape is None:
-                mu, dt = _orbit_rep(ez)
-                # (mu, t-shift, orbit size, M_mu's terms), the last two for a
-                # representative only
-                shape = shapes[ez] = ((mu, 0, len(_orbit(mu)), _orbit_sum(g, mu).terms.items())
-                                      if ez == mu else (mu, dt, 0, None))
-            mu, dt, size, orbit_terms = shape
-            if size:
-                covered += size
-                reps.append((et, ey, c, orbit_terms))
-            elif get((et + dt, mu, ey)) != c:
-                raise InvarianceError("polynomial is not Weil-invariant")
-        if covered != len(terms):
-            raise InvarianceError("polynomial is not Weil-invariant")
-        acc = {}
-        acc_get = acc.get
-        for et, ey, c, orbit_terms in reps:
-            for (mt, ma, my), mc in orbit_terms:
-                k = (et + mt, ma, ey + my)
-                acc[k] = acc_get(k, 0) + c * mc
-        out = cls(g)
-        out.terms = {k: c for k, c in acc.items() if c}
+        out = cls(p.g)
+        out.terms = _eform_terms(p.g, p.terms)
+        return out
+
+    @classmethod
+    def from_zform(cls, obj) -> "WeilPoly":
+        """The e-form of a z-form polynomial object (LaurentPoly.to_obj's
+        form, the form of the table and polynomial files), read without
+        building the z-form: the same value, errors and error order as
+        WeilPoly.from_laurent(LaurentPoly.from_obj(obj)).
+
+        A plain object (_plain_zform) is checked a whole column at a time,
+        and its terms go straight to from_laurent's scan (_eform_terms),
+        whose only error is InvarianceError.  Anything else (a format fault,
+        g < 0, a bad key shape, a zero term, or a coefficient that is not
+        plain decimal digits) goes to that composition, which raises its
+        exact error or reads the rare spelling.
+        """
+        plain = _plain_zform(obj)
+        if plain is None:
+            return cls.from_laurent(LaurentPoly.from_obj(obj))
+        out = cls(plain[0])
+        out.terms = _eform_terms(*plain)
         return out
 
     def to_laurent(self) -> LaurentPoly:
@@ -645,6 +641,95 @@ class WeilPoly(LaurentPoly):
 
     def __repr__(self):
         return f"WeilPoly(g={self.g}, {self.terms})"
+
+
+def _plain_zform(obj):
+    """(g, terms) of a z-form polynomial object that LaurentPoly.from_obj
+    reads with no fault and no zero term, with every coefficient a JSON
+    integer or a plain decimal integer string (ASCII digits after at most
+    one "-", which int() reads as Fraction would), terms mapping each key
+    to its int coefficient in file order; None for any other object.
+
+    Each check runs over a whole column (the per-term bytecode of from_obj
+    is most of its cost).  type() is compared exactly, so a bool, which is
+    an int to isinstance, is not plain, and the exponents are checked term
+    by term, not per distinct key (True == 1 == 1.0).  A string column is
+    plain when its concatenation is ASCII digits and "-" and int() reads
+    every string, which leaves exactly one "-" or none, in front; an int()
+    past the interpreter's digit limit is not plain either."""
+    try:
+        g, items = obj["g"], obj["terms"]
+        if type(g) is not int or g < 0 or type(items) is not list:
+            return None
+        ts = list(map(itemgetter("t"), items))
+        zs = list(map(itemgetter("z"), items))
+        ys = list(map(dict.get, items, itertools.repeat("gamma"), itertools.repeat(0)))
+        cs = list(map(itemgetter("c"), items))
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, zs)) <= {list} and set(map(len, zs)) <= {g}
+            and set(map(type, itertools.chain(ts, ys, itertools.chain.from_iterable(zs)))) <= {int}
+            and min(ys, default=0) >= 0):
+        return None
+    kinds = set(map(type, cs))
+    if kinds == {str}:
+        digits = "".join(cs)
+        if not (digits.isascii() and digits.replace("-", "").isdigit()):
+            return None
+        cs = map(int, cs)
+    elif not kinds <= {int}:
+        return None
+    keys = list(zip(ts, map(tuple, zs), ys))
+    try:
+        terms = dict(zip(keys, cs))
+    except ValueError:  # an empty string, a stray "-" or past the digit limit
+        return None
+    if len(terms) != len(keys) or not all(terms.values()):  # a duplicate or a zero term
+        return None
+    return g, terms
+
+
+def _eform_terms(g, terms):
+    """The e-form terms of the z-form terms {(t, z, y): c}; raises
+    InvarianceError when they are not Weil-invariant.
+
+    One scan checks this.  A term that is not a representative needs its
+    representative present with the same coefficient (one lookup), and a
+    representative adds its orbit size to a running total.  That is
+    enough: the terms are distinct keys, each lies in the orbit of exactly
+    one present representative, and an orbit holds at most |orbit| of them;
+    so the terms number at most the total, with equality exactly when every
+    orbit is full.  The e-form is then c t^a y^b M_mu summed over the
+    representatives into one dict.  Each distinct z-exponent vector's shape
+    is worked out once per call.
+    """
+    get = terms.get
+    shapes = {}
+    reps = []
+    covered = 0
+    for (et, ez, ey), c in terms.items():
+        shape = shapes.get(ez)
+        if shape is None:
+            mu, dt = _orbit_rep(ez)
+            # (mu, t-shift, orbit size, M_mu's terms), the last two for a
+            # representative only
+            shape = shapes[ez] = ((mu, 0, len(_orbit(mu)), _orbit_sum(g, mu).terms.items())
+                                  if ez == mu else (mu, dt, 0, None))
+        mu, dt, size, orbit_terms = shape
+        if size:
+            covered += size
+            reps.append((et, ey, c, orbit_terms))
+        elif get((et + dt, mu, ey)) != c:
+            raise InvarianceError("polynomial is not Weil-invariant")
+    if covered != len(terms):
+        raise InvarianceError("polynomial is not Weil-invariant")
+    acc = {}
+    acc_get = acc.get
+    for et, ey, c, orbit_terms in reps:
+        for (mt, ma, my), mc in orbit_terms:
+            k = (et + mt, ma, ey + my)
+            acc[k] = acc_get(k, 0) + c * mc
+    return {k: c for k, c in acc.items() if c}
 
 
 def _partition(a):

@@ -10,7 +10,8 @@ every divisor; the z-form
 runs on; the z-form Frobenius substitution and Weil symmetrization, the
 references for WeilPoly.frobenius_substitute and for the orbit-based
 laurent.weil_symmetrize; and the z-form to e-form conversion that counts
-every orbit's members, the reference for WeilPoly.from_laurent.  Nothing in
+every orbit's members, the reference for WeilPoly.from_laurent, and the
+file read through the z-form that WeilPoly.from_zform replaced.  Nothing in
 the package imports this module."""
 
 import itertools
@@ -233,6 +234,28 @@ def from_laurent(p):
     for mu, coeffs in by_mu.items():
         out = out + WeilPoly(g, coeffs) * _orbit_sum(g, mu)
     return out
+
+
+def same_zform_read(obj):
+    """WeilPoly.from_zform agrees on obj with the read through the z-form
+    that it replaced, WeilPoly.from_laurent(LaurentPoly.from_obj(obj)): the
+    same e-form, term order and coefficient types included, or the same
+    error class and message.  An e-form is also the value of the
+    member-counting from_laurent above, which shares no code with the
+    package's scan.  Returns the outcome."""
+    outcomes = []
+    for read in (WeilPoly.from_zform, lambda o: WeilPoly.from_laurent(LaurentPoly.from_obj(o))):
+        try:
+            p = read(obj)
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((type(p), p.g, [(k, type(c), c) for k, c in p.terms.items()]))
+    new, old = outcomes
+    assert new == old, obj
+    if new[0] is WeilPoly:
+        assert dict((k, c) for k, _t, c in new[2]) == from_laurent(LaurentPoly.from_obj(obj)).terms
+    return new
 
 
 def swap(p, i, j):

@@ -17,7 +17,7 @@ import pytest
 
 from locsys import cli, cones, spectral, verify
 from locsys.counting import ATable, CTable, a_from_c, c_from_a, euler_characteristic
-from locsys.laurent import (CurveInput, LaurentPoly, graeffe_power, pic_polynomial,
+from locsys.laurent import (CurveInput, LaurentPoly, WeilPoly, graeffe_power, pic_polynomial,
                             weil_symmetrize)
 from locsys.verify import _shrink, replay
 
@@ -311,6 +311,47 @@ def test_eval_pgn_bytes_pinned(capsys, tmp_path):
         "cd8b81538359a375e11769c9ca539004eedcc4976f5a06c1706d1806e26eda7b")
 
 
+def test_reads_build_no_z_form(capsys, tmp_path, monkeypatch):
+    """The A-table and the --pgn file are read straight into e-form: with
+    the z-form reader refusing, qgn on a benchmark cell and eval keep their
+    pinned bytes."""
+    def refuse(cls, obj):
+        raise AssertionError("read through the z-form")
+
+    monkeypatch.setattr(LaurentPoly, "from_obj", classmethod(refuse))
+    test_qgn_output_bytes_pinned(capsys, tmp_path, (3, 5))
+    test_eval_pgn_bytes_pinned(capsys, tmp_path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_reads_restore_the_collector(capsys, curve_file, tmp_path, monkeypatch, enabled):
+    """The cyclic collector is paused while a polynomial file is read and is
+    left as the caller had it, after a read that succeeds, one that is a
+    usage error and a report that fails."""
+    paused = []
+    read = WeilPoly.from_zform.__func__
+    monkeypatch.setattr(WeilPoly, "from_zform",
+                        classmethod(lambda cls, obj: paused.append(not gc.isenabled())
+                                    or read(cls, obj)))
+    good, bad, table = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "atable.json"
+    good.write_text(json.dumps({"g": 2, "terms": [{"c": "3", "t": 1, "z": [0, 0]}]}))
+    bad.write_text(json.dumps({"g": 2, "terms": [{"c": "3", "t": 1, "z": [0, 1.5]}]}))
+    write_atable(table, failing_entries("wrong-top"))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for code, argv in ((0, ("eval", "--curve", curve_file, "--n", "2", "--k", "1",
+                                "--pgn", str(good))),
+                           (2, ("eval", "--curve", curve_file, "--n", "2", "--k", "1",
+                                "--pgn", str(bad))),
+                           (1, ("qgn", "--n", "2", "--g", "2", "--a-table", str(table)))):
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True, True, True]
+
+
 def test_emit_ctable_bytes_match_json_dump(capsys, tmp_path):
     g, n = 2, 5
     entries = planted_entries(g, n)
@@ -550,16 +591,24 @@ class TestMalformedInput:
         ("--pgn", {"g": 1, "terms": [{"c": 0.1, "t": 1, "z": [0], "gamma": 0}]}),
         ("--pgn", {"g": 1, "terms": [{"c": "1/0", "t": 1, "z": [0], "gamma": 0}]}),
         ("--pgn", {"g": 1, "terms": [{"c": "one", "t": 1, "z": [0], "gamma": 0}]}),
+        ("--pgn", {"g": 2, "terms": {}}),
+        ("--pgn", {"g": 2, "terms": ""}),
+        ("--pgn", {"g": 2, "terms": [{"c": "1", "t": 0, "z": {}, "gamma": 0}]}),
+        ("--pgn", {"g": 2, "terms": [{"c": "1", "t": 0, "z": "", "gamma": 0}]}),
+        ("--a-table", {"entries": {"2": {"g": 2, "terms": {}}}}),
     ], ids=["float-coefficient", "float-genus", "bool-coefficient", "duplicate-term",
             "float-t", "bool-z", "string-gamma", "bool-gamma", "string-z", "float-pgn-genus",
-            "bool-c", "float-c", "zero-denominator-c", "word-c"])
+            "bool-c", "float-c", "zero-denominator-c", "word-c", "object-terms", "string-terms",
+            "object-z", "empty-string-z", "object-table-terms"])
     def test_rejected_where_it_enters(self, capsys, curve_file, tmp_path, flag, obj):
-        # each of these used to be read as some other input and exit 0
+        # each of these used to be read as some other input and exit 0 (a
+        # table entry read as zero made a failing report, exit 1)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         argv = {"--curve": ("eval", "--curve", str(path), "--n", "1", "--k", "1"),
                 "--pgn": ("eval", "--curve", curve_file, "--n", "2", "--k", "1",
-                          "--pgn", str(path))}[flag]
+                          "--pgn", str(path)),
+                "--a-table": ("qgn", "--n", "2", "--g", "2", "--a-table", str(path))}[flag]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error: malformed") and err.count("\n") == 1
@@ -825,6 +874,29 @@ class TestPipeline:
             write_atable(path, {2: entries[2], 3: bad})
             code, out, err = run(capsys, "qgn", "--n", "3", "--g", "2", "--a-table", str(path))
             assert (code, out, err) == (2, "", "usage error: A-table entry 3 is not Weil-invariant\n")
+
+    @pytest.mark.parametrize("entries,message", [
+        ({"2": "not-invariant", "3": "float-t"},
+         "malformed polynomial JSON: non-integer exponent in (1.5, (0, 0), 0)"),
+        ({"2": "negative-t", "3": "not-invariant"}, "A-table entry 2 violates positivity"),
+        ({"2": "genus-3", "3": "not-invariant"}, "entry 2 has wrong number of z-variables"),
+        ({"2": "not-invariant", "3": "genus-3"}, "A-table entry 2 is not Weil-invariant"),
+    ], ids=["format-first", "positivity-in-entry-order", "genus-before-invariance",
+            "invariance-in-entry-order"])
+    def test_table_error_order(self, capsys, tmp_path, entries, message):
+        """Every entry's format faults come first, in file order; then, entry
+        by entry in file order, a wrong g, a Weil-invariance failure and
+        positivity."""
+        polys = {
+            "not-invariant": {"g": 2, "terms": [{"c": "1", "t": 0, "z": [1, 0]}]},
+            "float-t": {"g": 2, "terms": [{"c": "1", "t": 1.5, "z": [0, 0]}]},
+            "negative-t": {"g": 2, "terms": [{"c": "1", "t": -1, "z": [0, 0]}]},
+            "genus-3": {"g": 3, "terms": [{"c": "1", "t": 2, "z": [0, 0, 0]}]},
+        }
+        path = tmp_path / "atable.json"
+        path.write_text(json.dumps({"entries": {n: polys[kind] for n, kind in entries.items()}}))
+        code, out, err = run(capsys, "qgn", "--n", "3", "--g", "2", "--a-table", str(path))
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
     def test_consistent_fixture_passes(self, capsys, tmp_path):
         path, planted = consistent_fixture(tmp_path)

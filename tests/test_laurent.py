@@ -3,13 +3,14 @@ import itertools
 import json
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
 import mpmath
 import pytest
-from counting_refs import (frobenius_substitute, permutation_flip_symmetrize, satisfies_positivity,
-                          swap_flip_invariant)
+from counting_refs import (frobenius_substitute, permutation_flip_symmetrize, same_zform_read,
+                          satisfies_positivity, swap_flip_invariant)
 
 from locsys.laurent import (
     CurveInput,
@@ -643,14 +644,20 @@ def _read_outcome(reader, obj):
 
 def _two_pass_read(obj):
     """The reader from_obj replaced, kept as the reference: Fraction reads
-    every coefficient string and __init__ normalises every term again."""
+    every coefficient string and __init__ normalises every term again.
+    `terms` and `z` must be lists, as the file format now requires."""
     try:
         g = obj["g"]
         if type(g) is not int:
             raise ValueError(f"malformed polynomial JSON: g has non-integer {g!r}")
         terms = {}
+        if type(obj["terms"]) is not list:
+            raise ValueError(f"malformed polynomial JSON: terms has non-list {obj['terms']!r}")
         for term in obj["terms"]:
-            key = (term["t"], tuple(term["z"]), term.get("gamma", 0))
+            t, z = term["t"], term["z"]
+            if type(z) is not list:
+                raise ValueError(f"malformed polynomial JSON: z has non-list {z!r}")
+            key = (t, tuple(z), term.get("gamma", 0))
             if (type(key[0]) is not int or type(key[2]) is not int
                     or not all(type(e) is int for e in key[1])):
                 raise ValueError(f"malformed polynomial JSON: non-integer exponent in {key}")
@@ -697,6 +704,10 @@ class TestOnePassReader:
         term = {"c": c, "t": 1, "z": [2], "gamma": 0}
         _same_read({"g": 1, "terms": [term]})
         _same_read({"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": 0}, term]})
+        # an invariant term, so that the e-form reads compare values too
+        same_zform_read({"g": 1, "terms": [dict(term, z=[0])]})
+        same_zform_read({"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": 0},
+                                           dict(term, z=[0])]})
 
     def test_file_form_is_z_form(self):
         obj = json.loads(LaurentPoly.const(1, 3).to_json())
@@ -743,6 +754,7 @@ class TestOnePassReader:
     ])
     def test_files_with_faults(self, obj):
         _same_read(obj)
+        same_zform_read(obj)
 
     def test_random_faulty_files(self):
         rng = random.Random(16)
@@ -769,6 +781,7 @@ class TestOnePassReader:
                     term["c"] = rng.choice(("0", 0, "-0", "0/3"))
                 terms.append(term)
             outcome = _same_read({"g": g, "terms": terms})
+            same_zform_read({"g": g, "terms": terms})
             seen.add(outcome[1].split(":")[0] if outcome[0] is not LaurentPoly else "read")
         assert {"read", "need g >= 0", "exponent vector (0, 0, 0) has length != g=2",
                 "genus-offset exponent must be nonnegative",
@@ -783,6 +796,116 @@ class TestOnePassReader:
             new = _same_read(obj)
             assert new[0] is LaurentPoly and LaurentPoly.from_obj(obj) == p
             assert LaurentPoly.from_obj(obj).to_json() == p.to_json()
+
+
+def _orbit_terms(c, t=0, gamma=0):
+    """The file terms of c t^t (g-1)^gamma (z1 + t/z1 + z2 + t/z2) at g = 2,
+    a Weil-invariant polynomial of four terms."""
+    return [{"c": c, "t": t + dt, "z": z, "gamma": gamma}
+            for dt, z in ((0, [1, 0]), (0, [0, 1]), (1, [-1, 0]), (1, [0, -1]))]
+
+
+class TestZformReader:
+    """WeilPoly.from_zform reads a plain file a column at a time and hands
+    anything else to LaurentPoly.from_obj and WeilPoly.from_laurent; on
+    every input it agrees with that composition (same_zform_read).  The
+    corpus of TestOnePassReader is read through it too."""
+
+    @pytest.mark.parametrize("obj", [
+        # the malformed polynomials of the command-line tests
+        {"g": 2},
+        {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0},
+                           {"c": "5", "t": 0, "z": [0, 0], "gamma": 0}]},
+        {"g": 1, "terms": [{"c": "1", "t": 1.9, "z": [0], "gamma": 0}]},
+        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [True], "gamma": 0}]},
+        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": "1"}]},
+        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": False}]},
+        {"g": 1, "terms": [{"c": "1", "t": 0, "z": "0", "gamma": 0}]},
+        {"g": 2.0, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
+        {"g": 1, "terms": [{"c": True, "t": 1, "z": [0], "gamma": 0}]},
+        {"g": 1, "terms": [{"c": 0.1, "t": 1, "z": [0], "gamma": 0}]},
+        {"g": 1, "terms": [{"c": "1/0", "t": 1, "z": [0], "gamma": 0}]},
+        {"g": 2, "terms": [{"c": "0", "t": 0, "z": [0, 0, 0], "gamma": -1},
+                           {"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
+        {"g": 2, "terms": [{"c": "0", "t": 0, "z": [0, 0], "gamma": -1},
+                           {"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
+        {"g": 2, "terms": [{"t": 0, "z": [0, 0]}]},
+        {"g": 2, "terms": [3]},
+        {"g": -1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": 0}]},
+        {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": -1},
+                           {"c": "x", "t": 1, "z": [0, 0], "gamma": 0}]},
+        # lists required: an object or a string is not an empty polynomial
+        {"g": 2, "terms": {}}, {"g": 2, "terms": ""}, {"g": 2, "terms": []},
+        {"g": 0, "terms": [{"c": "1", "t": 0, "z": {}}]},
+        {"g": 0, "terms": [{"c": "1", "t": 0, "z": ""}]},
+        {"g": 0, "terms": [{"c": "1", "t": 0, "z": []}]},
+        # a float or bool exponent after an int that equals it: a column
+        # check per distinct key would take it for the int
+        {"g": 1, "terms": [{"c": "1", "t": 1, "z": [0]}, {"c": "1", "t": 1.0, "z": [0]}]},
+        {"g": 1, "terms": [{"c": "1", "t": 1, "z": [0]}, {"c": "1", "t": True, "z": [0]}]},
+        {"g": 2, "terms": _orbit_terms("2") + [{"c": "2", "t": 0, "z": [1.0, 0]}]},
+        {"g": 2, "terms": _orbit_terms("2") + [{"c": "2", "t": 0, "z": [True, 0]}]},
+        {"g": 2, "terms": _orbit_terms("2", gamma=1) + [{"c": "2", "t": 0, "z": [1, 0],
+                                                        "gamma": True}]},
+        # JSON-int, mixed and zero coefficients on invariant polynomials
+        {"g": 2, "terms": _orbit_terms(-3)},
+        {"g": 2, "terms": _orbit_terms(-3)[:2] + _orbit_terms("-3")[2:]},
+        {"g": 2, "terms": _orbit_terms("1") + _orbit_terms("0", t=1)},
+        {"g": 2, "terms": _orbit_terms(4) + [{"c": 0, "t": 5, "z": [1, 0]}]},
+        {"g": 2, "terms": _orbit_terms("0")},
+        {"g": 2, "terms": _orbit_terms("-0")},
+        {"g": 2, "terms": _orbit_terms("3/2")},
+        {"g": 2, "terms": _orbit_terms("-")},
+        {"g": 2, "terms": _orbit_terms("") + [{"c": "1", "t": 0, "z": [0, 0]}]},
+        {"g": 2, "terms": _orbit_terms("1-2")},
+        # not invariant, with plain coefficients
+        {"g": 2, "terms": _orbit_terms("2")[:3]},
+        {"g": 2, "terms": _orbit_terms("2")[:3] + [{"c": "3", "t": 1, "z": [0, -1]}]},
+        {"g": 2, "terms": _orbit_terms("2")[1:]},
+    ])
+    def test_same_read(self, obj):
+        same_zform_read(obj)
+
+    @staticmethod
+    def _read(obj):
+        try:
+            p = WeilPoly.from_zform(obj)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return type(p), p.g, [(k, type(c), c) for k, c in p.terms.items()]
+
+    @pytest.mark.parametrize("c", ["+3", " 3", "1_000", "0.5", "٣", "3/2", "-0", "3 ", "-+3"])
+    def test_rare_spellings_take_the_exact_path(self, monkeypatch, c):
+        """A coefficient that is not plain decimal digits is read by
+        LaurentPoly.from_obj, under Fraction's grammar, not by int()."""
+        obj = {"g": 2, "terms": _orbit_terms("7") + _orbit_terms(c, t=2)}
+        want = same_zform_read(obj)
+        reads = []
+        exact = LaurentPoly.from_obj.__func__
+        monkeypatch.setattr(LaurentPoly, "from_obj",
+                            classmethod(lambda cls, o: reads.append(o) or exact(cls, o)))
+        assert self._read(obj) == want
+        assert reads == [obj]
+
+    @pytest.mark.parametrize("c", ["3", "-3", "007", "-12", 5, -5, 10 ** 40])
+    def test_plain_files_build_no_z_form(self, monkeypatch, c):
+        obj = {"g": 2, "terms": _orbit_terms(c) + _orbit_terms(c, t=1, gamma=2)}
+        want = same_zform_read(obj)
+
+        def refuse(cls, o):
+            raise AssertionError("read through the z-form")
+
+        monkeypatch.setattr(LaurentPoly, "from_obj", classmethod(refuse))
+        assert self._read(obj) == want
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no integer-string limit")
+    def test_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        for digits in (limit, limit + 1):
+            for c in ("9" * digits, "-" + "9" * digits):
+                outcome = same_zform_read({"g": 2, "terms": _orbit_terms(c)})
+                assert (outcome[0] is WeilPoly) == (digits == limit)
 
 
 class TestWeilSymmetrize:

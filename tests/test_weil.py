@@ -1,6 +1,7 @@
 """The e-form (Weil-invariant coordinates) against the z-form it replaces in
 the counting engine."""
 
+import json
 import os
 import random
 import sys
@@ -11,6 +12,7 @@ from counting_refs import (
     free_substitute,
     from_laurent,
     frobenius_substitute,
+    same_zform_read,
     satisfies_positivity,
     swap_flip_invariant,
 )
@@ -242,7 +244,9 @@ def _verdict(convert, p):
 class TestFromLaurentAgainstReference:
     """The orbit-size check and the one-dict assembly against the reference
     that counts each orbit's members and sums one product per mu: the same
-    e-form, the same verdict, and the verdict of the swap-and-flip scan."""
+    e-form, the same verdict, and the verdict of the swap-and-flip scan.
+    The file form of each polynomial reads the same through
+    WeilPoly.from_zform as through the z-form."""
 
     def _agree(self, p, verdicts):
         want = _verdict(from_laurent, p)
@@ -251,6 +255,8 @@ class TestFromLaurentAgainstReference:
         if got is not None:
             assert type(got) is WeilPoly and got == want
             assert got.to_laurent() == p
+        read = same_zform_read(json.loads(p.to_json()))
+        assert (read[0] is WeilPoly) == (got is not None)
         verdicts.append(got is not None)
 
     def test_symmetrized_and_picard_grid(self):
