@@ -22,9 +22,7 @@ from .laurent import (
     DivisibilityError,
     EntryMissing,
     IntegralityError,
-    InvarianceError,
     LaurentPoly,
-    WeilPoly,
     evaluate_at_curve,
     pic_eform,
 )
@@ -47,10 +45,14 @@ PGN_MAX_GENUS = 9
 # the largest euler --g: at 10000, --n 30030 (six primes) prints 89,564
 # digits in about 0.34 s; the cost grows with g^2
 EULER_MAX_GENUS = 10000
-# the largest euler --n and d-count --n/--d: divisors and mobius try every
-# factor up to the square root, so at 10^12 either command takes 0.15-0.45 s
-# (the most at a prime); the cost grows with the square root of the flag
+# the largest euler --n, d-count --n/--d and eval curve q: each tries every
+# factor up to the square root, so at 10^12 euler and d-count take 0.15-0.45 s
+# and the curve's prime-power check 0.09 s (the most at a prime)
 DIVISOR_MAX = 10 ** 12
+# the largest eval curve g: on a curve over F_999999999989 with distinct
+# traces, `eval --n 1 --k 1` takes about 0.33 s at g = 12 and 0.86 s at 14,
+# and the Weil check alone 9.7 s at 20 (its Sturm chain's coefficients grow)
+CURVE_MAX_GENUS = 12
 
 
 class CheckFailure(RuntimeError):
@@ -84,12 +86,12 @@ def _any_digits():
 
 @contextlib.contextmanager
 def _collector_paused():
-    """Pause the cyclic collector while a polynomial file is parsed and read
-    into e-form, and restore its state however the read ends.  The loaded
-    JSON and its key tuples hold no reference cycles, so the collections
-    their allocation would start free nothing, and each one rescans the
-    objects the load holds (reading the five A-tables of the benchmark's
-    `master` cells, 2 MB in all, ran 265 young-generation collections)."""
+    """Pause the cyclic collector while a polynomial file is parsed and read,
+    and restore its state however the read ends.  The loaded JSON and its
+    key tuples hold no reference cycles, so the collections their
+    allocation would start free nothing, and each one rescans the objects
+    the load holds (reading the five A-tables of the benchmark's `master`
+    cells, 2 MB in all, ran 265 young-generation collections)."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -204,20 +206,21 @@ def cmd_eval(args):
     if args.n == 1 and args.pgn is not None:
         raise ValueError("eval --n 1 takes no --pgn: the rank-1 polynomial is built in")
     with _open(args.curve) as fh:
-        curve = CurveInput.from_obj(json.load(fh))
+        obj = json.load(fh)
+    # capped before any work; CurveInput.from_obj reports every other fault
+    sizes = obj if isinstance(obj, dict) else {}
+    for name, cap in (("g", CURVE_MAX_GENUS), ("q", DIVISOR_MAX)):
+        value = sizes.get(name)
+        if type(value) is int and value > cap:
+            raise ValueError(f"eval takes a curve with {name} up to {cap}, not {value}")
+    curve = CurveInput.from_obj(obj)
     if args.n == 1:
         poly = pic_eform(curve.g)
     else:
         if args.pgn is None:
             raise ValueError("ranks >= 2 need --pgn with the count polynomial")
         with _open(args.pgn) as fh, _collector_paused():
-            obj = json.load(fh)
-            try:
-                poly = WeilPoly.from_zform(obj)
-            except InvarianceError:
-                # read again as z-form, which evaluate_at_curve rejects after
-                # its genus check, as it did before the e-form read
-                poly = LaurentPoly.from_obj(obj)
+            poly = LaurentPoly.from_obj(json.load(fh))
     value = evaluate_at_curve(poly, curve, args.k, curve.g - 1)
     with _any_digits():
         _print(args, {"n": args.n, "k": args.k, "count": value},

@@ -410,8 +410,7 @@ class ATable:
     satisfy the positivity constraint on load, and the table keeps only
     their e-form (`weil`), which the inversion reads.  An entry is given as
     a WeilPoly, or as a z-form LaurentPoly whose Weil check is its
-    conversion to e-form; the table file's entries are read straight into
-    e-form (WeilPoly.from_zform).
+    conversion to e-form (WeilPoly.from_laurent).
 
     Positivity (every z-form term t^m z^n has v = m + sum_i min(n_i, 0) >= 0)
     is read off the e-form: it holds exactly when every e-form t-exponent is
@@ -428,31 +427,36 @@ class ATable:
 
     def __init__(self, g, entries):
         self.g = g
-        self.weil = {}
-        for n, poly in entries.items():
-            n = int(n)
-            if poly.g != g:
-                raise ValueError(f"entry {n} has wrong number of z-variables")
-            if not isinstance(poly, WeilPoly):
-                try:
-                    poly = WeilPoly.from_laurent(poly)
-                except InvarianceError:
-                    raise ValueError(f"A-table entry {n} is not Weil-invariant") from None
-            if any(et < 0 for et, _a, _ey in poly.terms):
-                raise ValueError(f"A-table entry {n} violates positivity")
-            self.weil[n] = poly
+        self.weil = {int(n): self._checked(g, int(n), poly) for n, poly in entries.items()}
+
+    @staticmethod
+    def _checked(g, n, poly):
+        """The e-form of entry n; checks its g, Weil invariance, positivity."""
+        if poly.g != g:
+            raise ValueError(f"entry {n} has wrong number of z-variables")
+        if not isinstance(poly, WeilPoly):
+            try:
+                poly = WeilPoly.from_laurent(poly)
+            except InvarianceError:
+                raise ValueError(f"A-table entry {n} is not Weil-invariant") from None
+        if any(et < 0 for et, _a, _ey in poly.terms):
+            raise ValueError(f"A-table entry {n} violates positivity")
+        return poly
 
     @classmethod
     def from_obj(cls, obj, g):
         """The table of a file object.  The faults come in this order: every
         entry's format faults (a rank key, then the polynomial's own, in
-        from_zform's order), in file order; then, entry by entry in file
-        order, a wrong g, a Weil-invariance failure and positivity."""
+        LaurentPoly.from_obj's order), in file order; then, entry by entry
+        in file order, a wrong g, a Weil-invariance failure and positivity.
+        Each entry is checked when read, so that one z-form is held at a
+        time, and its fault is held until the later entries are read."""
         try:
             entries = obj["entries"].items()
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed bundle-count table JSON: {exc!r}") from None
-        table = {}
+        weil = {}
+        fault = None
         for key, p in entries:
             # a canonical key is the only spelling of its rank, so no two
             # keys can name the same rank
@@ -463,13 +467,16 @@ class ATable:
             if n < 2:
                 raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
                                  "is below 2 (rank 1 is the built-in Picard polynomial)")
-            try:
-                table[n] = WeilPoly.from_zform(p)
-            except InvarianceError:
-                # read again as z-form, which __init__ converts and rejects
-                # in its turn, after the later entries' format faults
-                table[n] = LaurentPoly.from_obj(p)
-        return cls(g, table)
+            poly = LaurentPoly.from_obj(p)
+            if fault is None:
+                try:
+                    weil[n] = cls._checked(g, n, poly)
+                except ValueError as exc:
+                    fault = exc
+            del poly  # let this z-form go before the next read
+        if fault is not None:
+            raise fault
+        return cls(g, weil)
 
     @classmethod
     def from_json(cls, text, g):

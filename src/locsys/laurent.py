@@ -403,66 +403,24 @@ class LaurentPoly:
     def from_obj(cls, obj):
         """Read to_obj's form, a z-form LaurentPoly; g and every exponent
         must be a JSON integer (a float, bool or string is rejected, not
-        truncated), and a coefficient a rational string such as "3/2" or a
-        JSON integer.  A string is read under Fraction's grammar; a plain
-        decimal integer (ASCII digits, at most one leading "-") is read with
-        int(), which gives Fraction's value without its regex, and every
-        other spelling ("+3", " 3", "1_0", "3.0", digits of other scripts)
-        goes to Fraction.  Past the interpreter's digit limit both raise.
+        truncated), and a coefficient a rational string such as "3/2",
+        read under Fraction's grammar, or a JSON integer.  Past the
+        interpreter's digit limit a string is rejected.
 
         `terms` and each `z` must be JSON lists (an object or a string
         there is a format error, not an empty or a per-character read).
 
-        Each term is checked and converted once, and the terms go to the
-        polynomial without a second normalisation.  The errors come in the
-        order of a read followed by __init__: format errors in file order,
-        then g >= 0, then the first term whose key has the wrong shape
-        (zero terms included)."""
+        A plain file (_plain_zform) is checked a whole column at a time.
+        Anything else goes to the exact per-term read (_zform_by_term): a
+        format fault, g < 0, a bad key shape, a zero term, or a coefficient
+        that is not plain decimal digits ("+3", " 3", "1_0", "3.0", digits
+        of other scripts).  The errors come in the order of a read followed
+        by __init__: format errors in file order, then g >= 0, then the
+        first term whose key has the wrong shape (zero terms included)."""
         if cls is not LaurentPoly:
             raise TypeError(f"the file form is the z-form; read a LaurentPoly, not a {cls.__name__}")
-        try:
-            g = obj["g"]
-            if type(g) is not int:
-                raise ValueError(f"malformed polynomial JSON: g has non-integer {g!r}")
-            items = obj["terms"]
-            if type(items) is not list:
-                raise ValueError(f"malformed polynomial JSON: terms has non-list {items!r}")
-            terms = {}
-            zeros = False
-            bad_key = None
-            for term in items:
-                t, z = term["t"], term["z"]
-                if type(z) is not list:
-                    raise ValueError(f"malformed polynomial JSON: z has non-list {z!r}")
-                key = (t, tuple(z), term.get("gamma", 0))
-                t, z, gamma = key
-                if type(t) is not int or type(gamma) is not int or [e for e in z if type(e) is not int]:
-                    raise ValueError(f"malformed polynomial JSON: non-integer exponent in {key}")
-                if key in terms:
-                    raise ValueError(f"malformed polynomial JSON: duplicate term {key}")
-                c = term["c"]
-                if type(c) is str:
-                    try:
-                        c = (int(c) if c.isascii() and c[c.startswith("-"):].isdigit()
-                             else _coeff(Fraction(c)))
-                    except (ValueError, ZeroDivisionError):
-                        raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
-                                         "is not a rational number") from None
-                elif type(c) is not int:
-                    raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
-                                     "is neither a string nor an integer")
-                if bad_key is None and (len(z) != g or gamma < 0):
-                    bad_key = key
-                terms[key] = c
-                zeros = zeros or not c
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
-        poly = LaurentPoly(g)  # need g >= 0
-        if bad_key is not None:
-            poly._key(bad_key)  # raises __init__'s error for this key
-        # the duplicate check above needs the zero terms' keys; the polynomial does not
-        poly.terms = {k: c for k, c in terms.items() if c} if zeros else terms
-        return poly
+        poly = _plain_zform(obj)
+        return _zform_by_term(obj) if poly is None else poly
 
     @classmethod
     def from_json(cls, text):
@@ -538,7 +496,8 @@ class WeilPoly(LaurentPoly):
     is LaurentPoly's kernel; mixing the two forms raises TypeError.  The
     z-specific methods (Weil check, substitute, render, JSON) apply to the
     z-form only: convert with to_laurent first.  The file form is the
-    z-form's; from_zform reads it straight into e-form.
+    z-form's: read it with LaurentPoly.from_obj and convert with
+    from_laurent.
     """
 
     __slots__ = ()
@@ -555,34 +514,49 @@ class WeilPoly(LaurentPoly):
         Each Weil orbit has one member with all z-exponents >= 0 sorted in
         descending order (mu), its representative; the orbit sum of
         t^a z^mu y^b is t^a y^b M_mu.  Raises InvarianceError when some orbit
-        has a member that is missing or carries a different coefficient
-        (_eform_terms has the one-scan check).
+        has a member that is missing or carries a different coefficient.
+
+        One scan checks this.  A term that is not a representative needs its
+        representative present with the same coefficient (one lookup), and a
+        representative adds its orbit size to a running total.  That is
+        enough: the terms are distinct keys, each lies in the orbit of exactly
+        one present representative, and an orbit holds at most |orbit| of them;
+        so the terms number at most the total, with equality exactly when every
+        orbit is full.  The e-form is then c t^a y^b M_mu summed over the
+        representatives into one dict.  Each distinct z-exponent vector's shape
+        is worked out once per call.
         """
         if type(p) is not LaurentPoly:
             raise TypeError("need a z-form LaurentPoly")
-        out = cls(p.g)
-        out.terms = _eform_terms(p.g, p.terms)
-        return out
-
-    @classmethod
-    def from_zform(cls, obj) -> "WeilPoly":
-        """The e-form of a z-form polynomial object (LaurentPoly.to_obj's
-        form, the form of the table and polynomial files), read without
-        building the z-form: the same value, errors and error order as
-        WeilPoly.from_laurent(LaurentPoly.from_obj(obj)).
-
-        A plain object (_plain_zform) is checked a whole column at a time,
-        and its terms go straight to from_laurent's scan (_eform_terms),
-        whose only error is InvarianceError.  Anything else (a format fault,
-        g < 0, a bad key shape, a zero term, or a coefficient that is not
-        plain decimal digits) goes to that composition, which raises its
-        exact error or reads the rare spelling.
-        """
-        plain = _plain_zform(obj)
-        if plain is None:
-            return cls.from_laurent(LaurentPoly.from_obj(obj))
-        out = cls(plain[0])
-        out.terms = _eform_terms(*plain)
+        g, terms = p.g, p.terms
+        get = terms.get
+        shapes = {}
+        reps = []
+        covered = 0
+        for (et, ez, ey), c in terms.items():
+            shape = shapes.get(ez)
+            if shape is None:
+                mu, dt = _orbit_rep(ez)
+                # (mu, t-shift, orbit size, M_mu's terms), the last two for a
+                # representative only
+                shape = shapes[ez] = ((mu, 0, len(_orbit(mu)), _orbit_sum(g, mu).terms.items())
+                                      if ez == mu else (mu, dt, 0, None))
+            mu, dt, size, orbit_terms = shape
+            if size:
+                covered += size
+                reps.append((et, ey, c, orbit_terms))
+            elif get((et + dt, mu, ey)) != c:
+                raise InvarianceError("polynomial is not Weil-invariant")
+        if covered != len(terms):
+            raise InvarianceError("polynomial is not Weil-invariant")
+        acc = {}
+        acc_get = acc.get
+        for et, ey, c, orbit_terms in reps:
+            for (mt, ma, my), mc in orbit_terms:
+                k = (et + mt, ma, ey + my)
+                acc[k] = acc_get(k, 0) + c * mc
+        out = cls(g)
+        out.terms = {k: c for k, c in acc.items() if c}
         return out
 
     def to_laurent(self) -> LaurentPoly:
@@ -644,19 +618,19 @@ class WeilPoly(LaurentPoly):
 
 
 def _plain_zform(obj):
-    """(g, terms) of a z-form polynomial object that LaurentPoly.from_obj
+    """The LaurentPoly of a z-form polynomial object that _zform_by_term
     reads with no fault and no zero term, with every coefficient a JSON
     integer or a plain decimal integer string (ASCII digits after at most
-    one "-", which int() reads as Fraction would), terms mapping each key
-    to its int coefficient in file order; None for any other object.
+    one "-", which int() reads as Fraction would), its terms in file order;
+    None for any other object.
 
-    Each check runs over a whole column (the per-term bytecode of from_obj
-    is most of its cost).  type() is compared exactly, so a bool, which is
-    an int to isinstance, is not plain, and the exponents are checked term
-    by term, not per distinct key (True == 1 == 1.0).  A string column is
-    plain when its concatenation is ASCII digits and "-" and int() reads
-    every string, which leaves exactly one "-" or none, in front; an int()
-    past the interpreter's digit limit is not plain either."""
+    Each check runs over a whole column (the per-term bytecode of
+    _zform_by_term is most of its cost).  type() is compared exactly, so a
+    bool, which is an int to isinstance, is not plain, and the exponents
+    are checked term by term, not per distinct key (True == 1 == 1.0).  A
+    string column is plain when its concatenation is ASCII digits and "-"
+    and int() reads every string, which leaves exactly one "-" or none, in
+    front; an int() past the interpreter's digit limit is not plain either."""
     try:
         g, items = obj["g"], obj["terms"]
         if type(g) is not int or g < 0 or type(items) is not list:
@@ -679,57 +653,63 @@ def _plain_zform(obj):
         cs = map(int, cs)
     elif not kinds <= {int}:
         return None
-    keys = list(zip(ts, map(tuple, zs), ys))
     try:
-        terms = dict(zip(keys, cs))
+        terms = dict(zip(zip(ts, map(tuple, zs), ys), cs))
     except ValueError:  # an empty string, a stray "-" or past the digit limit
         return None
-    if len(terms) != len(keys) or not all(terms.values()):  # a duplicate or a zero term
+    if len(terms) != len(items) or not all(terms.values()):  # a duplicate or a zero term
         return None
-    return g, terms
+    poly = LaurentPoly(g)
+    poly.terms = terms
+    return poly
 
 
-def _eform_terms(g, terms):
-    """The e-form terms of the z-form terms {(t, z, y): c}; raises
-    InvarianceError when they are not Weil-invariant.
-
-    One scan checks this.  A term that is not a representative needs its
-    representative present with the same coefficient (one lookup), and a
-    representative adds its orbit size to a running total.  That is
-    enough: the terms are distinct keys, each lies in the orbit of exactly
-    one present representative, and an orbit holds at most |orbit| of them;
-    so the terms number at most the total, with equality exactly when every
-    orbit is full.  The e-form is then c t^a y^b M_mu summed over the
-    representatives into one dict.  Each distinct z-exponent vector's shape
-    is worked out once per call.
-    """
-    get = terms.get
-    shapes = {}
-    reps = []
-    covered = 0
-    for (et, ez, ey), c in terms.items():
-        shape = shapes.get(ez)
-        if shape is None:
-            mu, dt = _orbit_rep(ez)
-            # (mu, t-shift, orbit size, M_mu's terms), the last two for a
-            # representative only
-            shape = shapes[ez] = ((mu, 0, len(_orbit(mu)), _orbit_sum(g, mu).terms.items())
-                                  if ez == mu else (mu, dt, 0, None))
-        mu, dt, size, orbit_terms = shape
-        if size:
-            covered += size
-            reps.append((et, ey, c, orbit_terms))
-        elif get((et + dt, mu, ey)) != c:
-            raise InvarianceError("polynomial is not Weil-invariant")
-    if covered != len(terms):
-        raise InvarianceError("polynomial is not Weil-invariant")
-    acc = {}
-    acc_get = acc.get
-    for et, ey, c, orbit_terms in reps:
-        for (mt, ma, my), mc in orbit_terms:
-            k = (et + mt, ma, ey + my)
-            acc[k] = acc_get(k, 0) + c * mc
-    return {k: c for k, c in acc.items() if c}
+def _zform_by_term(obj):
+    """LaurentPoly.from_obj for an object that _plain_zform refuses: each
+    term is checked and converted once, in file order, and the terms go to
+    the polynomial without a second normalisation."""
+    try:
+        g = obj["g"]
+        if type(g) is not int:
+            raise ValueError(f"malformed polynomial JSON: g has non-integer {g!r}")
+        items = obj["terms"]
+        if type(items) is not list:
+            raise ValueError(f"malformed polynomial JSON: terms has non-list {items!r}")
+        terms = {}
+        zeros = False
+        bad_key = None
+        for term in items:
+            t, z = term["t"], term["z"]
+            if type(z) is not list:
+                raise ValueError(f"malformed polynomial JSON: z has non-list {z!r}")
+            key = (t, tuple(z), term.get("gamma", 0))
+            t, z, gamma = key
+            if type(t) is not int or type(gamma) is not int or [e for e in z if type(e) is not int]:
+                raise ValueError(f"malformed polynomial JSON: non-integer exponent in {key}")
+            if key in terms:
+                raise ValueError(f"malformed polynomial JSON: duplicate term {key}")
+            c = term["c"]
+            if type(c) is str:
+                try:
+                    c = _coeff(Fraction(c))
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
+                                     "is not a rational number") from None
+            elif type(c) is not int:
+                raise ValueError(f"malformed polynomial JSON: coefficient {c!r} "
+                                 "is neither a string nor an integer")
+            if bad_key is None and (len(z) != g or gamma < 0):
+                bad_key = key
+            terms[key] = c
+            zeros = zeros or not c
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed polynomial JSON: {exc!r}") from None
+    poly = LaurentPoly(g)  # need g >= 0
+    if bad_key is not None:
+        poly._key(bad_key)  # raises __init__'s error for this key
+    # the duplicate check above needs the zero terms' keys; the polynomial does not
+    poly.terms = {k: c for k, c in terms.items() if c} if zeros else terms
+    return poly
 
 
 def _partition(a):

@@ -11,8 +11,8 @@ runs on; the z-form Frobenius substitution and Weil symmetrization, the
 references for WeilPoly.frobenius_substitute and for the orbit-based
 laurent.weil_symmetrize; and the z-form to e-form conversion that counts
 every orbit's members, the reference for WeilPoly.from_laurent, and the
-file read through the z-form that WeilPoly.from_zform replaced.  Nothing in
-the package imports this module."""
+differential check of LaurentPoly.from_obj's column read against its
+per-term read.  Nothing in the package imports this module."""
 
 import itertools
 import math
@@ -28,6 +28,7 @@ from locsys.laurent import (
     _orbit,
     _orbit_rep,
     _orbit_sum,
+    _zform_by_term,
     pic_polynomial,
 )
 
@@ -236,26 +237,33 @@ def from_laurent(p):
     return out
 
 
+def read_outcome(read, obj):
+    """What read(obj) gives, as (class, g, terms in order with their
+    coefficient types), or the ValueError it raises, as (class, text)."""
+    try:
+        p = read(obj)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(p), p.g, [(k, type(c), c) for k, c in p.terms.items()]
+
+
 def same_zform_read(obj):
-    """WeilPoly.from_zform agrees on obj with the read through the z-form
-    that it replaced, WeilPoly.from_laurent(LaurentPoly.from_obj(obj)): the
-    same e-form, term order and coefficient types included, or the same
-    error class and message.  An e-form is also the value of the
+    """LaurentPoly.from_obj agrees on obj with its per-term read alone
+    (laurent._zform_by_term), which it skips for a plain file: the same
+    polynomial, term order and coefficient types included, or the same
+    error class and message.  A read's e-form is also the value of the
     member-counting from_laurent above, which shares no code with the
-    package's scan.  Returns the outcome."""
-    outcomes = []
-    for read in (WeilPoly.from_zform, lambda o: WeilPoly.from_laurent(LaurentPoly.from_obj(o))):
-        try:
-            p = read(obj)
-        except ValueError as exc:
-            outcomes.append((type(exc), str(exc)))
-        else:
-            outcomes.append((type(p), p.g, [(k, type(c), c) for k, c in p.terms.items()]))
-    new, old = outcomes
-    assert new == old, obj
-    if new[0] is WeilPoly:
-        assert dict((k, c) for k, _t, c in new[2]) == from_laurent(LaurentPoly.from_obj(obj)).terms
-    return new
+    package's scan.  Returns the outcome of the read followed by
+    WeilPoly.from_laurent."""
+    new = read_outcome(LaurentPoly.from_obj, obj)
+    assert new == read_outcome(_zform_by_term, obj), obj
+    if new[0] is not LaurentPoly:
+        return new
+    p = LaurentPoly.from_obj(obj)
+    eform = read_outcome(WeilPoly.from_laurent, p)
+    if eform[0] is WeilPoly:
+        assert dict((k, c) for k, _t, c in eform[2]) == from_laurent(p).terms
+    return eform
 
 
 def swap(p, i, j):

@@ -14,11 +14,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from master_cells import MASTER_CELLS, master_entries
 
-from locsys import cli, cones, spectral, verify
+from locsys import cli, cones, laurent, spectral, verify
 from locsys.counting import ATable, CTable, a_from_c, c_from_a, euler_characteristic
-from locsys.laurent import (CurveInput, LaurentPoly, WeilPoly, graeffe_power, pic_polynomial,
-                            weil_symmetrize)
+from locsys.laurent import CurveInput, LaurentPoly, graeffe_power, pic_polynomial, weil_symmetrize
 from locsys.verify import _shrink, replay
 
 
@@ -312,15 +312,44 @@ def test_eval_pgn_bytes_pinned(capsys, tmp_path):
 
 
 def test_reads_build_no_z_form(capsys, tmp_path, monkeypatch):
-    """The A-table and the --pgn file are read straight into e-form: with
-    the z-form reader refusing, qgn on a benchmark cell and eval keep their
-    pinned bytes."""
-    def refuse(cls, obj):
-        raise AssertionError("read through the z-form")
+    """The A-table and the --pgn file never enter the per-term read: with
+    it refusing, qgn on a benchmark cell and eval keep their pinned
+    bytes."""
+    def refuse(obj):
+        raise AssertionError("read term by term")
 
-    monkeypatch.setattr(LaurentPoly, "from_obj", classmethod(refuse))
+    monkeypatch.setattr(laurent, "_zform_by_term", refuse)
     test_qgn_output_bytes_pinned(capsys, tmp_path, (3, 5))
     test_eval_pgn_bytes_pinned(capsys, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_written_files_read_by_column(capsys, tmp_path, monkeypatch, seed):
+    """Every polynomial the package writes reads through the column check:
+    with the per-term read refusing, the `master` entries' to_obj, the P
+    and Q objects of `pgn`/`qgn --json` on them and the `--emit-ctable`
+    entries all read back."""
+    def refuse(obj):
+        raise AssertionError("read term by term")
+
+    entries = master_entries(seed)
+    monkeypatch.setattr(laurent, "_zform_by_term", refuse)
+    written = []
+    for g, n in MASTER_CELLS:
+        cell, entries = entries[:n - 1], entries[n - 1:]
+        for p in cell:
+            assert LaurentPoly.from_obj(p.to_obj()) == p
+        atable, ctable = tmp_path / "atable.json", tmp_path / "ctable.json"
+        write_atable(atable, dict(zip(range(2, n + 1), cell)))
+        for command, label in (("pgn", "P"), ("qgn", "Q")):
+            code, out, _ = run(capsys, "--json", command, "--n", str(n), "--g", str(g),
+                               "--a-table", str(atable), "--emit-ctable", str(ctable))
+            assert code == 0
+            written.append(json.loads(out)[label])
+            written += json.loads(ctable.read_text())["entries"].values()
+    assert entries == [] and len(written) == 2 * sum(n + 1 for _g, n in MASTER_CELLS)
+    for obj in written:
+        assert LaurentPoly.from_obj(obj).to_obj() == obj
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -329,8 +358,8 @@ def test_reads_restore_the_collector(capsys, curve_file, tmp_path, monkeypatch, 
     left as the caller had it, after a read that succeeds, one that is a
     usage error and a report that fails."""
     paused = []
-    read = WeilPoly.from_zform.__func__
-    monkeypatch.setattr(WeilPoly, "from_zform",
+    read = LaurentPoly.from_obj.__func__
+    monkeypatch.setattr(LaurentPoly, "from_obj",
                         classmethod(lambda cls, obj: paused.append(not gc.isenabled())
                                     or read(cls, obj)))
     good, bad, table = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "atable.json"
@@ -449,6 +478,26 @@ class TestEval:
             assert code == 2 and out == ""
             assert err == (f"usage error: eval takes --k up to {cli.EVAL_MAX_K}, "
                            f"not {cli.EVAL_MAX_K + 1}\n")
+
+    @pytest.mark.parametrize("field", ["g", "q"])
+    def test_curve_size_is_capped(self, capsys, tmp_path, monkeypatch, field):
+        """A curve's g and q are capped before the curve is checked: at its
+        cap a field reaches the (stubbed) check, above it it is a usage
+        error."""
+        def unreachable(*args):
+            raise AssertionError("the curve check was reached")
+
+        monkeypatch.setattr(CurveInput, "__init__", unreachable)
+        cap = {"g": cli.CURVE_MAX_GENUS, "q": cli.DIVISOR_MAX}[field]
+        path = tmp_path / "curve.json"
+        argv = ("eval", "--curve", str(path), "--n", "1", "--k", "1")
+        path.write_text(json.dumps({"g": 2, "q": 2, "numerator": [1, 0, 3, 0, 4], field: cap}))
+        with pytest.raises(AssertionError, match="check was reached"):
+            run(capsys, *argv)
+        path.write_text(json.dumps({"g": 2, "q": 2, "numerator": [1, 0, 3, 0, 4], field: cap + 1}))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"usage error: eval takes a curve with {field} up to {cap}, not {cap + 1}\n"
 
     def test_rank_one_counts(self, capsys, curve_file):
         code, out, _ = run(capsys, "eval", "--curve", curve_file, "--n", "1", "--k", "1")

@@ -2,13 +2,12 @@
 callers in the master formula (the exp recurrence and the partition sum)
 against references built product by product (counting_refs)."""
 
-import os
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from counting_refs import free_a_from_c, packed_add_products, weil_a_from_c
+from master_cells import master_tables
 
 from locsys.counting import CTable, FreePoly, PackedPoly, _symbol_kind, a_from_c, packed_kind
 from locsys.laurent import LaurentPoly, WeilPoly
@@ -169,17 +168,6 @@ class TestGuardBits:
         assert got.unpack() == WeilPoly(2, {(-5, (7, 7), 7): 1, (-2, (4, 3), 0): 3})
 
 
-def _master_tables(seed):
-    """The benchmark's `master` cells at one seed, as concrete tables."""
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                    "perfbench"))
-    try:
-        from workloads import MASTER_CELLS, plant_cell
-    finally:
-        sys.path.pop(0)
-    return [(g, n, CTable.concrete(g, plant_cell(seed, g, n)[0])) for g, n in MASTER_CELLS]
-
-
 class TestMasterFormulaAgainstReference:
     """The master formula, whose exp recurrence and partition sum run on the
     fused sum, against the product-by-product references."""
@@ -192,7 +180,7 @@ class TestMasterFormulaAgainstReference:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_master_cells(self, seed):
-        for g, n, table in _master_tables(seed):
+        for g, n, table in master_tables(seed):
             for r in range(2, n + 1):
                 got = a_from_c(r, g, table)
                 assert type(got) is LaurentPoly

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from counting_refs import (frobenius_substitute, permutation_flip_symmetrize, same_zform_read,
-                          satisfies_positivity, swap_flip_invariant)
+from counting_refs import (frobenius_substitute, permutation_flip_symmetrize, read_outcome,
+                          same_zform_read, satisfies_positivity, swap_flip_invariant)
 
+from locsys import laurent
 from locsys.laurent import (
     CurveInput,
     DimensionMismatch,
@@ -632,16 +633,6 @@ class TestSerialization:
         assert (again.g, again.q, again.numerator) == (CURVE.g, CURVE.q, CURVE.numerator)
 
 
-def _read_outcome(reader, obj):
-    """The polynomial a reader returns, as (class, g, terms in order with
-    their coefficient types), or the ValueError it raises, as (class, text)."""
-    try:
-        p = reader(obj)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return type(p), p.g, [(k, type(c), c) for k, c in p.terms.items()]
-
-
 def _two_pass_read(obj):
     """The reader from_obj replaced, kept as the reference: Fraction reads
     every coefficient string and __init__ normalises every term again.
@@ -681,8 +672,8 @@ def _two_pass_read(obj):
 
 def _same_read(obj):
     """from_obj and the two-pass reader it replaced agree on obj."""
-    new = _read_outcome(LaurentPoly.from_obj, obj)
-    assert new == _read_outcome(_two_pass_read, obj), obj
+    new = read_outcome(LaurentPoly.from_obj, obj)
+    assert new == read_outcome(_two_pass_read, obj), obj
     return new
 
 
@@ -716,8 +707,8 @@ class TestOnePassReader:
 
     def test_corpus_values(self):
         def read(c):
-            return _read_outcome(LaurentPoly.from_obj,
-                                 {"g": 0, "terms": [{"c": c, "t": 0, "z": []}]})[2]
+            return read_outcome(LaurentPoly.from_obj,
+                                {"g": 0, "terms": [{"c": c, "t": 0, "z": []}]})[2]
         key = (0, (), 0)
         assert read("007") == [(key, int, 7)]
         assert read("-6/4") == [(key, Fraction, Fraction(-3, 2))]
@@ -806,10 +797,10 @@ def _orbit_terms(c, t=0, gamma=0):
 
 
 class TestZformReader:
-    """WeilPoly.from_zform reads a plain file a column at a time and hands
-    anything else to LaurentPoly.from_obj and WeilPoly.from_laurent; on
-    every input it agrees with that composition (same_zform_read).  The
-    corpus of TestOnePassReader is read through it too."""
+    """LaurentPoly.from_obj checks a plain file a column at a time and
+    hands anything else to its per-term read; on every input it agrees with
+    that per-term read alone (same_zform_read).  The corpus of
+    TestOnePassReader is read through it too."""
 
     @pytest.mark.parametrize("obj", [
         # the malformed polynomials of the command-line tests
@@ -866,37 +857,29 @@ class TestZformReader:
     def test_same_read(self, obj):
         same_zform_read(obj)
 
-    @staticmethod
-    def _read(obj):
-        try:
-            p = WeilPoly.from_zform(obj)
-        except ValueError as exc:
-            return type(exc), str(exc)
-        return type(p), p.g, [(k, type(c), c) for k, c in p.terms.items()]
-
     @pytest.mark.parametrize("c", ["+3", " 3", "1_000", "0.5", "٣", "3/2", "-0", "3 ", "-+3"])
     def test_rare_spellings_take_the_exact_path(self, monkeypatch, c):
-        """A coefficient that is not plain decimal digits is read by
-        LaurentPoly.from_obj, under Fraction's grammar, not by int()."""
+        """A coefficient that is not plain decimal digits is read by the
+        per-term read, under Fraction's grammar, not by int()."""
         obj = {"g": 2, "terms": _orbit_terms("7") + _orbit_terms(c, t=2)}
-        want = same_zform_read(obj)
+        want = read_outcome(LaurentPoly.from_obj, obj)
         reads = []
-        exact = LaurentPoly.from_obj.__func__
-        monkeypatch.setattr(LaurentPoly, "from_obj",
-                            classmethod(lambda cls, o: reads.append(o) or exact(cls, o)))
-        assert self._read(obj) == want
+        exact = laurent._zform_by_term
+        monkeypatch.setattr(laurent, "_zform_by_term", lambda o: reads.append(o) or exact(o))
+        assert read_outcome(LaurentPoly.from_obj, obj) == want
         assert reads == [obj]
 
     @pytest.mark.parametrize("c", ["3", "-3", "007", "-12", 5, -5, 10 ** 40])
     def test_plain_files_build_no_z_form(self, monkeypatch, c):
+        """A plain file never enters the per-term read."""
         obj = {"g": 2, "terms": _orbit_terms(c) + _orbit_terms(c, t=1, gamma=2)}
         want = same_zform_read(obj)
 
-        def refuse(cls, o):
-            raise AssertionError("read through the z-form")
+        def refuse(o):
+            raise AssertionError("read term by term")
 
-        monkeypatch.setattr(LaurentPoly, "from_obj", classmethod(refuse))
-        assert self._read(obj) == want
+        monkeypatch.setattr(laurent, "_zform_by_term", refuse)
+        assert read_outcome(lambda o: WeilPoly.from_laurent(LaurentPoly.from_obj(o)), obj) == want
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="no integer-string limit")

@@ -2,9 +2,7 @@
 the counting engine."""
 
 import json
-import os
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +14,7 @@ from counting_refs import (
     satisfies_positivity,
     swap_flip_invariant,
 )
+from master_cells import master_entries
 
 from locsys.counting import ATable, CTable, FreePoly, a_from_c
 from locsys.laurent import (
@@ -203,21 +202,6 @@ def _symmetrized(rng, g):
     return total
 
 
-def _master_entries(seed):
-    """The A-table entries of the benchmark's `master` cells at one seed."""
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                    "perfbench"))
-    try:
-        from workloads import MASTER_CELLS, plant_cell
-    finally:
-        sys.path.pop(0)
-    entries = []
-    for g, n in MASTER_CELLS:
-        table = CTable.concrete(g, plant_cell(seed, g, n)[0])
-        entries += [a_from_c(r, g, table) for r in range(2, n + 1)]
-    return entries
-
-
 def _mutants(rng, p):
     """p with one coefficient bumped, with one term dropped and with one term
     shifted by t; a mutant can stay invariant (an orbit of one member)."""
@@ -245,8 +229,8 @@ class TestFromLaurentAgainstReference:
     """The orbit-size check and the one-dict assembly against the reference
     that counts each orbit's members and sums one product per mu: the same
     e-form, the same verdict, and the verdict of the swap-and-flip scan.
-    The file form of each polynomial reads the same through
-    WeilPoly.from_zform as through the z-form."""
+    The file form of each polynomial reads the same through the column
+    check as term by term."""
 
     def _agree(self, p, verdicts):
         want = _verdict(from_laurent, p)
@@ -273,7 +257,7 @@ class TestFromLaurentAgainstReference:
     def test_master_entries(self, seed):
         rng = random.Random(f"from-laurent:master:{seed}")
         verdicts = []
-        for p in _master_entries(seed):
+        for p in master_entries(seed):
             for q in [p] + _mutants(rng, p):
                 self._agree(q, verdicts)
         assert verdicts.count(True) >= 18 and verdicts.count(False) >= 36
