@@ -16,6 +16,7 @@ import contextlib
 import gc
 import json
 import sys
+import warnings
 
 from .laurent import (
     CurveInput,
@@ -213,7 +214,11 @@ def cmd_eval(args):
         value = sizes.get(name)
         if type(value) is int and value > cap:
             raise ValueError(f"eval takes a curve with {name} up to {cap}, not {value}")
-    curve = CurveInput.from_obj(obj)
+    with warnings.catch_warnings(record=True) as caught:  # one plain line each
+        warnings.simplefilter("always")
+        curve = CurveInput.from_obj(obj)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if args.n == 1:
         poly = pic_eform(curve.g)
     else:

@@ -1,6 +1,6 @@
-"""Partitions, the Moebius function, generalized binomials, and brute-force
-verification of the partition / binomial generating-function identities that
-the counting engine relies on."""
+"""Partitions, as multiplicity maps {part: count}, the Moebius function,
+generalized binomials, and brute-force verification of the partition /
+binomial generating-function identities that the counting engine relies on."""
 
 from __future__ import annotations
 
@@ -55,50 +55,6 @@ def squarefree_divisors(n: int):
     return sorted(out)
 
 
-class Partition:
-    """Unordered partition stored as a multiplicity map part -> count."""
-
-    __slots__ = ("mult", "n")
-
-    def __init__(self, mult):
-        self.mult = {j: a for j, a in sorted(mult.items()) if a}
-        if any(j < 1 or a < 1 for j, a in self.mult.items()):
-            raise ValueError("parts and multiplicities must be positive")
-        self.n = sum(j * a for j, a in self.mult.items())
-
-    def parts(self):
-        out = []
-        for j, a in self.mult.items():
-            out += [j] * a
-        return out
-
-    def num_parts(self):
-        return sum(self.mult.values())
-
-    def s_weight(self, j: int) -> int:
-        """sum over parts nu of mult(nu) * min(nu, j)."""
-        return sum(a * min(nu, j) for nu, a in self.mult.items())
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.mult == other.mult
-
-    def __hash__(self):
-        return hash(tuple(self.mult.items()))
-
-    def __repr__(self):
-        inner = " ".join(f"{j}^{a}" for j, a in self.mult.items())
-        return f"Partition({inner})"
-
-
-def _trusted_partition(mult, n):
-    """A Partition from a multiplicity map already in canonical form (ascending
-    keys, positive parts and multiplicities) and its size, unvalidated."""
-    lam = object.__new__(Partition)
-    lam.mult = mult
-    lam.n = n
-    return lam
-
-
 def partition_walk(n: int):
     """Walk the partitions of n, largest part decreasing first, yielding at
     each step the two lists it then mutates: the distinct parts in ascending
@@ -137,20 +93,19 @@ def partition_walk(n: int):
 
 
 def partitions(n: int):
-    """All unordered partitions of n as Partition objects, in the order of
-    `partition_walk`."""
-    return (_trusted_partition(dict(zip(parts, mults)), n)
-            for parts, mults in partition_walk(n))
+    """All unordered partitions of n, in the order of `partition_walk`, each
+    a new multiplicity map {part: count} with the parts ascending."""
+    return (dict(zip(parts, mults)) for parts, mults in partition_walk(n))
 
 
 def partitions_restricted(m: int, xi: int):
-    """Partitions of m whose parts are all divisible by xi."""
+    """Partitions of m whose parts are all divisible by xi, as `partitions` gives them."""
     if xi < 1:
         raise ValueError("need xi >= 1")
     if m % xi:
         return
     for lam in partitions(m // xi):
-        yield _trusted_partition({j * xi: a for j, a in lam.mult.items()}, m)
+        yield {j * xi: a for j, a in lam.items()}
 
 
 @lru_cache(maxsize=None)
@@ -219,9 +174,9 @@ def cycle_sum_identity_check(m: int, xi: int, s) -> bool:
     lhs = Fraction(0)
     for lam in partitions_restricted(m, xi):
         denom = 1
-        for j, c in lam.mult.items():
+        for j, c in lam.items():
             denom *= math.factorial(c) * j ** c
-        lhs += s ** (lam.num_parts() - 1) / denom
+        lhs += s ** (sum(lam.values()) - 1) / denom
     lhs *= math.factorial(m)
     rhs = math.factorial(m - 1) * binom_ring(s / xi + m // xi - 1, m // xi - 1)
     return lhs == rhs
@@ -240,9 +195,8 @@ def binomial_convolution_check(k: int, xi: int, d, s) -> bool:
     s = Fraction(s)
     lhs = Fraction(0)
     for lam in partitions_restricted(k, xi):
-        bs = list(lam.mult.values())
-        term = binom_ring(d, lam.num_parts()) * multinomial(bs)
-        for i, b in lam.mult.items():
+        term = binom_ring(d, sum(lam.values())) * multinomial(lam.values())
+        for i, b in lam.items():
             term *= binom_ring(s, i // xi) ** b
         lhs += term
     return lhs == binom_ring(d * s, k // xi)

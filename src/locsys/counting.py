@@ -534,8 +534,6 @@ def _exp_coeff_concrete(exponent, alpha, a: int):
 def _graded(p: PackedPoly, w: int) -> PackedPoly:
     """p with each monomial's coefficient times w^(its genus-offset
     exponent)."""
-    if w == 1:
-        return p
     mask = (1 << p.widths[0]) - 1
     return p._new({key: c * w ** (key & mask) for key, c in p.terms.items()})
 
@@ -598,8 +596,9 @@ def a_from_c(n: int, genus, ctable: CTable):
     WeilPoly; no table is converted here, and only a table made from z-form
     entries gets its result back in z-form.
 
-    The partition terms are listed first.  Part j of a partition has the
-    exp factor [z^(a_j)] exp((2g-2) w/l E_l) with w = s_weight(j), and
+    The partition terms are listed first; a partition is a multiplicity map
+    {part j: count a_j}.  Part j has the exp factor [z^(a_j)]
+    exp((2g-2) w/l E_l), with w the sum of min(nu, j) over all parts nu, and
     `_exp_factors` computes every factor the terms need, one recurrence per
     (l, w), or per l in the genus offset.  The terms are added up in
     integers, each weighted against the common denominator of their
@@ -632,10 +631,11 @@ def a_from_c(n: int, genus, ctable: CTable):
         if mu == 0:
             continue
         for lam in partitions(n):
-            if any(a % l for a in lam.mult.values()):
+            if any(a % l for a in lam.values()):
                 continue  # the z^{a_j} coefficient vanishes when l does not divide a_j
-            plan.append((Fraction(mu, lam.num_parts()),
-                         [(l, aj, lam.s_weight(j)) for j, aj in lam.mult.items()]))
+            plan.append((Fraction(mu, sum(lam.values())),
+                         [(l, aj, sum(a * min(nu, j) for nu, a in lam.items()))
+                          for j, aj in lam.items()]))
     keys = dict.fromkeys(key for _, term_keys in plan for key in term_keys)
     factors = _exp_factors(keys, source, chi, graded=genus is None)
     scaled_terms = []

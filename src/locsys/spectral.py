@@ -1161,7 +1161,7 @@ def aggregation_check(a: int, l: int, s, g: int, dtable) -> bool:
     for lam in partitions(a):
         per_part = []
         feasible = True
-        for j, cj in sorted(lam.mult.items()):
+        for j, cj in lam.items():
             ds = divisors(j)
             options = []
             for split in _compositions_with_zeros(cj, len(ds)):

@@ -12,7 +12,9 @@ references for WeilPoly.frobenius_substitute and for the orbit-based
 laurent.weil_symmetrize; and the z-form to e-form conversion that counts
 every orbit's members, the reference for WeilPoly.from_laurent, and the
 differential check of LaurentPoly.from_obj's column read against its
-per-term read.  Nothing in the package imports this module."""
+per-term read; and the partition weight s_weight of the master formula,
+which the package computes inline.  Nothing in the package imports this
+module."""
 
 import itertools
 import math
@@ -70,6 +72,12 @@ def exp_coeff_concrete(exponent, alpha, a):
     return [(f[m], Fraction(1, math.factorial(m) * denom ** m)) for m in range(a + 1)]
 
 
+def s_weight(lam, j):
+    """sum over the parts nu of the partition lam (a multiplicity map
+    {part: count}) of min(nu, j), counted with multiplicity."""
+    return sum(a * min(nu, j) for nu, a in lam.items())
+
+
 def _partition_sum(n, ctable, chi):
     """(numerator, common) of the rank-n master formula on the table's own
     keys: the partition terms weighted against their common denominator and
@@ -82,12 +90,12 @@ def _partition_sum(n, ctable, chi):
         if mu == 0:
             continue
         for lam in partitions(n):
-            if any(a % l for a in lam.mult.values()):
+            if any(a % l for a in lam.values()):
                 continue
             keys = []
-            scale = Fraction(mu, lam.num_parts())
-            for j, aj in lam.mult.items():
-                key = (l, aj, lam.s_weight(j))
+            scale = Fraction(mu, sum(lam.values()))
+            for j, aj in lam.items():
+                key = (l, aj, s_weight(lam, j))
                 if key not in factors:
                     factors[key] = exp_coeff_concrete(count_exponent(ctable, l, aj),
                                                       chi * Fraction(key[2], l), aj)[aj]

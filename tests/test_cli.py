@@ -511,6 +511,21 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--curve", str(path), "--n", "1", "--k", "1")
         assert code == 0 and "= 2" in out
 
+    def test_non_weil_curve_warns_in_one_line(self, capsys, tmp_path):
+        """A curve with an eigenvalue off modulus sqrt(q) (trace -5, below -2 sqrt(5))
+        is still evaluated, with one warning line on stderr that names no
+        source file, in process and in a fresh interpreter."""
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"g": 1, "q": 5, "numerator": [1, 5, 5]}))
+        warning = "warning: some Frobenius eigenvalue modulus differs from sqrt(q) = sqrt(5)\n"
+        argv = ("eval", "--curve", str(path), "--n", "1", "--k", "1")
+        assert run(capsys, *argv) == (0, "count[n=1,k=1] = 11\n", warning)
+        assert run(capsys, "--json", *argv) == (
+            0, '{"count":11,"k":1,"n":1}\n', warning)
+        done = _fresh_python("-m", "locsys", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "count[n=1,k=1] = 11\n", warning)
+
     def test_rank_two_needs_polynomial(self, capsys, curve_file):
         code, _, err = run(capsys, "eval", "--curve", curve_file, "--n", "2", "--k", "1")
         assert code == 2 and "pgn" in err

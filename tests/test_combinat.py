@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from counting_refs import s_weight
 from locsys.combinat import (
-    Partition,
     binom_ring,
     binomial_convolution_check,
     cycle_sum_identity_check,
@@ -38,8 +38,8 @@ def test_squarefree_divisors():
 
 def recursive_partitions(n):
     """Reference generator: the recursive enumeration `partitions` used before
-    it became iterative, building each Partition through the validating
-    constructor."""
+    it became iterative, each partition counted into a multiplicity map with
+    the parts ascending."""
     def rec(remaining, cap):
         if remaining == 0:
             yield []
@@ -49,21 +49,23 @@ def recursive_partitions(n):
                 yield [part] + rest
 
     for parts in rec(n, n):
-        mult = {}
-        for p in parts:
-            mult[p] = mult.get(p, 0) + 1
-        yield Partition(mult)
+        yield {p: parts.count(p) for p in sorted(set(parts))}
 
 
 def recursive_partitions_restricted(m, xi):
     if m % xi:
         return
     for lam in recursive_partitions(m // xi):
-        yield Partition({j * xi: a for j, a in lam.mult.items()})
+        yield {j * xi: a for j, a in lam.items()}
 
 
 def _shape(lam):
-    return list(lam.mult.items()), lam.n, lam.parts(), hash(lam)
+    return type(lam), list(lam.items())
+
+
+def _parts(lam):
+    """The parts of a multiplicity map, each as often as it occurs."""
+    return [j for j, a in lam.items() for _ in range(a)]
 
 
 def test_partitions_match_recursive_reference():
@@ -71,8 +73,7 @@ def test_partitions_match_recursive_reference():
         new = list(partitions(n))
         old = list(recursive_partitions(n))
         assert [_shape(lam) for lam in new] == [_shape(lam) for lam in old]
-        assert new == old
-        assert all(type(lam) is Partition for lam in new)
+        assert all(sum(j * a for j, a in lam.items()) == n for lam in new)
 
 
 def test_partitions_restricted_match_recursive_reference():
@@ -83,7 +84,7 @@ def test_partitions_restricted_match_recursive_reference():
 
 
 def test_partitions_of_two():
-    assert {tuple(p.parts()) for p in partitions(2)} == {(1, 1), (2,)}
+    assert {tuple(_parts(lam)) for lam in partitions(2)} == {(1, 1), (2,)}
 
 
 def test_partition_counts_match_recurrence():
@@ -102,33 +103,28 @@ def test_partitions_are_the_walk_steps():
     for n in range(1, 21):
         steps = [dict(zip(parts, mults)) for parts, mults in partition_walk(n)]
         lams = list(partitions(n))
-        assert [lam.mult for lam in lams] == steps
-        assert all(type(lam) is Partition and lam.n == n for lam in lams)
+        # each map is a copy: later steps of the walk leave it as it was
+        assert [_shape(lam) for lam in lams] == [_shape(step) for step in steps]
+        assert len({id(lam) for lam in lams}) == len(lams)
         assert all(list(m) == sorted(m) for m in steps)
 
 
 def test_partitions_deterministic_order():
-    assert [tuple(sorted(p.parts(), reverse=True)) for p in partitions(6)] == [
+    assert [tuple(sorted(_parts(lam), reverse=True)) for lam in partitions(6)] == [
         (6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1),
         (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
     ]
 
 
-@pytest.mark.parametrize("mult", [{0: 1}, {2: -1}, {-1: 2}])
-def test_partition_rejects_nonpositive(mult):
-    with pytest.raises(ValueError):
-        Partition(mult)
-
-
 def test_s_weight():
-    lam = Partition({1: 4})
-    assert all(lam.s_weight(j) == 4 for j in (1, 2, 5))
-    assert Partition({2: 1}).s_weight(1) == 1
-    assert Partition({1: 1, 2: 1}).s_weight(2) == 3
+    assert all(s_weight({1: 4}, j) == 4 for j in (1, 2, 5))
+    assert s_weight({2: 1}, 1) == 1
+    assert s_weight({1: 1, 2: 1}, 2) == 3
+    assert [s_weight({1: 2, 3: 1}, j) for j in (1, 2, 3, 4)] == [3, 4, 5, 5]
 
 
 def test_partitions_restricted():
-    assert {tuple(p.parts()) for p in partitions_restricted(4, 2)} == {(2, 2), (4,)}
+    assert {tuple(_parts(lam)) for lam in partitions_restricted(4, 2)} == {(2, 2), (4,)}
     assert list(partitions_restricted(3, 2)) == []
     assert sum(1 for _ in partitions_restricted(6, 1)) == 11
 

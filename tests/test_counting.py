@@ -6,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 from counting_refs import (euler_characteristic as full_euler_characteristic, free_substitute,
-                          frobenius_substitute, satisfies_positivity, weil_a_from_c,
-                          zform_pgn_report)
+                          frobenius_substitute, s_weight, satisfies_positivity,
+                          weil_a_from_c, zform_pgn_report)
 
 from locsys import counting
 from locsys.counting import (
@@ -697,10 +697,10 @@ def _random_ring_element(rng, kind):
 
 def _factor_keys(n):
     """The exp-factor keys (l, a_j, s_weight(j)) of the rank-n master formula."""
-    return {(l, aj, lam.s_weight(j))
+    return {(l, aj, s_weight(lam, j))
             for l in divisors(n) if mobius(l)
-            for lam in partitions(n) if not any(a % l for a in lam.mult.values())
-            for j, aj in lam.mult.items()}
+            for lam in partitions(n) if not any(a % l for a in lam.values())
+            for j, aj in lam.items()}
 
 
 def _seeded_tables(g, n):

@@ -959,14 +959,14 @@ class TestCuspidalEnumeration:
             budget = remaining // j
             for total_mult in range(1, budget + 1):
                 for lam in partitions(total_mult):
-                    distinct = lam.num_parts()
+                    distinct = sum(lam.values())
                     if distinct > count:
                         continue
                     ways = binom_ring(Fraction(count), distinct) * multinomial(
-                        list(lam.mult.values())
+                        list(lam.values())
                     )
                     weight = Fraction(1)
-                    for mult, b in lam.mult.items():
+                    for mult, b in lam.items():
                         per = self.bracket(top, mult, xi, d) / (
                             Fraction(d) ** mult * math.factorial(mult)
                         )
