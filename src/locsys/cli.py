@@ -46,13 +46,14 @@ PGN_MAX_GENUS = 9
 # the largest euler --g: at 10000, --n 30030 (six primes) prints 89,564
 # digits in about 0.34 s; the cost grows with g^2
 EULER_MAX_GENUS = 10000
-# the largest euler --n, d-count --n/--d and eval curve q: each tries every
-# factor up to the square root, so at 10^12 euler and d-count take 0.15-0.45 s
-# and the curve's prime-power check 0.09 s (the most at a prime)
+# the largest euler --n, d-count --n/--d and eval curve q: each factors by
+# trial division up to the square root of what is left, so the most is at a
+# prime: at 999999999989 euler takes about 0.15 s, d-count 0.08 s and the
+# curve's prime-power check 0.07 s (at 10^12 = 2^12 5^12, 0.001 s)
 DIVISOR_MAX = 10 ** 12
 # the largest eval curve g: on a curve over F_999999999989 with distinct
-# traces, `eval --n 1 --k 1` takes about 0.33 s at g = 12 and 0.86 s at 14,
-# and the Weil check alone 9.7 s at 20 (its Sturm chain's coefficients grow)
+# traces, `eval --n 1 --k 1` takes about 0.08 s at g = 12 and 0.09 s at 14,
+# most of it the prime-power check, and the Weil check alone 0.07 s at 20
 CURVE_MAX_GENUS = 12
 
 

@@ -1,6 +1,7 @@
-"""Partitions, as multiplicity maps {part: count}, the Moebius function,
-generalized binomials, and brute-force verification of the partition /
-binomial generating-function identities that the counting engine relies on."""
+"""Partitions, as multiplicity maps {part: count}, the prime factorization
+behind the Moebius function and Moebius sums, generalized binomials, and
+brute-force verification of the partition / binomial generating-function
+identities that the counting engine relies on."""
 
 from __future__ import annotations
 
@@ -9,24 +10,46 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def prime_factors(n: int):
+    """The prime factorization of n as pairs (p, e), p ascending, found
+    lazily by trial division, so that a caller may stop after any factor;
+    n < 2 has none."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+        p += 1
+    if n > 1:
+        yield n, 1
+
+
 def mobius(n: int) -> int:
     if not isinstance(n, int) or n < 1:
         raise ValueError("need n >= 1")
     result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
+    for _, e in prime_factors(n):
+        if e > 1:
+            return 0
         result = -result
     return result
 
 
+def mobius_divisors(n: int):
+    """[(d, mu(d))] for the squarefree d | n, d ascending: the divisors that
+    a Moebius sum over d | n does not skip."""
+    out = [(1, 1)]
+    for p, _ in prime_factors(n):
+        out += [(d * p, -mu) for d, mu in out]
+    return sorted(out)
+
+
 def divisors(n: int):
+    """All d | n, ascending, by its own trial division (the independent side
+    of the Moebius-sum check)."""
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -36,23 +59,6 @@ def divisors(n: int):
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def squarefree_divisors(n: int):
-    primes = []
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    out = [1]
-    for p in primes:
-        out += [d * p for d in out]
-    return sorted(out)
 
 
 def partition_walk(n: int):
@@ -211,8 +217,8 @@ def mobius_divisor_lemma_check(t: int, l: int, big_l: int) -> bool:
     if min(t, l, big_l) < 1:
         raise ValueError("need positive arguments")
     total = 0
-    for m in squarefree_divisors(t * l * big_l):
+    for m, mu in mobius_divisors(t * l * big_l):
         if big_l % (m * l // math.gcd(l, m * t)) == 0:
-            total += mobius(m)
+            total += mu
     expected = 1 if (big_l == 1 and t % l == 0) else 0
     return total == expected

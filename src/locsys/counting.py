@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import fields
-from .combinat import divisors, mobius, partitions
+from .combinat import divisors, mobius, mobius_divisors, partitions
 from .laurent import (DivisibilityError, EntryMissing, IntegralityError, InvarianceError,
                       LaurentPoly, WeilPoly, pic_eform, render_terms)
 from .series import TruncatedSeries
@@ -626,10 +626,7 @@ def a_from_c(n: int, genus, ctable: CTable):
     else:
         chi, scalar, gamma_power = Fraction(2 * genus - 2), n * (2 * genus - 2), 0
     plan = []  # (mu(l) / number of parts, factor keys (l, a_j, w)) per term
-    for l in divisors(n):
-        mu = mobius(l)
-        if mu == 0:
-            continue
+    for l, mu in mobius_divisors(n):
         for lam in partitions(n):
             if any(a % l for a in lam.values()):
                 continue  # the z^{a_j} coefficient vanishes when l does not divide a_j
@@ -752,8 +749,8 @@ def euler_characteristic(n: int, g: int) -> int:
     if n < 1 or g < 2:
         raise ValueError("need n >= 1 and g >= 2")
     total = 0
-    for l in divisors(n):
-        sign = mobius(l) * mobius(n // l)
+    for l, mu in mobius_divisors(n):
+        sign = mu * mobius(n // l)
         if sign:
             total += sign * l ** (2 * g - 3)
     return total
@@ -781,10 +778,7 @@ def inertial_class_count(n: int, d: int, table):
     if n % d:
         raise ValueError("d must divide n")
     total = None
-    for l in divisors(d):
-        mu = mobius(l)
-        if mu == 0:
-            continue
+    for l, mu in mobius_divisors(d):
         piece = table.entry(n // d, d // l) * Fraction(mu, d)
         total = piece if total is None else total + piece
     return total

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import fields
-from .combinat import binom_ring, divisors, mobius
+from .combinat import binom_ring, mobius_divisors, prime_factors
 
 
 class DivisibilityFailure(RuntimeError):
@@ -21,20 +21,9 @@ class DivisibilityFailure(RuntimeError):
         self.instance = instance
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def coprime_factorial(p: int, n: int, mod: int | None = None) -> int:
     """Product of the integers 1..n coprime to p, optionally reduced mod m."""
-    if not _is_prime(p):
+    if next(prime_factors(p), None) != (p, 1):
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError("need n >= 0")
@@ -177,10 +166,7 @@ def alternating_binomial_sum(inst: DivisibilityInstance) -> int:
     if g == 0:
         raise ValueError("degenerate instance: all exponents vanish")
     total = Fraction(0)
-    for l in divisors(g):
-        mu = mobius(l)
-        if mu == 0:
-            continue
+    for l, mu in mobius_divisors(g):
         ksum = sum(inst.k.values()) // l
         term = Fraction(mu) * (-1) ** ksum
         for (i, j, s), kk in inst.k.items():

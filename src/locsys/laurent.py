@@ -820,27 +820,16 @@ def _orbit_sum(g, mu):
 # Curves over finite fields
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return True  # q itself is prime
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
-
-
 class CurveInput:
     """A curve given by genus, field size, and the integer numerator
     coefficients b_0..b_{2g} of its zeta function, P(z) = prod (1 - a_i z)."""
 
     def __init__(self, g: int, q: int, numerator):
+        from .combinat import prime_factors  # here, so that importing the CLI skips combinat
+
         if g < 1:
             raise ValueError("need genus >= 1")
-        if not _is_prime_power(q):
+        if q < 2 or pow(*next(prime_factors(q))) != q:
             raise ValueError(f"q={q} is not a prime power >= 2")
         numerator = [int(b) for b in numerator]
         if len(numerator) != 2 * g + 1:
@@ -876,7 +865,7 @@ class CurveInput:
         """
         e = _elementary(_real_weil_sums(self, 1, 2 * self.g)[::2])
         f = polyq.squarefree([(-1) ** j * c for j, c in enumerate(e)][::-1])
-        return polyq.sturm_count(f, 0, 4 * self.q) + (f[0] == 0) == len(f) - 1
+        return polyq.real_roots(f, 0, 4 * self.q) == len(f) - 1
 
     @classmethod
     def from_obj(cls, obj):

@@ -1,13 +1,15 @@
 """Dense univariate polynomials over Q as coefficient lists, constant term
 first; a zero polynomial is the empty list.
 
-Division, the squarefree part and Sturm chains: the exact helpers behind the
-curve Weil check (`laurent.CurveInput.is_weil`) and the unit-circle root
-counts of `spectral.circle_count_check`.
+Division, the squarefree part, signed remainder chains, Cauchy indices and
+real-root counts: the exact helpers behind the curve Weil check
+(`laurent.CurveInput.is_weil`) and the unit-circle root counts of
+`spectral.circle_count_check`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -34,10 +36,20 @@ def derivative(f):
     return [i * c for i, c in enumerate(f)][1:]
 
 
+def primitive(f):
+    """f times the positive rational that makes its coefficients coprime
+    integers; [] stays []."""
+    scale = math.lcm(*(Fraction(c).denominator for c in f))
+    f = [int(c * scale) for c in f]
+    content = math.gcd(*f)
+    return [c // content for c in f]
+
+
 def gcd(a, b):
-    """A greatest common divisor of a and b (not normalized)."""
+    """A greatest common divisor of a and b (not normalized); each remainder
+    is made primitive, which keeps the coefficients from growing."""
     while b:
-        a, b = b, divmod_(a, b)[1]
+        a, b = b, primitive(divmod_(a, b)[1])
     return a
 
 
@@ -54,21 +66,41 @@ def value(f, x):
 
 
 def remainder_chain(f0, f1):
-    """The signed remainder chain f0, f1, f2, ... with f_(i+1) = -(f_(i-1)
-    mod f_i), up to the last nonzero one (f1 nonzero)."""
+    """The signed remainder chain f0, f1, f2, ... up to its last nonzero
+    member (f1 nonzero), f_(i+1) = -(f_(i-1) mod f_i) made primitive: a
+    positive multiple, and a remainder mod c f_i is the one mod f_i, so
+    every member keeps its sign."""
     chain = [f0, f1]
     while rem := divmod_(chain[-2], chain[-1])[1]:
-        chain.append([-c for c in rem])
+        chain.append([-c for c in primitive(rem)])
     return chain
 
 
-def sturm_count(f, lo, hi):
-    """Distinct real roots of a squarefree f in (lo, hi] (Sturm's theorem;
-    zeros are dropped when sign changes are counted)."""
-    chain = remainder_chain(f, derivative(f))
+def sign_changes(chain, x):
+    """Sign changes along the values of the chain's polynomials at x, zeros
+    dropped; at x = -inf or +inf each reads the sign it tends to."""
+    if x in (-math.inf, math.inf):
+        signs = [(f[-1] > 0) != (x < 0 and len(f) % 2 == 0) for f in chain]
+    else:
+        signs = [v > 0 for v in (value(f, x) for f in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def changes(x):
-        signs = [v > 0 for v in (value(p, x) for p in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return changes(lo) - changes(hi)
+def cauchy_index(f0, f1, lo, hi):
+    """Cauchy index of f1/f0 over (lo, hi), neither end a root of f0: its
+    jumps from -inf to +inf minus those from +inf to -inf, from the sign
+    changes along the signed remainder chain at the ends; lo may be -inf and
+    hi +inf."""
+    if not f1:
+        return 0
+    chain = remainder_chain(f0, f1)
+    return sign_changes(chain, lo) - sign_changes(chain, hi)
+
+
+def real_roots(f, lo, hi):
+    """Distinct real roots of a squarefree f in the closed interval [lo, hi];
+    lo may be -inf and hi +inf.  Each root is a jump of f'/f from -inf to
+    +inf, so the Cauchy index of f'/f counts the roots in between (Sturm's
+    theorem).  A root at hi is counted too, since the sign changes at a root
+    of f are those just right of it; a root at lo is added."""
+    return cauchy_index(f, derivative(f), lo, hi) + (lo != -math.inf and value(f, lo) == 0)

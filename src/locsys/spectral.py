@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fields, polyq
-from .combinat import binom_ring, divisors, mobius, partitions
+from .combinat import binom_ring, divisors, mobius_divisors, partitions
 from .series import TruncatedSeries
 
 
@@ -455,10 +455,7 @@ def orbit_character_sum_mobius(lengths, fixes) -> int:
     for l, f in zip(lengths, fixes):
         d = math.gcd(d, l * f)
     total = 0
-    for l in divisors(d):
-        mu = mobius(l)
-        if mu == 0:
-            continue
+    for l, mu in mobius_divisors(d):
         expo = 0
         for lj, fj in zip(lengths, fixes):
             step = l // math.gcd(l, fj)
@@ -570,13 +567,6 @@ def chamber_limit(r: int, cfuncs, derivs=None):
 # Zero/pole counts inside the unit circle
 
 
-def _integer_poly(coeffs):
-    """The polynomial scaled to integer coefficients (same roots), trimmed."""
-    coeffs = polyq.trim(coeffs)
-    d = math.lcm(*[Fraction(c).denominator for c in coeffs])
-    return [int(c * d) for c in coeffs]
-
-
 def _padd(a, b):
     return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
 
@@ -622,8 +612,7 @@ def _self_inversive_circle_root(g) -> bool:
     for k in range(1, m + 1):
         r_poly = _padd(r_poly, [g[m + k] * c for c in cur])
         prev, cur = cur, _padd([0] + cur, [-c for c in prev])
-    free = polyq.squarefree(r_poly)
-    return polyq.sturm_count(free, -2, 2) > 0 or polyq.value(r_poly, -2) == 0
+    return polyq.real_roots(polyq.squarefree(r_poly), -2, 2) > 0
 
 
 def _schur_cohn(p):
@@ -667,7 +656,7 @@ def roots_in_disc(coeffs) -> int:
     inside.  The rest goes through the Schur-Cohn recursion, after a disc
     automorphism (which keeps the count) where the recursion is singular.
     """
-    p = _integer_poly(coeffs)
+    p = polyq.primitive(polyq.trim(coeffs))
     if not p:
         raise ValueError("the zero polynomial has no root count")
     inside = 0
@@ -676,26 +665,13 @@ def roots_in_disc(coeffs) -> int:
         if _self_inversive_circle_root(common):
             raise ValueError("root on the unit circle")
         inside = (len(common) - 1) // 2
-        p = _integer_poly(polyq.divmod_(p, common)[0])
+        p = polyq.primitive(polyq.divmod_(p, common)[0])
     for u, v in _DISC_SHIFTS:
-        count = _schur_cohn(_integer_poly(_mobius_image(p, [u, v], [v, u])) if u else p)
+        shifted = _mobius_image(p, [u, v], [v, u]) if u else p
+        count = _schur_cohn(polyq.primitive(polyq.trim(shifted)))
         if count is not None:
             return inside + count
     raise ArithmeticError(f"Schur-Cohn recursion singular for {p} under every disc shift")
-
-
-def _sign_changes(chain, at_plus_infinity: bool) -> int:
-    signs = [(f[-1] > 0) != (not at_plus_infinity and len(f) % 2 == 0) for f in chain]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _cauchy_index(f0, f1) -> int:
-    """Cauchy index of f1/f0 over the whole real line (jumps from -inf to
-    +inf minus jumps from +inf to -inf), from the signed remainder chain."""
-    if not f1:
-        return 0
-    chain = polyq.remainder_chain(f0, f1)
-    return _sign_changes(chain, False) - _sign_changes(chain, True)
 
 
 def winding_number(coeffs) -> int:
@@ -720,12 +696,10 @@ def winding_number(coeffs) -> int:
     a = polyq.trim([c * (-1) ** (k // 2) if k % 2 == 0 else 0 for k, c in enumerate(q)])
     b = polyq.trim([c * (-1) ** (k // 2) if k % 2 else 0 for k, c in enumerate(q)])
     common = polyq.gcd(a, b)
-    if len(common) > 1:
-        free = polyq.squarefree(common)
-        bound = 1 + max(abs(c / free[-1]) for c in free)
-        if polyq.sturm_count(free, -bound, bound):
-            raise ValueError("root on the unit circle")
-    half_turns = -_cauchy_index(a, b) if len(a) > len(b) else _cauchy_index(b, a)
+    if len(common) > 1 and polyq.real_roots(polyq.squarefree(common), -math.inf, math.inf):
+        raise ValueError("root on the unit circle")
+    f0, f1, sign = (a, b, -1) if len(a) > len(b) else (b, a, 1)
+    half_turns = sign * polyq.cauchy_index(f0, f1, -math.inf, math.inf)
     return (half_turns + n) // 2
 
 

@@ -12,11 +12,12 @@ from locsys.combinat import (
     divisors,
     mobius,
     mobius_divisor_lemma_check,
+    mobius_divisors,
     partition_count,
     partition_walk,
     partitions,
     partitions_restricted,
-    squarefree_divisors,
+    prime_factors,
 )
 from locsys.counting import FreePoly
 
@@ -31,9 +32,25 @@ def test_mobius_divisor_sums():
         assert sum(mobius(d) for d in divisors(n)) == (1 if n == 1 else 0)
 
 
-def test_squarefree_divisors():
-    assert squarefree_divisors(12) == [1, 2, 3, 6]
-    assert squarefree_divisors(1) == [1]
+def test_prime_factors_against_sieve():
+    smallest = list(range(5001))  # smallest prime factor, by a sieve
+    for p in range(2, 71):
+        if smallest[p] == p:
+            for m in range(p * p, 5001, p):
+                smallest[m] = min(smallest[m], p)
+    for n in range(1, 5001):
+        want, m = {}, n
+        while m > 1:
+            want[smallest[m]] = want.get(smallest[m], 0) + 1
+            m //= smallest[m]
+        assert list(prime_factors(n)) == sorted(want.items()), n
+
+
+def test_mobius_divisors():
+    assert mobius_divisors(12) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+    assert mobius_divisors(1) == [(1, 1)]
+    for n in range(1, 5001):
+        assert mobius_divisors(n) == [(d, mobius(d)) for d in divisors(n) if mobius(d)], n
 
 
 def recursive_partitions(n):

@@ -49,8 +49,12 @@ class TestCoprimeFactorial:
                    for p in (2, 5) for n in (0, 1, 97, 343))
 
     def test_prime_required(self):
-        with pytest.raises(ValueError):
-            coprime_factorial(4, 10)
+        for p in range(51):
+            if p >= 2 and all(p % d for d in range(2, p)):
+                assert coprime_factorial(p, p) == math.factorial(p - 1)
+            else:
+                with pytest.raises(ValueError, match="is not prime"):
+                    coprime_factorial(p, 10)
 
 
 class TestCongruences:

@@ -276,6 +276,15 @@ class TestCurve:
         with pytest.raises(ValueError):
             CurveInput(2, 2, [1, 0, 3, 0, 5])  # b_4 must be q^2 b_0
 
+    @pytest.mark.parametrize("q", [0, 1, -4, 6, 2 ** 39, 999999999989, 2 * 499999999979, 10 ** 12])
+    def test_field_size_must_be_a_prime_power(self, q):
+        numerator = [1, 0, q]  # 1 + q z^2: w = 0, a Weil curve
+        if _is_prime_power_brute(q):
+            assert CurveInput(1, q, numerator).q == q
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                CurveInput(1, q, numerator)
+
     @pytest.mark.parametrize("g,q,numerator", [
         (1, 2, [1, -3, 2]),   # (1 - z)(1 - 2z): eigenvalues 1 and 2
         (1, 9, [1, 7, 9]),    # real eigenvalues, product 9, moduli != 3
@@ -314,6 +323,19 @@ class TestCurve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert CurveInput(g, q, _numerator_from_real(h, q)).is_weil() is weil
+
+
+def _is_prime_power_brute(q):
+    """Whether q is p^e, e >= 1: its smallest divisor p > 1 is prime, and
+    dividing p out must leave 1."""
+    if q < 2:
+        return False
+    p = next(d for d in itertools.count(2) if q % d == 0 or d * d > q)
+    if p * p > q:
+        return True  # q itself is prime
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def _numerator_from_real(h, q):
