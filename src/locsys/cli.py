@@ -2,7 +2,8 @@
 
 Subcommands: a-symbolic, pgn, qgn, euler, d-count, eval, verify.  Exit codes:
 0 success, 1 theorem-level assertion failure (or, for now, a verify checker
-that raised, reported with an error line), 2 usage error or bad input file.
+that raised, reported with an error line), 2 usage error or bad input file,
+141 stdout closed before the output was written (`locsys ... | head`).
 All output is deterministic for fixed flags and seed.
 
 Each command imports what it runs when it runs: `verify` loads the suites,
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import gc
 import json
+import os
 import sys
 import warnings
 
@@ -33,6 +35,8 @@ from .laurent import (
 SUITE_NAMES = ("kappa", "matrix-tree", "matr", "delta", "gm-family", "cones", "lattice",
                "integrality", "combinat", "aggregation", "roundtrip")
 
+# the exit status when the reader closes stdout early (`locsys ... | head`)
+EXIT_CLOSED_STDOUT = 141
 
 # the largest a-symbolic rank: rank 20 takes about 0.8 s, and each rank
 # above costs 1.4-2 times the one below (21 and 22 about 1.1 and 2.2 s)
@@ -48,7 +52,7 @@ PGN_MAX_GENUS = 9
 EULER_MAX_GENUS = 10000
 # the largest euler --n, d-count --n/--d and eval curve q: each factors by
 # trial division up to the square root of what is left, so the most is at a
-# prime: at 999999999989 euler takes about 0.15 s, d-count 0.08 s and the
+# prime: at 999999999989 euler and d-count take about 0.08 s and the
 # curve's prime-power check 0.07 s (at 10^12 = 2^12 5^12, 0.001 s)
 DIVISOR_MAX = 10 ** 12
 # the largest eval curve g: on a curve over F_999999999989 with distinct
@@ -329,7 +333,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     gc.collect(0)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left (and the flush at exit)
+        # to devnull and end without a traceback, with the status a shell
+        # gives a process that SIGPIPE ends, 128 + 13
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except (CheckFailure, DivisibilityError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

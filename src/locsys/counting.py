@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import fields
-from .combinat import divisors, mobius, mobius_divisors, partitions
+from .combinat import divisors, mobius_divisors, partitions, prime_factors
 from .laurent import (DivisibilityError, EntryMissing, IntegralityError, InvarianceError,
                       LaurentPoly, WeilPoly, pic_eform, render_terms)
 from .series import TruncatedSeries
@@ -420,9 +420,9 @@ class ATable:
     positive.  Conversely, v is constant on a Weil orbit and is the
     t-exponent of the orbit's representative, so a positive p is a sum of
     c t^a y^b M_mu with a >= 0.  Each M_lambda lies in Q[t, y][e], by
-    induction in to_laurent's solve order: e^a (lambda_j = a_j + ... + a_g)
-    lies in P and is M_lambda plus orbit sums t^m M_nu with m >= 0 that
-    come earlier in that order.
+    induction in the solve order of to_laurent's rows (laurent._eform_row):
+    e^a (lambda_j = a_j + ... + a_g) lies in P and is M_lambda plus orbit
+    sums t^m M_nu with m >= 0 that come earlier in that order.
     """
 
     def __init__(self, g, entries):
@@ -744,15 +744,20 @@ def _euler_value(q: WeilPoly, g: int) -> Fraction:
 
 
 def euler_characteristic(n: int, g: int) -> int:
-    """sum over l | n of mu(l) mu(n/l) l^{2g-3}; a divisor with
-    mu(l) mu(n/l) = 0 is skipped before its power is taken."""
+    """sum over l | n of mu(l) mu(n/l) l^{2g-3}, from one factorization of n.
+
+    The sum is multiplicative in n.  At a prime power p^e it is
+    -(1 + p^(2g-3)) for e = 1 (l = 1 and l = p), p^(2g-3) for e = 2 (only
+    l = p leaves both l and n/l squarefree) and 0 for e >= 3, where the
+    factorization stops."""
     if n < 1 or g < 2:
         raise ValueError("need n >= 1 and g >= 2")
-    total = 0
-    for l, mu in mobius_divisors(n):
-        sign = mu * mobius(n // l)
-        if sign:
-            total += sign * l ** (2 * g - 3)
+    total = 1
+    for p, e in prime_factors(n):
+        if e > 2:
+            return 0
+        power = p ** (2 * g - 3)
+        total *= -(1 + power) if e == 1 else power
     return total
 
 

@@ -523,25 +523,18 @@ class WeilPoly(LaurentPoly):
         one present representative, and an orbit holds at most |orbit| of them;
         so the terms number at most the total, with equality exactly when every
         orbit is full.  The e-form is then c t^a y^b M_mu summed over the
-        representatives into one dict.  Each distinct z-exponent vector's shape
-        is worked out once per call.
+        representatives into one dict.  Each z-exponent vector's shape comes
+        from _ZSHAPES, worked out once per process.
         """
         if type(p) is not LaurentPoly:
             raise TypeError("need a z-form LaurentPoly")
         g, terms = p.g, p.terms
         get = terms.get
-        shapes = {}
+        shapes = _ZSHAPES.get
         reps = []
         covered = 0
         for (et, ez, ey), c in terms.items():
-            shape = shapes.get(ez)
-            if shape is None:
-                mu, dt = _orbit_rep(ez)
-                # (mu, t-shift, orbit size, M_mu's terms), the last two for a
-                # representative only
-                shape = shapes[ez] = ((mu, 0, len(_orbit(mu)), _orbit_sum(g, mu).terms.items())
-                                      if ez == mu else (mu, dt, 0, None))
-            mu, dt, size, orbit_terms = shape
+            mu, dt, size, orbit_terms = shapes(ez) or _zshape(ez)
             if size:
                 covered += size
                 reps.append((et, ey, c, orbit_terms))
@@ -560,39 +553,22 @@ class WeilPoly(LaurentPoly):
         return out
 
     def to_laurent(self) -> LaurentPoly:
-        """The canonical z-form.
-
-        With lambda_j = a_j + ... + a_g, M_lambda is e^a plus e-monomials
-        that come later in the order of (|lambda|, lambda) descending; so
-        taking the e-monomials in that order (by a heap) and subtracting
-        c t^i y^b M_lambda from the rest is a unitriangular solve for the
-        orbit coefficients.
-        """
+        """The canonical z-form, the mirror of from_laurent: each term
+        c t^i e^a y^b adds c times the row of e^a (_eform_row, its orbit
+        coefficients) into one dict of orbits, and each nonzero orbit
+        coefficient then goes to every member of its orbit."""
         g = self.g
-        rest = dict(self.terms)
-        heap = [(_solve_order(a), (et, a, ey)) for et, a, ey in rest]
-        heapq.heapify(heap)
+        orbits = {}
+        get = orbits.get
+        for (et, a, ey), c in self.terms.items():
+            for (dt, lam, dy), rc in _eform_row(g, a):
+                k = (et + dt, lam, ey + dy)
+                orbits[k] = get(k, 0) + c * rc
         terms = {}
-        while heap:
-            key = heapq.heappop(heap)[1]
-            c = rest.pop(key, 0)
-            if not c:
-                continue
-            et, a, ey = key
-            lam = _partition(a)
-            for dt, z in _orbit(lam):
-                terms[(et + dt, z, ey)] = c
-            for (mt, ma, my), mc in _orbit_sum(g, lam).terms.items():
-                k = (et + mt, ma, ey + my)
-                if k == key:
-                    continue  # the leading term e^a, coefficient 1
-                v = rest.get(k, 0) - c * mc
-                if k not in rest:
-                    heapq.heappush(heap, (_solve_order(ma), k))
-                if v:
-                    rest[k] = v
-                else:
-                    del rest[k]
+        for (et, lam, ey), c in orbits.items():
+            if c:
+                for dt, z in _orbit(lam):
+                    terms[(et + dt, z, ey)] = c
         out = LaurentPoly(g)
         out.terms = terms
         return out
@@ -739,8 +715,63 @@ def _orbit_rep(ez):
     return mu, (sum(ez) - sum(mu)) // 2  # the t-shift: sum of min(e_i, 0)
 
 
-# The caches below fill lazily, per genus and exponent shape; their values
-# are shared and never mutated.
+# The caches below fill lazily, per genus and exponent shape, so importing
+# the module does no work; their values are tuples (or lists and
+# polynomials that nothing mutates), shared by every caller.
+
+# z-exponent vector (its length is the genus) -> (mu, t-shift, orbit size,
+# M_mu's terms as a tuple) for a representative, (mu, t-shift, 0, None) for
+# any other member of its orbit: from_laurent's view of one term.
+_ZSHAPES = {}
+
+
+def _zshape(ez):
+    """The _ZSHAPES entry of the z-vector ez, made and stored on a miss; the
+    members of an orbit share its representative's mu."""
+    mu, dt = _orbit_rep(ez)
+    if ez == mu:
+        shape = (mu, 0, len(_orbit(mu)), tuple(_orbit_sum(len(ez), mu).terms.items()))
+    else:
+        shape = ((_ZSHAPES.get(mu) or _zshape(mu))[0], dt, 0, None)
+    _ZSHAPES[ez] = shape
+    return shape
+
+
+@functools.cache
+def _eform_row(g, a):
+    """The e-monomial e^a as orbit sums: the ((dt, lambda, dy), c) with
+    e^a = sum c t^dt y^dy M_lambda, in solve order.
+
+    With lambda_j = a_j + ... + a_g, M_lambda is e^a plus e-monomials that
+    come later in the order of (|lambda|, lambda) descending; so taking the
+    e-monomials in that order (by a heap) and subtracting c t^i y^b M_lambda
+    from the rest is a unitriangular solve for the orbit coefficients (the
+    elementary-to-monomial transition, with the t-twist of w = z + t/z).
+    """
+    key = (0, a, 0)
+    rest = {key: 1}
+    heap = [(_solve_order(a), key)]
+    row = []
+    while heap:
+        key = heapq.heappop(heap)[1]
+        c = rest.pop(key, 0)
+        if not c:
+            continue
+        et, b, ey = key
+        lam = _partition(b)
+        row.append(((et, lam, ey), c))
+        for (mt, ma, my), mc in _orbit_sum(g, lam).terms.items():
+            k = (et + mt, ma, ey + my)
+            if k == key:
+                continue  # the leading term e^b, coefficient 1
+            v = rest.get(k, 0) - c * mc
+            if k not in rest:
+                heapq.heappush(heap, (_solve_order(ma), k))
+            if v:
+                rest[k] = v
+            else:
+                del rest[k]
+    return tuple(row)
 
 
 @functools.cache

@@ -9,13 +9,15 @@ every divisor; the z-form
 `pgn`/`qgn` report that the e-form report replaced, with the z-form scans it
 runs on; the z-form Frobenius substitution and Weil symmetrization, the
 references for WeilPoly.frobenius_substitute and for the orbit-based
-laurent.weil_symmetrize; and the z-form to e-form conversion that counts
-every orbit's members, the reference for WeilPoly.from_laurent, and the
-differential check of LaurentPoly.from_obj's column read against its
-per-term read; and the partition weight s_weight of the master formula,
+laurent.weil_symmetrize; the z-form to e-form conversion that counts
+every orbit's members, the reference for WeilPoly.from_laurent; the
+e-form to z-form conversion by one heap-ordered solve per call, the
+reference for WeilPoly.to_laurent's cached rows; the differential check
+of LaurentPoly.from_obj's column read against its per-term read; and the partition weight s_weight of the master formula,
 which the package computes inline.  Nothing in the package imports this
 module."""
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -30,6 +32,8 @@ from locsys.laurent import (
     _orbit,
     _orbit_rep,
     _orbit_sum,
+    _partition,
+    _solve_order,
     _zform_by_term,
     pic_polynomial,
 )
@@ -242,6 +246,46 @@ def from_laurent(p):
     out = WeilPoly.zero(g)
     for mu, coeffs in by_mu.items():
         out = out + WeilPoly(g, coeffs) * _orbit_sum(g, mu)
+    return out
+
+
+def to_laurent(w):
+    """WeilPoly.to_laurent as it was before it cached one row per
+    e-monomial: a heap-ordered unitriangular solve over the whole
+    polynomial on every call.
+
+    With lambda_j = a_j + ... + a_g, M_lambda is e^a plus e-monomials
+    that come later in the order of (|lambda|, lambda) descending; so
+    taking the e-monomials in that order (by a heap) and subtracting
+    c t^i y^b M_lambda from the rest is a unitriangular solve for the
+    orbit coefficients."""
+    g = w.g
+    rest = dict(w.terms)
+    heap = [(_solve_order(a), (et, a, ey)) for et, a, ey in rest]
+    heapq.heapify(heap)
+    terms = {}
+    while heap:
+        key = heapq.heappop(heap)[1]
+        c = rest.pop(key, 0)
+        if not c:
+            continue
+        et, a, ey = key
+        lam = _partition(a)
+        for dt, z in _orbit(lam):
+            terms[(et + dt, z, ey)] = c
+        for (mt, ma, my), mc in _orbit_sum(g, lam).terms.items():
+            k = (et + mt, ma, ey + my)
+            if k == key:
+                continue  # the leading term e^a, coefficient 1
+            v = rest.get(k, 0) - c * mc
+            if k not in rest:
+                heapq.heappush(heap, (_solve_order(ma), k))
+            if v:
+                rest[k] = v
+            else:
+                del rest[k]
+    out = LaurentPoly(g)
+    out.terms = terms
     return out
 
 

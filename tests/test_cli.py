@@ -786,6 +786,24 @@ def _fresh_python(*args, code=None):
                           env={**os.environ, "PYTHONPATH": src}, timeout=300)
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_ends_quietly(flags):
+    """A reader that closes stdout early, as `locsys pgn --n 1 --g 7 | head
+    -c 10` does, ends the command with EXIT_CLOSED_STDOUT (neither 1 nor 2)
+    and nothing on stderr.  The z-form printed, 4^7 terms, is larger than a
+    pipe's buffer, so the command is still writing when the pipe closes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "locsys.cli", *flags, "pgn", "--n", "1", "--g", "7"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == cli.EXIT_CLOSED_STDOUT == 141
+    assert err == b"" and len(head) == 10
+
+
 # CPython's limit on the digits of an integer string (0: no limit, or none
 # before 3.10.7); a coefficient string past it is refused like "x"
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()

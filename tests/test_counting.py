@@ -459,10 +459,17 @@ class TestEuler:
         assert euler_characteristic(n, g) == value
 
     def test_grid_matches_the_sum_over_every_divisor(self):
-        """Skipping each divisor with mu(l) mu(n/l) = 0 before its power
-        changes no value, for n <= 200 and g <= 50."""
+        """The product over the prime powers of n gives the sum over every
+        divisor, for n <= 200 and g <= 50."""
         for n in range(1, 201):
             for g in range(2, 51):
+                assert euler_characteristic(n, g) == full_euler_characteristic(n, g), (n, g)
+
+    def test_product_over_primes_matches_the_divisor_sum(self):
+        """The product over one factorization of n against the sum over
+        every divisor, for n <= 5000 and g = 2..4."""
+        for n in range(1, 5001):
+            for g in range(2, 5):
                 assert euler_characteristic(n, g) == full_euler_characteristic(n, g), (n, g)
 
 

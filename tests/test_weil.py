@@ -13,8 +13,9 @@ from counting_refs import (
     same_zform_read,
     satisfies_positivity,
     swap_flip_invariant,
+    to_laurent,
 )
-from master_cells import master_entries
+from master_cells import master_entries, master_tables
 
 from locsys.counting import ATable, CTable, FreePoly, a_from_c
 from locsys.laurent import (
@@ -272,3 +273,72 @@ class TestFromLaurentAgainstReference:
         for p in (WeilPoly.const(2, 1), FreePoly.const(1)):
             with pytest.raises(TypeError, match="need a z-form LaurentPoly"):
                 WeilPoly.from_laurent(p)
+
+
+# --------------------------------------------------------------------------
+# The cached conversions against the per-call references
+
+
+def _random_eform(rng, g):
+    """One to six e-monomials of e-degree up to 3 (2 at g = 5), with
+    Fraction or integer coefficients, t-exponents from -3 to 3 and
+    y-exponents up to 2."""
+    top = 3 if g < 5 else 2
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        a = [0] * g
+        for _ in range(rng.randint(0, top) if g else 0):
+            a[rng.randrange(g)] += 1
+        c = rng.choice([rng.randint(-6, 6) or 1, Fraction(rng.randint(-7, 7) or 1, rng.randint(2, 5))])
+        terms[(rng.randint(-3, 3), tuple(a), rng.randint(0, 2))] = c
+    return WeilPoly(g, terms)
+
+
+class TestConversionsAgainstReference:
+    """WeilPoly.to_laurent's cached rows against the heap solve it replaced,
+    and from_laurent's cached z-vector shapes against the member-counting
+    reference.  Every polynomial is converted twice and once scaled, so
+    that a cache entry filled by one call and changed by it, or read back
+    wrong by a later one, shows."""
+
+    def _agree_e(self, w):
+        want = to_laurent(w)
+        for _ in range(2):
+            got = w.to_laurent()
+            assert type(got) is LaurentPoly and got == want
+            assert WeilPoly.from_laurent(got) == from_laurent(want) == w
+        assert (w * 3).to_laurent() == to_laurent(w * 3) == want * 3
+
+    def _agree_z(self, p):
+        want = from_laurent(p)
+        for _ in range(2):
+            got = WeilPoly.from_laurent(p)
+            assert type(got) is WeilPoly and got == want
+            assert got.to_laurent() == to_laurent(want) == p
+        assert WeilPoly.from_laurent(p * 3) == want * 3
+
+    @pytest.mark.parametrize("g", range(6))
+    def test_random_eforms(self, g):
+        """e -> z -> e on random e-form polynomials."""
+        rng = random.Random(f"to-laurent:{g}")
+        for _ in range(12 if g < 5 else 6):
+            self._agree_e(_random_eform(rng, g))
+
+    @pytest.mark.parametrize("g", range(6))
+    def test_symmetrized_monomials(self, g):
+        """z -> e -> z on sums of weil_symmetrize images."""
+        rng = random.Random(f"from-laurent:symmetrized:{g}")
+        for _ in range(8 if g < 5 else 4):
+            self._agree_z(_symmetrized(rng, g))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_master_results(self, seed):
+        """The master formula's e-form results on the benchmark's planted
+        C-tables, and their z-form (master_entries)."""
+        entries = iter(master_entries(seed))
+        for g, n, table in master_tables(seed):
+            eform = CTable.concrete(g, dict(table.weil))
+            for r in range(2, n + 1):
+                w = a_from_c(r, g, eform)
+                assert type(w) is WeilPoly
+                assert w.to_laurent() == to_laurent(w) == next(entries)
