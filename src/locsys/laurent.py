@@ -894,7 +894,7 @@ class CurveInput:
         whether every root of prod_i (y - w_i^2) is real and in [0, 4q]: a
         Sturm chain on its squarefree part counts the distinct roots there.
         """
-        e = _elementary(_real_weil_sums(self, 1, 2 * self.g)[::2])
+        e = polyq.elementary(_real_weil_sums(self, 1, 2 * self.g)[::2])
         f = polyq.squarefree([(-1) ** j * c for j, c in enumerate(e)][::-1])
         return polyq.real_roots(f, 0, 4 * self.q) == len(f) - 1
 
@@ -913,36 +913,13 @@ class CurveInput:
         return f"CurveInput(g={self.g}, q={self.q}, numerator={self.numerator})"
 
 
-def _power_sums_from_coeffs(b, count):
-    """Newton power sums p_0..p_count (p_0 is left 0) of the reciprocal roots
-    of P(z) = sum b_j z^j = prod (1 - a_i z), in integers."""
-    deg = len(b) - 1
-    p = [0] * (count + 1)
-    for m in range(1, count + 1):
-        acc = m * b[m] if m <= deg else 0
-        p[m] = -acc - sum(b[i] * p[m - i] for i in range(1, min(m - 1, deg) + 1))
-    return p
-
-
-def _elementary(sums):
-    """e_0..e_n of n numbers from their power sums sums[1..n] (sums[0] is not
-    read), by Newton's identities; every caller's e_j are integers."""
-    e = [1]
-    for m in range(1, len(sums)):
-        acc = sum((-1) ** (i - 1) * e[m - i] * sums[i] for i in range(1, m + 1))
-        if acc % m:
-            raise ArithmeticError("power transform produced a non-integer")
-        e.append(acc // m)
-    return e
-
-
 def _real_weil_sums(curve: CurveInput, k: int, count: int):
     """S_0..S_count: power sums of w_i = a_i^k + T/a_i^k, T = q^k, one a_i from
     each of the g Frobenius pairs {a, q/a}.  Expanding w^m and pairing the
     terms r and m - r gives
     S_m = sum_{2r < m} C(m, r) T^r p_{(m-2r)k} + [m even] C(m, m/2) T^(m/2) g.
     """
-    p = _power_sums_from_coeffs(curve.numerator, count * k)
+    p = polyq.power_sums(curve.numerator, count * k)
     tq, g = curve.q ** k, curve.g
     sums = [g]
     for m in range(1, count + 1):
@@ -959,8 +936,8 @@ def graeffe_power(curve: CurveInput, k: int):
     if not isinstance(k, int) or k < 1:
         raise ValueError("need k >= 1")
     deg = 2 * curve.g
-    p = _power_sums_from_coeffs(curve.numerator, deg * k)
-    e = _elementary(p[::k])
+    p = polyq.power_sums(curve.numerator, deg * k)
+    e = polyq.elementary(p[::k])
     return [(-1) ** j * c for j, c in enumerate(e)]
 
 
@@ -982,7 +959,7 @@ def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: in
     form = p if isinstance(p, WeilPoly) else WeilPoly.from_laurent(p)
 
     tq = curve.q ** k
-    e = _elementary(_real_weil_sums(curve, k, p.g))[1:]
+    e = polyq.elementary(_real_weil_sums(curve, k, p.g))[1:]
     # accumulate in integers: scaled by T^-lo, lo the least power of T, and by
     # the lcm of the coefficient denominators; divide once at the end
     lo = min(0, min((et for et, _a, _ey in form.terms), default=0))

@@ -1,14 +1,17 @@
 """Dense univariate polynomials over Q as coefficient lists, constant term
-first; a zero polynomial is the empty list.
-
-Division, the squarefree part, signed remainder chains, Cauchy indices and
-real-root counts: the exact helpers behind the curve Weil check
-(`laurent.CurveInput.is_weil`) and the unit-circle root counts of
-`spectral.circle_count_check`.
+first; a zero polynomial is the empty list.  This module is the one owner of
+the format: sums, products, remainders mod a monic polynomial, the Moebius
+substitution, division, gcds, the squarefree part, signed remainder chains,
+Cauchy indices, real-root counts, and Newton's identities between
+coefficients, power sums and elementary symmetric functions.  They serve
+`laurent` (the curve Weil check, the power transform, evaluation at a curve)
+and `spectral` (the characteristic polynomial, unit-circle root counts,
+cyclotomic numbers).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +22,47 @@ def trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def add(a, b):
+    """a + b, as long as the longer of the two (not trimmed)."""
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def mul(a, b):
+    """a b, of length len(a) + len(b) - 1, not trimmed; zeros of a are skipped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def rem_monic(f, m):
+    """The remainder of f mod the monic m, padded to length deg m; multiples
+    of m are subtracted from the top down, so integers stay integers."""
+    deg = len(m) - 1
+    f = list(f) + [0] * (deg - len(f))
+    for top in range(len(f) - 1, deg - 1, -1):
+        lead = f[top]
+        if lead:
+            for k, c in enumerate(m, start=top - deg):
+                f[k] -= lead * c
+    return f[:deg]
+
+
+def mobius_image(p, num, den):
+    """sum_k p_k num^k den^(n-k): the polynomial p(num/den) den^n, n = deg p,
+    for num, den linear polynomials."""
+    n = len(p) - 1
+    out = []
+    for k, c in enumerate(p):
+        term = [c]
+        for factor in [num] * k + [den] * (n - k):
+            term = mul(term, factor)
+        out = add(out, term)
+    return out
 
 
 def divmod_(a, b):
@@ -104,3 +148,26 @@ def real_roots(f, lo, hi):
     theorem).  A root at hi is counted too, since the sign changes at a root
     of f are those just right of it; a root at lo is added."""
     return cauchy_index(f, derivative(f), lo, hi) + (lo != -math.inf and value(f, lo) == 0)
+
+
+def power_sums(b, count):
+    """Newton power sums p_0..p_count (p_0 is left 0) of the reciprocal roots
+    of P(z) = sum b_j z^j = prod (1 - a_i z), in integers."""
+    deg = len(b) - 1
+    p = [0] * (count + 1)
+    for m in range(1, count + 1):
+        acc = m * b[m] if m <= deg else 0
+        p[m] = -acc - sum(b[i] * p[m - i] for i in range(1, min(m - 1, deg) + 1))
+    return p
+
+
+def elementary(sums):
+    """e_0..e_n of n numbers from their power sums sums[1..n] (sums[0] is not
+    read), by Newton's identities; every caller's e_j are integers."""
+    e = [1]
+    for m in range(1, len(sums)):
+        acc = sum((-1) ** (i - 1) * e[m - i] * sums[i] for i in range(1, m + 1))
+        if acc % m:
+            raise ArithmeticError("power transform produced a non-integer")
+        e.append(acc // m)
+    return e

@@ -5,10 +5,10 @@ and * by int/Fraction.  Rationals, LaurentPoly and FreePoly all qualify.
 exp uses the standard derivative recurrence, which only ever divides by
 integers, so everything stays exact.
 
-exp serves the chamber limits: `spectral.chamber_limit_exact` takes exp(x t)
-from it.  The master formula does not call it: counting._exp_coeff_concrete
-takes the coefficients it needs in integer arithmetic, for concrete and
-symbolic tables alike, and exp is the reference the tests compare it with.
+No command calls exp: `spectral.chamber_limit_exact` writes exp(x t) in
+closed form, x^k / k!, and counting._exp_coeff_concrete takes the
+coefficients the master formula needs in integer arithmetic, for concrete and
+symbolic tables alike.  exp is the reference the tests compare both with.
 Inverses, integer powers and division by scalars (field coefficients) let
 `spectral.chamber_limit_exact` evaluate c-functions on truncated series.
 """

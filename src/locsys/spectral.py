@@ -9,7 +9,8 @@ exponential curve, taken on truncated power series over Q; a circle
 integral is a winding number, computed by Cauchy indices and compared with
 Schur-Cohn counts of the roots inside the circle; and the cone series
 identities are identities of rational functions, checked in Gaussian
-rationals and cyclotomic fields.
+rationals and cyclotomic fields.  Their polynomials are `polyq` coefficient
+lists, and `polyq` does all their arithmetic.
 """
 
 from __future__ import annotations
@@ -94,20 +95,14 @@ def char_poly_coeffs(rows):
         for i in range(n):
             shifted[i][i] += x * scales[i]
         coef.append(_bareiss(shifted))
-    # Newton's divided differences at the nodes 0..n, then expand.
+    # Newton's divided differences at the nodes 0..n, then expand by Horner:
+    # f = coef_0 + x (coef_1 + (x - 1) (coef_2 + ...))
     for j in range(1, n + 1):
         for i in range(n, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) // j
-    poly = [0] * (n + 1)
-    acc = [1]
-    for i, c in enumerate(coef):
-        for k, v in enumerate(acc):
-            poly[k] += c * v
-        nxt = [0] * (len(acc) + 1)
-        for k, v in enumerate(acc):
-            nxt[k] -= i * v
-            nxt[k + 1] += v
-        acc = nxt
+    poly = coef[n:]
+    for i in reversed(range(n)):
+        poly = polyq.add([coef[i]], polyq.mul(poly, [-i, 1]))
     scale = math.prod(scales)
     return [Fraction(c, scale) for c in poly]
 
@@ -522,8 +517,8 @@ def chamber_limit_exact(r: int, cfuncs, derivs=None):
     cap = r - 1
 
     def exp_xt(x, top):
-        """exp(x t) truncated after t^top."""
-        return TruncatedSeries.from_terms(top, [(1, x)], Fraction(0)).exp()
+        """exp(x t) truncated after t^top: the coefficients x^k / k!."""
+        return TruncatedSeries(top, [Fraction(x) ** k / math.factorial(k) for k in range(top + 1)])
 
     if derivs is None:
         exp_t = exp_xt(1, 1)
@@ -567,34 +562,6 @@ def chamber_limit(r: int, cfuncs, derivs=None):
 # Zero/pole counts inside the unit circle
 
 
-def _padd(a, b):
-    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
-
-
-def _pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _mobius_image(p, num, den):
-    """sum_k p_k num^k den^(n-k): the polynomial p(num/den) den^n, n = deg p,
-    for num, den linear polynomials."""
-    n = len(p) - 1
-    out = [0] * (n + 1)
-    for k, c in enumerate(p):
-        term = [c]
-        for _ in range(k):
-            term = _pmul(term, num)
-        for _ in range(n - k):
-            term = _pmul(term, den)
-        for i, x in enumerate(term):
-            out[i] += x
-    return out
-
-
 def _self_inversive_circle_root(g) -> bool:
     """Whether the real self-inversive g (reversed g = +-g) has a root on the
     unit circle.  Anti-palindromic g vanishes at 1 and palindromic g of odd
@@ -610,8 +577,8 @@ def _self_inversive_circle_root(g) -> bool:
     r_poly = [g[m]]
     prev, cur = [2], [0, 1]
     for k in range(1, m + 1):
-        r_poly = _padd(r_poly, [g[m + k] * c for c in cur])
-        prev, cur = cur, _padd([0] + cur, [-c for c in prev])
+        r_poly = polyq.add(r_poly, [g[m + k] * c for c in cur])
+        prev, cur = cur, polyq.add([0] + cur, [-c for c in prev])
     return polyq.real_roots(polyq.squarefree(r_poly), -2, 2) > 0
 
 
@@ -633,8 +600,7 @@ def _schur_cohn(p):
         return n // 2
     if not t[0]:
         return None
-    content = math.gcd(*t)
-    inside = _schur_cohn([c // content for c in t])
+    inside = _schur_cohn(polyq.primitive(t))
     if inside is None:
         return None
     return inside if a0 * a0 > an * an else n - inside
@@ -667,7 +633,7 @@ def roots_in_disc(coeffs) -> int:
         inside = (len(common) - 1) // 2
         p = polyq.primitive(polyq.divmod_(p, common)[0])
     for u, v in _DISC_SHIFTS:
-        shifted = _mobius_image(p, [u, v], [v, u]) if u else p
+        shifted = polyq.mobius_image(p, [u, v], [v, u]) if u else p
         count = _schur_cohn(polyq.primitive(polyq.trim(shifted)))
         if count is not None:
             return inside + count
@@ -692,7 +658,7 @@ def winding_number(coeffs) -> int:
         return 0
     if polyq.value(p, -1) == 0:
         raise ValueError("root on the unit circle")
-    q = _mobius_image(p, [1, 1], [1, -1])  # (1 - s)^n p((1 + s)/(1 - s))
+    q = polyq.mobius_image(p, [1, 1], [1, -1])  # (1 - s)^n p((1 + s)/(1 - s))
     a = polyq.trim([c * (-1) ** (k // 2) if k % 2 == 0 else 0 for k, c in enumerate(q)])
     b = polyq.trim([c * (-1) ** (k // 2) if k % 2 else 0 for k, c in enumerate(q)])
     common = polyq.gcd(a, b)
@@ -755,20 +721,12 @@ class Cyclotomic:
     __slots__ = ("m", "num", "den", "_inverse")
 
     def __init__(self, m, num, den=1):
-        phi = _cyclotomic_poly(m)
-        deg = len(phi) - 1
-        num = list(num) + [0] * (deg - len(num))
-        # subtract multiples of the monic Phi_m from the top down
-        for top in range(len(num) - 1, deg - 1, -1):
-            lead = num[top]
-            if lead:
-                for k, pk in enumerate(phi, start=top - deg):
-                    num[k] -= lead * pk
-        g = math.gcd(den, *num[:deg])
+        num = polyq.rem_monic(num, _cyclotomic_poly(m))
+        g = math.gcd(den, *num)
         if den < 0:
             g = -g
         self.m = m
-        self.num = tuple(c // g for c in num[:deg])
+        self.num = tuple(c // g for c in num)
         self.den = den // g
         self._inverse = None
 
@@ -812,12 +770,7 @@ class Cyclotomic:
 
     def __mul__(self, other):
         other = self._lift(other)
-        out = [0] * (2 * len(self.num) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    out[i + j] += a * b
-        return Cyclotomic(self.m, out, self.den * other.den)
+        return Cyclotomic(self.m, polyq.mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -856,14 +856,24 @@ class TestTableReadMatchesPgnRead:
 class TestStartup:
     """Each command loads only what it runs."""
 
-    def test_cli_import_loads_neither_verify_nor_counting(self):
+    @staticmethod
+    def _loaded_at_startup():
+        """The modules loaded by `import locsys.cli` and `build_parser()` in a
+        fresh interpreter."""
         done = _fresh_python(code="import sys, locsys.cli\n"
                                   "locsys.cli.build_parser()\n"
                                   "print(' '.join(sorted(sys.modules)))\n")
         assert done.returncode == 0, done.stderr
-        loaded = set(done.stdout.split())
+        return set(done.stdout.split())
+
+    def test_cli_import_loads_neither_verify_nor_counting(self):
+        loaded = self._loaded_at_startup()
         assert "locsys.cli" in loaded
         assert not loaded & {"locsys.verify", "locsys.counting"}
+
+    def test_cli_import_loads_exactly_its_modules(self):
+        loaded = {name for name in self._loaded_at_startup() if name.split(".")[0] == "locsys"}
+        assert loaded == {"locsys", "locsys.cli", "locsys.laurent", "locsys.polyq"}
 
     def test_suite_names_are_the_suites(self):
         assert cli.SUITE_NAMES == tuple(verify.SUITES)

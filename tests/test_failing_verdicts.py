@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from locsys import cli, cones, counting, integrality, laurent, spectral, verify
+from locsys import cli, cones, counting, integrality, polyq, spectral, verify
 from locsys.counting import ATable, CTable, ConsistencyError, a_from_c, c_from_a
 from locsys.laurent import CurveInput, evaluate_at_curve, graeffe_power, pic_polynomial
 from locsys.spectral import DiscretePairDatum, TheoremViolation, det_slope_identities_check
@@ -239,14 +239,14 @@ class TestPowerTransform:
         poly = pic_polynomial(2)
         assert graeffe_power(curve, 1) == curve.numerator
         assert evaluate_at_curve(poly, curve, 1, 1) == sum(curve.numerator)
-        power_sums = laurent._power_sums_from_coeffs
+        power_sums = polyq.power_sums
 
         def p2_plus_one(b, count):
             p = power_sums(b, count)
             p[2] += 1
             return p
 
-        monkeypatch.setattr(laurent, "_power_sums_from_coeffs", p2_plus_one)
+        monkeypatch.setattr(polyq, "power_sums", p2_plus_one)
         with pytest.raises(ArithmeticError, match="power transform produced a non-integer"):
             graeffe_power(curve, 1)
         with pytest.raises(ArithmeticError, match="power transform produced a non-integer"):

@@ -4,6 +4,7 @@ matched, and what the report prints."""
 
 import importlib.util
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -76,6 +77,35 @@ def test_reports_the_functions_no_run_enters(tmp_path):
     assert [name for _, name, _, _, _ in missed] == [
         "never", "never.<locals>.nested_never", "Box.unused_method"]
     assert reach.report(missed, tmp_path) == [
+        "tiny/mod.py:14 never (4 lines)",
+        "tiny/mod.py:15 never.<locals>.nested_never (2 lines)",
+        "tiny/mod.py:33 Box.unused_method (2 lines)",
+        "3 functions (6 lines) entered by none of the runs",
+    ]
+
+
+def test_main_reads_the_sources_before_the_runs(tmp_path, monkeypatch, capsys):
+    """A source file edited while the runs go on does not move the functions
+    away from the code objects the runs entered."""
+    package = tmp_path / "tiny"
+    package.mkdir()
+    (package / "mod.py").write_text(TINY)
+
+    def run_all(probe, workdir):
+        spec = importlib.util.spec_from_file_location("tiny_mod", package / "mod.py")
+        mod = importlib.util.module_from_spec(spec)
+        with probe:
+            spec.loader.exec_module(mod)
+            mod.used()
+            assert mod.Box().method() == 1 and mod.Box().prop == 2
+        (package / "mod.py").write_text("\n\n\n" + TINY)  # every function moves down
+
+    monkeypatch.setattr(reach, "PACKAGE", str(package))
+    monkeypatch.setattr(reach, "ROOT", str(tmp_path))
+    monkeypatch.setattr(reach, "run_all", run_all)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends ROOT/src
+    assert reach.main() == 0
+    assert capsys.readouterr().out.splitlines() == [
         "tiny/mod.py:14 never (4 lines)",
         "tiny/mod.py:15 never.<locals>.nested_never (2 lines)",
         "tiny/mod.py:33 Box.unused_method (2 lines)",

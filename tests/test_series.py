@@ -22,8 +22,8 @@ def rand_series(rng, cap, constant):
 
 
 def test_exp_of_z():
-    # the closed form x^k/k! is the oracle for exp(x t), which the chamber
-    # limits take from exp: equal values, and Fraction coefficients throughout
+    # exp(x t) equals the closed form x^k/k! that the chamber limits use:
+    # equal values, and Fraction coefficients throughout
     for x in (1, Fraction(-1), Fraction(2, 3), Fraction(-7, 5), Fraction(1, 6)):
         for cap in range(1, 7):
             got = TruncatedSeries.from_terms(cap, [(1, x)], Fraction(0)).exp()

@@ -153,10 +153,13 @@ def run_all(probe, workdir):
 
 def main():
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    # parsed before the runs: the line numbers must be those of the code that
+    # is imported, not of a file edited while the runs take their minute
+    funcs = functions(PACKAGE)
     probe = Probe()
     with tempfile.TemporaryDirectory() as workdir:
         run_all(probe, workdir)
-    for line in report(unentered(functions(PACKAGE), probe.entered), ROOT):
+    for line in report(unentered(funcs, probe.entered), ROOT):
         print(line)
     return 0
 
