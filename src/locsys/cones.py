@@ -225,12 +225,7 @@ def project_full_flag(T, p):
     p = check_composition(p)
     if len(T) != sum(p):
         raise ValueError("need one coordinate per column")
-    out = []
-    i = 0
-    for s in p:
-        out.append(sum(Fraction(x) for x in T[i:i + s]))
-        i += s
-    return tuple(out)
+    return tuple(_block_sums([Fraction(x) for x in T], p))
 
 
 def gamma_support_box(p, T, e):
@@ -263,6 +258,11 @@ def gamma_support_box(p, T, e):
     return bounds
 
 
+def _prefix_point(prefix, e):
+    """The point H whose running sums are prefix, then e in all."""
+    return [x - prev for x, prev in zip([*prefix, e], [0, *prefix])]
+
+
 def truncation_lattice_sum(p, e: int, residues, T) -> int:
     """Finite sum of the truncation kernel over the lattice points with total
     degree e and prescribed residues mod the block sizes.
@@ -280,12 +280,7 @@ def truncation_lattice_sum(p, e: int, residues, T) -> int:
     bounds = gamma_support_box(p, T, e)
     total = 0
     for prefix in itertools.product(*[range(lo, hi + 1) for lo, hi in bounds]):
-        H = []
-        prev = 0
-        for x in prefix:
-            H.append(x - prev)
-            prev = x
-        H.append(e - prev)
+        H = _prefix_point(prefix, e)
         if any((h - res) % size for h, res, size in zip(H, residues, p)):
             continue
         total += gamma_prime(p, H, T_p)
@@ -309,12 +304,6 @@ def gamma_support_bound_check(p, T_samples, e: int = 0) -> bool:
             inside = all(lo <= x <= hi for x, (lo, hi) in zip(prefix, bounds))
             if inside:
                 continue
-            H = []
-            prev = 0
-            for x in prefix:
-                H.append(x - prev)
-                prev = x
-            H.append(e - prev)
-            if gamma_prime(p, H, T_p) != 0:
+            if gamma_prime(p, _prefix_point(prefix, e), T_p) != 0:
                 return False
     return True

@@ -710,7 +710,9 @@ def pgn_report(n: int, g: int, p: WeilPoly):
     1 and e_j weight j; the change of basis keeps weight, so the top-weight
     z-part is t^((g-1)n^2+1) exactly when the top-weight e-part is.  Q lies
     in the invariant ring whenever it exists (P and Pic are invariant), so Pic
-    divides P in one form exactly when it does in the other.
+    divides P in one form exactly when it does in the other.  The Euler value
+    is Q at t = z_i = 1 and y = g - 1, where w_i = 2 and e_j = C(g, j) 2^j,
+    from WeilPoly.value, the evaluator that `eval` uses at a curve.
     """
     top = (g - 1) * n * n + 1
     weights = {key: 2 * key[0] + sum(j * a for j, a in enumerate(key[1], 1))
@@ -730,17 +732,10 @@ def pgn_report(n: int, g: int, p: WeilPoly):
     report["pic_divisible"] = q is not None
     report["euler_matches"] = False
     if q is not None:
-        value = _euler_value(q, g)
+        value = q.value(1, [math.comb(g, j) * 2 ** j for j in range(1, g + 1)], g - 1)
         report["euler_value"] = str(value)
         report["euler_matches"] = value == (euler_characteristic(n, g) if g >= 2 else 1)
     return report, q
-
-
-def _euler_value(q: WeilPoly, g: int) -> Fraction:
-    """q at t = z_i = 1 and y = g - 1: there w_i = 2, so e_j = C(g, j) 2^j."""
-    e = [math.comb(g, j) * 2 ** j for j in range(1, g + 1)]
-    return Fraction(sum(c * math.prod(map(pow, e, a)) * (g - 1) ** ey
-                        for (_et, a, ey), c in q.terms.items()))
 
 
 def euler_characteristic(n: int, g: int) -> int:

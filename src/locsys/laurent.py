@@ -573,6 +573,19 @@ class WeilPoly(LaurentPoly):
         out.terms = terms
         return out
 
+    def value(self, t: int, e, y: int) -> Fraction:
+        """The exact value at integers t, e_1..e_g (the list e) and y; t is
+        nonzero when some t-exponent is negative.  The sum runs in integers,
+        scaled by t^-lo (lo the least t-exponent, or 0) and by the lcm of the
+        coefficient denominators, and is divided once at the end."""
+        lo = min(0, min((et for et, _a, _ey in self.terms), default=0))
+        denom = math.lcm(*(c.denominator for c in self.terms.values()))
+        total = 0
+        for (et, a, ey), c in self.terms.items():
+            total += (c.numerator * (denom // c.denominator) * t ** (et - lo)
+                      * y ** ey * math.prod(map(pow, e, a)))
+        return Fraction(total, denom * t ** -lo)
+
     def frobenius_substitute(self, k: int) -> "WeilPoly":
         """t -> t^k, z_i -> z_i^k: here e_j -> e_j(D_k(w_1, t), ..., D_k(w_g, t)),
         the orbit sum M_(k,..,k,0,..,0) with j parts k."""
@@ -901,13 +914,18 @@ class CurveInput:
     @classmethod
     def from_obj(cls, obj):
         try:
-            g, q, numerator = obj["g"], obj["q"], list(obj["numerator"])
+            g, q, numerator = obj["g"], obj["q"], obj["numerator"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curve JSON: {exc!r}") from None
-        for name, value in [("g", g), ("q", q)] + [("numerator", b) for b in numerator]:
+        for name, value in [("g", g), ("q", q)]:
             if type(value) is not int:
                 raise ValueError(f"malformed curve JSON: {name} has non-integer {value!r}")
-        return cls(g, q, numerator)
+        if type(numerator) is not list:
+            raise ValueError(f"malformed curve JSON: numerator has non-list {numerator!r}")
+        for b in numerator:
+            if type(b) is not int:
+                raise ValueError(f"malformed curve JSON: numerator has non-integer {b!r}")
+        return cls(g, q, list(numerator))
 
     def __repr__(self):
         return f"CurveInput(g={self.g}, q={self.q}, numerator={self.numerator})"
@@ -950,7 +968,8 @@ def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: in
     is a sum of c t^a (g-1)^b prod_j e_j^(n_j), and at the curve e_j is the
     integer elementary symmetric function of the w_i = sigma_i^k +
     T/sigma_i^k, T = q^k, read off the power sums of the zeta numerator
-    (_real_weil_sums).  A value that is not an integer raises ValueError.
+    (_real_weil_sums), and WeilPoly.value sums the terms.  A value that is
+    not an integer raises ValueError.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("need k >= 1")
@@ -958,17 +977,8 @@ def evaluate_at_curve(p: LaurentPoly, curve: CurveInput, k: int, gamma_value: in
         raise DimensionMismatch(f"curve genus {curve.g} != polynomial g {p.g}")
     form = p if isinstance(p, WeilPoly) else WeilPoly.from_laurent(p)
 
-    tq = curve.q ** k
     e = polyq.elementary(_real_weil_sums(curve, k, p.g))[1:]
-    # accumulate in integers: scaled by T^-lo, lo the least power of T, and by
-    # the lcm of the coefficient denominators; divide once at the end
-    lo = min(0, min((et for et, _a, _ey in form.terms), default=0))
-    denom = math.lcm(*(c.denominator for c in form.terms.values()))
-    total = 0
-    for (et, a, ey), c in form.terms.items():
-        total += (c.numerator * (denom // c.denominator) * tq ** (et - lo)
-                  * gamma_value ** ey * math.prod(map(pow, e, a)))
-    scale = denom * tq ** -lo
-    if total % scale:
-        raise ValueError(f"value {Fraction(total, scale)} at the curve is not an integer")
-    return total // scale
+    value = form.value(curve.q ** k, e, gamma_value)
+    if value.denominator != 1:
+        raise ValueError(f"value {value} at the curve is not an integer")
+    return value.numerator

@@ -1,12 +1,13 @@
 """Dense univariate polynomials over Q as coefficient lists, constant term
 first; a zero polynomial is the empty list.  This module is the one owner of
-the format: sums, products, remainders mod a monic polynomial, the Moebius
-substitution, division, gcds, the squarefree part, signed remainder chains,
-Cauchy indices, real-root counts, and Newton's identities between
-coefficients, power sums and elementary symmetric functions.  They serve
-`laurent` (the curve Weil check, the power transform, evaluation at a curve)
-and `spectral` (the characteristic polynomial, unit-circle root counts,
-cyclotomic numbers).
+the format: sums, products (truncated ones too), remainders mod a monic
+polynomial, the Moebius substitution, division, gcds, the squarefree part,
+signed remainder chains, Cauchy indices, real-root counts, and Newton's
+identities between coefficients, power sums and elementary symmetric
+functions.  They serve `laurent` (the curve Weil check, the power transform,
+evaluation at a curve), `spectral` (the characteristic polynomial,
+unit-circle root counts, cyclotomic numbers, the aggregation check's series)
+and `series` (the product of two truncated series).
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ def add(a, b):
     return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
 
 
-def mul(a, b):
-    """a b, of length len(a) + len(b) - 1, not trimmed; zeros of a are skipped."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def mul(a, b, n=None):
+    """a b, not trimmed: all len(a) + len(b) - 1 coefficients, or the first n
+    (a truncated product); zeros of a are skipped.  The coefficients may lie
+    in any ring that adds to int 0."""
+    out = [0] * (len(a) + len(b) - 1 if n is None else n)
+    for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b):
+            for j, y in enumerate(b[:len(out) - i]):
                 out[i + j] += x * y
     return out
 

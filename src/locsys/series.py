@@ -2,8 +2,9 @@
 
 The ring is duck-typed: coefficients must support +, -, * among themselves
 and * by int/Fraction.  Rationals, LaurentPoly and FreePoly all qualify.
-exp uses the standard derivative recurrence, which only ever divides by
-integers, so everything stays exact.
+A product of two series is polyq's truncated product of their coefficient
+lists.  exp uses the standard derivative recurrence, which only ever divides
+by integers, so everything stays exact.
 
 No command calls exp: `spectral.chamber_limit_exact` writes exp(x t) in
 closed form, x^k / k!, and counting._exp_coeff_concrete takes the
@@ -16,6 +17,8 @@ Inverses, integer powers and division by scalars (field coefficients) let
 from __future__ import annotations
 
 from fractions import Fraction
+
+from . import polyq
 
 
 def _is_zero(c):
@@ -78,16 +81,10 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             if other.cap != self.cap:
                 raise ValueError("mixed truncation caps")
+            # a coefficient no product reaches is int 0 there: put it in the ring
             zero = self._zero()
-            out = [zero] * (self.cap + 1)
-            for i, a in enumerate(self.coeffs):
-                if _is_zero(a):
-                    continue
-                for j in range(self.cap + 1 - i):
-                    b = other.coeffs[j]
-                    if not _is_zero(b):
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(self.cap, out)
+            out = polyq.mul(self.coeffs, other.coeffs, self.cap + 1)
+            return TruncatedSeries(self.cap, [zero + c for c in out])
         return TruncatedSeries(self.cap, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__

@@ -1113,24 +1113,15 @@ def aggregation_check(a: int, l: int, s, g: int, dtable) -> bool:
             lhs += term
 
     # series side
-    coeffs = [Fraction(0)] * (a + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [1] + [0] * a
     for j in range(1, a + 1):
         for d in divisors(j):
-            xi = xi_of(d)
-            step = j * xi
-            factor = [Fraction(0)] * (a + 1)
-            i = 0
-            while i * step <= a:
+            step = j * xi_of(d)
+            factor = [0] * (a + 1)
+            for i in range(a // step + 1):
                 factor[i * step] = (-1) ** i * binom_ring(top(j, d), i)
-                i += 1
-            new = [Fraction(0)] * (a + 1)
-            for u in range(a + 1):
-                if coeffs[u]:
-                    for v in range(a + 1 - u):
-                        if factor[v]:
-                            new[u + v] += coeffs[u] * factor[v]
-            coeffs = new
+            # the sparse factor first: polyq.mul skips its zeros
+            coeffs = polyq.mul(factor, coeffs, a + 1)
     return lhs == coeffs[a]
 
 

@@ -615,11 +615,7 @@ def suite_cones(seed, iterations):
     for _ in range(iterations):
         p = rng.choice(compositions)
         grouping = rng.choice(list(cones.coarsenings(p)))
-        q = []
-        i = 0
-        for s in grouping:
-            q.append(sum(p[i:i + s]))
-            i += s
+        q = cones._block_sums(p, grouping)
         H = [f"{rng.randint(-40, 40)}/{rng.choice([1, 3, 7])}" for _ in p]
         yield "cones", {"kind": "langlands", "p": list(p), "q": q, "H": H}
     for _ in range(iterations):

@@ -643,6 +643,9 @@ class TestMalformedInput:
         ("--curve", {"g": 1, "q": 2, "numerator": [1, -4.9, 2]}),
         ("--curve", {"g": 2.5, "q": 2, "numerator": [1, 0, 3, 0, 4]}),
         ("--curve", {"g": 2, "q": 2, "numerator": [True, 0, 3, 0, 4]}),
+        ("--curve", {"g": 1, "q": 2, "numerator": "123"}),
+        ("--curve", {"g": 1, "q": 2, "numerator": {"1": 2}}),
+        ("--curve", {"g": 1, "q": 2, "numerator": 123}),
         ("--pgn", {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0},
                                      {"c": "5", "t": 0, "z": [0, 0], "gamma": 0}]}),
         ("--pgn", {"g": 1, "terms": [{"c": "1", "t": 1.9, "z": [0], "gamma": 0}]}),
@@ -660,7 +663,8 @@ class TestMalformedInput:
         ("--pgn", {"g": 2, "terms": [{"c": "1", "t": 0, "z": {}, "gamma": 0}]}),
         ("--pgn", {"g": 2, "terms": [{"c": "1", "t": 0, "z": "", "gamma": 0}]}),
         ("--a-table", {"entries": {"2": {"g": 2, "terms": {}}}}),
-    ], ids=["float-coefficient", "float-genus", "bool-coefficient", "duplicate-term",
+    ], ids=["float-coefficient", "float-genus", "bool-coefficient", "string-numerator",
+            "object-numerator", "integer-numerator", "duplicate-term",
             "float-t", "bool-z", "string-gamma", "bool-gamma", "string-z", "float-pgn-genus",
             "bool-c", "float-c", "zero-denominator-c", "word-c", "object-terms", "string-terms",
             "object-z", "empty-string-z", "object-table-terms"])

@@ -466,6 +466,30 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="value 1/2 at the curve is not an integer"):
             evaluate_at_curve(LaurentPoly.const(2, Fraction(1, 2)), CURVE, 1, 1)
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_eform_value_against_zform_substitution(self, g):
+        # at t = 12 and z_i dividing 12, each w_i = z_i + 12/z_i is an
+        # integer, and so is each e_j; the z-form is summed in Fractions
+        rng = random.Random(f"eform-value:{g}")
+        divisors = [d * s for d in (1, 2, 3, 4, 6, 12) for s in (1, -1)]
+        for _ in range(12):
+            terms = {(-rng.randint(1, 3), (0,) * g, rng.randint(0, 2)): Fraction(1, rng.randint(2, 5))}
+            for _ in range(rng.randint(0, 5)):
+                key = (rng.randint(-3, 3), tuple(rng.randint(0, 2) for _ in range(g)),
+                       rng.randint(0, 3))
+                terms[key] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+            p = WeilPoly(g, terms)
+            z = [rng.choice(divisors) for _ in range(g)]
+            w = [zi + 12 // zi for zi in z]
+            e = [sum(math.prod(c) for c in itertools.combinations(w, j)) for j in range(1, g + 1)]
+            y = rng.randint(-3, 3)
+            assert p.value(12, e, y) == p.to_laurent().substitute(12, z, y), (p, z, y)
+
+    def test_eform_value_not_integer_at_curve(self):
+        # t^-1 (g-1) / 3 at k = 2 over F_2: T = 4, so the value is 1/12
+        p = LaurentPoly.monomial(2, Fraction(1, 3), t=-1, y=1)
+        with pytest.raises(ValueError, match="^value 1/12 at the curve is not an integer$"):
+            evaluate_at_curve(p, CURVE, 2, 1)
 
 
 def _f_product(f, h, tq):
@@ -648,6 +672,15 @@ class TestSerialization:
     def test_curve_non_integer_rejected(self, obj):
         with pytest.raises(ValueError, match="malformed curve JSON"):
             CurveInput.from_obj(obj)
+
+    @pytest.mark.parametrize("numerator,shown", [("123", "'123'"), ({"1": 2}, "{'1': 2}"),
+                                                 (123, "123")],
+                             ids=["string", "object", "integer"])
+    def test_curve_non_list_numerator_rejected(self, numerator, shown):
+        # a string was read a character at a time, an object as its keys
+        with pytest.raises(ValueError) as info:
+            CurveInput.from_obj({"g": 1, "q": 2, "numerator": numerator})
+        assert str(info.value) == f"malformed curve JSON: numerator has non-list {shown}"
 
     def test_curve_roundtrip(self):
         obj = {"g": CURVE.g, "q": CURVE.q, "numerator": list(CURVE.numerator)}

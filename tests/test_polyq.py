@@ -90,6 +90,8 @@ def test_add_and_mul_by_their_values():
         total, product = polyq.add(a, b), polyq.mul(a, b)
         assert len(total) == max(len(a), len(b))
         assert len(product) == max(len(a) + len(b) - 1, 0)
+        n = rng.randint(0, len(product) + 2)  # the truncated product, zero-padded
+        assert polyq.mul(a, b, n) == (product + [0] * n)[:n], (a, b, n)
         for x in POINTS:
             assert polyq.value(total, x) == polyq.value(a, x) + polyq.value(b, x), (a, b, x)
             assert polyq.value(product, x) == polyq.value(a, x) * polyq.value(b, x), (a, b, x)

@@ -118,3 +118,30 @@ def test_scalar_division_and_reflected_subtraction():
     x = series(3, 1, 1, Fraction(1, 2), Fraction(1, 6))  # exp(t)
     value = x * 0 + 1 + (x ** 2 - 1) * 3 / 2 - x ** -1
     assert value.coeff(0) == 0 and value.coeff(1) == 3 + 1
+
+
+@pytest.mark.parametrize("ring", ["free", "laurent"])
+def test_polynomial_coefficient_product(ring):
+    # series x series over a polynomial ring against the truncated
+    # convolution; zero constant terms leave the low coefficients of the
+    # product without any nonzero term, and they must stay in the ring
+    rng = random.Random(f"polynomial-series:{ring}")
+    if ring == "free":
+        zero = FreePoly.zero()
+        atoms = [FreePoly.symbol(1, 1), FreePoly.symbol(2, 1), FreePoly.gamma()]
+    else:
+        zero = LaurentPoly.zero(2)
+        atoms = [LaurentPoly.t_var(2), LaurentPoly.z_var(2, 0), LaurentPoly.monomial(2, 1, z=[0, -1])]
+
+    def coeff():
+        return sum((x * Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for x in atoms), zero)
+
+    for _ in range(12):
+        cap = rng.randint(0, 5)
+        a = TruncatedSeries(cap, [zero] + [coeff() for _ in range(cap)])
+        b = TruncatedSeries(cap, [zero] * min(2, cap + 1) + [coeff() for _ in range(cap - 1)])
+        got = (a * b).coeffs
+        want = [sum((a.coeffs[i] * b.coeffs[m - i] for i in range(m + 1)), zero)
+                for m in range(cap + 1)]
+        assert got == want
+        assert all(type(c) is type(zero) for c in got)
