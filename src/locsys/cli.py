@@ -51,13 +51,13 @@ PGN_MAX_GENUS = 9
 # digits in about 0.34 s; the cost grows with g^2
 EULER_MAX_GENUS = 10000
 # the largest euler --n, d-count --n/--d and eval curve q: each factors by
-# trial division up to the square root of what is left, so the most is at a
-# prime: at 999999999989 euler and d-count take about 0.08 s and the
-# curve's prime-power check 0.07 s (at 10^12 = 2^12 5^12, 0.001 s)
+# trial division, which past 1000 stops at a cofactor proven prime, so the
+# most is at the square of a prime near 10^6: with the imports, `euler` at
+# 999983^2 takes about 0.15 s, and at the prime 999999999989 0.06 s
 DIVISOR_MAX = 10 ** 12
 # the largest eval curve g: on a curve over F_999999999989 with distinct
-# traces, `eval --n 1 --k 1` takes about 0.08 s at g = 12 and 0.09 s at 14,
-# most of it the prime-power check, and the Weil check alone 0.07 s at 20
+# traces, `eval --n 1 --k 1` takes about 0.03 s at g = 12 with the imports,
+# and the Weil check alone 0.07 s at 20
 CURVE_MAX_GENUS = 12
 
 
@@ -115,11 +115,11 @@ def _print(args, obj, text):
 
 
 def cmd_a_symbolic(args):
-    from .counting import CTable, a_from_c
+    from .counting import a_symbolic_text
 
     if args.n > A_SYMBOLIC_MAX_RANK:
         raise ValueError(f"a-symbolic takes --n up to {A_SYMBOLIC_MAX_RANK}, not {args.n}")
-    text = a_from_c(args.n, None, CTable.symbolic()).render()
+    text = a_symbolic_text(args.n)
     _print(args, {"n": args.n, "polynomial": text}, f"A[{args.n}] = {text}")
     return 0
 
@@ -198,9 +198,8 @@ def cmd_d_count(args):
     for flag, value in (("n", args.n), ("d", args.d)):
         if value > DIVISOR_MAX:
             raise ValueError(f"d-count takes --{flag} up to {DIVISOR_MAX}, not {value}")
-    poly = inertial_class_count(args.n, args.d, CTable.symbolic())
-    _print(args, {"n": args.n, "d": args.d, "polynomial": poly.render()},
-           f"D[{args.n}]({args.d}) = {poly.render()}")
+    text = inertial_class_count(args.n, args.d, CTable.symbolic()).render()
+    _print(args, {"n": args.n, "d": args.d, "polynomial": text}, f"D[{args.n}]({args.d}) = {text}")
     return 0
 
 

@@ -10,21 +10,70 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+# trial division tests the cofactor for primality from this divisor on
+_TRIAL_BOUND = 1000
+# the first 12 primes; as Miller-Rabin bases they decide primality exactly
+# below 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def prime_factors(n: int):
     """The prime factorization of n as pairs (p, e), p ascending, found
     lazily by trial division, so that a caller may stop after any factor;
-    n < 2 has none."""
-    p = 2
-    while p * p <= n:
+    n < 2 has none.  Past the divisors below _TRIAL_BOUND, a cofactor that
+    is proven prime ends the division."""
+    for p in range(2, _TRIAL_BOUND):
+        if p * p > n:
+            break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            n, e = _divide_out(n, p)
             yield p, e
-        p += 1
+    else:
+        p, tested = _TRIAL_BOUND, 1
+        while p * p <= n:
+            if n != tested:  # a new cofactor
+                if _proven_prime(n):
+                    break
+                tested = n
+            if n % p == 0:
+                n, e = _divide_out(n, p)
+                yield p, e
+            p += 1
     if n > 1:
         yield n, 1
+
+
+def _divide_out(n: int, p: int):
+    """(n / p^e, e) for the largest e with p^e | n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
+
+
+def _proven_prime(n: int) -> bool:
+    """Whether n, odd and free of prime factors below 38, is proven prime by
+    the deterministic Miller-Rabin test; False at or above _MR_LIMIT, where
+    the test proves nothing, and at n = 1."""
+    if not 1 < n < _MR_LIMIT:
+        return False
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def mobius(n: int) -> int:

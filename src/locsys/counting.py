@@ -117,34 +117,96 @@ class FreePoly(LaurentPoly):
     def render(self) -> str:
         """Monomials by decreasing top C-symbol (largest s*k, then s), then
         by C-degree and key; the genus offset prints first in a monomial.
-        A key is sorted by atom, so the genus offset, if present, is last."""
-        keyed = []
-        for mono, c in self.terms.items():
-            cdeg, top = 0, (0, 0)
+        The polynomial is packed into fields that fit its atoms and
+        exponents, and `_render_fields` prints it, as it prints the packed
+        symbolic master formula."""
+        atoms = [GAMMA_ATOM] + sorted({a for mono in self.terms for a, _ in mono} - {GAMMA_ATOM})
+        index = {a: i for i, a in enumerate(atoms)}
+        widths = [0] * len(atoms)
+        for mono in self.terms:
             for a, e in mono:
-                if a[0] == "C":
-                    cdeg += e
-                    sk = (a[1] * a[2], a[1])
-                    if sk > top:
-                        top = sk
-            keyed.append(((-top[0], -top[1], cdeg, mono), c))
-        keyed.sort()
-        texts = {}  # (atom, exponent) -> its factor text
-        pairs = []
-        for (_, _, _, mono), c in keyed:
-            if mono and mono[-1][0] == GAMMA_ATOM:
-                mono = mono[-1:] + mono[:-1]
-            factors = []
-            for ae in mono:
-                if ae not in texts:
-                    label = self._atom_label(ae[0])
-                    texts[ae] = label if ae[1] == 1 else f"{label}^{ae[1]}"
-                factors.append(texts[ae])
-            pairs.append(("*".join(factors), c))
-        return render_terms(pairs)
+                if e < 0:
+                    raise ValueError(f"cannot render the exponent {e}")
+                widths[index[a]] = max(widths[index[a]], e.bit_length())
+        shifts = [0]
+        for width in widths[:-1]:
+            shifts.append(shifts[-1] + width)
+        terms = {sum(e << shifts[index[a]] for a, e in mono): c for mono, c in self.terms.items()}
+        return _render_fields(terms, atoms, shifts, widths)
 
     def __repr__(self):
         return f"FreePoly({self.render()})"
+
+
+def _render_fields(terms, atoms, shifts, widths, divisor=1, gamma_power=0) -> str:
+    """FreePoly.render's text of the sum of c m / (divisor gamma^gamma_power)
+    over `terms`, {packed key m: int or Fraction c}, whose field i holds the
+    exponent of atoms[i] in widths[i] bits from bit shifts[i]; field 0 is
+    the genus offset, and the C-symbols follow in (s, k) order.  Every
+    monomial must carry gamma^gamma_power.
+
+    One walk over a key's nonzero C fields, lowest first, gives its factor
+    texts (after the genus offset's), its C-degree, its top symbol by
+    (s*k, s), and one integer that orders it as FreePoly's sorted key
+    tuple of (atom, exponent) pairs would: the C-symbols, then the genus
+    offset, each a digit i*B + e + 1 for digit index i and exponent e < B,
+    padded with zero digits on the right to one length for every key, so
+    that a key whose pairs are a prefix of another's sorts first.  What a
+    field value gives is worked out once per value.  A coefficient's text
+    is str(Fraction(c, divisor)), from one gcd."""
+    radix = 1 << max(widths)  # B, above every exponent
+    digit_bits = ((len(atoms) + 1) * radix).bit_length()
+    length = digit_bits * len(atoms)  # the bits of a padded digit string
+    ranks = {sk: r for r, sk in enumerate(sorted((a[1] * a[2], a[1]) for a in atoms[1:]), 1)}
+    owner = [0] * (shifts[-1] + widths[-1])  # bit -> the mask of its C field
+    labels = {}  # C field mask -> its digit index, shift, rank and label
+    for i, (a, shift, width) in enumerate(zip(atoms, shifts, widths)):
+        if i:
+            mask = (1 << width) - 1 << shift
+            owner[shift:shift + width] = [mask] * width
+            labels[mask] = (i, shift, ranks[a[1] * a[2], a[1]], FreePoly._atom_label(a))
+    gamma, gamma_label = (1 << widths[0]) - 1, FreePoly._atom_label(atoms[0])
+    seen = {}  # C field value -> (factor text, exponent, rank, digit)
+    gammas = {}  # genus-offset exponent -> its factor text
+    rows = []
+    for key, c in terms.items():
+        ey = (key & gamma) - gamma_power
+        if ey < 0:
+            raise IntegralityError("sum is not divisible by the genus factor")
+        factors, cdeg, top, order, pad = [], 0, 0, 0, length
+        if ey:
+            text = gammas.get(ey)
+            if text is None:
+                text = gammas[ey] = gamma_label if ey == 1 else f"{gamma_label}^{ey}"
+            factors.append(text)
+        rest = key & ~gamma
+        while rest:
+            value = rest & owner[(rest & -rest).bit_length() - 1]
+            rest ^= value
+            field = seen.get(value)
+            if field is None:
+                i, shift, rank, label = labels[owner[(value & -value).bit_length() - 1]]
+                e = value >> shift
+                field = seen[value] = (label if e == 1 else f"{label}^{e}", e, rank, i * radix + e + 1)
+            text, e, rank, digit = field
+            factors.append(text)
+            cdeg += e
+            if rank > top:
+                top = rank
+            order = order << digit_bits | digit
+            pad -= digit_bits
+        if ey:
+            order = order << digit_bits | len(atoms) * radix + ey + 1
+            pad -= digit_bits
+        if type(c) is int:
+            num, den = c, divisor
+        else:
+            num, den = c.numerator, c.denominator * divisor
+        g = math.gcd(num, den)
+        rows.append((-top, cdeg, order << pad, "*".join(factors),
+                     str(num // g) if den == g else f"{num // g}/{den // g}"))
+    rows.sort()
+    return render_terms((body, text) for _, _, _, body, text in rows)
 
 
 class PackedPoly(LaurentPoly):
@@ -163,10 +225,10 @@ class PackedPoly(LaurentPoly):
     OverflowError rather than return a wrong polynomial.  Two layouts are
     two classes, so their operands never mix.
 
-    Only `pack` and `unpack` depend on the mode.  A symbolic layout names
-    the FreePoly atom of each field (`atoms`) and keeps the t-exponent 0; an
-    e-form layout has no atoms, and its fields are y, e_1..e_g of a WeilPoly
-    of genus len(widths) - 1.
+    Only `pack` and `unpack` depend on the mode, and only a symbolic layout
+    has `render`.  A symbolic layout names the FreePoly atom of each field
+    (`atoms`) and keeps the t-exponent 0; an e-form layout has no atoms, and
+    its fields are y, e_1..e_g of a WeilPoly of genus len(widths) - 1.
     """
 
     __slots__ = ()
@@ -232,10 +294,11 @@ class PackedPoly(LaurentPoly):
         return cls()._new(terms)
 
     def unpack(self):
-        """The same polynomial as a FreePoly or a WeilPoly.  Symbolic keys
-        are read by their nonzero fields, lowest first: the C-symbols come
-        out in (s, k) order and the genus offset, field 0, goes last, which
-        is the sorted order of FreePoly's keys."""
+        """The same polynomial as a FreePoly or a WeilPoly, for a caller
+        that computes with it (`render` prints a symbolic one without it).
+        Symbolic keys are read by their nonzero fields, lowest first: the
+        C-symbols come out in (s, k) order and the genus offset, field 0,
+        goes last, which is the sorted order of FreePoly's keys."""
         masks = [(1 << width) - 1 for width in self.widths]
         gamma, top, terms = masks[0], self.top, {}
         if not self.atoms:
@@ -272,6 +335,16 @@ class PackedPoly(LaurentPoly):
             q, r = divmod(c, scalar)
             terms[key - gamma_power] = Fraction(c, scalar) if r else q
         return self._new(terms)
+
+    def render(self, divisor: int = 1, gamma_power: int = 0) -> str:
+        """The text of self.divide_exact(divisor, gamma_power).unpack(), a
+        symbolic layout's FreePoly, as FreePoly.render prints it, read off
+        the packed keys and the integer coefficients with no quotient
+        built; divisor > 0."""
+        if not self.atoms:
+            raise TypeError(f"{type(self).__name__} is not a symbolic layout")
+        return _render_fields(self.terms, list(self.atoms), self.shifts, self.widths,
+                              divisor, gamma_power)
 
 
 @functools.cache  # one class per layout, so that equal layouts are one type
@@ -589,21 +662,14 @@ def a_from_c(n: int, genus, ctable: CTable):
     and any genus >= 1 is accepted.  Both modes run the same code on
     packed monomials, one int each (PackedPoly), and convert only on the
     way in and out: each entry the formula reads is packed once per call,
-    and the result is divided once and unpacked.  A symbolic table's
-    symbols are packed into `_symbol_kind(n)` and the result comes out as a
-    FreePoly.  A concrete table's e-form Frobenius images are packed into
-    fields of the width `_field_width` gives, and the result comes out as a
-    WeilPoly; no table is converted here, and only a table made from z-form
-    entries gets its result back in z-form.
-
-    The partition terms are listed first; a partition is a multiplicity map
-    {part j: count a_j}.  Part j has the exp factor [z^(a_j)]
-    exp((2g-2) w/l E_l), with w the sum of min(nu, j) over all parts nu, and
-    `_exp_factors` computes every factor the terms need, one recurrence per
-    (l, w), or per l in the genus offset.  The terms are added up in
-    integers, each weighted against the common denominator of their
-    scales, in one fused multiply-accumulate (LaurentPoly.add_products) that
-    also multiplies in each term's last factor, and divided once.
+    and `_master_sum`'s integer sum is divided once and unpacked.  A
+    symbolic table's symbols are packed into `_symbol_kind(n)` and the
+    result comes out as a FreePoly (`a_symbolic_text` prints the same
+    polynomial from the packed sum, without it).  A concrete table's e-form
+    Frobenius images are packed into fields of the width `_field_width`
+    gives, and the result comes out as a WeilPoly; no table is converted
+    here, and only a table made from z-form entries gets its result back in
+    z-form.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -612,7 +678,35 @@ def a_from_c(n: int, genus, ctable: CTable):
         return p.to_laurent() if ctable.z_form else p
     if genus is not None and genus < 2:
         raise ValueError("need genus >= 2 for ranks >= 2")
+    numerator, divisor, gamma_power = _master_sum(n, genus, ctable)
+    result = numerator.divide_exact(divisor, gamma_power).unpack()
+    return result.to_laurent() if ctable.z_form else result
 
+
+def a_symbolic_text(n: int) -> str:
+    """a_from_c(n, None, CTable.symbolic()).render(), which `a-symbolic`
+    prints; from rank 2 on it is rendered straight from `_master_sum`'s
+    packed integer sum and its divisor."""
+    if n < 2:
+        return a_from_c(n, None, CTable.symbolic()).render()
+    numerator, divisor, gamma_power = _master_sum(n, None, CTable.symbolic())
+    return numerator.render(divisor, gamma_power)
+
+
+def _master_sum(n: int, genus, ctable: CTable):
+    """(numerator, divisor, gamma_power) with A_n = numerator / (divisor
+    gamma^gamma_power) for n >= 2 and a_from_c's genus: the partition sum in
+    integers on packed monomials, before its one division.
+
+    The partition terms are listed first; a partition is a multiplicity map
+    {part j: count a_j}.  Part j has the exp factor [z^(a_j)]
+    exp((2g-2) w/l E_l), with w the sum of min(nu, j) over all parts nu, and
+    `_exp_factors` computes every factor the terms need, one recurrence per
+    (l, w), or per l in the genus offset.  The terms are added up in
+    integers, each weighted against the common denominator of their
+    scales, in one fused multiply-accumulate (LaurentPoly.add_products) that
+    also multiplies in each term's last factor.
+    """
     if ctable.mode == "symbolic":
         kind = _symbol_kind(n)
     else:
@@ -649,9 +743,7 @@ def a_from_c(n: int, genus, ctable: CTable):
         for poly in polys[1:-1]:
             head = head * poly
         products.append((head, polys[-1], scale.numerator * (common // scale.denominator)))
-    numerator = source.zero().add_products(products)
-    result = numerator.divide_exact(scalar * common, gamma_power).unpack()
-    return result.to_laurent() if ctable.z_form else result
+    return source.zero().add_products(products), scalar * common, gamma_power
 
 
 def c_from_a(n: int, g: int, atable: ATable) -> CTable:

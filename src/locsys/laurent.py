@@ -78,23 +78,23 @@ def _coeff(c):
 
 def render_terms(pairs):
     """The signed sum of (monomial text, coefficient) pairs, in the given
-    order; empty text is the constant monomial and no pairs render as 0."""
+    order; empty text is the constant monomial and no pairs render as 0.
+    A coefficient is an int or Fraction, or already its str."""
     chunks = []
     for body, c in pairs:
+        c = str(c)
         if not body:
-            chunks.append(str(c))
-        elif c == 1:
+            chunks.append(c)
+        elif c == "1":
             chunks.append(body)
-        elif c == -1:
+        elif c == "-1":
             chunks.append(f"-{body}")
         else:
             chunks.append(f"{c}*{body}")
     if not chunks:
         return "0"
-    out = chunks[0]
-    for chunk in chunks[1:]:
-        out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
-    return out
+    return chunks[0] + "".join(" - " + chunk[1:] if chunk[0] == "-" else " + " + chunk
+                               for chunk in chunks[1:])
 
 
 class LaurentPoly:

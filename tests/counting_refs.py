@@ -13,8 +13,10 @@ laurent.weil_symmetrize; the z-form to e-form conversion that counts
 every orbit's members, the reference for WeilPoly.from_laurent; the
 e-form to z-form conversion by one heap-ordered solve per call, the
 reference for WeilPoly.to_laurent's cached rows; the differential check
-of LaurentPoly.from_obj's column read against its per-term read; and the partition weight s_weight of the master formula,
-which the package computes inline.  Nothing in the package imports this
+of LaurentPoly.from_obj's column read against its per-term read; the partition weight s_weight of the master formula,
+which the package computes inline; and FreePoly.render on FreePoly's tuple
+keys, with its own sign rule, the reference for the one renderer of packed
+fields (counting._render_fields).  Nothing in the package imports this
 module."""
 
 import heapq
@@ -37,6 +39,42 @@ from locsys.laurent import (
     _zform_by_term,
     pic_polynomial,
 )
+
+
+def free_render(p):
+    """FreePoly.render as it was before it packed its keys: monomials by
+    decreasing top C-symbol (largest s*k, then s), then by C-degree and key,
+    with the genus offset, last in a sorted key, printed first; the signed
+    sum joined as laurent.render_terms joins it."""
+    keyed = []
+    for mono, c in p.terms.items():
+        cdeg, top = 0, (0, 0)
+        for a, e in mono:
+            if a[0] == "C":
+                cdeg += e
+                top = max(top, (a[1] * a[2], a[1]))
+        keyed.append(((-top[0], -top[1], cdeg, mono), c))
+    keyed.sort()
+    chunks = []
+    for (_, _, _, mono), c in keyed:
+        if mono and mono[-1][0] == GAMMA_ATOM:
+            mono = mono[-1:] + mono[:-1]
+        body = "*".join(("(g-1)" if a == GAMMA_ATOM else f"C[{a[1]},{a[2]}]")
+                        + ("" if e == 1 else f"^{e}") for a, e in mono)
+        if not body:
+            chunks.append(str(c))
+        elif c == 1:
+            chunks.append(body)
+        elif c == -1:
+            chunks.append(f"-{body}")
+        else:
+            chunks.append(f"{c}*{body}")
+    if not chunks:
+        return "0"
+    out = chunks[0]
+    for chunk in chunks[1:]:
+        out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
+    return out
 
 
 def free_substitute(p, values, const):

@@ -242,6 +242,159 @@ def test_symbolic_output_bytes_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
+# sha256 of the stdout of `d-count` for every d | n <= 12, in text and
+# --json, recorded when FreePoly.render still sorted FreePoly's tuple keys
+D_COUNT_STDOUT = {
+    "d-count --n 1 --d 1":
+        "e8a398b5a6aa632f67b8740ab9d1e36ed27a74f6b0c175e9d649caf25abff73a",
+    "--json d-count --n 1 --d 1":
+        "a496ea829c9bd6d832ef93d6c048941e8b27431a1f4a250bed861376bbf1135b",
+    "d-count --n 2 --d 1":
+        "3d3fc290580e790be3ffdf4a36e7c1b88d10f2f5a1aae155e2104f8af35b263d",
+    "--json d-count --n 2 --d 1":
+        "5579f1f981da5df50ef3b5ae7542327b5bdddbe210c83fc57a1d0cf96423b256",
+    "d-count --n 2 --d 2":
+        "72a7b5ac0c54621db6b9f10d57b73a041dfb7d38ba58770990678bc36446d874",
+    "--json d-count --n 2 --d 2":
+        "b2c181cc3085f2387ee7d6e3d038db3f257e66a585b85931d32b96ffb53295fc",
+    "d-count --n 3 --d 1":
+        "6015345653e152be19bc582b650b5022e49ad4ca201c13898a9917db5a71a61b",
+    "--json d-count --n 3 --d 1":
+        "7c828ab9baf8699bc7204703579d65e368f4b7b754695a6fb4f21aa17b3f8eb8",
+    "d-count --n 3 --d 3":
+        "0f05c0af1065bb8297e97830aadf3ed015aa601cda3fe5a25c8deed0b775eb3e",
+    "--json d-count --n 3 --d 3":
+        "cd9432b7a4eaa9ce05d59512ad8a2195a33f5de7722a25933a28318df88a2147",
+    "d-count --n 4 --d 1":
+        "9e047def46446f1fd641aa2a3179002e348e3ee92d0d2cd0f715fcb0b0d3314a",
+    "--json d-count --n 4 --d 1":
+        "489715c2f0a945cb9efa46f6f786a356a8afdbc9d4d349141b047e792349f915",
+    "d-count --n 4 --d 2":
+        "42d364bb87fd3d5c1a39354eb701aae8affdab842f54ef1800a47a310fc74076",
+    "--json d-count --n 4 --d 2":
+        "c84fdeb6505b67bf4a4be4013e2cf5bcdad86159eb35be2dae9b1babfef07bf1",
+    "d-count --n 4 --d 4":
+        "265cca68d9221efe126db78b0ae25ac90584445c7ff17dcb4257aa52a3efecf8",
+    "--json d-count --n 4 --d 4":
+        "7a800261f4d1ced5a92b1491d22a197a2cae034f0181df70d7396e692ab8df31",
+    "d-count --n 5 --d 1":
+        "f9893c8105f521c6c3d50805fe74b2495a98f7e3a253ea390bc16c7a7fdd0be6",
+    "--json d-count --n 5 --d 1":
+        "734ea169c4894692037f4c7c04931a8b255278ea399a7c8c1b27eab035f9c4a3",
+    "d-count --n 5 --d 5":
+        "3117a708cc2ba085031ab2142e9fba34adf8dafc97a84fa15e3d8b3da694f7c2",
+    "--json d-count --n 5 --d 5":
+        "885b245ddad3aa12e1f9fe1637f50e60b8cdb9c19638db9f35611c963f7733e9",
+    "d-count --n 6 --d 1":
+        "bed721ee075da46cd09edcacf889bbeeb6b31f71803582bcdd576c8eafdf1b20",
+    "--json d-count --n 6 --d 1":
+        "6b6eac33367160eff54eb81caea18ebeccb38e34aff9d151d98db904715d03ea",
+    "d-count --n 6 --d 2":
+        "fe648dd3ab967051fa33659f7be5040698a609f19245a62e34ae48847ecb97d7",
+    "--json d-count --n 6 --d 2":
+        "a318c6fb74f83c706d782afa608a1cca14a2c3abb5328c30568146490b6c681e",
+    "d-count --n 6 --d 3":
+        "1637a78e7649fe1cd3c56c419e232c6c91f2194588ae6bb16139a8e594cda042",
+    "--json d-count --n 6 --d 3":
+        "ac9df4f3d6dfac1be02b64cd84ee8f075a47ad26957d9d27bccf6306fb7523bf",
+    "d-count --n 6 --d 6":
+        "da778443cc038c20e85735cfd48573df7ff2b3092331e9ed146d2ff602ce757d",
+    "--json d-count --n 6 --d 6":
+        "0fca7babb172b6257d13fb180c5ecc0eb0f28fc267f3359100208381428dc4a9",
+    "d-count --n 7 --d 1":
+        "b3bb49ecebf0bba6d554e7879eb165ef9fa098ce160b8f08a47c8f1eb74cb818",
+    "--json d-count --n 7 --d 1":
+        "08baaf943e656d062d3158b9a286b5e829fd0055a406aee0d9ca2da0cc2ed5ef",
+    "d-count --n 7 --d 7":
+        "58366785a9c0ef646e20c445364939993b8224f08e16c7a00094c2dff8a0686f",
+    "--json d-count --n 7 --d 7":
+        "6cb5237e59fbdfc0709fab4ba562fb278ce628622acde0fd67e47ae5e84e88c7",
+    "d-count --n 8 --d 1":
+        "2de9479735d5678cc02f80950589eb1b98d5bff7c9f303b6aa3dd830049f4cfc",
+    "--json d-count --n 8 --d 1":
+        "819f414280c76452d043a5a45b8184c6b06f2e9181fb4fe4962180cb5709bf9d",
+    "d-count --n 8 --d 2":
+        "c1fa08887bec18e870f086b90de2300204a1032512632948603bc6c0732d33e4",
+    "--json d-count --n 8 --d 2":
+        "eb141f0d9c96fe04cc55d02fcdcd733dff59255d640aed05adca6b9ccf4659f4",
+    "d-count --n 8 --d 4":
+        "447258a385c6d53bc4f488c35356217a3dc9e7708c2b4319bc01a9602502f4a9",
+    "--json d-count --n 8 --d 4":
+        "66d0058c38eabbed23d4197bbe46d55bf4e4be8e08b42a31eac59a05044ff984",
+    "d-count --n 8 --d 8":
+        "4bffd47785b0fcfbb6ff61158663d2ae2fa52716af4a6160d110cb565bb8f07f",
+    "--json d-count --n 8 --d 8":
+        "582b038ebdc90f47326100181098678611a650c3810fe48111c23882434761a5",
+    "d-count --n 9 --d 1":
+        "a0b47d57f8f09ad7c683622c429767bdcead2cb266ea873155e69385307d1e43",
+    "--json d-count --n 9 --d 1":
+        "bb1d418baf5916c2e4ca866526e2d66fa9d036050389cc1a384589de1821bcf8",
+    "d-count --n 9 --d 3":
+        "41e9b2412b2363589fde1f0ab1cbce68f14f3c44f17dfbe23c8b7527c00bd40f",
+    "--json d-count --n 9 --d 3":
+        "1f6c102c132c3fb46052270b7ebdf24a7884161a33c69ec10b9db5d196d5a802",
+    "d-count --n 9 --d 9":
+        "b8e4b5a5fbe3db631dce68c61cb4948be7f82edba74ead05505a2421bb8417e3",
+    "--json d-count --n 9 --d 9":
+        "fe12c7ce1796403b5b2928b2335b2dca453ddb831649041bd082cb3be57a238a",
+    "d-count --n 10 --d 1":
+        "e0e632962969b0c9304779dbad66d65ec8436a970bbdd8facb05ac01d070f0e8",
+    "--json d-count --n 10 --d 1":
+        "24e5cc6bc08e051c4cec5dbc6cabf771cf4e8da3dc9f49b04dbc6d539f106e5c",
+    "d-count --n 10 --d 2":
+        "a320faffcd6d8a7e592c57281a1db4272534374c33a63314690c20d8d3607335",
+    "--json d-count --n 10 --d 2":
+        "3b19c9ba235a605b6911604532ae8b6dedb1ef19ba9df49e6b7611087f8b2cb9",
+    "d-count --n 10 --d 5":
+        "85221484fac42f14eb2678b55cf0bf4c95851473c16801f600f1191128e99dc4",
+    "--json d-count --n 10 --d 5":
+        "135dc55c18e2ea38b245b16959a9d9a79decb5cc82fe578f816478d01492e27d",
+    "d-count --n 10 --d 10":
+        "60353658066f95855a87d1500d8f0c80ac98522e4aea5432f36ac4e392b3c45e",
+    "--json d-count --n 10 --d 10":
+        "936af55048e8a3b7a9d4eeba0d67e2d2bee645f751d78a1c34cdb5dec1909d4f",
+    "d-count --n 11 --d 1":
+        "e9df94783cab8f3274a3c64c304e4ade944d75142cec1673da6a4087a2b7e8ff",
+    "--json d-count --n 11 --d 1":
+        "b494ae4acbf749011cfb62e6c41492f26b247e36a00c97418bf553574197b4a7",
+    "d-count --n 11 --d 11":
+        "7a51f0cfd85d0e1a2d95a5e2df0f53d2f1da446fbce6dfb8c0a3959b22a12f7b",
+    "--json d-count --n 11 --d 11":
+        "063b8af74a6a4ffb522da4965fc4fe7ff4977d8214a7c056aaf116d186f8af30",
+    "d-count --n 12 --d 1":
+        "2f0f7002f7a48c13711fb8e3cc4417694f9e5feabbb004552cacc0ff03bb1522",
+    "--json d-count --n 12 --d 1":
+        "8da6d867dfbffd25dc0ed0dbc180309cd7b8552edd00d6143bf03d255f6e4c7c",
+    "d-count --n 12 --d 2":
+        "0d530ed8964a50da9046d39af89b0fa914682680a2b997ea110a6289c96d6d02",
+    "--json d-count --n 12 --d 2":
+        "21eba2e76d953e378440656da39cc7c81db22e3a73a70029e8315a51826262f9",
+    "d-count --n 12 --d 3":
+        "6ccfa5d9a29229a17652fc78885966b22d832dd439ca72693f82864624189630",
+    "--json d-count --n 12 --d 3":
+        "20979e18316bf5e1aab5cb1de2a670ba2f5ed7a934a8b1968b0790501842e242",
+    "d-count --n 12 --d 4":
+        "5ef979cd40b919a98b5ff6edb2413920f3a8a410a358458faaecadfe82651d13",
+    "--json d-count --n 12 --d 4":
+        "a37719fd32bb2e9845b65e2dd91ff4359c0ea022004229ff7024a4b68bfb7ca6",
+    "d-count --n 12 --d 6":
+        "16f76731c79c31723e74def996bf4bfa379203b4a2b23cdc2c5149cef94d8c58",
+    "--json d-count --n 12 --d 6":
+        "19b6b0d8a8335676eef4df0010a8e5ebbbd7703f5249dd3fe11aa5b62208b615",
+    "d-count --n 12 --d 12":
+        "3140d00899e949e7fc3bc6a2f039714e5db35effacf08151929ee86b0597594a",
+    "--json d-count --n 12 --d 12":
+        "10b1e3405025f4d12d16769ffa97e278948e74ed808a5a1bcc15a92d9f07af08",
+}
+
+
+@pytest.mark.parametrize("command", list(D_COUNT_STDOUT))
+def test_d_count_output_bytes_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == D_COUNT_STDOUT[command]
+
+
 def planted_entries(g, n):
     """A-table entries whose qgn report passes: ranks 2..n-1 of the C-table are
     seeded `verify.random_invariant`s, and the top rank is the Picard

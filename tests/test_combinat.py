@@ -19,6 +19,7 @@ from locsys.combinat import (
     partitions_restricted,
     prime_factors,
 )
+from locsys import combinat
 from locsys.counting import FreePoly
 
 
@@ -44,6 +45,66 @@ def test_prime_factors_against_sieve():
             want[smallest[m]] = want.get(smallest[m], 0) + 1
             m //= smallest[m]
         assert list(prime_factors(n)) == sorted(want.items()), n
+
+
+def brute_factors(n):
+    """The factorization of n by trial division over every integer up to
+    the square root of what is left."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def test_prime_factors_against_brute_force():
+    # past the trial-division bound the cofactor is tested for primality:
+    # seeded n up to 10^7, many of them with a cofactor above 10^6
+    rng = random.Random("prime-factors")
+    bound = combinat._TRIAL_BOUND
+    ns = [rng.randint(bound ** 2, 10 ** 7) for _ in range(300)]
+    ns += [rng.randint(2, 10 ** 7) for _ in range(100)]
+    ns += [p * rng.randint(1, 9) for p in (1000003, 1999993, 3000017)]  # a prime cofactor
+    ns += [1000003 * q for q in (2, 3, 1009)]
+    for n in ns:
+        assert list(prime_factors(n)) == brute_factors(n), n
+
+
+@pytest.mark.parametrize("n,want", [
+    (999999999989, [(999999999989, 1)]),  # primes near 10^12
+    (1000000000039, [(1000000000039, 1)]),
+    (999983 ** 2, [(999983, 2)]),  # prime squares near 10^12
+    (1000003 ** 2, [(1000003, 2)]),
+    (999983 * 1000003, [(999983, 1), (1000003, 1)]),
+    (2 ** 12 * 5 ** 12, [(2, 12), (5, 12)]),
+    # strong pseudoprimes whose least factor is above the bound: to bases
+    # 2..11, and to every one of the first 11 prime bases (37 exposes it)
+    (2152302898747, [(6763, 1), (10627, 1), (29947, 1)]),
+    (3825123056546413051, [(149491, 1), (747451, 1), (34233211, 1)]),
+    # primes that trial division alone could not reach in time
+    (2 ** 61 - 1, [(2 ** 61 - 1, 1)]),
+    (1009 * (2 ** 61 - 1), [(1009, 1), (2 ** 61 - 1, 1)]),
+])
+def test_prime_factors_large(n, want):
+    assert list(prime_factors(n)) == want
+    assert math.prod(p ** e for p, e in want) == n
+    for p, _ in want:
+        if p < 10 ** 8:
+            assert brute_factors(p) == [(p, 1)]
+
+
+def test_proven_prime():
+    for n in (2152302898747, 3825123056546413051, 999983 ** 2, 1):
+        assert not combinat._proven_prime(n)
+    for n in (1000003, 999999999989, 2 ** 61 - 1, 2 ** 79 - 67):
+        assert combinat._proven_prime(n)
+    # past the bound of the deterministic test nothing is proven prime
+    assert not combinat._proven_prime(2 ** 127 - 1)
 
 
 def test_mobius_divisors():

@@ -5,8 +5,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from counting_refs import (euler_characteristic as full_euler_characteristic, free_substitute,
-                          frobenius_substitute, s_weight, satisfies_positivity,
+from counting_refs import (euler_characteristic as full_euler_characteristic, free_render,
+                          free_substitute, frobenius_substitute, s_weight, satisfies_positivity,
                           weil_a_from_c, zform_pgn_report)
 
 from locsys import counting
@@ -22,8 +22,10 @@ from locsys.counting import (
     _exp_coeff_concrete,
     _exp_factors,
     _field_width,
+    _master_sum,
     _symbol_kind,
     a_from_c,
+    a_symbolic_text,
     c_from_a,
     count_exponent,
     euler_characteristic,
@@ -317,6 +319,91 @@ class TestPackedPoly:
             packed_symbol(kind, 1, 1) + FreePoly.symbol(1, 1)
         with pytest.raises(TypeError):
             kind.pack(WeilPoly.const(2, 1))
+
+
+def _random_coefficient(rng):
+    """An int, a negative int, +-1 or a Fraction, some of them large."""
+    return rng.choice((
+        rng.randint(1, 9), -rng.randint(1, 9), 1, -1, rng.randint(-10 ** 30, 10 ** 30) or 7,
+        Fraction(rng.randint(-99, 99) or 1, rng.randint(2, 99)),
+    ))
+
+
+class TestRender:
+    """The one renderer of packed fields, through PackedPoly.render and
+    FreePoly.render, against the tuple-key renderer it replaced
+    (counting_refs.free_render), on seeded polynomials."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_packed_render(self, n):
+        kind = _symbol_kind(n)
+        rng = random.Random(f"render:{n}")
+        gamma_max = (1 << kind.widths[0]) - 1
+        fields = list(zip(kind.shifts, kind.widths))[1:]
+        for _ in range(25):
+            gamma_power = rng.randint(0, min(2, gamma_max))
+            divisor = rng.choice((1, 2, 6, 2 * n * rng.randint(1, 10 ** 6)))
+            # few fields, so that many monomials share a top symbol and C-degree
+            pool = rng.sample(fields, rng.randint(1, min(6, len(fields))))
+            terms = {}
+            for _ in range(rng.randint(0, 40)):
+                key = rng.randint(gamma_power, gamma_max)  # the genus offset, maybe 0 after division
+                for shift, width in rng.sample(pool, rng.randint(0, len(pool))):
+                    key |= (rng.randint(1, (1 << width) - 1) if rng.random() < 0.5 else 1) << shift
+                terms[key] = _random_coefficient(rng)
+            packed = kind(terms)
+            want = free_render(packed.divide_exact(divisor, gamma_power).unpack())
+            assert packed.render(divisor, gamma_power) == want
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_master_formula(self, n):
+        want = free_render(a_from_c(n, None, CTable.symbolic()))
+        assert a_symbolic_text(n) == want
+        if n >= 2:
+            numerator, divisor, gamma_power = _master_sum(n, None, CTable.symbolic())
+            assert numerator.render(divisor, gamma_power) == want
+
+    def test_missing_genus_power(self):
+        p = _symbol_kind(4).pack(FreePoly.gamma() * FreePoly.symbol(1, 1) + FreePoly.symbol(2, 1))
+        message = "^sum is not divisible by the genus factor$"
+        with pytest.raises(IntegralityError, match=message):
+            p.divide_exact(2, gamma_power=1)
+        with pytest.raises(IntegralityError, match=message):
+            p.render(2, gamma_power=1)
+        assert p.render(2) == free_render(p.divide_exact(2).unpack())
+
+    def test_only_symbolic_layouts(self):
+        with pytest.raises(TypeError):
+            packed_kind("PackedWeilPoly2w3", (3, 3, 3))().render()
+
+    def test_free_poly(self):
+        c, gamma = FreePoly.symbol, FreePoly.gamma()
+        hand = [
+            FreePoly.zero(), FreePoly.const(5), FreePoly.const(Fraction(-3, 7)), gamma,
+            gamma ** 5 * Fraction(2, 3) - 1, c(1, 1) * c(1, 3) * gamma + c(1, 3) * gamma,
+            c(1, 1) * c(1, 2) * c(2, 1) + c(1, 2) ** 2 * c(2, 1) - c(1, 3) * gamma,
+            c(10 ** 12, 1) * Fraction(1, 10 ** 12) - c(1, 10 ** 12) + c(2, 5 * 10 ** 11),
+            c(3, 4) ** (2 ** 40) * gamma ** 3 + c(4, 3) ** 7 + c(12, 1),
+            inertial_class_count(12, 6, CTable.symbolic()),
+            inertial_class_count(4, 4, CTable.symbolic()),
+        ]
+        rng = random.Random("render:free")
+        for _ in range(200):
+            atoms = [("C", rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+            terms = {}
+            for _ in range(rng.randint(1, 12)):
+                exps = {a: rng.randint(1, 4) for a in rng.sample(atoms, rng.randint(0, len(atoms)))}
+                if rng.random() < 0.5:
+                    exps[GAMMA_ATOM] = rng.randint(1, 4)
+                terms[tuple(exps.items())] = _random_coefficient(rng)
+            hand.append(FreePoly(terms))
+        for p in hand:
+            assert p.render() == free_render(p)
+            assert repr(p) == f"FreePoly({free_render(p)})"
+
+    def test_free_poly_negative_exponent(self):
+        with pytest.raises(ValueError, match="exponent -1"):
+            FreePoly({((("C", 1, 1), -1),): 1}).render()
 
 
 def _random_weil(rng, g, top):
