@@ -38,8 +38,9 @@ SUITE_NAMES = ("kappa", "matrix-tree", "matr", "delta", "gm-family", "cones", "l
 # the exit status when the reader closes stdout early (`locsys ... | head`)
 EXIT_CLOSED_STDOUT = 141
 
-# the largest a-symbolic rank: rank 20 takes about 0.8 s, and each rank
-# above costs 1.4-2 times the one below (21 and 22 about 1.1 and 2.2 s)
+# the largest a-symbolic rank: rank 20 takes about 0.5 s, and each rank
+# above costs about 1.6 times the one below (in process, 21 and 22 take
+# about 0.65 and 1.0 s against 0.41 s for 20)
 A_SYMBOLIC_MAX_RANK = 20
 # the largest eval --k: at 10000, a rank-1 count on a genus-3 curve over F_5
 # takes about 0.3 s and A[3,4] there about 2.6 s; the cost grows with k^2
