@@ -13,33 +13,28 @@ from functools import lru_cache
 # trial division tests the cofactor for primality from this divisor on
 _TRIAL_BOUND = 1000
 # the first 12 primes; as Miller-Rabin bases they decide primality exactly
-# below 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017)
+# below 318665857834031151167461 = 399165290221 * 798330580441, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017; OEIS A014233)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3317044064679887385961981
+_MR_LIMIT = 318665857834031151167461
 
 
 def prime_factors(n: int):
     """The prime factorization of n as pairs (p, e), p ascending, found
     lazily by trial division, so that a caller may stop after any factor;
-    n < 2 has none.  Past the divisors below _TRIAL_BOUND, a cofactor that
-    is proven prime ends the division."""
-    for p in range(2, _TRIAL_BOUND):
-        if p * p > n:
-            break
+    n < 2 has none.  From the divisor _TRIAL_BOUND on, a cofactor that is
+    proven prime ends the division."""
+    p, tested = 2, 1
+    while p * p <= n:
+        if p >= _TRIAL_BOUND and n != tested:  # a new cofactor
+            if _proven_prime(n):
+                break
+            tested = n
         if n % p == 0:
             n, e = _divide_out(n, p)
             yield p, e
-    else:
-        p, tested = _TRIAL_BOUND, 1
-        while p * p <= n:
-            if n != tested:  # a new cofactor
-                if _proven_prime(n):
-                    break
-                tested = n
-            if n % p == 0:
-                n, e = _divide_out(n, p)
-                yield p, e
-            p += 1
+        p += 1
     if n > 1:
         yield n, 1
 

@@ -98,13 +98,21 @@ def test_prime_factors_large(n, want):
             assert brute_factors(p) == [(p, 1)]
 
 
-def test_proven_prime():
+def test_proven_prime(monkeypatch):
     for n in (2152302898747, 3825123056546413051, 999983 ** 2, 1):
         assert not combinat._proven_prime(n)
-    for n in (1000003, 999999999989, 2 ** 61 - 1, 2 ** 79 - 67):
+    for n in (1000003, 999999999989, 2 ** 61 - 1, 2 ** 78 - 11):
         assert combinat._proven_prime(n)
     # past the bound of the deterministic test nothing is proven prime
-    assert not combinat._proven_prime(2 ** 127 - 1)
+    for n in (2 ** 79 - 67, 2 ** 127 - 1):
+        assert not combinat._proven_prime(n)
+    # the bound is the least strong pseudoprime to the first 12 prime bases:
+    # only the bound keeps it from being proven prime
+    n = 399165290221 * 798330580441
+    assert n == combinat._MR_LIMIT
+    assert not combinat._proven_prime(n)
+    monkeypatch.setattr(combinat, "_MR_LIMIT", n + 1)
+    assert combinat._proven_prime(n)
 
 
 def test_mobius_divisors():
