@@ -117,96 +117,22 @@ class FreePoly(LaurentPoly):
     def render(self) -> str:
         """Monomials by decreasing top C-symbol (largest s*k, then s), then
         by C-degree and key; the genus offset prints first in a monomial.
-        The polynomial is packed into fields that fit its atoms and
-        exponents, and `_render_fields` prints it, as it prints the packed
+        The polynomial is packed into a layout fitted to its atoms and
+        exponents, and PackedPoly.render prints it, as it prints the packed
         symbolic master formula."""
         atoms = [GAMMA_ATOM] + sorted({a for mono in self.terms for a, _ in mono} - {GAMMA_ATOM})
-        index = {a: i for i, a in enumerate(atoms)}
-        widths = [0] * len(atoms)
+        widths = dict.fromkeys(atoms, 0)
         for mono in self.terms:
             for a, e in mono:
                 if e < 0:
                     raise ValueError(f"cannot render the exponent {e}")
-                widths[index[a]] = max(widths[index[a]], e.bit_length())
-        shifts = [0]
-        for width in widths[:-1]:
-            shifts.append(shifts[-1] + width)
-        terms = {sum(e << shifts[index[a]] for a, e in mono): c for mono, c in self.terms.items()}
-        return _render_fields(terms, atoms, shifts, widths)
+                widths[a] = max(widths[a], e.bit_length())
+        # not cached: a layout per polynomial would fill packed_kind's cache
+        kind = packed_kind.__wrapped__("FreePolyLayout", tuple(widths.values()), tuple(atoms))
+        return kind.pack(self).render()
 
     def __repr__(self):
         return f"FreePoly({self.render()})"
-
-
-def _render_fields(terms, atoms, shifts, widths, divisor=1, gamma_power=0) -> str:
-    """FreePoly.render's text of the sum of c m / (divisor gamma^gamma_power)
-    over `terms`, {packed key m: int or Fraction c}, whose field i holds the
-    exponent of atoms[i] in widths[i] bits from bit shifts[i]; field 0 is
-    the genus offset, and the C-symbols follow in (s, k) order.  Every
-    monomial must carry gamma^gamma_power.
-
-    One walk over a key's nonzero C fields, lowest first, gives its factor
-    texts (after the genus offset's), its C-degree, its top symbol by
-    (s*k, s), and one integer that orders it as FreePoly's sorted key
-    tuple of (atom, exponent) pairs would: the C-symbols, then the genus
-    offset, each a digit i*B + e + 1 for digit index i and exponent e < B,
-    padded with zero digits on the right to one length for every key, so
-    that a key whose pairs are a prefix of another's sorts first.  What a
-    field value gives is worked out once per value.  A coefficient's text
-    is str(Fraction(c, divisor)), from one gcd."""
-    radix = 1 << max(widths)  # B, above every exponent
-    digit_bits = ((len(atoms) + 1) * radix).bit_length()
-    length = digit_bits * len(atoms)  # the bits of a padded digit string
-    ranks = {sk: r for r, sk in enumerate(sorted((a[1] * a[2], a[1]) for a in atoms[1:]), 1)}
-    owner = [0] * (shifts[-1] + widths[-1])  # bit -> the mask of its C field
-    labels = {}  # C field mask -> its digit index, shift, rank and label
-    for i, (a, shift, width) in enumerate(zip(atoms, shifts, widths)):
-        if i:
-            mask = (1 << width) - 1 << shift
-            owner[shift:shift + width] = [mask] * width
-            labels[mask] = (i, shift, ranks[a[1] * a[2], a[1]], FreePoly._atom_label(a))
-    gamma, gamma_label = (1 << widths[0]) - 1, FreePoly._atom_label(atoms[0])
-    seen = {}  # C field value -> (factor text, exponent, rank, digit)
-    gammas = {}  # genus-offset exponent -> its factor text
-    rows = []
-    for key, c in terms.items():
-        ey = (key & gamma) - gamma_power
-        if ey < 0:
-            raise IntegralityError("sum is not divisible by the genus factor")
-        factors, cdeg, top, order, pad = [], 0, 0, 0, length
-        if ey:
-            text = gammas.get(ey)
-            if text is None:
-                text = gammas[ey] = gamma_label if ey == 1 else f"{gamma_label}^{ey}"
-            factors.append(text)
-        rest = key & ~gamma
-        while rest:
-            value = rest & owner[(rest & -rest).bit_length() - 1]
-            rest ^= value
-            field = seen.get(value)
-            if field is None:
-                i, shift, rank, label = labels[owner[(value & -value).bit_length() - 1]]
-                e = value >> shift
-                field = seen[value] = (label if e == 1 else f"{label}^{e}", e, rank, i * radix + e + 1)
-            text, e, rank, digit = field
-            factors.append(text)
-            cdeg += e
-            if rank > top:
-                top = rank
-            order = order << digit_bits | digit
-            pad -= digit_bits
-        if ey:
-            order = order << digit_bits | len(atoms) * radix + ey + 1
-            pad -= digit_bits
-        if type(c) is int:
-            num, den = c, divisor
-        else:
-            num, den = c.numerator, c.denominator * divisor
-        g = math.gcd(num, den)
-        rows.append((-top, cdeg, order << pad, "*".join(factors),
-                     str(num // g) if den == g else f"{num // g}/{den // g}"))
-    rows.sort()
-    return render_terms((body, text) for _, _, _, body, text in rows)
 
 
 class PackedPoly(LaurentPoly):
@@ -237,6 +163,7 @@ class PackedPoly(LaurentPoly):
     atoms = {}   # symbolic: the FreePoly atom of each field -> its index
     guard = 0    # every guard bit
     top = 0      # the lowest bit of the t-exponent
+    fields = ()  # bit below top -> the mask, in place, of its field
 
     def __init__(self, terms=None):
         super().__init__(0, terms)
@@ -293,71 +220,131 @@ class PackedPoly(LaurentPoly):
             terms[key] = c
         return cls()._new(terms)
 
-    def unpack(self):
-        """The same polynomial as a FreePoly or a WeilPoly, for a caller
-        that computes with it (`render` prints a symbolic one without it).
-        Symbolic keys are read by their nonzero fields, lowest first: the
-        C-symbols come out in (s, k) order and the genus offset, field 0,
-        goes last, which is the sorted order of FreePoly's keys."""
-        masks = [(1 << width) - 1 for width in self.widths]
-        gamma, top, terms = masks[0], self.top, {}
-        if not self.atoms:
-            low = (1 << top) - 1
-            fields = list(zip(self.shifts[1:], masks[1:]))  # e_1..e_g
+    def unpack(self, divisor: int = 1, gamma_power: int = 0):
+        """The polynomial divided by divisor * gamma^gamma_power, as a
+        FreePoly or a WeilPoly, for a caller that computes with it (`render`
+        prints a symbolic one without it); every monomial must carry the
+        genus power, and the genus offset is the lowest field, so dividing
+        by it is a subtraction.  Symbolic keys are read by their nonzero
+        fields, lowest first: the C-symbols come out in (s, k) order and the
+        genus offset, field 0, goes last, which is the sorted order of
+        FreePoly's keys."""
+        gamma = (1 << self.widths[0]) - 1
+
+        def quotients():
             for key, c in self.terms.items():
-                f = key & low
-                terms[(key >> top, tuple(f >> o & m for o, m in fields), f & gamma)] = c
-            return WeilPoly(len(self.widths) - 1)._new(terms)
-        owner = [None] * top  # bit -> (atom, shift, mask) of its field
-        for a, shift, width, mask in zip(self.atoms, self.shifts, self.widths, masks):
-            owner[shift:shift + width] = [(a, shift, mask)] * width
-        for key, c in self.terms.items():
+                if key & gamma < gamma_power:
+                    raise IntegralityError("sum is not divisible by the genus factor")
+                q, r = divmod(c, divisor)
+                yield key - gamma_power, Fraction(c, divisor) if r else q
+
+        if not self.atoms:
+            top, e_fields = self.top, [(shift, self.fields[shift]) for shift in self.shifts[1:]]
+            return WeilPoly(len(e_fields))._new({
+                (key >> top, tuple((key & mask) >> shift for shift, mask in e_fields), key & gamma): c
+                for key, c in quotients()})
+        atoms = dict(zip(self.shifts, self.atoms))  # shift -> atom
+        fields, terms = self.fields, {}
+        for key, c in quotients():
             mono = []
             rest = key & ~gamma
             while rest:
-                a, shift, mask = owner[(rest & -rest).bit_length() - 1]
-                mono.append((a, rest >> shift & mask))
-                rest &= ~(mask << shift)
+                mask = fields[(rest & -rest).bit_length() - 1]
+                value = rest & mask
+                rest ^= value
+                shift = (mask & -mask).bit_length() - 1
+                mono.append((atoms[shift], value >> shift))
             if key & gamma:
                 mono.append((GAMMA_ATOM, key & gamma))
             terms[tuple(mono)] = c
         return FreePoly()._new(terms)
 
-    def divide_exact(self, scalar, gamma_power: int = 0) -> "PackedPoly":
-        """Divide by scalar * gamma^power; every monomial must carry the
-        power.  The genus offset is the lowest field, so dividing by its
-        power is a subtraction."""
-        mask = (1 << self.widths[0]) - 1
-        terms = {}
-        for key, c in self.terms.items():
-            if key & mask < gamma_power:
-                raise IntegralityError("sum is not divisible by the genus factor")
-            q, r = divmod(c, scalar)
-            terms[key - gamma_power] = Fraction(c, scalar) if r else q
-        return self._new(terms)
-
     def render(self, divisor: int = 1, gamma_power: int = 0) -> str:
-        """The text of self.divide_exact(divisor, gamma_power).unpack(), a
-        symbolic layout's FreePoly, as FreePoly.render prints it, read off
-        the packed keys and the integer coefficients with no quotient
-        built; divisor > 0."""
+        """The text of self.unpack(divisor, gamma_power), a symbolic
+        layout's FreePoly, as FreePoly.render prints it, read off the packed
+        keys and the coefficients with no quotient built; divisor > 0.
+
+        One walk over a key's nonzero C fields, lowest first, gives its
+        factor texts (after the genus offset's), its C-degree, its top
+        symbol by (s*k, s), and one integer that orders it as FreePoly's
+        sorted key tuple of (atom, exponent) pairs would: the C-symbols, in
+        their atoms' sorted order, then the genus offset, each a digit
+        i*B + e + 1 for field index i and exponent e < B, padded with zero
+        digits on the right to one length for every key, so that a key
+        whose pairs are a prefix of another's sorts first.  What a field
+        value gives is worked out once per value.  A coefficient's text is
+        str(Fraction(c, divisor)), from one gcd."""
         if not self.atoms:
             raise TypeError(f"{type(self).__name__} is not a symbolic layout")
-        return _render_fields(self.terms, list(self.atoms), self.shifts, self.widths,
-                              divisor, gamma_power)
+        atoms, fields = list(self.atoms), self.fields
+        labels = [FreePoly._atom_label(a) for a in atoms]
+        ranks = {sk: r for r, sk in enumerate(sorted((a[1] * a[2], a[1]) for a in atoms[1:]), 1)}
+        radix = 1 << max(self.widths)  # B, above every exponent
+        digit_bits = ((len(atoms) + 1) * radix).bit_length()
+        length = digit_bits * len(atoms)  # the bits of a padded digit string
+        gamma = (1 << self.widths[0]) - 1
+        seen = {}  # C field value -> (factor text, exponent, rank, digit)
+        gammas = {}  # genus-offset exponent -> its factor text
+        rows = []
+        for key, c in self.terms.items():
+            ey = (key & gamma) - gamma_power
+            if ey < 0:
+                raise IntegralityError("sum is not divisible by the genus factor")
+            factors, cdeg, top, order, pad = [], 0, 0, 0, length
+            if ey:
+                text = gammas.get(ey)
+                if text is None:
+                    text = gammas[ey] = labels[0] if ey == 1 else f"{labels[0]}^{ey}"
+                factors.append(text)
+            rest = key & ~gamma
+            while rest:
+                mask = fields[(rest & -rest).bit_length() - 1]
+                value = rest & mask
+                rest ^= value
+                field = seen.get(value)
+                if field is None:
+                    shift = (mask & -mask).bit_length() - 1
+                    i = self.shifts.index(shift)
+                    e, a = value >> shift, atoms[i]
+                    field = seen[value] = (labels[i] if e == 1 else f"{labels[i]}^{e}", e,
+                                           ranks[a[1] * a[2], a[1]], i * radix + e + 1)
+                text, e, rank, digit = field
+                factors.append(text)
+                cdeg += e
+                if rank > top:
+                    top = rank
+                order = order << digit_bits | digit
+                pad -= digit_bits
+            if ey:
+                order = order << digit_bits | len(atoms) * radix + ey + 1
+                pad -= digit_bits
+            if type(c) is int:
+                num, den = c, divisor
+            else:
+                num, den = c.numerator, c.denominator * divisor
+            g = math.gcd(num, den)
+            rows.append((-top, cdeg, order << pad, "*".join(factors),
+                         str(num // g) if den == g else f"{num // g}/{den // g}"))
+        rows.sort()
+        return render_terms((body, text) for _, _, _, body, text in rows)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.unpack()!r})"
 
 
 @functools.cache  # one class per layout, so that equal layouts are one type
 def packed_kind(name: str, widths: tuple, atoms: tuple = ()) -> type:
     """The PackedPoly subclass with these field widths, and the FreePoly atom
-    of each field for a symbolic layout."""
-    shifts, top = [], 0
+    of each field for a symbolic layout; `packed_kind.__wrapped__` makes
+    one that is not cached."""
+    shifts, top, fields = [], 0, []
     for width in widths:
         shifts.append(top)
+        fields += [(1 << width) - 1 << top] * width + [0]  # 0 at the guard bit
         top += width + 1
     return type(name, (PackedPoly,), {
         "__slots__": (), "widths": widths, "shifts": tuple(shifts), "top": top,
-        "atoms": {a: i for i, a in enumerate(atoms)},
+        "fields": tuple(fields), "atoms": {a: i for i, a in enumerate(atoms)},
         "guard": sum(1 << (shift + width) for shift, width in zip(shifts, widths))})
 
 
@@ -662,41 +649,44 @@ def a_from_c(n: int, genus, ctable: CTable):
     and any genus >= 1 is accepted.  Both modes run the same code on
     packed monomials, one int each (PackedPoly), and convert only on the
     way in and out: each entry the formula reads is packed once per call,
-    and `_master_sum`'s integer sum is divided once and unpacked.  A
+    and `_master_sum`'s integer sum is divided as it is unpacked.  A
     symbolic table's symbols are packed into `_symbol_kind(n)` and the
     result comes out as a FreePoly (`a_symbolic_text` prints the same
     polynomial from the packed sum, without it).  A concrete table's e-form
     Frobenius images are packed into fields of the width `_field_width`
     gives, and the result comes out as a WeilPoly; no table is converted
     here, and only a table made from z-form entries gets its result back in
-    z-form.
+    z-form.  The genus offset is a symbol of a symbolic table only: the
+    graded exp recurrence needs table entries free of it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         p = ctable.entry(1, 1)
         return p.to_laurent() if ctable.z_form else p
+    if genus is None and ctable.mode == "concrete":
+        raise ValueError("a symbolic genus offset needs a symbolic table, not a concrete one")
     if genus is not None and genus < 2:
         raise ValueError("need genus >= 2 for ranks >= 2")
     numerator, divisor, gamma_power = _master_sum(n, genus, ctable)
-    result = numerator.divide_exact(divisor, gamma_power).unpack()
+    result = numerator.unpack(divisor, gamma_power)
     return result.to_laurent() if ctable.z_form else result
 
 
 def a_symbolic_text(n: int) -> str:
     """a_from_c(n, None, CTable.symbolic()).render(), which `a-symbolic`
-    prints; from rank 2 on it is rendered straight from `_master_sum`'s
-    packed integer sum and its divisor."""
-    if n < 2:
-        return a_from_c(n, None, CTable.symbolic()).render()
+    prints, rendered straight from `_master_sum`'s packed integer sum and
+    its divisor."""
     numerator, divisor, gamma_power = _master_sum(n, None, CTable.symbolic())
     return numerator.render(divisor, gamma_power)
 
 
 def _master_sum(n: int, genus, ctable: CTable):
     """(numerator, divisor, gamma_power) with A_n = numerator / (divisor
-    gamma^gamma_power) for n >= 2 and a_from_c's genus: the partition sum in
-    integers on packed monomials, before its one division.
+    gamma^gamma_power) for n >= 1 and a genus that a_from_c takes: the
+    partition sum in integers on packed monomials, before its one division.
+    At rank 1 it is C[1,1], which a_from_c reads off the table instead, so
+    as to serve genus 1 too, where chi = 0.
 
     The partition terms are listed first; a partition is a multiplicity map
     {part j: count a_j}.  Part j has the exp factor [z^(a_j)]
@@ -707,6 +697,8 @@ def _master_sum(n: int, genus, ctable: CTable):
     scales, in one fused multiply-accumulate (LaurentPoly.add_products) that
     also multiplies in each term's last factor.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if ctable.mode == "symbolic":
         kind = _symbol_kind(n)
     else:

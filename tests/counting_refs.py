@@ -16,7 +16,9 @@ reference for WeilPoly.to_laurent's cached rows; the differential check
 of LaurentPoly.from_obj's column read against its per-term read; the partition weight s_weight of the master formula,
 which the package computes inline; and FreePoly.render on FreePoly's tuple
 keys, with its own sign rule, the reference for the one renderer of packed
-fields (counting._render_fields).  Nothing in the package imports this
+fields (counting.PackedPoly.render); and the exact division of a packed
+polynomial as a pass of its own, the reference for the division that
+PackedPoly.unpack makes as it reads.  Nothing in the package imports this
 module."""
 
 import heapq
@@ -28,6 +30,7 @@ from locsys.combinat import divisors, mobius, partitions
 from locsys.counting import GAMMA_ATOM, CTable, FreePoly, count_exponent
 from locsys.laurent import (
     DivisibilityError,
+    IntegralityError,
     InvarianceError,
     LaurentPoly,
     WeilPoly,
@@ -212,6 +215,20 @@ def packed_add_products(acc, triples):
                 terms[key] = terms.get(key, 0) + Fraction(scale) * c1 * c2
     return kind({(t << kind.top) + sum(x << shift for x, shift in zip(fields, kind.shifts)): c
                  for (t, fields), c in terms.items() if c})
+
+
+def ref_divide_exact(p, scalar, gamma_power=0):
+    """The PackedPoly p divided by scalar * gamma^gamma_power, in its own
+    kind; every monomial must carry the power.  The genus offset is the
+    lowest field, so dividing by its power is a subtraction."""
+    mask = (1 << p.widths[0]) - 1
+    terms = {}
+    for key, c in p.terms.items():
+        if key & mask < gamma_power:
+            raise IntegralityError("sum is not divisible by the genus factor")
+        q, r = divmod(c, scalar)
+        terms[key - gamma_power] = Fraction(c, scalar) if r else q
+    return p._new(terms)
 
 
 def euler_characteristic(n, g):

@@ -146,7 +146,8 @@ class TestSymbolicCommands:
 # before the master formula memoized its exp factors and summed in integers;
 # ranks 15-16: before the symbolic master formula ran on packed monomials;
 # ranks 17-20, the widest packed layouts, one form each: before the symbolic
-# and e-form packed kinds became one)
+# and e-form packed kinds became one; their other forms: before the packed
+# sum was divided as it is unpacked and rendered by a list sort key)
 PINNED_STDOUT = {
     "a-symbolic --n 1":
         "d2e4284bd50d82a733fab8da140315e19297e93970982729b92210fc722f9eee",
@@ -214,10 +215,18 @@ PINNED_STDOUT = {
         "57a1236b5602000d59307adfbf21b624eb662bd5116632fed4386de20bb78339",
     "a-symbolic --n 17":
         "043e0645e9498bed0c30633d96794c72f4a075835f5c7c5736196dae40082863",
+    "--json a-symbolic --n 17":
+        "d0a4cae96055de4a4fa6177b500b70c0b8d93491d188b424187e23696debb0a5",
+    "a-symbolic --n 18":
+        "32f2b983c80cd5c626a6e03a48d711a4b59493657d63bb5fc4ba6adaec28a782",
     "--json a-symbolic --n 18":
         "d055ef0a3ba869a1d1d786c861593f72a559b0c439508d43e53918b7d05c5995",
     "a-symbolic --n 19":
         "2566681b72d4b3d517b7c3bb24cc7ebf194bf0241848b3940d792a465d929c09",
+    "--json a-symbolic --n 19":
+        "4421dd32d5f3163335a291adb7aa256e2194125002c7bcfacf2d9f193d72844f",
+    "a-symbolic --n 20":
+        "b67bb400ca6b1ed01b42451a44caab80027f4a8ada13a3171fa28b0b76e3da85",
     "--json a-symbolic --n 20":
         "4494534e939afab004c90750406009e6eecdb46c1e0e1c0b5142db8af4aba035",
     "d-count --n 4 --d 2":

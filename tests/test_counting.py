@@ -6,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 from counting_refs import (euler_characteristic as full_euler_characteristic, free_render,
-                          free_substitute, frobenius_substitute, s_weight, satisfies_positivity,
-                          weil_a_from_c, zform_pgn_report)
+                          free_substitute, frobenius_substitute, ref_divide_exact, s_weight,
+                          satisfies_positivity, weil_a_from_c, zform_pgn_report)
 
 from locsys import counting
 from locsys.counting import (
@@ -130,6 +130,23 @@ class TestMasterFormula:
         with pytest.raises(ValueError):
             a_from_c(2, 1, CTable.concrete(1, {1: pic_polynomial(1)}))
 
+    def test_symbolic_genus_offset_needs_a_symbolic_table(self):
+        # the graded exp recurrence assumes entries free of the genus offset
+        table = CTable.concrete(2, {s: pic_polynomial(2) for s in (1, 2)})
+        with pytest.raises(ValueError, match="symbolic genus offset needs a symbolic table"):
+            a_from_c(2, None, table)
+        assert a_from_c(1, None, table) == pic_polynomial(2)
+
+    def test_rank_one_through_the_formula(self):
+        # a_from_c reads C[1,1] off the table; the master sum gives it too
+        numerator, divisor, gamma_power = _master_sum(1, None, CTable.symbolic())
+        assert numerator.render(divisor, gamma_power) == "C[1,1]"
+        assert numerator.unpack(divisor, gamma_power) == sym(1, 1)
+        for g in (2, 3):
+            table = CTable.concrete(g, {1: random_invariant(random.Random(g), g)})
+            numerator, divisor, gamma_power = _master_sum(1, g, table)
+            assert numerator.unpack(divisor, gamma_power).to_laurent() == a_from_c(1, g, table)
+
     def test_dominant_weight_monomial_is_top_symbol(self):
         # with the counts' own t-degrees k((g-1)s^2+1) plugged in, C[n,1] is
         # the unique weight maximizer, matching the dominant term of the
@@ -205,7 +222,7 @@ def _random_packed(rng, kind):
 
 
 def free_divide_exact(p, scalar, gamma_power=0):
-    """The reference for PackedPoly.divide_exact on symbols: divide the
+    """The reference for PackedPoly.unpack's division on symbols: divide the
     FreePoly p by scalar * gamma^power; every monomial must carry the
     power."""
     terms = {}
@@ -251,7 +268,7 @@ class TestPackedPoly:
             assert (pp ** 3).unpack() == p ** 3
             assert (pp ** 0).unpack() == FreePoly.const(1)
             shifted = p * FreePoly.gamma() ** 2
-            assert (kind.pack(shifted).divide_exact(6, gamma_power=2).unpack()
+            assert (kind.pack(shifted).unpack(6, gamma_power=2)
                     == free_divide_exact(shifted, 6, gamma_power=2))
 
     @pytest.mark.parametrize("n", [1, 3, 16])
@@ -270,7 +287,13 @@ class TestPackedPoly:
         with pytest.raises(IntegralityError):
             free_divide_exact(p, 2, gamma_power=1)
         with pytest.raises(IntegralityError):
-            kind.pack(p).divide_exact(2, gamma_power=1)
+            kind.pack(p).unpack(2, gamma_power=1)
+
+    def test_repr(self):
+        symbolic = _symbol_kind(3).pack(FreePoly.symbol(1, 1) * 2 + FreePoly.gamma())
+        assert repr(symbolic) == "PackedPoly3(FreePoly(2*C[1,1] + (g-1)))"
+        weil = WeilPoly(2, {(-1, (1, 0), 2): 3, (0, (0, 0), 0): Fraction(1, 2)})
+        assert repr(weil_kind(2, 3).pack(weil)) == f"PackedWeilPoly2w3({weil!r})"
 
     def test_layout_is_fixed(self):
         kind = _symbol_kind(3)
@@ -329,6 +352,46 @@ def _random_coefficient(rng):
     ))
 
 
+@pytest.mark.parametrize("kind", [_symbol_kind(n) for n in range(1, 21)]
+                         + [weil_kind(g, 3) for g in range(5)], ids=lambda kind: kind.__name__)
+def test_unpack_divides_as_the_reference(kind):
+    """unpack(divisor, gamma_power) against the division as a pass of its
+    own (counting_refs.ref_divide_exact), followed by a plain unpack and,
+    the other way, by packing the result, on seeded polynomials with int
+    and Fraction coefficients, e-form ones with t-exponents of both signs,
+    divisor 1 among the divisors and genus powers 0-2; a monomial short of
+    the genus power raises in both."""
+    rng = random.Random(f"unpack:{kind.__name__}")
+    gamma_max = (1 << kind.widths[0]) - 1
+    fields = list(zip(kind.shifts, kind.widths))[1:]
+    for _ in range(30):
+        gamma_power = rng.randint(0, min(2, gamma_max))
+        divisor = rng.choice((1, 2, 6, rng.randint(1, 10 ** 6)))
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            key = rng.randint(gamma_power, gamma_max)
+            for shift, width in fields:
+                if rng.random() < 0.3:
+                    key |= rng.randint(0, (1 << width) - 1) << shift
+            if not kind.atoms:
+                key += rng.randint(-9, 9) << kind.top
+            terms[key] = _random_coefficient(rng)
+        packed = kind(terms)
+        quotient = ref_divide_exact(packed, divisor, gamma_power)
+        want, got = quotient.unpack(), packed.unpack(divisor, gamma_power)
+        assert type(got) is type(want) and got.terms == want.terms
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+        # pack shares no code with unpack, so a fault in both sides' unpack
+        # (a coefficient or a t-exponent read wrong) shows here
+        assert kind.pack(got) == quotient
+        if gamma_power:
+            short = packed + kind({gamma_power - 1: 1})
+            with pytest.raises(IntegralityError):
+                ref_divide_exact(short, divisor, gamma_power)
+            with pytest.raises(IntegralityError):
+                short.unpack(divisor, gamma_power)
+
+
 class TestRender:
     """The one renderer of packed fields, through PackedPoly.render and
     FreePoly.render, against the tuple-key renderer it replaced
@@ -352,7 +415,7 @@ class TestRender:
                     key |= (rng.randint(1, (1 << width) - 1) if rng.random() < 0.5 else 1) << shift
                 terms[key] = _random_coefficient(rng)
             packed = kind(terms)
-            want = free_render(packed.divide_exact(divisor, gamma_power).unpack())
+            want = free_render(packed.unpack(divisor, gamma_power))
             assert packed.render(divisor, gamma_power) == want
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -367,10 +430,10 @@ class TestRender:
         p = _symbol_kind(4).pack(FreePoly.gamma() * FreePoly.symbol(1, 1) + FreePoly.symbol(2, 1))
         message = "^sum is not divisible by the genus factor$"
         with pytest.raises(IntegralityError, match=message):
-            p.divide_exact(2, gamma_power=1)
+            p.unpack(2, gamma_power=1)
         with pytest.raises(IntegralityError, match=message):
             p.render(2, gamma_power=1)
-        assert p.render(2) == free_render(p.divide_exact(2).unpack())
+        assert p.render(2) == free_render(p.unpack(2))
 
     def test_only_symbolic_layouts(self):
         with pytest.raises(TypeError):
@@ -448,7 +511,7 @@ class TestPackedWeilPoly:
             assert (pp ** 3).unpack() == p ** 3
             assert (pp ** 0).unpack() == WeilPoly.const(g, 1)
             assert (-pp).unpack() == -p
-            assert pp.divide_exact(6).unpack() == p * Fraction(1, 6)
+            assert pp.unpack(6) == p * Fraction(1, 6)
 
     def test_carry_raises(self):
         kind = weil_kind(2, 3)  # exponents up to 7
