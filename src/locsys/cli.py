@@ -57,8 +57,10 @@ EULER_MAX_GENUS = 10000
 # 999983^2 takes about 0.15 s, and at the prime 999999999989 0.06 s
 DIVISOR_MAX = 10 ** 12
 # the largest eval curve g: on a curve over F_999999999989 with distinct
-# traces, `eval --n 1 --k 1` takes about 0.03 s at g = 12 with the imports,
-# and the Weil check alone 0.07 s at 20
+# traces, `eval --n 1 --k 1` takes about 0.005 s in process at g = 12, 0.05 s
+# at 20 and 0.45 s at 30 (mostly the Weil check), so at k = 1 the cap does
+# not bind; it bounds the cost at large k, which grows with g and k
+# together: `eval --n 1 --k 1000` takes about 11 s at g = 12
 CURVE_MAX_GENUS = 12
 
 

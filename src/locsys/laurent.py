@@ -906,6 +906,8 @@ class CurveInput:
         |w| <= 2 sqrt(q), i.e. when w^2 is real and in [0, 4q].  So the test is
         whether every root of prod_i (y - w_i^2) is real and in [0, 4q]: a
         Sturm chain on its squarefree part counts the distinct roots there.
+        The polynomial has integer coefficients, and its squarefree part and
+        chain are primitive integer pseudo-remainders (`polyq`).
         """
         e = polyq.elementary(_real_weil_sums(self, 1, 2 * self.g)[::2])
         f = polyq.squarefree([(-1) ** j * c for j, c in enumerate(e)][::-1])
@@ -925,6 +927,9 @@ class CurveInput:
         for b in numerator:
             if type(b) is not int:
                 raise ValueError(f"malformed curve JSON: numerator has non-integer {b!r}")
+        if len(obj) != 3:
+            unknown = sorted(obj.keys() - {"g", "q", "numerator"})
+            raise ValueError(f"malformed curve JSON: unknown fields {unknown}")
         return cls(g, q, list(numerator))
 
     def __repr__(self):

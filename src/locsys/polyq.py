@@ -1,20 +1,23 @@
 """Dense univariate polynomials over Q as coefficient lists, constant term
 first; a zero polynomial is the empty list.  This module is the one owner of
 the format: sums, products (truncated ones too), remainders mod a monic
-polynomial, the Moebius substitution, division, gcds, the squarefree part,
-signed remainder chains, Cauchy indices, real-root counts, and Newton's
+polynomial, the Moebius substitution, pseudo-remainders and exact
+quotients in integers, and on them gcds, the squarefree part, signed
+remainder chains, Cauchy indices and real-root counts, and Newton's
 identities between coefficients, power sums and elementary symmetric
-functions.  They serve `laurent` (the curve Weil check, the power transform,
-evaluation at a curve), `spectral` (the characteristic polynomial,
-unit-circle root counts, cyclotomic numbers, the aggregation check's series)
-and `series` (the product of two truncated series).
+functions.  No division, gcd or remainder chain does Fraction arithmetic:
+a rational input is scaled once by `primitive`, a positive factor, which
+keeps every sign and every count.  They serve `laurent` (the curve Weil
+check, the power transform, evaluation at a curve), `spectral` (the
+characteristic polynomial, unit-circle root counts, cyclotomic numbers, the
+aggregation check's series) and `series` (the product of two truncated
+series).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 
 def trim(f):
@@ -68,15 +71,42 @@ def mobius_image(p, num, den):
     return out
 
 
-def divmod_(a, b):
-    """Quotient and remainder of a by b (b nonzero)."""
-    rem = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+def pseudo_remainder(a, b):
+    """|lc(b)|^(deg a - deg b + 1) (a mod b) for integer a and integer b with
+    a nonzero top coefficient, trimmed; a itself (trimmed) when
+    deg a < deg b.  Each step scales by |lc(b)| rather than lc(b), so the
+    result is a positive multiple of the remainder and keeps its sign (a
+    sign-preserving pseudo-remainder; Collins, J. ACM 14, 1967)."""
+    rem, low, lead = trim(a), b[:-1], b[-1]
+    if not lead:
+        raise ZeroDivisionError("divisor with a zero top coefficient")
+    deg, scale = len(low), abs(lead)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem.pop() if lead > 0 else -rem.pop()
+        if scale != 1:
+            rem = [scale * x for x in rem]
+        if c:
+            for k, y in enumerate(low, start=top - deg):
+                rem[k] -= c * y
+    return trim(rem)
+
+
+def exact_quotient(a, b):
+    """a / b for integer a and nonzero integer b, where b divides a in Z[x];
+    any other pair is an ArithmeticError."""
+    rem, low, lead = list(a), b[:-1], b[-1]
+    quo = [0] * max(len(rem) - len(low), 0)
     for s in reversed(range(len(quo))):
-        c = quo[s] = rem[s + len(b) - 1] / b[-1]
-        for i, bc in enumerate(b):
-            rem[s + i] -= c * bc
-    return quo, trim(rem[:len(b) - 1])
+        c, r = divmod(rem.pop(), lead)
+        if r:
+            raise ArithmeticError("inexact polynomial quotient")
+        quo[s] = c
+        if c:
+            for i, y in enumerate(low, start=s):
+                rem[i] -= c * y
+    if any(rem):
+        raise ArithmeticError("inexact polynomial quotient")
+    return quo
 
 
 def derivative(f):
@@ -85,24 +115,31 @@ def derivative(f):
 
 def primitive(f):
     """f times the positive rational that makes its coefficients coprime
-    integers; [] stays []."""
-    scale = math.lcm(*(Fraction(c).denominator for c in f))
-    f = [int(c * scale) for c in f]
+    integers, for int and Fraction coefficients; [] stays []."""
+    if not all(type(c) is int for c in f):
+        scale = math.lcm(*(c.denominator for c in f))
+        f = [int(c * scale) for c in f]
     content = math.gcd(*f)
-    return [c // content for c in f]
+    return [c // content for c in f] if content > 1 else list(f)
 
 
 def gcd(a, b):
-    """A greatest common divisor of a and b (not normalized); each remainder
-    is made primitive, which keeps the coefficients from growing."""
+    """A greatest common divisor of a and b, a primitive integer polynomial
+    (its sign not normalized), from the primitive remainder sequence: each
+    pseudo-remainder is made primitive, which keeps the coefficients from
+    growing."""
+    a, b = primitive(a), primitive(b)
     while b:
-        a, b = b, primitive(divmod_(a, b)[1])
+        a, b = b, primitive(pseudo_remainder(a, b))
     return a
 
 
 def squarefree(f):
-    """f / gcd(f, f'): the same roots, each once."""
-    return divmod_(f, gcd(f, derivative(f)))[0]
+    """f / gcd(f, f'), made primitive: the same roots, each once.  The
+    quotient of the primitive f by the primitive gcd is integral (Gauss's
+    lemma)."""
+    f = primitive(f)
+    return exact_quotient(f, gcd(f, derivative(f)))
 
 
 def value(f, x):
@@ -114,12 +151,16 @@ def value(f, x):
 
 def remainder_chain(f0, f1):
     """The signed remainder chain f0, f1, f2, ... up to its last nonzero
-    member (f1 nonzero), f_(i+1) = -(f_(i-1) mod f_i) made primitive: a
-    positive multiple, and a remainder mod c f_i is the one mod f_i, so
-    every member keeps its sign."""
+    member (f1 nonzero).  f0 and f1 are returned as given; each later member
+    is f_(i+1) = -(f_(i-1) mod f_i) times a positive rational, a primitive
+    integer polynomial.  It is computed on primitive f0, f1 by
+    pseudo-remainders: a remainder mod c f_i (c > 0) is the one mod f_i, and
+    every scale is positive, so every member keeps its sign."""
     chain = [f0, f1]
-    while rem := divmod_(chain[-2], chain[-1])[1]:
-        chain.append([-c for c in primitive(rem)])
+    a, b = primitive(f0), primitive(f1)
+    while rem := pseudo_remainder(a, b):
+        a, b = b, [-c for c in primitive(rem)]
+        chain.append(b)
     return chain
 
 

@@ -631,7 +631,7 @@ def roots_in_disc(coeffs) -> int:
         if _self_inversive_circle_root(common):
             raise ValueError("root on the unit circle")
         inside = (len(common) - 1) // 2
-        p = polyq.primitive(polyq.divmod_(p, common)[0])
+        p = polyq.exact_quotient(p, common)
     for u, v in _DISC_SHIFTS:
         shifted = polyq.mobius_image(p, [u, v], [v, u]) if u else p
         count = _schur_cohn(polyq.primitive(polyq.trim(shifted)))
@@ -650,7 +650,7 @@ def winding_number(coeffs) -> int:
     argument of p changes by that of Q plus n pi, and the argument of Q by
     -pi Ind(B/A) (or pi Ind(A/B) when deg B > deg A), a Cauchy index.
     """
-    p = polyq.trim([Fraction(c) for c in coeffs])
+    p = polyq.primitive(polyq.trim(coeffs))  # a positive scale keeps the winding number
     n = len(p) - 1
     if n < 0:
         raise ValueError("the zero polynomial has no winding number")
@@ -708,8 +708,8 @@ def _cyclotomic_poly(m):
     f = [-1] + [0] * (m - 1) + [1]
     for d in divisors(m):
         if d < m:
-            f = polyq.divmod_(f, _cyclotomic_poly(d))[0]
-    return tuple(int(c) for c in f)
+            f = polyq.exact_quotient(f, _cyclotomic_poly(d))
+    return tuple(f)
 
 
 class Cyclotomic:

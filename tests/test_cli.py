@@ -843,6 +843,24 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("usage error: malformed") and err.count("\n") == 1
 
+    def test_unknown_curve_field(self, capsys, tmp_path):
+        """A curve file has exactly the fields g, q and numerator: another
+        one is named in one usage-error line, after the known fields' own
+        faults; a polynomial file's extra fields are still read past."""
+        path = tmp_path / "curve.json"
+        argv = ("eval", "--curve", str(path), "--n", "1", "--k", "1")
+        path.write_text(json.dumps({"g": 1, "q": 2, "numerator": [1, -1, 2], "note": "x", "a": 0}))
+        assert run(capsys, *argv) == (
+            2, "", "usage error: malformed curve JSON: unknown fields ['a', 'note']\n")
+        path.write_text(json.dumps({"g": 1, "q": 2, "numerator": [1, 1.5, 2], "note": "x"}))
+        assert run(capsys, *argv) == (
+            2, "", "usage error: malformed curve JSON: numerator has non-integer 1.5\n")
+        path.write_text(json.dumps({"g": 1, "q": 2, "numerator": [1, -1, 2]}))
+        poly = tmp_path / "p.json"
+        poly.write_text(json.dumps({**pic_polynomial(1).to_obj(), "note": "x"}))
+        assert run(capsys, "eval", "--curve", str(path), "--n", "2", "--k", "1",
+                   "--pgn", str(poly))[0] == 0
+
     @pytest.mark.parametrize("term,message", [
         ({"c": "0", "t": 0, "z": [0, 0, 0], "gamma": -1}, "has length != g=2"),
         ({"c": "0", "t": 0, "z": [0, 0], "gamma": -1}, "must be nonnegative"),

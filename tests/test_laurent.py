@@ -27,6 +27,7 @@ from locsys.laurent import (
 )
 from locsys.polyq import power_sums
 from locsys.verify import random_invariant
+from test_polyq import ref_real_roots, ref_squarefree
 
 
 def lp(g, **kw):
@@ -400,6 +401,75 @@ def test_exact_weil_check_against_root_finding():
         if want is not None:
             assert curve.is_weil() is want, numerator
     assert outcomes[True] >= 50 and outcomes[False] >= 50 and outcomes[None] <= 15, outcomes
+
+
+def _grid_real_weil_poly(rng, g, q, weil):
+    """h(s) = prod_i (s - w_i) of degree g, and the kinds of its factors.
+    A Weil h has integer w_i with |w_i| <= 2 sqrt(q) (both ends where q is
+    a square), squared factors, and s^2 - m with 0 < m <= 4q (mostly
+    irrational roots); otherwise at least one factor has a root w with
+    w^2 > 4q, or complex roots (w^2 < 0)."""
+    top = math.isqrt(4 * q)  # 2 sqrt(q) when q is a square
+    h, kinds = [1], []
+    while len(h) - 1 < g:
+        room = g - (len(h) - 1)
+        kind = rng.choice(["linear", "end", "square", "quadratic"] if weil or kinds else ["bad"])
+        if kind == "bad":
+            kind = rng.choice(["outside", "complex", "far-quadratic"])
+        if room < 2:  # a linear factor of the same sort
+            kind = {"square": "linear", "quadratic": "linear", "complex": "outside",
+                    "far-quadratic": "outside"}.get(kind, kind)
+        if kind == "linear":
+            factor = [-rng.randint(-top, top), 1]
+        elif kind == "end":
+            factor = [rng.choice([-top, top]), 1]
+        elif kind == "square":
+            w = rng.randint(-top, top)
+            factor = [w * w, -2 * w, 1]
+        elif kind == "quadratic":
+            factor = [-rng.randint(1, 4 * q), 0, 1]
+        elif kind == "outside":
+            factor = [rng.choice([-1, 1]) * (top + rng.randint(1, 3)), 1]
+        elif kind == "complex":
+            factor = [rng.randint(1, 4 * q), rng.randint(-1, 1), 1]
+        else:
+            factor = [-(4 * q + rng.randint(1, q)), 0, 1]
+        h = _poly_product(h, factor)
+        kinds.append(kind)
+    return h, kinds
+
+
+def _reference_weil_check(h, q):
+    """Whether every root of prod_i (y - w_i^2) is real and in [0, 4q], by
+    the Fraction-arithmetic squarefree part and remainder chain of
+    tests/test_polyq.py.  The polynomial is read off h(s) h(-s) =
+    (-1)^g prod_i (s^2 - w_i^2), not off the curve's power sums."""
+    g = len(h) - 1
+    product = _poly_product(h, [(-1) ** j * c for j, c in enumerate(h)])
+    squares = [(-1) ** g * c for c in product[::2]]
+    f = ref_squarefree(squares)
+    return ref_real_roots(f, 0, 4 * q) == len(f) - 1
+
+
+def test_weil_check_grid_against_the_reference_chain():
+    """is_weil agrees with the Fraction reference chain on seeded curves of
+    genus 1..12 over fields up to 999999999989, Weil and not."""
+    rng = random.Random("weil-grid")
+    outcomes, kinds = {True: 0, False: 0}, set()
+    for g in range(1, 13):
+        for q in (2, 3, 4, 5, 9, 25, 999999999989):
+            for weil in (True, False):
+                h, used = _grid_real_weil_poly(rng, g, q, weil)
+                want = _reference_weil_check(h, q)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    curve = CurveInput(g, q, _numerator_from_real(h, q))
+                assert curve.is_weil() is want is weil, (g, q, h)
+                outcomes[want] += 1
+                kinds.update((kind, math.isqrt(q) ** 2 == q) for kind in used)
+    assert outcomes == {True: 84, False: 84}
+    assert {("end", True), ("square", True), ("square", False), ("quadratic", True),
+            ("outside", True), ("complex", False), ("far-quadratic", False)} <= kinds, kinds
 
 
 class TestEvaluate:
