@@ -25,9 +25,9 @@ from .laurent import (
     DivisibilityError,
     EntryMissing,
     IntegralityError,
-    LaurentPoly,
     evaluate_at_curve,
     pic_eform,
+    read_weil,
 )
 
 # verify.SUITES's keys, in its order (tests check the two agree), so that the
@@ -99,8 +99,9 @@ def _collector_paused():
     and restore its state however the read ends.  The loaded JSON and its
     key tuples hold no reference cycles, so the collections their
     allocation would start free nothing, and each one rescans the objects
-    the load holds (reading the five A-tables of the benchmark's `master`
-    cells, 2 MB in all, ran 265 young-generation collections)."""
+    the load holds (in a fresh process, reading the five A-tables of the
+    benchmark's `master` cells, 2 MB in all, runs 146 young-generation
+    collections, 13 middle and one full)."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -136,7 +137,8 @@ def _build_pipeline(n, g, a_table_path):
         if a_table_path is None:
             raise ValueError("ranks >= 2 need --a-table with the bundle counts")
         with _open(a_table_path) as fh, _collector_paused():
-            atable = ATable.from_json(fh.read(), g)
+            # json.load lets the file's text go before the entries are read
+            atable = ATable.from_obj(json.load(fh), g, owned=True)
     return c_from_a(n, g, atable)
 
 
@@ -232,7 +234,7 @@ def cmd_eval(args):
         if args.pgn is None:
             raise ValueError("ranks >= 2 need --pgn with the count polynomial")
         with _open(args.pgn) as fh, _collector_paused():
-            poly = LaurentPoly.from_obj(json.load(fh))
+            poly = read_weil(json.load(fh), curve.g)
     value = evaluate_at_curve(poly, curve, args.k, curve.g - 1)
     with _any_digits():
         _print(args, {"n": args.n, "k": args.k, "count": value},

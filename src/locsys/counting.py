@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from . import fields
 from .combinat import divisors, mobius_divisors, partitions, prime_factors
 from .laurent import (DivisibilityError, EntryMissing, IntegralityError, InvarianceError,
-                      LaurentPoly, WeilPoly, pic_eform, render_terms)
+                      LaurentPoly, WeilPoly, pic_eform, read_weil, render_terms)
 from .series import TruncatedSeries
 
 GAMMA_ATOM = ("y",)
@@ -470,7 +470,8 @@ class ATable:
     satisfy the positivity constraint on load, and the table keeps only
     their e-form (`weil`), which the inversion reads.  An entry is given as
     a WeilPoly, or as a z-form LaurentPoly whose Weil check is its
-    conversion to e-form (WeilPoly.from_laurent).
+    conversion to e-form (WeilPoly.from_laurent); a file's entries are read
+    straight into e-form (from_obj).
 
     Positivity (every z-form term t^m z^n has v = m + sum_i min(n_i, 0) >= 0)
     is read off the e-form: it holds exactly when every e-form t-exponent is
@@ -504,20 +505,29 @@ class ATable:
         return poly
 
     @classmethod
-    def from_obj(cls, obj, g):
+    def from_obj(cls, obj, g, owned=False):
         """The table of a file object.  The faults come in this order: every
         entry's format faults (a rank key, then the polynomial's own, in
         LaurentPoly.from_obj's order), in file order; then, entry by entry
         in file order, a wrong g, a Weil-invariance failure and positivity.
-        Each entry is checked when read, so that one z-form is held at a
-        time, and its fault is held until the later entries are read."""
+
+        Each entry is read straight into e-form when it can be
+        (laurent.read_weil) and checked when read, and its fault is held
+        until the later entries are read.  An `owned` object, one that the
+        reader parsed itself and hands over (from_json and the CLI do), has
+        each entry's JSON taken out once that entry is read, so that the
+        entries already converted are not held in both forms; a caller's
+        object is left as it was."""
         try:
-            entries = obj["entries"].items()
+            entries = obj["entries"]
+            items = entries.items()
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed bundle-count table JSON: {exc!r}") from None
+        if owned:
+            items = ((key, entries.pop(key)) for key in list(entries))
         weil = {}
         fault = None
-        for key, p in entries:
+        for key, p in items:
             # a canonical key is the only spelling of its rank, so no two
             # keys can name the same rank
             n = fields.canonical_int(key)
@@ -527,20 +537,22 @@ class ATable:
             if n < 2:
                 raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
                                  "is below 2 (rank 1 is the built-in Picard polynomial)")
-            poly = LaurentPoly.from_obj(p)
+            poly = read_weil(p, g)
             if fault is None:
                 try:
                     weil[n] = cls._checked(g, n, poly)
                 except ValueError as exc:
                     fault = exc
-            del poly  # let this z-form go before the next read
+            del poly  # a z-form read goes before the next entry's read
         if fault is not None:
             raise fault
         return cls(g, weil)
 
     @classmethod
     def from_json(cls, text, g):
-        return cls.from_obj(json.loads(text), g)
+        """The table of a JSON text, whose parsed object is the reader's own
+        (from_obj with owned=True)."""
+        return cls.from_obj(json.loads(text), g, owned=True)
 
 
 # --------------------------------------------------------------------------

@@ -496,8 +496,8 @@ class WeilPoly(LaurentPoly):
     is LaurentPoly's kernel; mixing the two forms raises TypeError.  The
     z-specific methods (Weil check, substitute, render, JSON) apply to the
     z-form only: convert with to_laurent first.  The file form is the
-    z-form's: read it with LaurentPoly.from_obj and convert with
-    from_laurent.
+    z-form's: read_weil reads a file straight into e-form, falling back on
+    LaurentPoly.from_obj and from_laurent.
     """
 
     __slots__ = ()
@@ -534,7 +534,7 @@ class WeilPoly(LaurentPoly):
         reps = []
         covered = 0
         for (et, ez, ey), c in terms.items():
-            mu, dt, size, orbit_terms = shapes(ez) or _zshape(ez)
+            mu, dt, size, orbit_terms, _i = shapes(ez) or _zshape(ez)
             if size:
                 covered += size
                 reps.append((et, ey, c, orbit_terms))
@@ -606,20 +606,18 @@ class WeilPoly(LaurentPoly):
         return f"WeilPoly(g={self.g}, {self.terms})"
 
 
-def _plain_zform(obj):
-    """The LaurentPoly of a z-form polynomial object that _zform_by_term
-    reads with no fault and no zero term, with every coefficient a JSON
-    integer or a plain decimal integer string (ASCII digits after at most
-    one "-", which int() reads as Fraction would), its terms in file order;
+def _plain_columns(obj):
+    """(g, t, z, gamma and c columns) of a z-form polynomial object whose
+    fields pass the column checks of _plain_zform, the coefficients as read;
     None for any other object.
 
     Each check runs over a whole column (the per-term bytecode of
     _zform_by_term is most of its cost).  type() is compared exactly, so a
     bool, which is an int to isinstance, is not plain, and the exponents
     are checked term by term, not per distinct key (True == 1 == 1.0).  A
-    string column is plain when its concatenation is ASCII digits and "-"
-    and int() reads every string, which leaves exactly one "-" or none, in
-    front; an int() past the interpreter's digit limit is not plain either."""
+    string column passes when its concatenation is ASCII digits and "-";
+    the caller's int() then settles each string (exactly one "-" or none,
+    in front, within the interpreter's digit limit)."""
     try:
         g, items = obj["g"], obj["terms"]
         if type(g) is not int or g < 0 or type(items) is not list:
@@ -639,18 +637,92 @@ def _plain_zform(obj):
         digits = "".join(cs)
         if not (digits.isascii() and digits.replace("-", "").isdigit()):
             return None
-        cs = map(int, cs)
     elif not kinds <= {int}:
         return None
+    return g, ts, zs, ys, cs
+
+
+def _plain_zform(obj):
+    """The LaurentPoly of a z-form polynomial object that _zform_by_term
+    reads with no fault and no zero term, with every coefficient a JSON
+    integer or a plain decimal integer string (ASCII digits after at most
+    one "-", which int() reads as Fraction would), its terms in file order;
+    None for any other object (_plain_columns has the column checks)."""
+    columns = _plain_columns(obj)
+    if columns is None:
+        return None
+    g, ts, zs, ys, cs = columns
     try:
-        terms = dict(zip(zip(ts, map(tuple, zs), ys), cs))
+        terms = dict(zip(zip(ts, map(tuple, zs), ys), map(int, cs)))
     except ValueError:  # an empty string, a stray "-" or past the digit limit
         return None
-    if len(terms) != len(items) or not all(terms.values()):  # a duplicate or a zero term
+    if len(terms) != len(ts) or not all(terms.values()):  # a duplicate or a zero term
         return None
     poly = LaurentPoly(g)
     poly.terms = terms
     return poly
+
+
+def _eform_scan(obj, g):
+    """The WeilPoly that _plain_zform and WeilPoly.from_laurent give for a
+    z-form polynomial object of genus g, from one scan of its columns with
+    no z-form built; or None, which leaves every fault to that path.
+
+    Each term is keyed by its orbit (t + dt, mu, gamma), from _ZSHAPES.  An
+    open orbit keeps its coefficient as read and the set of its members
+    seen, by index in _orbit(mu) (a set: an orbit at g = 9 has up to
+    185,794,560 members); a full one keeps only its coefficient.  None comes
+    for another g, a file _plain_columns refuses, a member seen twice or a
+    term of a full orbit, a coefficient that differs from its orbit's as
+    read ("07" against "7"), an orbit short of members, and a coefficient
+    that int() rejects or reads as zero.  Otherwise the terms are distinct
+    and fill their orbits with one nonzero coefficient each, so the
+    polynomial is invariant, and its e-form is the sum of c t^a y^b M_mu."""
+    columns = _plain_columns(obj)
+    if columns is None or columns[0] != g:
+        return None
+    _g, ts, zs, ys, cs = columns
+    shapes = _ZSHAPES.get
+    orbits = {}
+    get = orbits.get
+    for t, z, y, c in zip(ts, zs, ys, cs):
+        ez = tuple(z)
+        mu, dt, _size, _terms, i = shapes(ez) or _zshape(ez)
+        key = (t + dt, mu, y)
+        orbit = get(key)
+        if orbit is None:
+            orbit = orbits[key] = (c, set(), shapes(mu)[2])
+        elif orbit[0] != c or i in orbit[1]:
+            return None
+        seen = orbit[1]
+        seen.add(i)
+        if len(seen) == orbit[2]:
+            orbits[key] = (None, None, c)  # full: no later term compares equal
+    acc = {}
+    acc_get = acc.get
+    for (et, mu, ey), (_c, seen, c) in orbits.items():
+        if seen is not None:
+            return None
+        try:
+            c = int(c)
+        except ValueError:  # an empty string, a stray "-" or past the digit limit
+            return None
+        if not c:
+            return None
+        for (mt, ma, my), mc in shapes(mu)[3]:
+            k = (et + mt, ma, ey + my)
+            acc[k] = acc_get(k, 0) + c * mc
+    out = WeilPoly(g)
+    out.terms = {k: c for k, c in acc.items() if c}
+    return out
+
+
+def read_weil(obj, g):
+    """A polynomial file object meant to be Weil-invariant of genus g: its
+    WeilPoly by _eform_scan, or else LaurentPoly.from_obj's z-form, which
+    raises the format faults and leaves g and invariance to the caller."""
+    poly = _eform_scan(obj, g)
+    return LaurentPoly.from_obj(obj) if poly is None else poly
 
 
 def _zform_by_term(obj):
@@ -733,21 +805,21 @@ def _orbit_rep(ez):
 # polynomials that nothing mutates), shared by every caller.
 
 # z-exponent vector (its length is the genus) -> (mu, t-shift, orbit size,
-# M_mu's terms as a tuple) for a representative, (mu, t-shift, 0, None) for
-# any other member of its orbit: from_laurent's view of one term.
+# M_mu's terms as a tuple, index in _orbit(mu)) for a representative, and
+# (mu, t-shift, 0, None, index) for any other member of its orbit: the view
+# of one term that from_laurent and the file scan take.
 _ZSHAPES = {}
 
 
 def _zshape(ez):
-    """The _ZSHAPES entry of the z-vector ez, made and stored on a miss; the
-    members of an orbit share its representative's mu."""
-    mu, dt = _orbit_rep(ez)
-    if ez == mu:
-        shape = (mu, 0, len(_orbit(mu)), tuple(_orbit_sum(len(ez), mu).terms.items()))
-    else:
-        shape = ((_ZSHAPES.get(mu) or _zshape(mu))[0], dt, 0, None)
-    _ZSHAPES[ez] = shape
-    return shape
+    """The _ZSHAPES entry of the z-vector ez, made on a miss with those of
+    every member of its orbit, which share its representative's mu."""
+    mu, _dt = _orbit_rep(ez)
+    members = _orbit(mu)
+    for i, (shift, z) in enumerate(members):
+        _ZSHAPES[z] = ((mu, 0, len(members), tuple(_orbit_sum(len(mu), mu).terms.items()), i)
+                       if z == mu else (mu, -shift, 0, None, i))
+    return _ZSHAPES[ez]
 
 
 @functools.cache

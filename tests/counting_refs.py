@@ -13,7 +13,9 @@ laurent.weil_symmetrize; the z-form to e-form conversion that counts
 every orbit's members, the reference for WeilPoly.from_laurent; the
 e-form to z-form conversion by one heap-ordered solve per call, the
 reference for WeilPoly.to_laurent's cached rows; the differential check
-of LaurentPoly.from_obj's column read against its per-term read; the partition weight s_weight of the master formula,
+of LaurentPoly.from_obj's column read against its per-term read; the
+A-table reader as it was before it read entries straight into e-form,
+the reference for ATable.from_obj; the partition weight s_weight of the master formula,
 which the package computes inline; and FreePoly.render on FreePoly's tuple
 keys, with its own sign rule, the reference for the one renderer of packed
 fields (counting.PackedPoly.render); and the exact division of a packed
@@ -26,6 +28,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from locsys import fields
 from locsys.combinat import divisors, mobius, partitions
 from locsys.counting import GAMMA_ATOM, CTable, FreePoly, count_exponent
 from locsys.laurent import (
@@ -371,6 +374,47 @@ def same_zform_read(obj):
     if eform[0] is WeilPoly:
         assert dict((k, c) for k, _t, c in eform[2]) == from_laurent(p).terms
     return eform
+
+
+def atable_from_obj(obj, g):
+    """ATable.from_obj as it was before it read entries straight into
+    e-form, with the member-counting from_laurent above: every entry's
+    format faults in file order (rank key, then laurent._zform_by_term);
+    then, entry by entry, a wrong g, Weil invariance and positivity, the
+    first of these held until every entry is read.  Returns the e-form
+    entries {rank: WeilPoly}."""
+    try:
+        entries = obj["entries"].items()
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed bundle-count table JSON: {exc!r}") from None
+    weil = {}
+    fault = None
+    for key, p in entries:
+        n = fields.canonical_int(key)
+        if n is None:
+            raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
+                             "is not a canonical integer")
+        if n < 2:
+            raise ValueError(f"malformed bundle-count table JSON: rank key {key!r} "
+                             "is below 2 (rank 1 is the built-in Picard polynomial)")
+        poly = _zform_by_term(p)
+        if fault is not None:
+            continue
+        if poly.g != g:
+            fault = ValueError(f"entry {n} has wrong number of z-variables")
+            continue
+        try:
+            poly = from_laurent(poly)
+        except InvarianceError:
+            fault = ValueError(f"A-table entry {n} is not Weil-invariant")
+            continue
+        if any(et < 0 for et, _a, _ey in poly.terms):
+            fault = ValueError(f"A-table entry {n} violates positivity")
+            continue
+        weil[n] = poly
+    if fault is not None:
+        raise fault
+    return weil
 
 
 def swap(p, i, j):

@@ -474,13 +474,24 @@ def test_eval_pgn_bytes_pinned(capsys, tmp_path):
 
 
 def test_reads_build_no_z_form(capsys, tmp_path, monkeypatch):
-    """The A-table and the --pgn file never enter the per-term read: with
-    it refusing, qgn on a benchmark cell and eval keep their pinned
-    bytes."""
-    def refuse(obj):
-        raise AssertionError("read term by term")
+    """The A-table and the --pgn file are read straight into e-form: with
+    the per-term read, the column read into a z-form (_plain_zform) and the
+    z-form's conversion (WeilPoly.from_laurent) all refusing, qgn on a
+    benchmark cell and eval keep their pinned bytes.  They refuse only
+    while the command runs: the pinned tables are built from z-form
+    entries."""
+    def refuse(*args):
+        raise AssertionError("a z-form was built")
 
-    monkeypatch.setattr(laurent, "_zform_by_term", refuse)
+    def main(argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent, "_zform_by_term", refuse)
+            patch.setattr(laurent, "_plain_zform", refuse)
+            patch.setattr(laurent.WeilPoly, "from_laurent", classmethod(refuse))
+            return run_main(argv)
+
+    run_main = cli.main
+    monkeypatch.setattr(cli, "main", main)
     test_qgn_output_bytes_pinned(capsys, tmp_path, (3, 5))
     test_eval_pgn_bytes_pinned(capsys, tmp_path)
 
@@ -520,10 +531,9 @@ def test_reads_restore_the_collector(capsys, curve_file, tmp_path, monkeypatch, 
     left as the caller had it, after a read that succeeds, one that is a
     usage error and a report that fails."""
     paused = []
-    read = LaurentPoly.from_obj.__func__
-    monkeypatch.setattr(LaurentPoly, "from_obj",
-                        classmethod(lambda cls, obj: paused.append(not gc.isenabled())
-                                    or read(cls, obj)))
+    scan = laurent._eform_scan  # every polynomial file's read starts with it
+    monkeypatch.setattr(laurent, "_eform_scan",
+                        lambda obj, g: paused.append(not gc.isenabled()) or scan(obj, g))
     good, bad, table = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "atable.json"
     good.write_text(json.dumps({"g": 2, "terms": [{"c": "3", "t": 1, "z": [0, 0]}]}))
     bad.write_text(json.dumps({"g": 2, "terms": [{"c": "3", "t": 1, "z": [0, 1.5]}]}))

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,6 +10,7 @@ import pytest
 from counting_refs import (euler_characteristic as full_euler_characteristic, free_render,
                           free_substitute, frobenius_substitute, ref_divide_exact, s_weight,
                           satisfies_positivity, weil_a_from_c, zform_pgn_report)
+from master_cells import MASTER_CELLS, master_entries
 
 from locsys import counting
 from locsys.counting import (
@@ -1002,6 +1005,36 @@ class TestTables:
         table = ATable(2, {2: pic_polynomial(2)})
         again = ATable.from_json(json.dumps({"entries": {"2": pic_polynomial(2).to_obj()}}), 2)
         assert again.weil == table.weil
+
+    def test_read_peak_memory(self):
+        """Reading the seed-0 (4, 3) `master` A-table peaks, above its
+        start, no higher than 1.15 times json.loads of the same text (about
+        1.6 times while each entry was read into a z-form first): entries go
+        straight into e-form, and each entry's JSON is let go once read.
+        tracemalloc's sizes repeat on every run of one interpreter; a first
+        read fills the caches, and the collector is paused, as the CLI
+        pauses it for a read."""
+        assert MASTER_CELLS[-1] == (4, 3)
+        entries = dict(zip(("2", "3"), master_entries(0)[-2:]))
+        text = json.dumps({"entries": {r: p.to_obj() for r, p in entries.items()}},
+                          separators=(",", ":"))
+        assert ATable.from_json(text, 4).weil == {int(r): WeilPoly.from_laurent(p)
+                                                  for r, p in entries.items()}
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            json.loads(text)
+            loads_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            ATable.from_json(text, 4)
+            read_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert read_peak <= 1.15 * loads_peak, (read_peak, loads_peak)
 
     def test_ctable_json(self):
         table = CTable.concrete(2, {1: pic_polynomial(2)})

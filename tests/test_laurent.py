@@ -9,10 +9,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from counting_refs import atable_from_obj as ref_atable_from_obj
 from counting_refs import (frobenius_substitute, permutation_flip_symmetrize, read_outcome,
                           same_zform_read, satisfies_positivity, swap_flip_invariant)
+from counting_refs import from_laurent as ref_from_laurent
 
 from locsys import laurent
+from locsys.counting import ATable
 from locsys.laurent import (
     CurveInput,
     DimensionMismatch,
@@ -20,6 +23,7 @@ from locsys.laurent import (
     InvarianceError,
     LaurentPoly,
     WeilPoly,
+    _zform_by_term,
     evaluate_at_curve,
     graeffe_power,
     pic_polynomial,
@@ -810,6 +814,33 @@ COEFFICIENT_CORPUS = [
 ]
 
 
+def random_faulty_file(rng):
+    """A seeded polynomial object of up to four terms, each with a
+    coefficient from COEFFICIENT_CORPUS or a zero spelling, and with float,
+    bool, string, missing, repeated or wrong-length fields now and then."""
+    coefficients = [c for c in COEFFICIENT_CORPUS if type(c) is str and len(c) < 10]
+    coefficients += [0, 5, -2, True, 0.5]
+    g = rng.choice((-1, 0, 1, 2, 3, 1.0))
+    width = g if type(g) is int and g >= 0 else 1
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        term = {"c": rng.choice(coefficients),
+                "t": rng.choice((0, 1, -2, 1.5)) if rng.random() < 0.2 else rng.randint(-2, 2),
+                "z": [rng.randint(-1, 1) for _ in range(width)],
+                "gamma": rng.choice((0, 1, -1, "0"))}
+        kind = rng.random()
+        if kind < 0.1:
+            term["z"].append(0)
+        elif kind < 0.15:
+            del term[rng.choice(("c", "t", "z", "gamma"))]
+        elif kind < 0.2 and terms:
+            term.update({k: terms[-1][k] for k in ("t", "z", "gamma") if k in terms[-1]})
+        elif kind < 0.25:
+            term["c"] = rng.choice(("0", 0, "-0", "0/3"))
+        terms.append(term)
+    return {"g": g, "terms": terms}
+
+
 class TestOnePassReader:
     """from_obj reads each term once; the two-pass reader it replaced is the
     reference for every value and message."""
@@ -874,30 +905,11 @@ class TestOnePassReader:
 
     def test_random_faulty_files(self):
         rng = random.Random(16)
-        coefficients = [c for c in COEFFICIENT_CORPUS if type(c) is str and len(c) < 10]
-        coefficients += [0, 5, -2, True, 0.5]
         seen = set()
         for _ in range(3000):
-            g = rng.choice((-1, 0, 1, 2, 3, 1.0))
-            width = g if type(g) is int and g >= 0 else 1
-            terms = []
-            for _ in range(rng.randint(0, 4)):
-                term = {"c": rng.choice(coefficients),
-                        "t": rng.choice((0, 1, -2, 1.5)) if rng.random() < 0.2 else rng.randint(-2, 2),
-                        "z": [rng.randint(-1, 1) for _ in range(width)],
-                        "gamma": rng.choice((0, 1, -1, "0"))}
-                kind = rng.random()
-                if kind < 0.1:
-                    term["z"].append(0)
-                elif kind < 0.15:
-                    del term[rng.choice(("c", "t", "z", "gamma"))]
-                elif kind < 0.2 and terms:
-                    term.update({k: terms[-1][k] for k in ("t", "z", "gamma") if k in terms[-1]})
-                elif kind < 0.25:
-                    term["c"] = rng.choice(("0", 0, "-0", "0/3"))
-                terms.append(term)
-            outcome = _same_read({"g": g, "terms": terms})
-            same_zform_read({"g": g, "terms": terms})
+            obj = random_faulty_file(rng)
+            outcome = _same_read(obj)
+            same_zform_read(obj)
             seen.add(outcome[1].split(":")[0] if outcome[0] is not LaurentPoly else "read")
         assert {"read", "need g >= 0", "exponent vector (0, 0, 0) has length != g=2",
                 "genus-offset exponent must be nonnegative",
@@ -921,64 +933,68 @@ def _orbit_terms(c, t=0, gamma=0):
             for dt, z in ((0, [1, 0]), (0, [0, 1]), (1, [-1, 0]), (1, [0, -1]))]
 
 
+# the z-form files of TestZformReader, read by TestEformScan too
+ZFORM_CORPUS = [
+    # the malformed polynomials of the command-line tests
+    {"g": 2},
+    {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0},
+                       {"c": "5", "t": 0, "z": [0, 0], "gamma": 0}]},
+    {"g": 1, "terms": [{"c": "1", "t": 1.9, "z": [0], "gamma": 0}]},
+    {"g": 1, "terms": [{"c": "1", "t": 0, "z": [True], "gamma": 0}]},
+    {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": "1"}]},
+    {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": False}]},
+    {"g": 1, "terms": [{"c": "1", "t": 0, "z": "0", "gamma": 0}]},
+    {"g": 2.0, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
+    {"g": 1, "terms": [{"c": True, "t": 1, "z": [0], "gamma": 0}]},
+    {"g": 1, "terms": [{"c": 0.1, "t": 1, "z": [0], "gamma": 0}]},
+    {"g": 1, "terms": [{"c": "1/0", "t": 1, "z": [0], "gamma": 0}]},
+    {"g": 2, "terms": [{"c": "0", "t": 0, "z": [0, 0, 0], "gamma": -1},
+                       {"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
+    {"g": 2, "terms": [{"c": "0", "t": 0, "z": [0, 0], "gamma": -1},
+                       {"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
+    {"g": 2, "terms": [{"t": 0, "z": [0, 0]}]},
+    {"g": 2, "terms": [3]},
+    {"g": -1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": 0}]},
+    {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": -1},
+                       {"c": "x", "t": 1, "z": [0, 0], "gamma": 0}]},
+    # lists required: an object or a string is not an empty polynomial
+    {"g": 2, "terms": {}}, {"g": 2, "terms": ""}, {"g": 2, "terms": []},
+    {"g": 0, "terms": [{"c": "1", "t": 0, "z": {}}]},
+    {"g": 0, "terms": [{"c": "1", "t": 0, "z": ""}]},
+    {"g": 0, "terms": [{"c": "1", "t": 0, "z": []}]},
+    # a float or bool exponent after an int that equals it: a column
+    # check per distinct key would take it for the int
+    {"g": 1, "terms": [{"c": "1", "t": 1, "z": [0]}, {"c": "1", "t": 1.0, "z": [0]}]},
+    {"g": 1, "terms": [{"c": "1", "t": 1, "z": [0]}, {"c": "1", "t": True, "z": [0]}]},
+    {"g": 2, "terms": _orbit_terms("2") + [{"c": "2", "t": 0, "z": [1.0, 0]}]},
+    {"g": 2, "terms": _orbit_terms("2") + [{"c": "2", "t": 0, "z": [True, 0]}]},
+    {"g": 2, "terms": _orbit_terms("2", gamma=1) + [{"c": "2", "t": 0, "z": [1, 0],
+                                                    "gamma": True}]},
+    # JSON-int, mixed and zero coefficients on invariant polynomials
+    {"g": 2, "terms": _orbit_terms(-3)},
+    {"g": 2, "terms": _orbit_terms(-3)[:2] + _orbit_terms("-3")[2:]},
+    {"g": 2, "terms": _orbit_terms("1") + _orbit_terms("0", t=1)},
+    {"g": 2, "terms": _orbit_terms(4) + [{"c": 0, "t": 5, "z": [1, 0]}]},
+    {"g": 2, "terms": _orbit_terms("0")},
+    {"g": 2, "terms": _orbit_terms("-0")},
+    {"g": 2, "terms": _orbit_terms("3/2")},
+    {"g": 2, "terms": _orbit_terms("-")},
+    {"g": 2, "terms": _orbit_terms("") + [{"c": "1", "t": 0, "z": [0, 0]}]},
+    {"g": 2, "terms": _orbit_terms("1-2")},
+    # not invariant, with plain coefficients
+    {"g": 2, "terms": _orbit_terms("2")[:3]},
+    {"g": 2, "terms": _orbit_terms("2")[:3] + [{"c": "3", "t": 1, "z": [0, -1]}]},
+    {"g": 2, "terms": _orbit_terms("2")[1:]},
+]
+
+
 class TestZformReader:
     """LaurentPoly.from_obj checks a plain file a column at a time and
     hands anything else to its per-term read; on every input it agrees with
     that per-term read alone (same_zform_read).  The corpus of
     TestOnePassReader is read through it too."""
 
-    @pytest.mark.parametrize("obj", [
-        # the malformed polynomials of the command-line tests
-        {"g": 2},
-        {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0},
-                           {"c": "5", "t": 0, "z": [0, 0], "gamma": 0}]},
-        {"g": 1, "terms": [{"c": "1", "t": 1.9, "z": [0], "gamma": 0}]},
-        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [True], "gamma": 0}]},
-        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": "1"}]},
-        {"g": 1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": False}]},
-        {"g": 1, "terms": [{"c": "1", "t": 0, "z": "0", "gamma": 0}]},
-        {"g": 2.0, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
-        {"g": 1, "terms": [{"c": True, "t": 1, "z": [0], "gamma": 0}]},
-        {"g": 1, "terms": [{"c": 0.1, "t": 1, "z": [0], "gamma": 0}]},
-        {"g": 1, "terms": [{"c": "1/0", "t": 1, "z": [0], "gamma": 0}]},
-        {"g": 2, "terms": [{"c": "0", "t": 0, "z": [0, 0, 0], "gamma": -1},
-                           {"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
-        {"g": 2, "terms": [{"c": "0", "t": 0, "z": [0, 0], "gamma": -1},
-                           {"c": "1", "t": 0, "z": [0, 0], "gamma": 0}]},
-        {"g": 2, "terms": [{"t": 0, "z": [0, 0]}]},
-        {"g": 2, "terms": [3]},
-        {"g": -1, "terms": [{"c": "1", "t": 0, "z": [0], "gamma": 0}]},
-        {"g": 2, "terms": [{"c": "1", "t": 0, "z": [0, 0], "gamma": -1},
-                           {"c": "x", "t": 1, "z": [0, 0], "gamma": 0}]},
-        # lists required: an object or a string is not an empty polynomial
-        {"g": 2, "terms": {}}, {"g": 2, "terms": ""}, {"g": 2, "terms": []},
-        {"g": 0, "terms": [{"c": "1", "t": 0, "z": {}}]},
-        {"g": 0, "terms": [{"c": "1", "t": 0, "z": ""}]},
-        {"g": 0, "terms": [{"c": "1", "t": 0, "z": []}]},
-        # a float or bool exponent after an int that equals it: a column
-        # check per distinct key would take it for the int
-        {"g": 1, "terms": [{"c": "1", "t": 1, "z": [0]}, {"c": "1", "t": 1.0, "z": [0]}]},
-        {"g": 1, "terms": [{"c": "1", "t": 1, "z": [0]}, {"c": "1", "t": True, "z": [0]}]},
-        {"g": 2, "terms": _orbit_terms("2") + [{"c": "2", "t": 0, "z": [1.0, 0]}]},
-        {"g": 2, "terms": _orbit_terms("2") + [{"c": "2", "t": 0, "z": [True, 0]}]},
-        {"g": 2, "terms": _orbit_terms("2", gamma=1) + [{"c": "2", "t": 0, "z": [1, 0],
-                                                        "gamma": True}]},
-        # JSON-int, mixed and zero coefficients on invariant polynomials
-        {"g": 2, "terms": _orbit_terms(-3)},
-        {"g": 2, "terms": _orbit_terms(-3)[:2] + _orbit_terms("-3")[2:]},
-        {"g": 2, "terms": _orbit_terms("1") + _orbit_terms("0", t=1)},
-        {"g": 2, "terms": _orbit_terms(4) + [{"c": 0, "t": 5, "z": [1, 0]}]},
-        {"g": 2, "terms": _orbit_terms("0")},
-        {"g": 2, "terms": _orbit_terms("-0")},
-        {"g": 2, "terms": _orbit_terms("3/2")},
-        {"g": 2, "terms": _orbit_terms("-")},
-        {"g": 2, "terms": _orbit_terms("") + [{"c": "1", "t": 0, "z": [0, 0]}]},
-        {"g": 2, "terms": _orbit_terms("1-2")},
-        # not invariant, with plain coefficients
-        {"g": 2, "terms": _orbit_terms("2")[:3]},
-        {"g": 2, "terms": _orbit_terms("2")[:3] + [{"c": "3", "t": 1, "z": [0, -1]}]},
-        {"g": 2, "terms": _orbit_terms("2")[1:]},
-    ])
+    @pytest.mark.parametrize("obj", ZFORM_CORPUS)
     def test_same_read(self, obj):
         same_zform_read(obj)
 
@@ -1014,6 +1030,230 @@ class TestZformReader:
             for c in ("9" * digits, "-" + "9" * digits):
                 outcome = same_zform_read({"g": 2, "terms": _orbit_terms(c)})
                 assert (outcome[0] is WeilPoly) == (digits == limit)
+
+
+def _eform_outcome(read, convert, obj, g):
+    """A read of obj for genus g taken to e-form: the read's ValueError as
+    read_outcome gives it, ("g", its g) for a polynomial of another genus,
+    the conversion's InvarianceError as (class, text), or (WeilPoly, the
+    e-form's terms)."""
+    outcome = read_outcome(read, obj)
+    if len(outcome) == 2:
+        return outcome
+    p = read(obj)
+    if p.g != g:
+        return "g", p.g
+    if type(p) is LaurentPoly:
+        try:
+            p = convert(p)
+        except InvarianceError as exc:
+            return type(exc), str(exc)
+    return WeilPoly, p.terms
+
+
+def _typed(p):
+    return {k: (type(c), c) for k, c in p.terms.items()}
+
+
+def same_eform_read(obj, g):
+    """laurent.read_weil, followed by the conversion its callers make,
+    agrees on obj with the per-term read (_zform_by_term) followed by the
+    member-counting from_laurent of counting_refs, which share no code with
+    the scan: the same e-form or the same exception class and message.  A
+    polynomial from the scan itself is also, with its coefficient types,
+    the one the z-form read and WeilPoly.from_laurent give.  Returns the
+    outcome and whether the scan gave it."""
+    want = _eform_outcome(_zform_by_term, ref_from_laurent, obj, g)
+    got = _eform_outcome(lambda o: laurent.read_weil(o, g), WeilPoly.from_laurent, obj, g)
+    assert got == want, obj
+    scanned = laurent._eform_scan(obj, g)
+    if scanned is not None:
+        assert (type(scanned), scanned.terms) == want, obj
+        assert _typed(scanned) == _typed(WeilPoly.from_laurent(LaurentPoly.from_obj(obj))), obj
+    return want, scanned is not None
+
+
+def _grid_file(rng, g, positive=True):
+    """A seeded Weil-invariant z-form file of genus g: one to three orbit
+    sums with z-exponents in -2..2 and nonzero coefficients, in to_obj's
+    term order, with string coefficients or, now and then, JSON integers.
+    With positive=False one orbit breaks positivity."""
+    p = LaurentPoly.zero(g)
+    for k in range(rng.randint(1, 3)):
+        z = [rng.randint(-2, 2) for _ in range(g)]
+        low = -1 if k == 0 and not positive else rng.randint(0, 2)
+        c = rng.choice((1, -1)) * rng.randint(1, 40)
+        p = p + weil_symmetrize(lp(g, c=c, t=low - sum(min(e, 0) for e in z), z=z,
+                                   y=rng.randint(0, 1)))
+    obj = json.loads(p.to_json())
+    if rng.random() < 0.3:
+        for term in obj["terms"]:
+            term["c"] = int(term["c"])
+    return obj
+
+
+def _same_orbit(terms, i):
+    """The indices of the terms in the Weil orbit of terms[i]."""
+    def orbit(term):
+        mu, dt = laurent._orbit_rep(tuple(term["z"]))
+        return term["t"] + dt, mu, term.get("gamma", 0)
+    return [j for j, term in enumerate(terms) if orbit(term) == orbit(terms[i])]
+
+
+def _respelled(c, spelling):
+    """The coefficient c (a string or JSON integer) spelled another way."""
+    digits = str(c)
+    if spelling == "leading zero":
+        return "-0" + digits[1:] if digits.startswith("-") else "0" + digits
+    if spelling == "other coefficient":
+        return type(c)(int(c) + 1)
+    return {"minus zero": "-0", "zero": type(c)(0)}[spelling]
+
+
+# the faults the adversarial grid plants in a Weil-invariant file, each
+# with the genus it is read for (0: the file's own)
+GRID_FAULTS = ("none", "duplicate", "duplicate for a member", "missing member",
+               "other coefficient", "leading zero", "leading zero orbit", "minus zero",
+               "minus zero orbit", "zero", "zero orbit", "float t", "bool z", "float z",
+               "bool gamma", "long z", "short z", "negative gamma", "negative gamma orbit",
+               "g above", "g below", "positivity")
+
+
+def _grid_case(rng, g, fault):
+    """(file, genus to read it for) for one fault of GRID_FAULTS."""
+    obj = _grid_file(rng, g, positive=fault != "positivity")
+    terms = obj["terms"]
+    i = rng.randrange(len(terms))
+    term = terms[i]
+    orbit = _same_orbit(terms, i)
+    if fault == "duplicate":
+        terms.insert(rng.randrange(len(terms) + 1), dict(term))
+    elif fault == "duplicate for a member" and len(orbit) > 1:
+        terms[rng.choice([j for j in orbit if j != i])] = dict(term)
+    elif fault == "missing member":
+        del terms[i]
+    elif fault in ("other coefficient", "leading zero", "minus zero", "zero"):
+        term["c"] = _respelled(term["c"], fault)
+    elif fault in ("leading zero orbit", "minus zero orbit", "zero orbit"):
+        for j in orbit:
+            terms[j]["c"] = _respelled(terms[j]["c"], fault.rsplit(" ", 1)[0])
+    elif fault == "float t":
+        term["t"] = float(term["t"])
+    elif fault in ("bool z", "float z"):
+        k = rng.randrange(g)
+        e = term["z"][k]
+        term["z"][k] = float(e) if fault == "float z" or e not in (0, 1) else bool(e)
+    elif fault == "bool gamma":
+        term["gamma"] = bool(term["gamma"])
+    elif fault in ("long z", "short z"):
+        term["z"] = term["z"] + [0] if fault == "long z" else term["z"][:-1]
+    elif fault in ("negative gamma", "negative gamma orbit"):
+        for j in orbit if fault.endswith("orbit") else [i]:
+            terms[j]["gamma"] = -1
+    elif fault in ("g above", "g below"):
+        return obj, g + 1 if fault == "g above" else g - 1
+    return obj, g
+
+
+def _table_outcome(read, table, g):
+    try:
+        weil = read(table, g)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return {n: p.terms for n, p in (weil.weil if isinstance(weil, ATable) else weil).items()}
+
+
+class TestEformScan:
+    """A-table entries and --pgn files are read straight into e-form
+    (laurent.read_weil, whose scan is laurent._eform_scan); on every file
+    it agrees with the per-term read and the member-counting conversion of
+    counting_refs (same_eform_read), and ATable.from_obj agrees with the
+    table reader it replaced, faults and their order included."""
+
+    @pytest.mark.parametrize("obj", ZFORM_CORPUS)
+    def test_zform_corpus(self, obj):
+        g = obj.get("g")
+        g = g if type(g) is int and g >= 0 else 1
+        same_eform_read(obj, g)
+        same_eform_read(obj, g + 1)
+
+    def test_coefficient_corpus(self):
+        for c in COEFFICIENT_CORPUS:
+            term = {"c": c, "t": 1, "z": [0], "gamma": 0}
+            same_eform_read({"g": 1, "terms": [term]}, 1)
+            same_eform_read({"g": 1, "terms": [{"c": "1", "t": 0, "z": [0]}, term]}, 1)
+            same_eform_read({"g": 2, "terms": _orbit_terms(c)}, 2)
+            same_eform_read({"g": 2, "terms": _orbit_terms("7") + _orbit_terms(c, t=1)}, 2)
+
+    def test_random_files(self):
+        rng = random.Random("eform-scan")
+        for _ in range(1500):
+            obj = random_faulty_file(rng)
+            same_eform_read(obj, obj["g"] if type(obj["g"]) is int and obj["g"] >= 0 else 1)
+        for g in range(1, 6):
+            for _ in range(4):
+                p = random_invariant(rng, g) * rng.choice((1, -1, Fraction(3, 7)))
+                assert same_eform_read(json.loads(p.to_json()), g)[0] == (
+                    WeilPoly, WeilPoly.from_laurent(p).terms)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_adversarial_grid(self, g):
+        """Each fault of GRID_FAULTS planted in seeded invariant files; a
+        file with no fault, or with every member of an orbit respelled
+        alike, is read by the scan alone."""
+        rng = random.Random(f"eform-grid:{g}")
+        seen = set()
+        for _ in range(6):
+            for fault in GRID_FAULTS:
+                obj, read_g = _grid_case(rng, g, fault)
+                outcome, scanned = same_eform_read(obj, read_g)
+                if (fault in ("none", "leading zero orbit", "positivity")
+                        and len({type(term["c"]) for term in obj["terms"]}) == 1):
+                    assert scanned, (fault, obj)
+                seen.add((fault, outcome[0] if outcome[0] in (WeilPoly, "g")
+                          else outcome[1].split(":")[0]))
+        assert {("missing member", "polynomial is not Weil-invariant"),
+                ("other coefficient", "polynomial is not Weil-invariant"),
+                ("leading zero", WeilPoly), ("minus zero orbit", WeilPoly),
+                ("zero", "polynomial is not Weil-invariant"),
+                ("duplicate", "malformed polynomial JSON"),
+                ("float t", "malformed polynomial JSON"),
+                ("negative gamma orbit", "genus-offset exponent must be nonnegative"),
+                ("g above", "g"), ("positivity", WeilPoly)} <= seen
+        if g > 1:
+            assert ("duplicate for a member", "malformed polynomial JSON") in seen
+
+    def test_table_fault_order(self):
+        """Tables of seeded entries, each with a fault of GRID_FAULTS or a
+        bad rank key: from_obj and from_json fault, or read, as the old
+        reader did, and from_obj leaves the caller's object as it was."""
+        rng = random.Random("eform-table")
+        seen = set()
+        for _ in range(300):
+            g = rng.randint(1, 4)
+            entries = {}
+            for n in range(2, 2 + rng.randint(1, 3)):
+                fault = rng.choice(GRID_FAULTS + ("none",) * 8)
+                obj, read_g = _grid_case(rng, g, fault)
+                if read_g != g:  # a file of another genus
+                    obj = _grid_file(rng, 2 * g - read_g)
+                key = str(n) if rng.random() < 0.95 else rng.choice(("0" + str(n), "1", "x"))
+                entries[key] = obj
+            table = {"entries": entries}
+            text = json.dumps(table)
+            want = _table_outcome(ref_atable_from_obj, table, g)
+            assert _table_outcome(ATable.from_obj, table, g) == want, table
+            assert json.dumps(table) == text
+            assert _table_outcome(ATable.from_json, text, g) == want, table
+            owned = json.loads(text)
+            assert _table_outcome(lambda o, g: ATable.from_obj(o, g, owned=True), owned, g) == want
+            if type(want) is dict:
+                assert owned == {"entries": {}}
+            seen.add(want[1] if type(want) is tuple else "read")
+        for kind in ("read", "violates positivity", "is not Weil-invariant",
+                     "wrong number of z-variables", "malformed polynomial JSON",
+                     "malformed bundle-count table JSON"):
+            assert any(kind in outcome for outcome in seen), kind
 
 
 class TestWeilSymmetrize:
